@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 
 SCHEMA = 1
 
@@ -42,11 +43,18 @@ def store_census(cache_dir: str, name: str, params: dict, table) -> str:
         "sha256": _digest(entries),
     }
     path = _path(cache_dir, name, params)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    # a private temporary file per writer, so concurrent stores of the same
+    # table never interleave; the last os.replace wins with a whole file
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".store-",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

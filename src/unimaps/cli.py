@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from math import comb, factorial
 
 from .bijections import (
@@ -27,8 +26,6 @@ from .bijections import (
 )
 from .enumeration import (
     CountTable,
-    _matchings,
-    _vertex_count,
     gen_tree_rooted_maps,
     gen_unicellular,
     planar_census,
@@ -233,34 +230,6 @@ def _tree_payload(t: NearEulerianTree) -> dict:
 # census
 
 
-def _profile_slice(args):
-    n, orientable_only, partner = args
-    table = {}
-    sides = [s for s in range(1, 2 * n) if s != partner]
-    masks = (0,) if orientable_only else range(1 << n)
-    for sub in _matchings(sides):
-        pairs = [(0, partner)] + sub
-        for mask in masks:
-            key = (n, _vertex_count(n, pairs, mask))
-            table[key] = table.get(key, 0) + 1
-    return table
-
-
-def _profile_parallel(n: int, orientable_only: bool, threads: int) \
-        -> CountTable:
-    table = CountTable()
-    jobs = [(n, orientable_only, partner) for partner in range(1, 2 * n)]
-    if threads <= 1 or n <= 2:
-        parts = map(_profile_slice, jobs)
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_profile_slice, jobs))
-    for part in parts:
-        for key in sorted(part):
-            table.add(key, part[key])
-    return table
-
-
 def _cached(cache_dir, name, params, build):
     if cache_dir is None:
         return build()
@@ -272,25 +241,30 @@ def _cached(cache_dir, name, params, build):
     return table
 
 
+def _require_positive(value, option: str) -> None:
+    if value is None:
+        raise SystemExit2(f"family requires {option}")
+    if value < 1:
+        raise SystemExit2(f"{option} must be at least 1, got {value}")
+
+
 def cmd_census(args) -> int:
     family = args.family
     cache_dir = args.cache
+    if args.threads < 1:
+        raise SystemExit2(f"--threads must be at least 1, got {args.threads}")
     if family in ("unicellular-orientable", "unicellular-general"):
-        if args.n is None:
-            raise SystemExit2("family requires --n")
+        _require_positive(args.n, "--n")
         orientable = family == "unicellular-orientable"
         table = _cached(cache_dir, family, {"n": args.n},
-                        lambda: _profile_parallel(args.n, orientable,
-                                                  args.threads))
+                        lambda: vertex_profile(args.n, orientable))
         bounds = {"n": args.n}
     elif family == "planar-pqr":
-        if args.max_edges is None:
-            raise SystemExit2("family requires --max-edges")
+        _require_positive(args.max_edges, "--max-edges")
         table = planar_census(args.max_edges, cache_dir=cache_dir)
         bounds = {"max_edges": args.max_edges}
     elif family == "tree-rooted":
-        if args.n is None:
-            raise SystemExit2("family requires --n")
+        _require_positive(args.n, "--n")
 
         def build():
             table = CountTable()
@@ -639,7 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument("--n", type=int, default=None)
     census.add_argument("--max-edges", type=int, default=None)
     census.add_argument("--format", choices=["json", "csv"], default="json")
-    census.add_argument("--threads", type=int, default=1)
+    census.add_argument("--threads", type=int, default=1,
+                        help="has no effect; still accepted so that "
+                        "existing command lines parse")
     census.set_defaults(func=cmd_census)
 
     verify = sub.add_parser("verify", help="run a named identity check")

@@ -15,6 +15,7 @@ from .maps_core import (
     PolygonGluing,
     RootedMap,
     euler_data,
+    glue_sides,
 )
 
 
@@ -87,30 +88,16 @@ def gen_unicellular(n: int, orientable_only: bool = False, *, first_partner=None
                 yield PolygonGluing(n, tuple(pairs), twists)
 
 
-def _vertex_count(n, pairs, twist_mask):
-    """Corner-identification vertex count without building objects."""
-    nn = 2 * n
-    parent = list(range(nn))
+def _first_appearance(labels) -> tuple:
+    """Relabel a sequence by order of first appearance: (5, 2, 5) -> (0, 1, 0)."""
+    names = {}
+    return tuple(names.setdefault(x, len(names)) for x in labels)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for k, (a, b) in enumerate(pairs):
-        if twist_mask >> k & 1:
-            union(a, b)
-            union((a + 1) % nn, (b + 1) % nn)
-        else:
-            union(a, (b + 1) % nn)
-            union((a + 1) % nn, b)
-    return sum(1 for x in range(nn) if find(x) == x)
+def _add_shifted(level: dict, state: tuple, counts: dict, shift: int) -> None:
+    bucket = level.setdefault(state, {})
+    for closed, count in counts.items():
+        bucket[closed + shift] = bucket.get(closed + shift, 0) + count
 
 
 def vertex_profile(n: int, orientable_only: bool = False) -> CountTable:
@@ -118,18 +105,50 @@ def vertex_profile(n: int, orientable_only: bool = False) -> CountTable:
 
     With ``orientable_only`` this is the table of one-face maps on orientable
     surfaces; without, the table over all (locally orientable) surfaces.
+
+    Exact transfer over the polygon sides instead of a loop over the
+    ``2^n (2n-1)!!`` gluings.  Side ``k`` runs from the current corner ``k``
+    to corner ``k+1``; it either opens a pair or closes one of the open
+    sides (untwisted, or also twisted unless ``orientable_only``).  A state
+    labels the live corners -- corner 0, the current corner, then the start
+    and end corner of each open side in scan order -- by vertex class, in
+    first-appearance order.  Its value maps the number of classes already
+    closed (no live corner left in them) to the number of partial gluings.
+    The tests check it against brute force over every gluing.
     """
     if n < 1:
         raise ValueError("need at least one edge")
+    nn = 2 * n
+    twist_choices = (False,) if orientable_only else (False, True)
+    level = {(0, 0): {0: 1}}
+    for side in range(nn):
+        last = side == nn - 1
+        following = {}
+        for state, counts in level.items():
+            labels = max(state) + 1
+            # the new corner gets a fresh label, except that the end corner
+            # of the last side is corner 0 itself
+            end = state[0] if last else labels
+            size = labels if last else labels + 1
+            start = state[1]
+            # open this side only if the sides after it can close it too
+            if len(state) // 2 < nn - side:
+                _add_shifted(following, _first_appearance(
+                    (state[0], end) + state[2:] + (start, end)), counts, 0)
+            for i in range(2, len(state), 2):
+                live = (state[0], end) + state[2:i] + state[i + 2:]
+                for twisted in twist_choices:
+                    ds = DisjointSets(size)
+                    glue_sides(ds, state[i], state[i + 1], start, end,
+                               twisted)
+                    roots = [ds.find(x) for x in live]
+                    closed = len(ds.classes()) - len(set(roots))
+                    _add_shifted(following, _first_appearance(roots),
+                                 counts, closed)
+        level = following
     table = CountTable()
-    sides = list(range(1, 2 * n))
-    masks = (0,) if orientable_only else range(1 << n)
-    for partner in sides:
-        rest = [s for s in sides if s != partner]
-        for sub in _matchings(rest):
-            pairs = [(0, partner)] + sub
-            for mask in masks:
-                table.add((n, _vertex_count(n, pairs, mask)))
+    for closed, count in level[(0, 0)].items():
+        table[(n, closed + 1)] = count
     return table
 
 

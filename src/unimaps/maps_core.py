@@ -12,7 +12,7 @@ instead as gluings of a rooted ``2n``-gon: a perfect matching of the polygon
 sides together with a twist flag per matched pair.  An untwisted pair glues
 the two sides into a cylinder, a twisted pair into a Moebius band.
 
-Corner identification rule used by :func:`glue_polygon`: the polygon boundary
+Corner identification rule (:func:`glue_sides`): the polygon boundary
 is oriented into a directed cycle starting at the root side, side ``k``
 running from corner ``k`` to corner ``k+1`` (mod ``2n``).  Gluing sides
 ``i, j`` untwisted identifies corner ``i`` with corner ``j+1`` and corner
@@ -22,7 +22,7 @@ and corner ``i+1`` with corner ``j+1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class DisjointSets:
@@ -259,17 +259,29 @@ class GluedSkeleton:
         return len(self.vertex_classes)
 
 
+def glue_sides(ds: DisjointSets, a: int, a_end: int, b: int, b_end: int,
+               twisted: bool) -> None:
+    """Identify the corners of two glued sides running from corner ``a`` to
+    ``a_end`` and from ``b`` to ``b_end``: untwisted ``a ~ b_end`` and
+    ``a_end ~ b``, twisted ``a ~ b`` and ``a_end ~ b_end``.
+
+    This is the one encoding of the corner rule; ``ds`` may hold corners or
+    any labelling of them.
+    """
+    if twisted:
+        ds.union(a, b)
+        ds.union(a_end, b_end)
+    else:
+        ds.union(a, b_end)
+        ds.union(a_end, b)
+
+
 def glue_polygon(g: PolygonGluing) -> GluedSkeleton:
     """Identify the polygon corners according to the gluing."""
     nn = 2 * g.n
     ds = DisjointSets(nn)
     for (a, b), twist in zip(g.pairs, g.twists):
-        if twist:
-            ds.union(a, b)
-            ds.union((a + 1) % nn, (b + 1) % nn)
-        else:
-            ds.union(a, (b + 1) % nn)
-            ds.union((a + 1) % nn, b)
+        glue_sides(ds, a, (a + 1) % nn, b, (b + 1) % nn, twist)
     classes = tuple(tuple(c) for c in ds.classes())
     return GluedSkeleton(classes, g.orientable)
 

@@ -18,7 +18,7 @@ to vanish identically on all trusted coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 

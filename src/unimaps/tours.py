@@ -283,16 +283,6 @@ class Digraph:
             if not (1 <= t <= self.q and 1 <= h <= self.q):
                 raise ValueError("arc endpoint out of range")
 
-    def out_arcs(self, v: int) -> list:
-        return [a for a, (t, _) in enumerate(self.arcs) if t == v]
-
-    def is_balanced(self) -> bool:
-        from collections import Counter
-
-        outs = Counter(t for t, _ in self.arcs)
-        ins = Counter(h for _, h in self.arcs)
-        return outs == ins
-
 
 def gen_eulerian_tours(g: Digraph, origin: int):
     """All Eulerian tours of ``g`` from ``origin``, as arc-id sequences."""

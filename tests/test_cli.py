@@ -57,6 +57,21 @@ class TestCensus:
         assert code == 2
         assert "requires" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("unicellular-general", "--n", "0"),
+        ("unicellular-general", "--n", "-3"),
+        ("unicellular-orientable", "--n", "0"),
+        ("tree-rooted", "--n", "0"),
+        ("planar-pqr", "--max-edges", "0"),
+        ("unicellular-general", "--n", "2", "--threads", "0"),
+        ("unicellular-general", "--n", "2", "--threads", "-1"),
+    ])
+    def test_bad_bound_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "census", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "at least 1" in err
+
     def test_cache_round_trip(self, capsys, tmp_path):
         args = ("--cache", str(tmp_path), "census", "planar-pqr",
                 "--max-edges", "2")

@@ -4,6 +4,7 @@ import pytest
 
 from unimaps.enumeration import (
     CountTable,
+    _matchings,
     gen_rooted_orientable_maps,
     gen_tree_rooted_maps,
     gen_unicellular,
@@ -12,7 +13,15 @@ from unimaps.enumeration import (
     surjection_count,
     vertex_profile,
 )
-from unimaps.maps_core import RootedMap, canonicalize, euler_data
+from unimaps.formulas import hz_recurrence_check, ledoux_check
+from unimaps.maps_core import (
+    DisjointSets,
+    RootedMap,
+    canonicalize,
+    euler_data,
+    glue_sides,
+)
+from unimaps.series import check_qfd
 
 
 def dfact(k):
@@ -62,6 +71,55 @@ class TestVertexProfile:
     def test_totals_match_stream(self):
         assert vertex_profile(3).total() == 8 * 15
         assert vertex_profile(4, True).total() == 105
+
+
+def brute_vertex_profile(n, orientable_only):
+    """Oracle: glue every (matching, twist mask) pair and count classes."""
+    nn = 2 * n
+    table = CountTable()
+    masks = (0,) if orientable_only else range(1 << n)
+    for pairs in _matchings(list(range(nn))):
+        for mask in masks:
+            ds = DisjointSets(nn)
+            for k, (a, b) in enumerate(pairs):
+                glue_sides(ds, a, (a + 1) % nn, b, (b + 1) % nn,
+                           mask >> k & 1)
+            table.add((n, len({ds.find(c) for c in range(nn)})))
+    return table
+
+
+class TestTransferAgainstOracle:
+    @pytest.mark.parametrize("n,orientable_only", [
+        (n, o) for n in range(1, 7) for o in (True, False)] + [(7, True)])
+    def test_equals_brute_force(self, n, orientable_only):
+        assert vertex_profile(n, orientable_only).by_key == \
+            brute_vertex_profile(n, orientable_only).by_key
+
+    @pytest.fixture(scope="class")
+    def eps_eta(self):
+        eps, eta = CountTable(), CountTable()
+        for n in range(1, 9):
+            eps.merge(vertex_profile(n, True))
+            eta.merge(vertex_profile(n))
+        return eps, eta
+
+    def test_totals_beyond_brute_force(self, eps_eta):
+        eps, eta = eps_eta
+        assert sum(c for (n, _), c in eps.items() if n == 8) == dfact(15)
+        assert sum(c for (n, _), c in eta.items() if n == 8) == \
+            2 ** 8 * dfact(15)
+
+    def test_recurrences_through_eight_edges(self, eps_eta):
+        eps, eta = eps_eta
+        for n in range(1, 9):
+            for v in range(1, n + 2):
+                verdict = hz_recurrence_check(eps, n, v)
+                assert verdict, verdict
+                if n >= 2:
+                    verdict = ledoux_check(eta, n, v)
+                    assert verdict, verdict
+        verdict = check_qfd(eta, 8)
+        assert verdict, verdict.detail
 
 
 class TestGenRootedOrientableMaps:
