@@ -241,6 +241,11 @@ def _cached(cache_dir, name, params, build):
     return table
 
 
+def _planar_census(cache_dir, max_edges):
+    return _cached(cache_dir, "planar-pqr", {"max_edges": max_edges},
+                   lambda: planar_census(max_edges))
+
+
 def _require_positive(value, option: str) -> None:
     if value is None:
         raise SystemExit2(f"family requires {option}")
@@ -261,7 +266,7 @@ def cmd_census(args) -> int:
         bounds = {"n": args.n}
     elif family == "planar-pqr":
         _require_positive(args.max_edges, "--max-edges")
-        table = planar_census(args.max_edges, cache_dir=cache_dir)
+        table = _planar_census(cache_dir, args.max_edges)
         bounds = {"max_edges": args.max_edges}
     elif family == "tree-rooted":
         _require_positive(args.n, "--n")
@@ -346,7 +351,7 @@ def _check_jackson(bound, cache_dir):
 
 
 def _check_u_formula(bound, cache_dir):
-    census = planar_census(bound, cache_dir=cache_dir)
+    census = _planar_census(cache_dir, bound)
     for n in range(1, bound + 1):
         eta = vertex_profile(n)
         for q in range(1, n + 2):
@@ -359,7 +364,7 @@ def _check_u_formula(bound, cache_dir):
 
 
 def _check_u_hat(bound, cache_dir):
-    census = planar_census(bound, cache_dir=cache_dir)
+    census = _planar_census(cache_dir, bound)
     for n in range(1, bound + 1):
         for N in range(1, n + 3):
             direct = sum(comb(N, q) * u_formula(n, q, census)
@@ -431,7 +436,7 @@ def _check_gamma_roundtrip(bound, cache_dir):
 
 
 def _check_planar_totals(bound, cache_dir):
-    census = planar_census(bound, cache_dir=cache_dir)
+    census = _planar_census(cache_dir, bound)
     for e in range(1, bound + 1):
         total = sum(c for (q, r), c in census.items() if q + r - 2 == e)
         expect = 2 * 3 ** e * factorial(2 * e) // (
@@ -442,25 +447,25 @@ def _check_planar_totals(bound, cache_dir):
 
 
 def _check_algebraic_p(bound, cache_dir):
-    census = planar_census(max(bound - 2, 1), cache_dir=cache_dir)
+    census = _planar_census(cache_dir, max(bound - 2, 1))
     verdict = check_algebraic_P(p_series(census, bound))
     return None if verdict.ok else {"detail": verdict.detail}
 
 
 def _check_q_pde(bound, cache_dir):
-    census = planar_census(bound, cache_dir=cache_dir)
+    census = _planar_census(cache_dir, bound)
     verdict = check_q_pde(q_from_p(census, bound - 2))
     return None if verdict.ok else {"detail": verdict.detail}
 
 
 def _check_rec_hp(bound, cache_dir):
-    census = planar_census(bound + 3, cache_dir=cache_dir)
+    census = _planar_census(cache_dir, bound + 3)
     verdict = check_rec_hp(census, bound)
     return None if verdict.ok else {"detail": verdict.detail}
 
 
 def _check_a_combination(bound, cache_dir):
-    census = planar_census(bound, cache_dir=cache_dir)
+    census = _planar_census(cache_dir, bound)
     verdict = check_a_combination(p_series(census, bound + 2))
     return None if verdict.ok else {"detail": verdict.detail}
 
@@ -475,25 +480,34 @@ CHECKS = {
     "gluing-totals": ("max_n", 5, _check_gluing_totals),
     "t-formula": ("max_n", 4, _check_t_formula),
     "jackson": ("max_n", 3, _check_jackson),
-    "u-formula": ("max_n", 4, _check_u_formula),
-    "u-hat": ("max_n", 4, _check_u_hat),
+    "u-formula": ("max_n", 7, _check_u_formula),
+    "u-hat": ("max_n", 8, _check_u_hat),
     "hz": ("max_n", 6, _check_hz),
     "ledoux": ("max_n", 6, _check_ledoux),
     "phi-roundtrip": ("max_n", 3, _check_phi_roundtrip),
     "psi-fibers": ("max_n", 2, _check_psi_fibers),
     "gamma-roundtrip": ("max_edges", 4, _check_gamma_roundtrip),
-    "planar-totals": ("max_edges", 5, _check_planar_totals),
-    "algebraic-P": ("max_degree", 7, _check_algebraic_p),
-    "q-pde": ("max_edges", 5, _check_q_pde),
-    "rec-hP": ("max_total", 3, _check_rec_hp),
-    "a-combination": ("max_edges", 5, _check_a_combination),
+    "planar-totals": ("max_edges", 12, _check_planar_totals),
+    "algebraic-P": ("max_degree", 16, _check_algebraic_p),
+    "q-pde": ("max_edges", 10, _check_q_pde),
+    "rec-hP": ("max_total", 10, _check_rec_hp),
+    "a-combination": ("max_edges", 10, _check_a_combination),
     "qfd": ("max_n", 6, _check_qfd),
 }
+
+# smallest bound at which a check examines anything; 1 where not listed.
+# ledoux starts at n = 2, the quartic needs the x y term of P, and the PDE
+# residual of Q at t-degree bound - 2 is trusted through bound - 6
+MIN_BOUND = {"ledoux": 2, "algebraic-P": 2, "q-pde": 4}
 
 
 def cmd_verify(args) -> int:
     bound_name, default, func = CHECKS[args.check]
     bound = args.bound if args.bound is not None else default
+    minimum = MIN_BOUND.get(args.check, 1)
+    if bound < minimum:
+        raise SystemExit2(f"--bound of {args.check} must be at least "
+                          f"{minimum}, got {bound}")
     start = time.monotonic()
     counterexample = func(bound, args.cache)
     elapsed = time.monotonic() - start

@@ -1,8 +1,10 @@
-"""Exhaustive, duplicate-free generators for the object families we count.
+"""Exhaustive, duplicate-free generators for the object families we count,
+and exact transfers for the two count tables they would take too long to
+list: one-face maps by vertices and planar maps by (vertices, faces).
 
-Everything here is desk-scale brute force with exact integers; these streams
-are the ground truth against which every closed formula and every bijection
-in the package is checked.
+Everything here uses exact integers; the generators are desk-scale brute
+force, the ground truth against which every closed formula, every
+bijection and both transfers are checked.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from .maps_core import (
     DisjointSets,
     PolygonGluing,
     RootedMap,
-    euler_data,
     glue_sides,
 )
 
@@ -204,29 +205,41 @@ def gen_rooted_orientable_maps(e: int):
     yield from rec(0, 1)
 
 
-def planar_census(max_edges: int, cache_dir=None) -> CountTable:
+def planar_census(max_edges: int) -> CountTable:
     """Counts of rooted planar maps by (vertices, faces): key ``(q, r)``.
 
     Covers all ``q + r - 2 <= max_edges``, including the single vertex map
-    at ``(1, 1)``.  When ``cache_dir`` is given the table is persisted there
-    and reloaded on later calls (rebuilt if the stored hash does not match).
+    at ``(1, 1)``.
+
+    Exact transfer over the edge count by deletion of the root edge (Tutte,
+    "A census of planar maps"), with the degree of the root face as the
+    catalytic variable.  ``levels[e]`` maps ``(root-face degree, vertices)``
+    to the number of rooted planar maps with ``e`` edges; the face count
+    follows from Euler's formula.  The tests check it against brute force
+    over every rooted map.
     """
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
-    if cache_dir is not None:
-        from .cache import load_census, store_census
-        cached = load_census(cache_dir, "planar-pqr", {"max_edges": max_edges})
-        if cached is not None:
-            return cached
     table = CountTable()
     table[(1, 1)] = 1
+    levels = [{(0, 1): 1}]
     for e in range(1, max_edges + 1):
-        for m in gen_rooted_orientable_maps(e):
-            v, _, f, genus = euler_data(m)
-            if genus == 0:
-                table.add((v, f))
-    if cache_dir is not None:
-        store_census(cache_dir, "planar-pqr", {"max_edges": max_edges}, table)
+        level = {}
+        # the root edge is an isthmus: deleting it leaves two maps whose
+        # root faces join around it
+        for a in range(e):
+            for (d1, v1), c1 in levels[a].items():
+                for (d2, v2), c2 in levels[e - 1 - a].items():
+                    key = (d1 + d2 + 2, v1 + v2)
+                    level[key] = level.get(key, 0) + c1 * c2
+        # otherwise it splits the root face of degree d of a map with one
+        # edge fewer, leaving a new root face of degree 1 .. d + 1
+        for (d, v), c in levels[e - 1].items():
+            for k in range(1, d + 2):
+                level[(k, v)] = level.get((k, v), 0) + c
+        for (_, v), c in level.items():
+            table.add((v, e + 2 - v), c)
+        levels.append(level)
     return table
 
 

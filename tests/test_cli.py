@@ -121,6 +121,19 @@ class TestVerify:
         assert payload["verdict"] == "fail"
         assert payload["counterexample"] == {"n": 3}
 
+    @pytest.mark.parametrize("check,bound,minimum", [
+        ("rec-hP", -5, 1), ("u-formula", 0, 1), ("u-hat", 0, 1),
+        ("planar-totals", 0, 1), ("q-pde", 0, 4), ("q-pde", 3, 4),
+        ("a-combination", 0, 1), ("hz", 0, 1), ("ledoux", 1, 2),
+        ("algebraic-P", 0, 2), ("algebraic-P", 1, 2)])
+    def test_bound_below_minimum_is_usage_error(self, capsys, check, bound,
+                                                minimum):
+        code, out, err = run(capsys, "verify", check, "--bound", str(bound))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"at least {minimum}" in err
+        assert CHECKS[check][1] >= minimum
+
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "no-such-check"])

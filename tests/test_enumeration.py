@@ -144,7 +144,34 @@ class TestGenRootedOrientableMaps:
             assert stream == vertex_profile(n, True)
 
 
+def brute_planar_census(max_edges):
+    """Oracle: keep the genus-0 maps among all rooted orientable maps."""
+    table = CountTable()
+    table[(1, 1)] = 1
+    for e in range(1, max_edges + 1):
+        for m in gen_rooted_orientable_maps(e):
+            v, _, f, genus = euler_data(m)
+            if genus == 0:
+                table.add((v, f))
+    return table
+
+
+def planar_maps_with_edges(e):
+    return 2 * 3 ** e * factorial(2 * e) // (factorial(e) * factorial(e + 2))
+
+
 class TestPlanarCensus:
+    @pytest.mark.parametrize("max_edges", range(1, 7))
+    def test_equals_brute_force(self, max_edges):
+        assert planar_census(max_edges).by_key == \
+            brute_planar_census(max_edges).by_key
+
+    def test_totals_through_fourteen_edges(self):
+        t = planar_census(14)
+        for e in range(1, 15):
+            tot = sum(v for (q, r), v in t.items() if q + r - 2 == e)
+            assert tot == planar_maps_with_edges(e)
+
     def test_small_values(self):
         t = planar_census(3)
         # [DERIVED] rooted planar maps counted by (vertices, faces)
@@ -160,8 +187,7 @@ class TestPlanarCensus:
             assert t[(r, q)] == v
         for e in range(1, 5):
             tot = sum(v for (q, r), v in t.items() if q + r - 2 == e)
-            assert tot == 2 * 3 ** e * factorial(2 * e) // (
-                factorial(e) * factorial(e + 2))
+            assert tot == planar_maps_with_edges(e)
 
 
 class TestTreeRootedMaps:

@@ -37,9 +37,9 @@ def census():
     return planar_census(6)
 
 
-# [DERIVED] rooted planar map counts with 7 edges (9 = vertices + faces),
-# from the exhaustive rooted-map generator; the census of every smaller
-# edge count is rebuilt live by the fixture above.
+# [DERIVED] rooted planar map counts with 7 edges (9 = vertices + faces)
+# and at least two vertices and two faces, from the exhaustive rooted-map
+# generator, one edge beyond the brute-force check of the census.
 SEVEN_EDGE_COUNTS = {(2, 7): 6476, (3, 6): 31388, (4, 5): 65954,
                      (5, 4): 65954, (6, 3): 31388, (7, 2): 6476}
 
@@ -239,6 +239,11 @@ class TestRecHP:
         verdict = check_rec_hp(census7, 4)
         assert verdict
         assert "36" in verdict.detail
+
+    def test_census_carries_the_seven_edge_counts(self):
+        seven = {(q, r): c for (q, r), c in planar_census(7).items()
+                 if q + r == 9 and q > 1 and r > 1}
+        assert seven == SEVEN_EDGE_COUNTS
 
     def test_seven_edge_counts_are_consistent(self, census7):
         # the frozen 7-edge diagonal must be symmetric and the identity
