@@ -43,8 +43,54 @@ from .tours import (
 )
 
 
+class _LabelledMap:
+    """Label bookkeeping shared by the rooted maps below, which carry a map
+    ``m``, ``vertex_labels`` (by vertex, in :meth:`RootedMap.vertices`
+    order) and ``edge_labels`` (by edge, in :meth:`RootedMap.edges`
+    order)."""
+
+    def half_edge_labels(self) -> tuple:
+        """Vertex label and edge label of every half-edge, as two lists."""
+        m = self.m
+        return ([self.vertex_labels[i] for i in m.vertex_index()],
+                [self.edge_labels[k] for k in m.edge_index()])
+
+    def _canonical_form(self, marked_edges) -> tuple:
+        """``(perm, key)``: the canonical relabelling of ``m``, and the
+        relabelled rotation system followed by the vertex labels, edge
+        labels and marked edge ids carried across ``perm``."""
+        m = self.m
+        perm = canonical_relabelling(m)
+        m2 = m.relabelled(perm)
+        vid2, eid2 = m2.vertex_index(), m2.edge_index()
+        verts2 = [0] * len(self.vertex_labels)
+        edges2 = [0] * len(self.edge_labels)
+        for h, (i, k) in enumerate(zip(m.vertex_index(), m.edge_index())):
+            verts2[vid2[perm[h]]] = self.vertex_labels[i]
+            edges2[eid2[perm[h]]] = self.edge_labels[k]
+        marked2 = frozenset(m2.edge_of(perm[eid]) for eid in marked_edges)
+        return perm, (m2.sigma, m2.alpha, m2.root, tuple(verts2),
+                      tuple(edges2), marked2)
+
+    def _rejoined(self, pairs) -> tuple:
+        """Re-pair half-edges of ``m``: each ``(out, in)`` pair becomes an
+        edge that keeps the label of ``out``'s old edge.  Returns the new
+        map and its edge labels."""
+        m = self.m
+        _, elabel = self.half_edge_labels()
+        alpha = list(m.alpha)
+        for o, i in pairs:
+            alpha[o] = i
+            alpha[i] = o
+        m2 = RootedMap(m.sigma, tuple(alpha), m.root)
+        outs = {o for o, _ in pairs}
+        edge_labels = tuple(elabel[alpha[h] if alpha[h] in outs else h]
+                            for h in (min(c) for c in m2.edges()))
+        return m2, edge_labels
+
+
 @dataclass(frozen=True)
-class OrientedTreeRootedMap:
+class OrientedTreeRootedMap(_LabelledMap):
     """Rooted orientable map with labelled vertices and edges, a marked
     spanning tree, and a compatible balanced orientation.
 
@@ -82,11 +128,7 @@ class OrientedTreeRootedMap:
         if not self.tree <= set(eids):
             raise ValueError("tree contains unknown edges")
         # spanning tree check
-        vindex = {min(c): i for i, c in enumerate(verts)}
-        vid = {}
-        for i, c in enumerate(verts):
-            for h in c:
-                vid[h] = i
+        vid = m.vertex_index()
         if len(self.tree) != q - 1:
             raise ValueError("tree has the wrong number of edges")
         ds = DisjointSets(q)
@@ -148,53 +190,24 @@ class OrientedTreeRootedMap:
 
     def canonical_key(self) -> tuple:
         """Hashable form invariant under half-edge relabelling."""
-        perm = canonical_relabelling(self.m)
-        m2 = self.m.relabelled(perm)
-        old_verts = self.m.vertices()
-        old_edges = self.m.edges()
-        vl = {min(perm[h] for h in c): lab
-              for c, lab in zip(old_verts, self.vertex_labels)}
-        el = {min(perm[h] for h in c): lab
-              for c, lab in zip(old_edges, self.edge_labels)}
-        verts2 = tuple(vl[min(c)] for c in m2.vertices())
-        edges2 = tuple(el[min(c)] for c in m2.edges())
-        tree2 = frozenset(min(perm[eid], perm[self.m.alpha[eid]])
-                          for eid in self.tree)
-        orient2 = tuple(sorted(perm[h] for h in self.orientation))
-        return (m2.sigma, m2.alpha, m2.root, verts2, edges2, tree2, orient2)
-
-
-def _structure(t: OrientedTreeRootedMap):
-    """Shared bookkeeping for theta: indices, labels, tails, sequences."""
-    m = t.m
-    verts = m.vertices()
-    edges = m.edges()
-    vid = {}
-    for i, c in enumerate(verts):
-        for h in c:
-            vid[h] = i
-    vlabel = [0] * m.half_edge_count
-    for i, c in enumerate(verts):
-        for h in c:
-            vlabel[h] = t.vertex_labels[i]
-    elabel = [0] * m.half_edge_count
-    for k, c in enumerate(edges):
-        for h in c:
-            elabel[h] = t.edge_labels[k]
-    tail_of = {}
-    for h in t.orientation:
-        tail_of[elabel[h]] = h
-    return m, verts, edges, vid, vlabel, elabel, tail_of
+        perm, key = self._canonical_form(self.tree)
+        return key + (tuple(sorted(perm[h] for h in self.orientation)),)
 
 
 def theta(t: OrientedTreeRootedMap) -> tuple:
     """Map an oriented tree-rooted map to its graph and bi-Eulerian tour."""
-    m, verts, edges, vid, vlabel, elabel, tail_of = _structure(t)
+    m = t.m
+    verts, edges = m.vertices(), m.edges()
+    vid = m.vertex_index()
+    vlabel, elabel = t.half_edge_labels()
+    tail_of = {elabel[h]: h for h in t.orientation}
     n, q = len(edges), len(verts)
     ends = [None] * n
+    edge_with_label = [None] * n
     for c in edges:
         h = min(c)
         ends[elabel[h] - 1] = tuple(sorted((vlabel[h], vlabel[m.alpha[h]])))
+        edge_with_label[elabel[h] - 1] = c
     graph = EdgeLabelledGraph(q, tuple(ends))
 
     root_v = vid[m.root]
@@ -240,8 +253,7 @@ def theta(t: OrientedTreeRootedMap) -> tuple:
         elif u == v:
             arcs[2 * k] = arcs[2 * k + 1] = (u, u)
         else:
-            c = edges[[elabel[min(cc)] for cc in edges].index(lab)]
-            for h in c:
+            for h in edge_with_label[k]:
                 a = 2 * k if vlabel[h] == u else 2 * k + 1
                 arcs[a] = (vlabel[h], vlabel[m.alpha[h]])
                 arc_of_he[h] = a
@@ -496,15 +508,9 @@ def gen_oriented_tree_rooted_maps(n: int, weight: int = None):
     from .enumeration import gen_rooted_orientable_maps, spanning_edge_subsets
 
     for m in gen_rooted_orientable_maps(n):
-        verts = m.vertices()
-        q = len(verts)
-        vid = {}
-        for i, c in enumerate(verts):
-            for h in c:
-                vid[h] = i
-        eids = [min(c) for c in m.edges()]
+        q = len(m.vertices())
         trees = spanning_edge_subsets(m)
-        orientations = _balanced_orientations(m, vid, q, eids)
+        orientations = _balanced_orientations(m)
         for tree in trees:
             for orient in orientations:
                 try:
@@ -521,8 +527,11 @@ def gen_oriented_tree_rooted_maps(n: int, weight: int = None):
                             m, vperm, eperm, tree, orient)
 
 
-def _balanced_orientations(m: RootedMap, vid, q: int, eids):
+def _balanced_orientations(m: RootedMap):
     """All balanced partial orientations of ``m`` as tail half-edge sets."""
+    vid = m.vertex_index()
+    q = max(vid) + 1
+    eids = [min(c) for c in m.edges()]
     out = []
     for subset in _subsets(eids):
         for tails in itertools.product(*[(h, m.alpha[h]) for h in subset]):
@@ -547,7 +556,7 @@ def _subsets(items):
 
 
 @dataclass(frozen=True)
-class ExternallyLabelledPlanarRootedMap:
+class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     """Rooted orientable map with labelled vertices and edges, a marked
     spanning planar submap, and a labelling of the submap's faces.
 
@@ -580,10 +589,7 @@ class ExternallyLabelledPlanarRootedMap:
         if not self.submap <= eids:
             raise ValueError("submap contains unknown edges")
         # spanning and connected
-        vid = {}
-        for i, c in enumerate(verts):
-            for h in c:
-                vid[h] = i
+        vid = m.vertex_index()
         ds = DisjointSets(q)
         touched = set()
         for eid in self.submap:
@@ -602,11 +608,6 @@ class ExternallyLabelledPlanarRootedMap:
             raise ValueError("submap is not planar")
         if sorted(self.face_labels) != list(range(1, len(faces) + 1)):
             raise ValueError("face labels must be a permutation of 1..r")
-
-    def _sub_system(self):
-        slots = {h for h in range(self.m.half_edge_count)
-                 if self.m.edge_of(h) in self.submap}
-        return _project(self.m, slots)
 
     def _submap_faces(self):
         return _submap_faces_of(self.m, self.submap)
@@ -628,20 +629,11 @@ class ExternallyLabelledPlanarRootedMap:
         return self.r - 1
 
     def canonical_key(self) -> tuple:
-        perm = canonical_relabelling(self.m)
-        m2 = self.m.relabelled(perm)
-        vl = {min(perm[h] for h in c): lab
-              for c, lab in zip(self.m.vertices(), self.vertex_labels)}
-        el = {min(perm[h] for h in c): lab
-              for c, lab in zip(self.m.edges(), self.edge_labels)}
-        verts2 = tuple(vl[min(c)] for c in m2.vertices())
-        edges2 = tuple(el[min(c)] for c in m2.edges())
-        sub2 = frozenset(min(perm[eid], perm[self.m.alpha[eid]])
-                         for eid in self.submap)
-        faces2 = tuple(sorted(
+        """Hashable form invariant under half-edge relabelling."""
+        perm, key = self._canonical_form(self.submap)
+        return key + (tuple(sorted(
             (min((perm[x] for x in f), default=-1), lab)
-            for f, lab in zip(self._submap_faces(), self.face_labels)))
-        return (m2.sigma, m2.alpha, m2.root, verts2, edges2, sub2, faces2)
+            for f, lab in zip(self._submap_faces(), self.face_labels))),)
 
 
 def _project(m: RootedMap, slots: set):
@@ -656,6 +648,13 @@ def _project(m: RootedMap, slots: set):
     return sigma, mate
 
 
+def _submap_system(m: RootedMap, submap: frozenset):
+    """Rotation and pairing induced by ``m`` on the half-edges of a
+    submap given by its edge ids."""
+    return _project(m, {h for h in range(m.half_edge_count)
+                        if m.edge_of(h) in submap})
+
+
 def _submap_faces_of(m: RootedMap, submap: frozenset):
     """Faces of a spanning submap, ordered by minimum half-edge; for the
     empty submap (single vertex) a single synthetic empty face."""
@@ -663,9 +662,7 @@ def _submap_faces_of(m: RootedMap, submap: frozenset):
 
     if not submap:
         return [()]
-    slots = {h for h in range(m.half_edge_count) if m.edge_of(h) in submap}
-    sigma, mate = _project(m, slots)
-    return sorted(slot_faces(sigma, mate), key=min)
+    return sorted(slot_faces(*_submap_system(m, submap)), key=min)
 
 
 def _canonical_inner_faces(m: RootedMap, faces, outer_rep: int):
@@ -685,21 +682,16 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     from .planar_closure import open_slots
 
     m = p.m
-    elabel = [0] * m.half_edge_count
-    for c, lab in zip(m.edges(), p.edge_labels):
-        for h in c:
-            elabel[h] = lab
     faces = p._submap_faces()
     r = len(faces)
     if r == 1:
         t = OrientedTreeRootedMap(m, p.vertex_labels, p.edge_labels,
                                   p.submap, frozenset())
         return upsilon(t)
-    sigma_sub, mate_sub = p._sub_system()
+    sigma_sub, mate_sub = _submap_system(m, p.submap)
     label_of_rep = {min(f): lab for f, lab in zip(faces, p.face_labels)}
     outer_rep = next(min(f) for f in faces if label_of_rep[min(f)] == r)
-    verts = m.vertices()
-    vid = {h: i for i, c in enumerate(verts) for h in c}
+    vid = m.vertex_index()
     root_sub = min(h for h in sigma_sub if vid[h] == vid[m.root])
     tree_mate, tails, cuts = open_slots(sigma_sub, mate_sub,
                                         root_sub, outer_rep)
@@ -709,27 +701,14 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     by_index = {k + 1: f for k, f in enumerate(inner)}
     # re-join the buds: the face labelled j sends its outgoing bud to the
     # ingoing bud of the j-th inner face in canonical order
-    alpha = list(m.alpha)
-    out_slots = set()
+    pairs = []
     for f in inner:
         o, _ = buds_of_rep[min(f)]
-        g = by_index[label_of_rep[min(f)]]
-        _, i = buds_of_rep[min(g)]
-        alpha[o] = i
-        alpha[i] = o
-        out_slots.add(o)
-    m2 = RootedMap(m.sigma, tuple(alpha), m.root)
-    new_label = {}
-    for c in m2.edges():
-        h = min(c)
-        if alpha[h] == m.alpha[h]:
-            new_label[h] = elabel[h]
-        else:
-            o = h if h in out_slots else alpha[h]
-            new_label[h] = elabel[o]
-    edge_labels = tuple(new_label[min(c)] for c in m2.edges())
+        _, i = buds_of_rep[min(by_index[label_of_rep[min(f)]])]
+        pairs.append((o, i))
+    m2, edge_labels = p._rejoined(pairs)
     tree = frozenset(eid for eid in p.submap if tree_mate[eid] >= 0)
-    orientation = frozenset(tails) | out_slots
+    orientation = frozenset(tails) | {o for o, _ in pairs}
     t = OrientedTreeRootedMap(m2, p.vertex_labels, edge_labels,
                               tree, orientation)
     return upsilon(t)
@@ -743,10 +722,6 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
     out = []
     for t in upsilon_fiber(u):
         m = t.m
-        elabel = [0] * m.half_edge_count
-        for c, lab in zip(m.edges(), t.edge_labels):
-            for h in c:
-                elabel[h] = lab
         cut_edges = [m.edge_of(h) for h in t.orientation
                      if m.edge_of(h) not in t.tree]
         if not cut_edges:
@@ -767,25 +742,16 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
             buds[m.alpha[o]] = False
             slots.add(o)
             slots.add(m.alpha[o])
-        sigma_sub = {}
-        for h in slots:
-            x = m.sigma[h]
-            while x not in slots:
-                x = m.sigma[x]
-            sigma_sub[h] = x
-        mate_sub = {h: (m.alpha[h] if h not in buds else -1) for h in slots}
-        verts = m.vertices()
-        vid = {h: i for i, c in enumerate(verts) for h in c}
+        sigma_sub, mate_sub = _project(m, slots)
+        for h in buds:
+            mate_sub[h] = -1
+        vid = m.vertex_index()
         root_sub = min(h for h in slots if vid[h] == vid[m.root])
         out_buds = {h for h, is_out in buds.items() if is_out}
         full, pairs, outer_rep = close_slots(sigma_sub, mate_sub,
                                              out_buds, root_sub)
         # the closed submap inside the big map
-        alpha = list(m.alpha)
-        for o, i in pairs:
-            alpha[o] = i
-            alpha[i] = o
-        m2 = RootedMap(m.sigma, tuple(alpha), m.root)
+        m2, edge_labels = t._rejoined(pairs)
         submap = frozenset(min(h, full[h]) for h in slots)
         # association inner face -> closure pair, by re-opening
         tree_mate, _, cuts = open_slots(sigma_sub, full, root_sub, outer_rep)
@@ -806,15 +772,6 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         w = len(inner)
         face_labels = tuple(
             label_of_rep.get(min(f), w + 1) for f in faces)
-        new_label = {}
-        for c in m2.edges():
-            h = min(c)
-            if alpha[h] == m.alpha[h]:
-                new_label[h] = elabel[h]
-            else:
-                o = h if h in out_buds else alpha[h]
-                new_label[h] = elabel[o]
-        edge_labels = tuple(new_label[min(c)] for c in m2.edges())
         out.append(ExternallyLabelledPlanarRootedMap(
             m2, t.vertex_labels, edge_labels, submap, face_labels))
     return tuple(out)

@@ -90,6 +90,17 @@ def _split_fields(text: str) -> dict:
     return fields
 
 
+def _int_field(fields: dict, key: str) -> int:
+    """The integer value of the field ``key``."""
+    if key not in fields:
+        raise ParseError(f"missing field {key!r}", 0)
+    value, pos = fields[key]
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{key} must be an integer, got {value!r}", pos)
+
+
 def _int_tuple(value: str, position: int) -> tuple:
     inner = value.strip()
     if inner.startswith("(") and inner.endswith(")"):
@@ -107,11 +118,7 @@ def parse_gluing(text: str) -> ColoredUnicellularMap:
     for key in ("n", "pairs"):
         if key not in fields:
             raise ParseError(f"missing field {key!r}", 0)
-    value, pos = fields["n"]
-    try:
-        n = int(value)
-    except ValueError:
-        raise ParseError(f"n must be an integer, got {value!r}", pos)
+    n = _int_field(fields, "n")
     value, pos = fields["pairs"]
     inner = value.strip()
     if not (inner.startswith("(") and inner.endswith(")")):
@@ -156,11 +163,12 @@ def parse_rotation(text: str):
             raise ParseError(f"missing field {key!r}", 0)
     sigma = _int_tuple(*fields["sigma"])
     alpha = _int_tuple(*fields["alpha"])
-    root = int(fields["root"][0]) if "root" in fields else 0
+    root = _int_field(fields, "root") if "root" in fields else 0
+    outer = _int_field(fields, "outer") if "outer" in fields else None
     try:
         m = RootedMap(sigma, alpha, root)
-        if "outer" in fields:
-            return PlaneMap(m, int(fields["outer"][0]))
+        if outer is not None:
+            return PlaneMap(m, outer)
         return m
     except ValueError as exc:
         raise ParseError(str(exc), fields["sigma"][1])
@@ -177,7 +185,7 @@ def parse_tree(text: str) -> NearEulerianTree:
     mate = _int_tuple(*fields["mate"])
     out = _int_tuple(*fields["out"]) if "out" in fields else ()
     tails = _int_tuple(*fields["tails"]) if "tails" in fields else ()
-    root = int(fields["root"][0]) if "root" in fields else 0
+    root = _int_field(fields, "root") if "root" in fields else 0
     try:
         return NearEulerianTree(sigma, mate, frozenset(out),
                                 frozenset(tails), root)
@@ -477,13 +485,13 @@ def _check_qfd(bound, cache_dir):
 
 # name -> (bound meaning, default bound, function)
 CHECKS = {
-    "gluing-totals": ("max_n", 5, _check_gluing_totals),
-    "t-formula": ("max_n", 4, _check_t_formula),
+    "gluing-totals": ("max_n", 8, _check_gluing_totals),
+    "t-formula": ("max_n", 8, _check_t_formula),
     "jackson": ("max_n", 3, _check_jackson),
-    "u-formula": ("max_n", 7, _check_u_formula),
+    "u-formula": ("max_n", 8, _check_u_formula),
     "u-hat": ("max_n", 8, _check_u_hat),
-    "hz": ("max_n", 6, _check_hz),
-    "ledoux": ("max_n", 6, _check_ledoux),
+    "hz": ("max_n", 8, _check_hz),
+    "ledoux": ("max_n", 8, _check_ledoux),
     "phi-roundtrip": ("max_n", 3, _check_phi_roundtrip),
     "psi-fibers": ("max_n", 2, _check_psi_fibers),
     "gamma-roundtrip": ("max_edges", 4, _check_gamma_roundtrip),
@@ -492,7 +500,7 @@ CHECKS = {
     "q-pde": ("max_edges", 10, _check_q_pde),
     "rec-hP": ("max_total", 10, _check_rec_hp),
     "a-combination": ("max_edges", 10, _check_a_combination),
-    "qfd": ("max_n", 6, _check_qfd),
+    "qfd": ("max_n", 8, _check_qfd),
 }
 
 # smallest bound at which a check examines anything; 1 where not listed.
@@ -561,11 +569,9 @@ def cmd_fiber(args) -> int:
     u = parse_gluing(args.map)
     if args.kind == "psi":
         fiber = psi_fiber(u)
-        nn = 2 * u.gluing.n
         corner_deg = {}
-        for c in range(nn):
-            col = str(u.corner_color(c))
-            corner_deg[col] = corner_deg.get(col, 0) + 1
+        for color in u.corner_colors:
+            corner_deg[str(color)] = corner_deg.get(str(color), 0) + 1
         elements = []
         for p in fiber:
             payload = _psi_element_payload(p)

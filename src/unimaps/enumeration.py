@@ -69,24 +69,18 @@ def _matchings(elements):
             yield [(first, other)] + sub
 
 
-def gen_unicellular(n: int, orientable_only: bool = False, *, first_partner=None):
+def gen_unicellular(n: int, orientable_only: bool = False):
     """Stream every rooted unicellular map with ``n`` edges as a gluing.
 
     Produces each gluing exactly once: ``(2n-1)!!`` orientable gluings, or
-    ``2^n (2n-1)!!`` in total.  ``first_partner`` optionally restricts the
-    stream to gluings where side 0 is matched with that side, which
-    partitions the search space for parallel runs.
+    ``2^n (2n-1)!!`` in total.
     """
     if n < 1:
         raise ValueError("need at least one edge")
-    sides = list(range(2 * n))
     twist_choices = (False,) if orientable_only else (False, True)
-    for partner in sides[1:] if first_partner is None else [first_partner]:
-        rest = [s for s in sides[1:] if s != partner]
-        for sub in _matchings(rest):
-            pairs = [(0, partner)] + sub
-            for twists in itertools.product(twist_choices, repeat=n):
-                yield PolygonGluing(n, tuple(pairs), twists)
+    for pairs in _matchings(list(range(2 * n))):
+        for twists in itertools.product(twist_choices, repeat=n):
+            yield PolygonGluing(n, tuple(pairs), twists)
 
 
 def _first_appearance(labels) -> tuple:
@@ -247,21 +241,14 @@ def spanning_edge_subsets(m: RootedMap):
     """Edge subsets of ``m`` forming spanning trees, as frozensets of edge
     ids (minimum half-edge per edge)."""
     edges = [min(c) for c in m.edges()]
-    vertex_of = {}
-    for cyc in m.vertices():
-        v = min(cyc)
-        for h in cyc:
-            vertex_of[h] = v
-    verts = sorted({vertex_of[h] for h in range(m.half_edge_count)})
-    index = {v: i for i, v in enumerate(verts)}
+    vid = m.vertex_index()
+    q = max(vid) + 1
     out = []
-    need = len(verts) - 1
-    for subset in itertools.combinations(edges, need):
-        ds = DisjointSets(len(verts))
+    for subset in itertools.combinations(edges, q - 1):
+        ds = DisjointSets(q)
         ok = True
         for eid in subset:
-            a = index[vertex_of[eid]]
-            b = index[vertex_of[m.alpha[eid]]]
+            a, b = vid[eid], vid[m.alpha[eid]]
             if ds.find(a) == ds.find(b):
                 ok = False
                 break

@@ -22,7 +22,7 @@ and corner ``i+1`` with corner ``j+1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class DisjointSets:
@@ -128,6 +128,16 @@ class RootedMap:
             x = self.sigma[x]
         return m
 
+    def vertex_index(self) -> tuple:
+        """``vertex_index()[h]`` is the position of half-edge ``h``'s vertex
+        in :meth:`vertices`."""
+        return _orbit_index(self.sigma)
+
+    def edge_index(self) -> tuple:
+        """``edge_index()[h]`` is the position of half-edge ``h``'s edge in
+        :meth:`edges`."""
+        return _orbit_index(self.alpha)
+
     def relabelled(self, perm) -> "RootedMap":
         """Conjugate by the half-edge relabelling ``h -> perm[h]``."""
         n = len(self.sigma)
@@ -155,6 +165,15 @@ def _orbits(perm) -> list[tuple]:
             x = perm[x]
         out.append(tuple(cyc))
     return out
+
+
+def _orbit_index(perm) -> tuple:
+    """Position of each element's orbit in :func:`_orbits` order."""
+    index = [0] * len(perm)
+    for i, cyc in enumerate(_orbits(perm)):
+        for h in cyc:
+            index[h] = i
+    return tuple(index)
 
 
 def face_permutation(m: RootedMap) -> tuple:
@@ -240,12 +259,6 @@ class PolygonGluing:
     def orientable(self) -> bool:
         return not any(self.twists)
 
-    def side_pair(self, side: int) -> tuple:
-        for k, (a, b) in enumerate(self.pairs):
-            if side in (a, b):
-                return k, (a, b)
-        raise ValueError("side out of range")
-
 
 @dataclass(frozen=True)
 class GluedSkeleton:
@@ -294,12 +307,17 @@ class ColoredUnicellularMap:
     ``colors[k]`` is the color of the k-th vertex class of the skeleton (in
     the canonical by-minimum-corner order); ``edge_labels[k]`` labels the k-th
     pair of the gluing.  The default edge labelling is ``1..n`` in pair order.
+    The polygon is glued once, on construction: ``skeleton`` and
+    ``corner_colors`` (the color of every corner) are stored and take no
+    part in equality or hashing.
     """
 
     gluing: PolygonGluing
     colors: tuple
     q: int
     edge_labels: tuple = None
+    skeleton: GluedSkeleton = field(init=False, repr=False, compare=False)
+    corner_colors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         skel = glue_polygon(self.gluing)
@@ -315,16 +333,17 @@ class ColoredUnicellularMap:
             object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
         if sorted(self.edge_labels) != list(range(1, self.gluing.n + 1)):
             raise ValueError("edge labels must be a permutation of 1..n")
-
-    @property
-    def skeleton(self) -> GluedSkeleton:
-        return glue_polygon(self.gluing)
+        corner_colors = [0] * (2 * self.gluing.n)
+        for cls, color in zip(skel.vertex_classes, self.colors):
+            for c in cls:
+                corner_colors[c] = color
+        object.__setattr__(self, "skeleton", skel)
+        object.__setattr__(self, "corner_colors", tuple(corner_colors))
 
     def corner_color(self, corner: int) -> int:
-        for k, cls in enumerate(self.skeleton.vertex_classes):
-            if corner in cls:
-                return self.colors[k]
-        raise ValueError("corner out of range")
+        if not 0 <= corner < len(self.corner_colors):
+            raise ValueError("corner out of range")
+        return self.corner_colors[corner]
 
     def stripped(self) -> "ColoredUnicellularMap":
         """Forget edge labels (reset them to the canonical 1..n order)."""

@@ -82,8 +82,8 @@ class NearEulerianTree:
         if not self.out_buds <= buds:
             raise ValueError("out_buds must be bud slots")
         # vertices are the sigma-orbits; edges must form a spanning tree
-        vertex = self._vertex_of()
-        nv = len(set(vertex))
+        vertex = slot_vertices(sigma)
+        nv = len(set(vertex.values()))
         edges = {(i, mate[i]) for i in range(s) if 0 <= mate[i] and i < mate[i]}
         if len(edges) != nv - 1:
             raise ValueError("slot pairing does not form a tree")
@@ -113,22 +113,6 @@ class NearEulerianTree:
             flow[vertex[h]] = flow.get(vertex[h], 0) - 1
         if any(flow.values()):
             raise ValueError("near-Eulerian balance fails at a vertex")
-
-    def _vertex_of(self):
-        s = len(self.sigma)
-        vertex = [-1] * s
-        for start in range(s):
-            if vertex[start] >= 0:
-                continue
-            orbit = [start]
-            x = self.sigma[start]
-            while x != start:
-                orbit.append(x)
-                x = self.sigma[x]
-            m = min(orbit)
-            for y in orbit:
-                vertex[y] = m
-        return vertex
 
     def _depths(self, vertex, edges, root_v):
         adj: dict[int, list] = {}
@@ -202,8 +186,9 @@ def slot_faces(sigma: dict, mate: dict) -> list:
     return out
 
 
-def slot_vertices(sigma: dict) -> dict:
-    """slot -> vertex representative (minimum slot of its sigma orbit)."""
+def slot_vertices(sigma) -> dict:
+    """slot -> vertex representative (minimum slot of its sigma orbit);
+    ``sigma`` is a slot dict or a permutation tuple of the slots."""
     vertex = {}
     for start in sigma:
         if start in vertex:
@@ -348,6 +333,8 @@ def _breakable_round(sigma: dict, mm: dict, vertex: dict, root: int,
             raise ValueError("opening is stuck")
         return []
     outer_rep = face_of[outer]
+    verts = sorted(set(vertex.values()))
+    index = {v: i for i, v in enumerate(verts)}
     round_cuts = []
     for f in ones:
         orbit = orbit_of[f]
@@ -356,8 +343,6 @@ def _breakable_round(sigma: dict, mm: dict, vertex: dict, root: int,
         if not eslots:
             raise ValueError("distance-1 face without outer edges")
         # components after deleting the outer-incident edges of f
-        verts = sorted(set(vertex.values()))
-        index = {v: i for i, v in enumerate(verts)}
         ds = DisjointSets(len(verts))
         cut_set = {x for x in eslots} | {mm[x] for x in eslots}
         for x, mx in mm.items():
@@ -413,31 +398,29 @@ def open_slots(sigma: dict, mate: dict, root: int, outer: int):
 # ---------------------------------------------------------------------------
 
 
-def _slot_system(p: PlaneMap):
-    s = p.m.half_edge_count
-    sigma = {i: p.m.sigma[i] for i in range(s)}
-    mate = {i: p.m.alpha[i] for i in range(s)}
-    return sigma, mate
+def _slot_system(sigma: tuple, mate: tuple):
+    """Slot-level dicts of a rotation and a pairing on slots ``0..s-1``."""
+    return dict(enumerate(sigma)), dict(enumerate(mate))
 
 
 def dual_distances(p: PlaneMap) -> dict:
     """Dual distance of every face (keyed by its minimum half-edge) from
     the outer face."""
-    sigma, mate = _slot_system(p)
+    sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
     return slot_dual_distances(sigma, mate, p.outer)
 
 
 def dual_distance_orientation(p: PlaneMap) -> frozenset:
     """Tail half-edges of the dual-distance orientation: exactly the
     edges whose two sides have different dual distances are oriented."""
-    sigma, mate = _slot_system(p)
+    sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
     return frozenset(orientation_tails(sigma, mate, p.outer))
 
 
 def breakable_edges(p: PlaneMap) -> frozenset:
     """One breakable edge (as an edge id) per face at dual distance 1;
     empty when the outer face is the only face."""
-    sigma, mate = _slot_system(p)
+    sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
     vertex = slot_vertices(sigma)
     tails = orientation_tails(sigma, mate, p.outer)
     cuts = _breakable_round(sigma, dict(mate), vertex, p.m.root,
@@ -447,22 +430,18 @@ def breakable_edges(p: PlaneMap) -> frozenset:
 
 def closure_gamma(t: NearEulerianTree) -> PlaneMap:
     """Close a near-Eulerian tree into a plane map on the same slots."""
-    s = len(t.sigma)
-    sigma = {i: t.sigma[i] for i in range(s)}
-    mate = {i: t.mate[i] for i in range(s)}
+    sigma, mate = _slot_system(t.sigma, t.mate)
     full, pairs, outer = close_slots(sigma, mate, set(t.out_buds), t.root)
-    alpha = tuple(full[i] for i in range(s))
+    alpha = tuple(full[i] for i in range(len(t.sigma)))
     m = RootedMap(t.sigma, alpha, t.root)
     return PlaneMap(m, outer)
 
 
 def opening_delta(p: PlaneMap) -> NearEulerianTree:
     """Open a plane map into a near-Eulerian tree on the same slots."""
-    s = p.m.half_edge_count
-    sigma = {i: p.m.sigma[i] for i in range(s)}
-    mate = {i: p.m.alpha[i] for i in range(s)}
+    sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
     tree_mate, tails, cuts = open_slots(sigma, mate, p.m.root, p.outer)
-    mate_t = tuple(tree_mate[i] for i in range(s))
+    mate_t = tuple(tree_mate[i] for i in range(p.m.half_edge_count))
     out_buds = frozenset(t for _, t, _ in cuts)
     return NearEulerianTree(p.m.sigma, mate_t, out_buds,
                             frozenset(tails), p.m.root)
@@ -477,12 +456,9 @@ def gen_near_eulerian_trees(max_slots: int):
 def _tree_shapes(budget: int):
     """Nested shapes: a vertex is a tuple of items, each item either 'bud'
     or a child vertex tuple.  The root tuple must be nonempty."""
-    def vertices(size):
+    def _vertex_tuples(size):
         # all vertex tuples using exactly `size` slots at this vertex's
         # items (an edge to a child uses 2 slots: one here, one there)
-        yield from _vertex_tuples(size)
-
-    def _vertex_tuples(size):
         if size == 0:
             yield ()
             return
@@ -500,7 +476,7 @@ def _tree_shapes(budget: int):
                             yield (child,) + rest
 
     for total in range(1, budget + 1):
-        yield from vertices(total)
+        yield from _vertex_tuples(total)
 
 
 def _decorate(shape):

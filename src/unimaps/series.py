@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .formulas import Verdict, double_factorial
 
@@ -329,28 +329,17 @@ def check_q_pde(q: TruncatedBivariateSeries) -> Verdict:
 # The shifted recurrence for P-hat and its differential form A(x, y)
 
 
-def _catalan(k: int) -> int:
-    return comb(2 * k, k) // (k + 1)
-
-
 def _p_hat(planar_counts, i: int, j: int) -> Fraction:
     """``i! j! P_(i,j) / (2i+2j-4)!`` for ``i, j >= 1``, else zero.
 
-    Rows with ``i = 1`` or ``j = 1`` are planar maps with a single vertex
-    or a single face, counted by Catalan numbers; those are filled from
-    the closed form when the census table does not reach them (in
-    particular ``p_hat(i, 1) = 1/(i-1)!``).
+    Every count with ``i, j >= 1`` is positive, so a zero entry means the
+    census does not reach ``(i, j)``.
     """
     if i < 1 or j < 1:
         return Fraction(0)
     count = planar_counts[(i, j)]
     if count == 0:
-        if j == 1:
-            count = _catalan(i - 1)
-        elif i == 1:
-            count = _catalan(j - 1)
-        else:
-            raise ValueError(f"census missing entry ({i},{j})")
+        raise ValueError(f"census missing entry ({i},{j})")
     return Fraction(factorial(i) * factorial(j) * count,
                     factorial(2 * i + 2 * j - 4))
 

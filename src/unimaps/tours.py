@@ -193,17 +193,14 @@ def xi(u: ColoredUnicellularMap) -> tuple:
     """
     g = u.gluing
     nn = 2 * g.n
-    # color of every corner, via the vertex classes
-    skel = u.skeleton
-    corner_color = [0] * nn
-    for cls, color in zip(skel.vertex_classes, u.colors):
-        for c in cls:
-            corner_color[c] = color
+    corner_color = u.corner_colors
     label_of_side = {}
+    twist_of_side = {}
     edge_list = [None] * g.n
-    for k, (a, b) in enumerate(g.pairs):
+    for k, ((a, b), twist) in enumerate(zip(g.pairs, g.twists)):
         label = u.edge_labels[k]
         label_of_side[a] = label_of_side[b] = label
+        twist_of_side[a] = twist_of_side[b] = twist
         ends = tuple(sorted((corner_color[a], corner_color[(a + 1) % nn])))
         edge_list[label - 1] = ends
     graph = EdgeLabelledGraph(u.q, tuple(edge_list))
@@ -217,8 +214,7 @@ def xi(u: ColoredUnicellularMap) -> tuple:
             if label not in seen:
                 d = 0
             else:
-                pair_idx, _ = g.side_pair(k)
-                d = 0 if g.twists[pair_idx] else 1
+                d = 0 if twist_of_side[k] else 1
         else:
             d = 0 if frm == uu else 1
         seen.add(label)

@@ -67,7 +67,7 @@ def census12():
 @pytest.fixture(scope="module")
 def eps():
     table = CountTable()
-    for n in range(1, 7):
+    for n in range(1, 9):
         table.merge(vertex_profile(n, True))
     return table
 
@@ -75,7 +75,7 @@ def eps():
 @pytest.fixture(scope="module")
 def eta():
     table = CountTable()
-    for n in range(1, 7):
+    for n in range(1, 9):
         table.merge(vertex_profile(n))
     return table
 
@@ -116,16 +116,16 @@ def test_criterion_02_t_formula():
 
 def test_criterion_03_hz_identity_and_recurrence(eps):
     ok = True
-    for n in range(1, 7):
-        for N in range(1, 7):
+    for n in range(1, 9):
+        for N in range(1, 9):
             polynomial = sum(eps[(n, v)] * N ** v for v in range(1, n + 2))
             binomials = sum(comb(N, q) * t_formula(n, q)
                             for q in range(1, min(N, n + 1) + 1))
             ok &= polynomial == binomials
         for v in range(1, n + 2):
             ok &= hz_recurrence_check(eps, n, v).ok
-    report(3, "some-colors identity and three-term recurrence on brute "
-           "orientable tables for n <= 6, N <= 6", ok)
+    report(3, "some-colors identity and three-term recurrence on "
+           "orientable tables for n <= 8, N <= 8", ok)
 
 
 def test_criterion_04_jackson():
@@ -178,9 +178,9 @@ def test_criterion_06_u_hat(census5):
 
 def test_criterion_07_ledoux(eta):
     ok = all(ledoux_check(eta, n, v).ok
-             for n in range(2, 7) for v in range(1, n + 2))
-    report(7, "four-term recurrence on brute general-surface tables for "
-           "2 <= n <= 6", ok)
+             for n in range(2, 9) for v in range(1, n + 2))
+    report(7, "four-term recurrence on general-surface tables for "
+           "2 <= n <= 8", ok)
 
 
 def test_criterion_08_phi_bijection_and_star():
@@ -272,15 +272,15 @@ def test_criterion_12_series_pipeline(census12, eta):
     ok = check_q_pde(q_from_p(census12, 8)).ok
     ok &= check_rec_hp(census12, 8).ok
     ok &= check_a_combination(p_series(census12, 12)).ok
-    ok &= check_qfd(eta, 6).ok
-    for n in range(7):
+    ok &= check_qfd(eta, 8).ok
+    for n in range(9):
         by_recurrence = all(ledoux_check(eta, m, v).ok
                             for m in range(2, n + 1)
                             for v in range(1, m + 2))
         ok &= check_qfd(eta, n).ok == by_recurrence
     report(12, "PDE, coefficient recurrence, differential combination "
            "and five-term recurrence all vanish; verdicts agree with "
-           "the four-term recurrence for n <= 6", ok)
+           "the four-term recurrence for n <= 8", ok)
 
 
 def test_criterion_13_planar_totals(census12):

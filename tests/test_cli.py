@@ -212,6 +212,17 @@ class TestBijection:
         assert code == 2
         assert "outer" in err
 
+    @pytest.mark.parametrize("name,literal,field", [
+        ("delta", "sigma=(1 0); alpha=(1 0); root=x; outer=0", "root"),
+        ("delta", "sigma=(1 0); alpha=(1 0); outer=y", "outer"),
+        ("gamma", "sigma=(0); mate=(-1); root=z", "root"),
+    ])
+    def test_non_integer_field_is_parse_error(self, capsys, name, literal,
+                                              field):
+        code, out, err = run(capsys, "bijection", name, literal)
+        assert code == 2 and out == ""
+        assert f"{field} must be an integer" in err
+
     def test_colored_gluing_literal(self, capsys):
         code, out, _ = run(capsys, "fiber",
                            "n=2; pairs=(0 1, 2 3); colors=(1,1,2); "

@@ -42,12 +42,6 @@ class TestGenUnicellular:
         seen = set(gen_unicellular(3))
         assert len(seen) == 8 * 15
 
-    def test_partition_by_first_partner(self):
-        whole = set(gen_unicellular(2))
-        parts = [set(gen_unicellular(2, first_partner=p)) for p in (1, 2, 3)]
-        assert set().union(*parts) == whole
-        assert sum(len(p) for p in parts) == len(whole)
-
 
 class TestVertexProfile:
     def test_orientable_tables(self):

@@ -142,6 +142,33 @@ class TestColoredUnicellularMap:
         # corners 0 and 1 lie in different classes
         assert {cm.corner_color(0), cm.corner_color(1)} == {1, 2}
 
+    def test_corner_color_out_of_range(self):
+        g = PolygonGluing(2, ((0, 2), (1, 3)), (False, False))
+        cm = ColoredUnicellularMap(g, (1,), 1)
+        assert [cm.corner_color(c) for c in range(4)] == [1, 1, 1, 1]
+        for corner in (4, -1):
+            with pytest.raises(ValueError):
+                cm.corner_color(corner)
+
+    def test_polygon_glued_once(self, monkeypatch):
+        from unimaps import maps_core
+        from unimaps.bijections import psi_fiber
+        from unimaps.tours import xi
+
+        calls = []
+        real = maps_core.glue_polygon
+        monkeypatch.setattr(maps_core, "glue_polygon",
+                            lambda g: calls.append(g) or real(g))
+        g = PolygonGluing(2, ((0, 1), (2, 3)), (True, False))
+        u = ColoredUnicellularMap(g, (1, 2), 2)
+        assert len(calls) == 1
+        xi(u)
+        for c in range(4):
+            u.corner_color(c)
+        fiber = psi_fiber(u)
+        assert len(fiber) == 2
+        assert len(calls) == 1
+
     def test_edge_labels_default_and_strip(self):
         g = PolygonGluing(2, ((0, 2), (1, 3)), (False, False))
         cm = ColoredUnicellularMap(g, (1,), 1, edge_labels=(2, 1))

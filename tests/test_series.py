@@ -45,12 +45,8 @@ SEVEN_EDGE_COUNTS = {(2, 7): 6476, (3, 6): 31388, (4, 5): 65954,
 
 
 @pytest.fixture(scope="module")
-def census7(census):
-    table = CountTable()
-    table.by_key = dict(census.by_key)
-    for key, value in SEVEN_EDGE_COUNTS.items():
-        table[key] = value
-    return table
+def census7():
+    return planar_census(7)
 
 
 @pytest.fixture(scope="module")
@@ -222,13 +218,6 @@ class TestQPde:
 class TestRecHP:
     def test_boundary_corner(self, census):
         assert rec_hp_residual(census, -1, -2) == 0
-
-    def test_boundary_row_uses_catalan_closed_form(self):
-        # r = -2 only references single-face entries, available in
-        # closed form even with an empty census
-        empty = CountTable()
-        for q in range(-1, 7):
-            assert rec_hp_residual(empty, q, -2) == 0
 
     def test_trivial_vanishing_outside_quadrant(self):
         empty = CountTable()
