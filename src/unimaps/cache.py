@@ -15,7 +15,10 @@ import json
 import os
 import tempfile
 
-SCHEMA = 1
+# Version of the stored tables.  A change to the code that produces any
+# cached table bumps it, so tables written by the old producer are misses.
+# 2: the transfer producers of vertex_profile and planar_census.
+SCHEMA = 2
 
 
 def _path(cache_dir: str, name: str, params: dict) -> str:

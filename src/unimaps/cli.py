@@ -494,7 +494,7 @@ CHECKS = {
     "ledoux": ("max_n", 8, _check_ledoux),
     "phi-roundtrip": ("max_n", 3, _check_phi_roundtrip),
     "psi-fibers": ("max_n", 2, _check_psi_fibers),
-    "gamma-roundtrip": ("max_edges", 4, _check_gamma_roundtrip),
+    "gamma-roundtrip": ("max_edges", 5, _check_gamma_roundtrip),
     "planar-totals": ("max_edges", 12, _check_planar_totals),
     "algebraic-P": ("max_degree", 16, _check_algebraic_p),
     "q-pde": ("max_edges", 10, _check_q_pde),

@@ -320,7 +320,21 @@ class ColoredUnicellularMap:
     corner_colors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        skel = glue_polygon(self.gluing)
+        self._settle(glue_polygon(self.gluing))
+
+    @classmethod
+    def _on_skeleton(cls, gluing, skel, colors, q, edge_labels=None):
+        """Same as the constructor, for a caller that already holds
+        ``skel = glue_polygon(gluing)``."""
+        u = object.__new__(cls)
+        for name, value in (("gluing", gluing), ("colors", colors),
+                            ("q", q), ("edge_labels", edge_labels)):
+            object.__setattr__(u, name, value)
+        u._settle(skel)
+        return u
+
+    def _settle(self, skel):
+        """Validate against the glued skeleton and store it."""
         object.__setattr__(self, "colors", tuple(self.colors))
         if len(self.colors) != skel.vertex_count:
             raise ValueError("need one color per vertex class")

@@ -480,66 +480,82 @@ def _tree_shapes(budget: int):
 
 
 def _decorate(shape):
-    """Assign bud directions and edge orientations to a shape, keeping
-    only the balanced, root-compatible results."""
-    import itertools
+    """Every near-Eulerian tree on a shape, bud directions in
+    ``itertools.product`` order (first bud slowest, ingoing first).
 
+    Count an outgoing bud as +1 and an ingoing one as -1, and let S be
+    the sum over the buds below a tree edge.  Balance at every vertex
+    forces that edge to be oriented (tail at the child) when S = -1 and
+    unoriented when S = 0; any other S, or a nonzero sum over the whole
+    tree, admits no orientation.  The buds of a subtree are contiguous in
+    preorder, so a prefix of bud directions is pruned as soon as one of
+    its closed subtrees or the remaining total cannot balance.
+    """
+    sigma, mate, buds, edges = _layout(shape)
+    k = len(buds)
+    if k % 2:
+        return
+    # edges whose subtree has buds, by the index of its last bud
+    closing = [[] for _ in range(k)]
+    for child, lo, hi in edges:
+        if lo < hi:
+            closing[hi - 1].append(lo)
+    prefix = [0] * (k + 1)
+    out = [False] * k
+
+    def extend(j):
+        if j == k:
+            tails = frozenset(child for child, lo, hi in edges
+                              if prefix[hi] - prefix[lo] == -1)
+            yield NearEulerianTree(
+                sigma, mate, frozenset(b for b, o in zip(buds, out) if o),
+                tails, 0)
+            return
+        for is_out in (False, True):
+            p = prefix[j] + (1 if is_out else -1)
+            if abs(p) > k - j - 1:
+                continue
+            if all(p - prefix[lo] in (0, -1) for lo in closing[j]):
+                prefix[j + 1] = p
+                out[j] = is_out
+                yield from extend(j + 1)
+
+    yield from extend(0)
+
+
+def _layout(shape):
+    """Slots of a shape in preorder: ``(sigma, mate, buds, edges)`` with
+    the bud slots in preorder and, per tree edge, ``(child_slot, lo, hi)``
+    where ``buds[lo:hi]`` are the buds of the subtree below it."""
+    sigma = []
+    mate = []
     buds = []
     edges = []
 
-    def scan(vertex, path):
-        for i, item in enumerate(vertex):
-            if item == "bud":
-                buds.append(path + (i,))
-            else:
-                edges.append(path + (i,))
-                scan(item, path + (i,))
-
-    scan(shape, ())
-    for bud_dirs in itertools.product((0, 1), repeat=len(buds)):
-        for edge_dirs in itertools.product((0, 1), repeat=len(edges)):
-            t = _build(shape, dict(zip(buds, bud_dirs)),
-                       dict(zip(edges, edge_dirs)))
-            if t is not None:
-                yield t
-
-
-def _build(shape, bud_dirs, edge_dirs):
-    sigma = []
-    mate = []
-    out_buds = set()
-    tails = set()
-
     def alloc():
         sigma.append(None)
-        mate.append(-2)
+        mate.append(-1)
         return len(sigma) - 1
 
-    def place(vertex, path, parent_slot):
+    def place(vertex, parent_slot):
         own = [] if parent_slot is None else [parent_slot]
-        for i, item in enumerate(vertex):
+        for item in vertex:
             s = alloc()
             own.append(s)
             if item == "bud":
-                mate[s] = -1
-                if bud_dirs[path + (i,)]:
-                    out_buds.add(s)
+                buds.append(s)
             else:
                 child = alloc()
                 mate[s] = child
                 mate[child] = s
-                if edge_dirs[path + (i,)]:
-                    tails.add(child)  # tail at the child: toward the root
-                place(item, path + (i,), child)
+                lo = len(buds)
+                place(item, child)
+                edges.append((child, lo, len(buds)))
         for k, s in enumerate(own):
             sigma[s] = own[(k + 1) % len(own)]
 
-    place(shape, (), None)
-    try:
-        return NearEulerianTree(tuple(sigma), tuple(mate),
-                                frozenset(out_buds), frozenset(tails), 0)
-    except ValueError:
-        return None
+    place(shape, None)
+    return tuple(sigma), tuple(mate), buds, edges
 
 
 def gen_plane_maps(max_edges: int):

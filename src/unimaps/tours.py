@@ -256,7 +256,8 @@ def xi_inverse(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> ColoredUnicell
         if len(values) != 1:
             raise ValueError("tour colors are inconsistent with the gluing")
         colors.append(values.pop())
-    return ColoredUnicellularMap(gluing, tuple(colors), graph.q, tuple(labels))
+    return ColoredUnicellularMap._on_skeleton(gluing, skel, tuple(colors),
+                                              graph.q, tuple(labels))
 
 
 # ---------------------------------------------------------------------------

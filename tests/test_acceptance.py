@@ -225,11 +225,11 @@ def test_criterion_09_closure_opening():
         p = closure_gamma(t)
         ok &= opening_delta(p) == t
         ok &= dual_distance_orientation(p) == t.tails | t.out_buds
-    for p in gen_plane_maps(4):
+    for p in gen_plane_maps(5):
         p2 = closure_gamma(opening_delta(p))
         ok &= p2.m == p.m and p2.outer == p.outer
     report(9, "closure/opening inverse on trees to 10 slots and plane "
-           "maps to 4 edges, with the dual-distance orientation", ok)
+           "maps to 5 edges, with the dual-distance orientation", ok)
 
 
 def test_criterion_10_psi_fibers():

@@ -48,3 +48,11 @@ class TestStoreCensus:
         with pytest.raises(OSError):
             store_census(str(tmp_path), "demo", {"n": 2}, table(0))
         assert list(tmp_path.iterdir()) == []
+
+
+def test_older_schema_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache, "SCHEMA", 1)
+    store_census(str(tmp_path), "demo", {"n": 2}, table(0))
+    assert load_census(str(tmp_path), "demo", {"n": 2}) == table(0)
+    monkeypatch.undo()
+    assert load_census(str(tmp_path), "demo", {"n": 2}) is None

@@ -169,6 +169,23 @@ class TestColoredUnicellularMap:
         assert len(fiber) == 2
         assert len(calls) == 1
 
+    def test_tour_inverse_glues_once(self, monkeypatch):
+        from unimaps import maps_core
+        from unimaps.tours import xi, xi_inverse
+
+        g = PolygonGluing(3, ((0, 2), (1, 4), (3, 5)), (True, False, True))
+        u = ColoredUnicellularMap(g, (2, 1), 2, edge_labels=(3, 1, 2))
+        graph, tour = xi(u)
+        calls = []
+        real = maps_core.glue_polygon
+        monkeypatch.setattr(maps_core, "glue_polygon",
+                            lambda g: calls.append(g) or real(g))
+        u2 = xi_inverse(graph, tour)
+        assert len(calls) == 1
+        assert u2 == u
+        assert u2.skeleton == real(g)
+        assert u2.corner_colors == u.corner_colors
+
     def test_edge_labels_default_and_strip(self):
         g = PolygonGluing(2, ((0, 2), (1, 3)), (False, False))
         cm = ColoredUnicellularMap(g, (1,), 1, edge_labels=(2, 1))

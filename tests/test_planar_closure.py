@@ -1,11 +1,14 @@
+import itertools
 from collections import Counter
 
 import pytest
 
+from unimaps.enumeration import planar_census
 from unimaps.maps_core import RootedMap, trace_faces
 from unimaps.planar_closure import (
     NearEulerianTree,
     PlaneMap,
+    _tree_shapes,
     breakable_edges,
     closure_gamma,
     dual_distance_orientation,
@@ -117,6 +120,87 @@ class TestDualDistance:
                     elif p.m.alpha[h] in tails:
                         flow[v] -= 1
             assert not any(flow.values())
+
+
+def brute_near_eulerian_trees(max_slots):
+    """Oracle: every bud direction x edge orientation on every shape,
+    kept when ``NearEulerianTree`` accepts it."""
+    for shape in _tree_shapes(max_slots):
+        buds = []
+        edges = []
+
+        def scan(vertex, path):
+            for i, item in enumerate(vertex):
+                if item == "bud":
+                    buds.append(path + (i,))
+                else:
+                    edges.append(path + (i,))
+                    scan(item, path + (i,))
+
+        scan(shape, ())
+        for bud_dirs in itertools.product((0, 1), repeat=len(buds)):
+            for edge_dirs in itertools.product((0, 1), repeat=len(edges)):
+                t = _brute_build(shape, dict(zip(buds, bud_dirs)),
+                                 dict(zip(edges, edge_dirs)))
+                if t is not None:
+                    yield t
+
+
+def _brute_build(shape, bud_dirs, edge_dirs):
+    sigma = []
+    mate = []
+    out_buds = set()
+    tails = set()
+
+    def alloc():
+        sigma.append(None)
+        mate.append(-2)
+        return len(sigma) - 1
+
+    def place(vertex, path, parent_slot):
+        own = [] if parent_slot is None else [parent_slot]
+        for i, item in enumerate(vertex):
+            s = alloc()
+            own.append(s)
+            if item == "bud":
+                mate[s] = -1
+                if bud_dirs[path + (i,)]:
+                    out_buds.add(s)
+            else:
+                child = alloc()
+                mate[s] = child
+                mate[child] = s
+                if edge_dirs[path + (i,)]:
+                    tails.add(child)  # tail at the child: toward the root
+                place(item, path + (i,), child)
+        for k, s in enumerate(own):
+            sigma[s] = own[(k + 1) % len(own)]
+
+    place(shape, (), None)
+    try:
+        return NearEulerianTree(tuple(sigma), tuple(mate),
+                                frozenset(out_buds), frozenset(tails), 0)
+    except ValueError:
+        return None
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("slots", range(1, 9))
+    def test_stream_equals_brute_force(self, slots):
+        fast = list(gen_near_eulerian_trees(slots))
+        assert fast == list(brute_near_eulerian_trees(slots))
+
+    def test_counts_match_planar_census(self):
+        """Trees with at most 2e slots are the plane maps with at most e
+        edges: one per rooted planar map and marked face."""
+        census = planar_census(5)
+        expected = [3, 21, 156, 1290, 11496]
+        for e in range(1, 6):
+            maps = sum(f * c for (v, f), c in census.items()
+                       if 1 <= v + f - 2 <= e)
+            assert maps == expected[e - 1]
+            assert sum(1 for _ in gen_near_eulerian_trees(2 * e)) == maps
+            assert sum(1 for _ in gen_near_eulerian_trees(2 * e + 1)) == maps
 
 
 # [DERIVED] counts established by two independent exhaustive generators:
