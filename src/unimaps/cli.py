@@ -10,7 +10,6 @@ failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -26,6 +25,7 @@ from .bijections import (
 )
 from .enumeration import (
     CountTable,
+    gen_colored_unicellular,
     gen_tree_rooted_maps,
     gen_unicellular,
     planar_census,
@@ -404,18 +404,9 @@ def _check_ledoux(bound, cache_dir):
                       for v in range(1, n + 2))
 
 
-def _colored_stream(n, orientable_only):
-    for g in gen_unicellular(n, orientable_only):
-        v = glue_polygon(g).vertex_count
-        for q in range(1, v + 1):
-            for colors in itertools.product(range(1, q + 1), repeat=v):
-                if set(colors) == set(range(1, q + 1)):
-                    yield ColoredUnicellularMap(g, colors, q)
-
-
 def _check_phi_roundtrip(bound, cache_dir):
     for n in range(1, bound + 1):
-        for u in _colored_stream(n, True):
+        for u in gen_colored_unicellular(n, True):
             if phi_inverse(phi(u)) != u:
                 return {"n": n, "gluing": list(u.gluing.pairs)}
     return None
@@ -423,7 +414,7 @@ def _check_phi_roundtrip(bound, cache_dir):
 
 def _check_psi_fibers(bound, cache_dir):
     for n in range(1, bound + 1):
-        for u in _colored_stream(n, False):
+        for u in gen_colored_unicellular(n, False):
             fiber = psi_fiber(u)
             w = fiber[0].external_weight
             if len(fiber) != 2 ** w or any(psi(p) != u for p in fiber):

@@ -13,9 +13,11 @@ import itertools
 from dataclasses import dataclass, field
 
 from .maps_core import (
+    ColoredUnicellularMap,
     DisjointSets,
     PolygonGluing,
     RootedMap,
+    glue_polygon,
     glue_sides,
 )
 
@@ -79,8 +81,45 @@ def gen_unicellular(n: int, orientable_only: bool = False):
         raise ValueError("need at least one edge")
     twist_choices = (False,) if orientable_only else (False, True)
     for pairs in _matchings(list(range(2 * n))):
+        # validate each matching once; its twist masks reuse the pairs
+        untwisted = PolygonGluing(n, tuple(pairs), (False,) * n)
         for twists in itertools.product(twist_choices, repeat=n):
-            yield PolygonGluing(n, tuple(pairs), twists)
+            yield untwisted._retwisted(twists)
+
+
+def _surjections(v: int, q: int):
+    """Every word of length ``v`` over ``1..q`` using each letter, in
+    lexicographic order."""
+    word = [0] * v
+    uses = [0] * (q + 1)
+
+    def extend(i, missing):
+        if i == v:
+            yield tuple(word)
+            return
+        for c in range(1, q + 1):
+            left = missing - (uses[c] == 0)
+            if left > v - i - 1:
+                continue
+            word[i] = c
+            uses[c] += 1
+            yield from extend(i + 1, left)
+            uses[c] -= 1
+
+    yield from extend(0, q)
+
+
+def gen_colored_unicellular(n: int, orientable_only: bool = False):
+    """Stream every gluing with ``n`` edges colored onto ``1..q``, for
+    every ``q``: gluings in :func:`gen_unicellular` order, then ``q``
+    ascending, then the colorings (one color per vertex class) in
+    lexicographic order."""
+    for g in gen_unicellular(n, orientable_only):
+        skel = glue_polygon(g)
+        v = skel.vertex_count
+        for q in range(1, v + 1):
+            for colors in _surjections(v, q):
+                yield ColoredUnicellularMap._on_skeleton(g, skel, colors, q)
 
 
 def _first_appearance(labels) -> tuple:

@@ -259,6 +259,17 @@ class PolygonGluing:
     def orientable(self) -> bool:
         return not any(self.twists)
 
+    def _retwisted(self, twists: tuple) -> "PolygonGluing":
+        """The same validated pairs with the tuple of bools ``twists``;
+        only its length is checked."""
+        if len(twists) != self.n:
+            raise ValueError("need exactly n pairs and n twist flags")
+        g = object.__new__(PolygonGluing)
+        object.__setattr__(g, "n", self.n)
+        object.__setattr__(g, "pairs", self.pairs)
+        object.__setattr__(g, "twists", twists)
+        return g
+
 
 @dataclass(frozen=True)
 class GluedSkeleton:

@@ -6,10 +6,12 @@ outgoing) are inserted in the rotations, subject to every vertex having as
 many ingoing as outgoing half-edges.  The closure joins each outgoing bud
 to an ingoing bud by a new edge in the unique non-crossing way compatible
 with the embedding, producing a plane map (a planar rooted map with a
-marked outer face).  The opening inverts this: repeatedly cut, for each
-inner face at dual distance 1 from the outer face, its breakable edge (the
-outer-incident edge that follows the component of the root vertex around
-the face), until only the outer face remains.
+marked outer face).  The opening inverts this: it cuts, for each inner
+face, its breakable edge (the outer-incident edge that follows the
+component of the root vertex around the face), ring by ring in order of
+the faces' dual distance from the outer face in the closed map, until
+only the outer face remains.  Round k cuts the faces at distance k, which
+the cuts of the rounds before have brought to distance 1.
 
 Everything is combinatorial: plane maps are rotation systems of genus 0
 with a distinguished face, and "counterclockwise" is fixed once and for
@@ -121,12 +123,14 @@ class NearEulerianTree:
             adj.setdefault(vertex[b], []).append(vertex[a])
         depth = {root_v: 0}
         queue = [root_v]
-        while queue:
-            v = queue.pop(0)
+        i = 0
+        while i < len(queue):
+            v = queue[i]
             for w in adj.get(v, ()):
                 if w not in depth:
                     depth[w] = depth[v] + 1
                     queue.append(w)
+            i += 1
         return depth
 
     @property
@@ -150,10 +154,12 @@ class PlaneMap:
     outer: int
 
     def __post_init__(self):
-        v, e, f, genus = euler_data(self.m)
-        if genus != 0:
+        faces = trace_faces(self.m)
+        # Euler characteristic 2 - 2 genus; genus 0 means exactly 2
+        if len(self.m.vertices()) - self.m.half_edge_count // 2 \
+                + len(faces) != 2:
             raise ValueError("plane maps must have genus 0")
-        if self.outer not in {min(c) for c in trace_faces(self.m)}:
+        if self.outer not in {min(c) for c in faces}:
             raise ValueError("outer is not a face identifier")
 
 
@@ -163,26 +169,29 @@ class PlaneMap:
 # ---------------------------------------------------------------------------
 
 
-def slot_faces(sigma: dict, mate: dict) -> list:
-    """Face orbits of a slot system: next slot is ``sigma[mate[x]]`` along
-    an edge and ``sigma[x]`` at a bud."""
-    def nxt(x):
+def slot_face(sigma: dict, mate: dict, start) -> tuple:
+    """Face orbit of a slot system through ``start``: the next slot is
+    ``sigma[mate[x]]`` along an edge and ``sigma[x]`` at a bud."""
+    orbit = [start]
+    m = mate[start]
+    x = sigma[m] if m >= 0 else sigma[start]
+    while x != start:
+        orbit.append(x)
         m = mate[x]
-        return sigma[m] if m >= 0 else sigma[x]
+        x = sigma[m] if m >= 0 else sigma[x]
+    return tuple(orbit)
 
+
+def slot_faces(sigma: dict, mate: dict) -> list:
+    """Every face orbit of a slot system (see :func:`slot_face`), each
+    from its first slot in ``sigma`` order."""
     seen = set()
     out = []
     for start in sigma:
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        x = nxt(start)
-        while x != start:
-            orbit.append(x)
-            seen.add(x)
-            x = nxt(x)
-        out.append(tuple(orbit))
+        if start not in seen:
+            orbit = slot_face(sigma, mate, start)
+            seen.update(orbit)
+            out.append(orbit)
     return out
 
 
@@ -204,106 +213,98 @@ def slot_vertices(sigma) -> dict:
     return vertex
 
 
-def match_buds(bud_walk: list) -> list:
-    """Non-crossing matching of buds in cyclic face-walk order.
+def _arches(buds: list):
+    """Non-crossing matching of buds in cyclic face-walk order, in one
+    stack pass.
 
-    ``bud_walk`` lists ``(slot, is_out)`` pairs; outgoing buds open and
-    ingoing buds close (or the reverse, under the mirror convention).
-    Returns ``(out_slot, in_slot)`` pairs.
+    ``buds`` lists ``(slot, is_out)`` pairs; outgoing buds open and
+    ingoing buds close (the reverse under the mirror convention).  Read
+    from just after its lowest prefix depth, the walk never goes below
+    that depth, so every closer meets its opener on the stack; the arches
+    that close back at that depth are the outermost ones, inside no other
+    arch.  Returns ``(pairs, outermost)``, lists of
+    ``(out_slot, in_slot)``.
     """
-    items = list(bud_walk)
+    depth = low = start = 0
+    for k, (_, is_out) in enumerate(buds):
+        depth += 1 if is_out == OPEN_OUT else -1
+        if depth < low:
+            low, start = depth, k + 1
+    if depth:
+        raise ValueError("buds cannot be matched")
     pairs = []
-    while items:
-        n = len(items)
-        done = False
-        for i in range(n):
-            slot, is_out = items[i]
-            nslot, nis_out = items[(i + 1) % n]
-            if is_out == OPEN_OUT and nis_out != OPEN_OUT:
-                out_slot = slot if is_out else nslot
-                in_slot = nslot if is_out else slot
-                pairs.append((out_slot, in_slot))
-                for k in sorted(((i + 1) % n, i), reverse=True):
-                    items.pop(k)
-                done = True
-                break
-        if not done:
-            raise ValueError("buds cannot be matched")
-    return pairs
+    outermost = []
+    stack = []
+    for slot, is_out in buds[start:] + buds[:start]:
+        if is_out == OPEN_OUT:
+            stack.append(slot)
+            continue
+        pair = (stack.pop(), slot) if OPEN_OUT else (slot, stack.pop())
+        pairs.append(pair)
+        if not stack:
+            outermost.append(pair)
+    return pairs, outermost
 
 
 def close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
     """Join the buds of a one-face slot system; returns the completed mate
-    map, the closure pairs and the outer face representative."""
-    faces = slot_faces(sigma, mate)
-    if len(faces) != 1:
+    map, the closure pairs and the outer face representative.
+
+    Each closure edge covers the stretch of the tree contour from its
+    outgoing to its ingoing bud; only the outermost arches border the
+    infinite face, so only the closed face through one of them is traced.
+    """
+    walk = slot_face(sigma, mate, root)
+    if len(walk) != len(sigma):
         raise ValueError("closure needs a single face")
-    walk = faces[0]
-    start = walk.index(root)
-    walk = walk[start:] + walk[:start]
-    buds = [(x, x in out_buds) for x in walk if mate[x] < 0]
-    pairs = match_buds(buds)
+    pairs, outermost = _arches([(x, x in out_buds) for x in walk
+                                if mate[x] < 0])
     full = dict(mate)
     for o, i in pairs:
         full[o] = i
         full[i] = o
-    closed_faces = slot_faces(sigma, full)
-    if pairs:
-        # each closure edge covers the stretch of the tree contour from
-        # its outgoing to its ingoing bud; only the arches whose stretch
-        # is not contained in another one border the infinite face
-        pos = {x: k for k, (x, _) in enumerate(buds)}
-        nb = len(buds)
-        spans = {(o, i): (pos[i] - pos[o]) % nb for o, i in pairs}
-
-        def contains(a, b):
-            sa = spans[a]
-            return ((pos[b[0]] - pos[a[0]]) % nb < sa
-                    and (pos[b[1]] - pos[a[0]]) % nb <= sa)
-
-        outermost = [a for a in pairs
-                     if not any(b != a and contains(b, a) for b in pairs)]
-        face_of = {x: f for f in closed_faces for x in f}
-        side = 1 if OUTER_AT_IN else 0
-        outer_orbits = {face_of[a[side]] for a in outermost}
-        if len(outer_orbits) != 1:
-            raise ValueError("closure edges disagree on the outer face")
-        outer = min(outer_orbits.pop())
-    else:
-        assert len(closed_faces) == 1
-        outer = min(closed_faces[0])
-    return full, pairs, outer
+    if not pairs:
+        return full, pairs, min(walk)
+    side = 1 if OUTER_AT_IN else 0
+    outer_face = slot_face(sigma, full, outermost[0][side])
+    on_outer = set(outer_face)
+    if any(a[side] not in on_outer for a in outermost):
+        raise ValueError("closure edges disagree on the outer face")
+    return full, pairs, min(outer_face)
 
 
-def slot_dual_distances(sigma: dict, mate: dict, outer: int) -> dict:
-    """Dual distance from the outer face, per face representative."""
+def _dual_layers(sigma: dict, mate: dict, outer: int):
+    """One trace of the faces and one breadth-first search of the dual
+    graph from the outer face.
+
+    Returns ``(faces, face_of, dist, tails)``: the face orbits, the index
+    in ``faces`` of every slot's face, the dual distance of every face
+    and the tail slots of the dual-distance orientation (an edge is
+    oriented when its sides lie at different distances, with the
+    larger-distance face on the fixed reference side).
+    """
     faces = slot_faces(sigma, mate)
-    face_of = {x: min(f) for f in faces for x in f}
-    adj: dict[int, set] = {min(f): set() for f in faces}
+    face_of = {}
+    for k, f in enumerate(faces):
+        for x in f:
+            face_of[x] = k
+    adj = [set() for _ in faces]
     for x, mx in mate.items():
         if mx >= 0:
             adj[face_of[x]].add(face_of[mx])
-            adj[face_of[mx]].add(face_of[x])
-    start = face_of[outer]
-    dist = {start: 0}
-    queue = [start]
-    while queue:
-        f = queue.pop(0)
+    dist = [-1] * len(faces)
+    dist[face_of[outer]] = 0
+    order = [face_of[outer]]
+    i = 0
+    while i < len(order):
+        f = order[i]
         for g in adj[f]:
-            if g not in dist:
+            if dist[g] < 0:
                 dist[g] = dist[f] + 1
-                queue.append(g)
-    if len(dist) != len(faces):
+                order.append(g)
+        i += 1
+    if len(order) != len(faces):
         raise ValueError("dual graph is disconnected")
-    return dist
-
-
-def orientation_tails(sigma: dict, mate: dict, outer: int) -> set:
-    """Dual-distance orientation: tail slots of the oriented edges (the
-    larger-distance face lies on the fixed reference side)."""
-    faces = slot_faces(sigma, mate)
-    face_of = {x: min(f) for f in faces for x in f}
-    dist = slot_dual_distances(sigma, mate, outer)
     tails = set()
     for x, mx in mate.items():
         if mx < 0 or mx < x:
@@ -315,80 +316,76 @@ def orientation_tails(sigma: dict, mate: dict, outer: int) -> set:
             tails.add(x if da > db else mx)
         else:
             tails.add(mx if da > db else x)
-    return tails
+    return faces, face_of, dist, tails
 
 
-def _breakable_round(sigma: dict, mm: dict, vertex: dict, root: int,
-                     outer: int, full_tails: set):
-    """Breakable edge of every current distance-1 face, as a list of
-    ``(face_rep, tail_slot, head_slot)``; empty when no inner face is
-    left.  The tail direction is taken from ``full_tails``."""
-    faces = slot_faces(sigma, mm)
-    face_of = {x: min(f) for f in faces for x in f}
-    orbit_of = {min(f): f for f in faces}
-    dist = slot_dual_distances(sigma, mm, outer)
-    ones = [f for f, d in dist.items() if d == 1]
-    if not ones:
-        if any(dist.values()):
-            raise ValueError("opening is stuck")
-        return []
-    outer_rep = face_of[outer]
-    verts = sorted(set(vertex.values()))
-    index = {v: i for i, v in enumerate(verts)}
-    round_cuts = []
-    for f in ones:
-        orbit = orbit_of[f]
-        eslots = [x for x in orbit
-                  if mm[x] >= 0 and face_of[mm[x]] == outer_rep]
-        if not eslots:
-            raise ValueError("distance-1 face without outer edges")
-        # components after deleting the outer-incident edges of f
-        ds = DisjointSets(len(verts))
-        cut_set = {x for x in eslots} | {mm[x] for x in eslots}
-        for x, mx in mm.items():
-            if mx >= 0 and x < mx and x not in cut_set:
-                ds.union(index[vertex[x]], index[vertex[mx]])
-        root_comp = ds.find(index[vertex[root]])
-
-        def next_slot(x):
-            m = mm[x]
-            return sigma[m] if m >= 0 else sigma[x]
-
-        chosen = []
-        for x in eslots:
-            probe = vertex[next_slot(x)] if BREAK_AFTER else vertex[x]
-            if ds.find(index[probe]) == root_comp:
-                chosen.append(x)
-        if len(chosen) != 1:
-            raise ValueError("breakable edge is not unique")
-        b = chosen[0]
-        # the breakable edge separates f (distance 1) from the outer
-        # face, so it is oriented; cut it into an out and an in bud
-        tail = b if b in full_tails else mm[b]
-        if tail not in full_tails:
-            raise ValueError("breakable edge is not oriented")
-        round_cuts.append((f, tail, mm[tail]))
-    return round_cuts
+def orientation_tails(sigma: dict, mate: dict, outer: int) -> set:
+    """Dual-distance orientation: tail slots of the oriented edges (the
+    larger-distance face lies on the fixed reference side)."""
+    return _dual_layers(sigma, mate, outer)[3]
 
 
 def open_slots(sigma: dict, mate: dict, root: int, outer: int):
-    """Iteratively cut the breakable edges until only the outer face is
+    """Cut the breakable edges ring by ring until only the outer face is
     left.  Returns ``(tree_mate, tails, cuts)`` where ``cuts`` is a list
     of ``(face_rep, out_slot, in_slot)`` with ``face_rep`` identifying the
-    inner face (its minimum slot) whose breakable edge was cut."""
+    inner face (its minimum slot) whose breakable edge was cut.
+
+    Round k cuts the faces at dual distance k in the map as given: once
+    the rings below k are cut, the outer face has absorbed them, so those
+    faces are the ones at distance 1, and no face's orbit changes before
+    its own cut.  The faces are traced and the distances computed once;
+    a face's outer-incident edges in round k are its still-paired slots
+    whose mate lies on a face at distance below k.
+    """
+    faces, face_of, dist, full_tails = _dual_layers(sigma, mate, outer)
     vertex = slot_vertices(sigma)
-    full_tails = orientation_tails(sigma, mate, outer)
+    # per vertex, its paired slots with the vertex across the edge
+    adj: dict = {}
+    for x, mx in mate.items():
+        if mx >= 0:
+            adj.setdefault(vertex[x], []).append((x, vertex[mx]))
+    root_v = vertex[root]
+    rings = [[] for _ in range(max(dist) + 1)]
+    for f, d in enumerate(dist):
+        rings[d].append(f)
     mm = dict(mate)
     cuts = []
-    while True:
-        round_cuts = _breakable_round(sigma, mm, vertex, root,
-                                      outer, full_tails)
-        if not round_cuts:
-            break
-        for f, t, h in round_cuts:
+    for k in range(1, len(rings)):
+        ring_cuts = []
+        for f in rings[k]:
+            orbit = faces[f]
+            eslots = [x for x in orbit
+                      if mm[x] >= 0 and dist[face_of[mm[x]]] < k]
+            if not eslots:
+                raise ValueError("distance-1 face without outer edges")
+            # the root vertex's component after deleting the
+            # outer-incident edges of f
+            cut_set = set(eslots)
+            cut_set.update(mm[x] for x in eslots)
+            reached = {root_v}
+            stack = [root_v]
+            while stack:
+                for x, w in adj.get(stack.pop(), ()):
+                    if w not in reached and mm[x] >= 0 and x not in cut_set:
+                        reached.add(w)
+                        stack.append(w)
+            # the slot after x along f is sigma[mm[x]], at mm[x]'s vertex
+            chosen = [x for x in eslots
+                      if vertex[mm[x] if BREAK_AFTER else x] in reached]
+            if len(chosen) != 1:
+                raise ValueError("breakable edge is not unique")
+            b = chosen[0]
+            # the breakable edge separates f from the outer face, so it
+            # is oriented; cut it into an out and an in bud
+            tail = b if b in full_tails else mm[b]
+            if tail not in full_tails:
+                raise ValueError("breakable edge is not oriented")
+            ring_cuts.append((min(orbit), tail, mm[tail]))
+        for _, t, h in ring_cuts:
             mm[t] = -1
             mm[h] = -1
-            cuts.append((f, t, h))
+        cuts.extend(ring_cuts)
     tails = {t for t in full_tails if mm[t] >= 0}
     return mm, tails, cuts
 
@@ -403,29 +400,11 @@ def _slot_system(sigma: tuple, mate: tuple):
     return dict(enumerate(sigma)), dict(enumerate(mate))
 
 
-def dual_distances(p: PlaneMap) -> dict:
-    """Dual distance of every face (keyed by its minimum half-edge) from
-    the outer face."""
-    sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
-    return slot_dual_distances(sigma, mate, p.outer)
-
-
 def dual_distance_orientation(p: PlaneMap) -> frozenset:
     """Tail half-edges of the dual-distance orientation: exactly the
     edges whose two sides have different dual distances are oriented."""
     sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
     return frozenset(orientation_tails(sigma, mate, p.outer))
-
-
-def breakable_edges(p: PlaneMap) -> frozenset:
-    """One breakable edge (as an edge id) per face at dual distance 1;
-    empty when the outer face is the only face."""
-    sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
-    vertex = slot_vertices(sigma)
-    tails = orientation_tails(sigma, mate, p.outer)
-    cuts = _breakable_round(sigma, dict(mate), vertex, p.m.root,
-                            p.outer, tails)
-    return frozenset(min(t, h) for _, t, h in cuts)
 
 
 def closure_gamma(t: NearEulerianTree) -> PlaneMap:

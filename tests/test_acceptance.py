@@ -4,7 +4,6 @@ the package verified end-to-end with exact arithmetic at desk scale.
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or
 ``-v``); every comparison is exact integer or rational equality."""
 
-import itertools
 import sys
 from collections import Counter
 from math import comb, factorial
@@ -14,6 +13,7 @@ import pytest
 from unimaps.bijections import phi, phi_inverse, psi, psi_fiber
 from unimaps.enumeration import (
     CountTable,
+    gen_colored_unicellular,
     gen_tree_rooted_maps,
     gen_unicellular,
     planar_census,
@@ -29,7 +29,7 @@ from unimaps.formulas import (
     u_formula,
     u_hat_formula,
 )
-from unimaps.maps_core import ColoredUnicellularMap, glue_polygon
+from unimaps.maps_core import glue_polygon
 from unimaps.planar_closure import (
     closure_gamma,
     dual_distance_orientation,
@@ -78,15 +78,6 @@ def eta():
     for n in range(1, 9):
         table.merge(vertex_profile(n))
     return table
-
-
-def colored_maps(n, orientable_only=False):
-    for g in gen_unicellular(n, orientable_only):
-        v = glue_polygon(g).vertex_count
-        for q in range(1, v + 1):
-            for colors in itertools.product(range(1, q + 1), repeat=v):
-                if set(colors) == set(range(1, q + 1)):
-                    yield ColoredUnicellularMap(g, colors, q)
 
 
 def test_criterion_01_gluing_totals():
@@ -188,7 +179,7 @@ def test_criterion_08_phi_bijection_and_star():
     for n in range(1, 5):
         images = Counter()
         keys = set()
-        for u in colored_maps(n, orientable_only=True):
+        for u in gen_colored_unicellular(n, orientable_only=True):
             t = phi(u)
             ok &= phi_inverse(t) == u  # round trip forward
             ok &= phi(phi_inverse(t)).canonical_key() == t.canonical_key()
@@ -235,7 +226,7 @@ def test_criterion_09_closure_opening():
 def test_criterion_10_psi_fibers():
     ok = True
     for n in range(1, 4):
-        for u in colored_maps(n):
+        for u in gen_colored_unicellular(n):
             fiber = psi_fiber(u)
             w = fiber[0].external_weight
             ok &= len(fiber) == 2 ** w

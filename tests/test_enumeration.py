@@ -1,3 +1,4 @@
+import itertools
 from math import comb, factorial
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from unimaps.enumeration import (
     CountTable,
     _matchings,
+    gen_colored_unicellular,
     gen_rooted_orientable_maps,
     gen_tree_rooted_maps,
     gen_unicellular,
@@ -15,10 +17,13 @@ from unimaps.enumeration import (
 )
 from unimaps.formulas import hz_recurrence_check, ledoux_check
 from unimaps.maps_core import (
+    ColoredUnicellularMap,
     DisjointSets,
+    PolygonGluing,
     RootedMap,
     canonicalize,
     euler_data,
+    glue_polygon,
     glue_sides,
 )
 from unimaps.series import check_qfd
@@ -41,6 +46,45 @@ class TestGenUnicellular:
     def test_no_duplicates(self):
         seen = set(gen_unicellular(3))
         assert len(seen) == 8 * 15
+
+    @pytest.mark.parametrize("orientable_only", [True, False])
+    def test_stream_equals_validated_gluings(self, orientable_only):
+        twist_choices = (False,) if orientable_only else (False, True)
+        for n in range(1, 5):
+            expected = [PolygonGluing(n, tuple(pairs), twists)
+                        for pairs in _matchings(list(range(2 * n)))
+                        for twists in itertools.product(twist_choices,
+                                                        repeat=n)]
+            fast = list(gen_unicellular(n, orientable_only))
+            assert fast == expected
+            assert [g.twists for g in fast] == [g.twists for g in expected]
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            next(gen_unicellular(0))
+        g = next(gen_unicellular(2))
+        with pytest.raises(ValueError):
+            g._retwisted((True,))
+
+
+def filtered_colored_maps(n, orientable_only):
+    """Oracle: every coloring in ``itertools.product`` order, kept when it
+    uses every color."""
+    for g in gen_unicellular(n, orientable_only):
+        v = glue_polygon(g).vertex_count
+        for q in range(1, v + 1):
+            for colors in itertools.product(range(1, q + 1), repeat=v):
+                if set(colors) == set(range(1, q + 1)):
+                    yield ColoredUnicellularMap(g, colors, q)
+
+
+class TestColoredStream:
+    @pytest.mark.parametrize("orientable_only", [True, False])
+    def test_equals_filter(self, orientable_only):
+        for n in range(1, 4):
+            fast = list(gen_colored_unicellular(n, orientable_only))
+            assert fast == list(filtered_colored_maps(n, orientable_only))
+            assert all(u.skeleton == glue_polygon(u.gluing) for u in fast)
 
 
 class TestVertexProfile:

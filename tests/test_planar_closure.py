@@ -3,22 +3,230 @@ from collections import Counter
 
 import pytest
 
+from unimaps import planar_closure
 from unimaps.enumeration import planar_census
-from unimaps.maps_core import RootedMap, trace_faces
+from unimaps.maps_core import DisjointSets, RootedMap, trace_faces
 from unimaps.planar_closure import (
+    BREAK_AFTER,
+    LEFT_OWN,
+    OPEN_OUT,
+    OUTER_AT_IN,
     NearEulerianTree,
     PlaneMap,
+    _arches,
+    _dual_layers,
+    _slot_system,
     _tree_shapes,
-    breakable_edges,
+    close_slots,
     closure_gamma,
     dual_distance_orientation,
-    dual_distances,
     gen_near_eulerian_trees,
     gen_plane_maps,
-    match_buds,
+    open_slots,
     opening_delta,
     orientation_tails,
+    slot_faces,
+    slot_vertices,
 )
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the round-based opening, which traces the faces and reruns the
+# dual-distance search once per cut round, and the list-scan closure, which
+# restarts its matching scan after every pair and compares every arch with
+# every other to find the outermost ones.
+# ---------------------------------------------------------------------------
+
+
+def match_buds(bud_walk: list) -> list:
+    """Non-crossing matching of ``(slot, is_out)`` buds in cyclic order by
+    repeatedly pairing the first adjacent opener and closer."""
+    items = list(bud_walk)
+    pairs = []
+    while items:
+        n = len(items)
+        done = False
+        for i in range(n):
+            slot, is_out = items[i]
+            nslot, nis_out = items[(i + 1) % n]
+            if is_out == OPEN_OUT and nis_out != OPEN_OUT:
+                out_slot = slot if is_out else nslot
+                in_slot = nslot if is_out else slot
+                pairs.append((out_slot, in_slot))
+                for k in sorted(((i + 1) % n, i), reverse=True):
+                    items.pop(k)
+                done = True
+                break
+        if not done:
+            raise ValueError("buds cannot be matched")
+    return pairs
+
+
+def outermost_arches(buds: list, pairs: list) -> list:
+    """The pairs whose contour stretch lies inside no other pair's."""
+    pos = {x: k for k, (x, _) in enumerate(buds)}
+    nb = len(buds)
+    spans = {(o, i): (pos[i] - pos[o]) % nb for o, i in pairs}
+
+    def contains(a, b):
+        sa = spans[a]
+        return ((pos[b[0]] - pos[a[0]]) % nb < sa
+                and (pos[b[1]] - pos[a[0]]) % nb <= sa)
+
+    return [a for a in pairs
+            if not any(b != a and contains(b, a) for b in pairs)]
+
+
+def scan_close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
+    """List-scan closure: ``(full_mate, pairs, outer)`` like
+    :func:`close_slots`."""
+    faces = slot_faces(sigma, mate)
+    if len(faces) != 1:
+        raise ValueError("closure needs a single face")
+    walk = faces[0]
+    start = walk.index(root)
+    walk = walk[start:] + walk[:start]
+    buds = [(x, x in out_buds) for x in walk if mate[x] < 0]
+    pairs = match_buds(buds)
+    full = dict(mate)
+    for o, i in pairs:
+        full[o] = i
+        full[i] = o
+    closed_faces = slot_faces(sigma, full)
+    if not pairs:
+        assert len(closed_faces) == 1
+        return full, pairs, min(closed_faces[0])
+    face_of = {x: f for f in closed_faces for x in f}
+    side = 1 if OUTER_AT_IN else 0
+    outer_orbits = {face_of[a[side]] for a in outermost_arches(buds, pairs)}
+    if len(outer_orbits) != 1:
+        raise ValueError("closure edges disagree on the outer face")
+    return full, pairs, min(outer_orbits.pop())
+
+
+def slot_dual_distances(sigma: dict, mate: dict, outer: int) -> dict:
+    """Dual distance from the outer face, per face representative."""
+    faces = slot_faces(sigma, mate)
+    face_of = {x: min(f) for f in faces for x in f}
+    adj = {min(f): set() for f in faces}
+    for x, mx in mate.items():
+        if mx >= 0:
+            adj[face_of[x]].add(face_of[mx])
+            adj[face_of[mx]].add(face_of[x])
+    start = face_of[outer]
+    dist = {start: 0}
+    queue = [start]
+    while queue:
+        f = queue.pop(0)
+        for g in adj[f]:
+            if g not in dist:
+                dist[g] = dist[f] + 1
+                queue.append(g)
+    if len(dist) != len(faces):
+        raise ValueError("dual graph is disconnected")
+    return dist
+
+
+def round_orientation_tails(sigma: dict, mate: dict, outer: int) -> set:
+    faces = slot_faces(sigma, mate)
+    face_of = {x: min(f) for f in faces for x in f}
+    dist = slot_dual_distances(sigma, mate, outer)
+    tails = set()
+    for x, mx in mate.items():
+        if mx < 0 or mx < x:
+            continue
+        da, db = dist[face_of[x]], dist[face_of[mx]]
+        if da == db:
+            continue
+        if LEFT_OWN:
+            tails.add(x if da > db else mx)
+        else:
+            tails.add(mx if da > db else x)
+    return tails
+
+
+def breakable_round(sigma: dict, mm: dict, vertex: dict, root: int,
+                    outer: int, full_tails: set):
+    """Breakable edge of every current distance-1 face, as a list of
+    ``(face_rep, tail_slot, head_slot)``; empty when no inner face is
+    left."""
+    faces = slot_faces(sigma, mm)
+    face_of = {x: min(f) for f in faces for x in f}
+    orbit_of = {min(f): f for f in faces}
+    dist = slot_dual_distances(sigma, mm, outer)
+    ones = [f for f, d in dist.items() if d == 1]
+    if not ones:
+        if any(dist.values()):
+            raise ValueError("opening is stuck")
+        return []
+    outer_rep = face_of[outer]
+    verts = sorted(set(vertex.values()))
+    index = {v: i for i, v in enumerate(verts)}
+    round_cuts = []
+    for f in ones:
+        orbit = orbit_of[f]
+        eslots = [x for x in orbit
+                  if mm[x] >= 0 and face_of[mm[x]] == outer_rep]
+        if not eslots:
+            raise ValueError("distance-1 face without outer edges")
+        ds = DisjointSets(len(verts))
+        cut_set = set(eslots) | {mm[x] for x in eslots}
+        for x, mx in mm.items():
+            if mx >= 0 and x < mx and x not in cut_set:
+                ds.union(index[vertex[x]], index[vertex[mx]])
+        root_comp = ds.find(index[vertex[root]])
+
+        def next_slot(x):
+            m = mm[x]
+            return sigma[m] if m >= 0 else sigma[x]
+
+        chosen = []
+        for x in eslots:
+            probe = vertex[next_slot(x)] if BREAK_AFTER else vertex[x]
+            if ds.find(index[probe]) == root_comp:
+                chosen.append(x)
+        if len(chosen) != 1:
+            raise ValueError("breakable edge is not unique")
+        b = chosen[0]
+        tail = b if b in full_tails else mm[b]
+        if tail not in full_tails:
+            raise ValueError("breakable edge is not oriented")
+        round_cuts.append((f, tail, mm[tail]))
+    return round_cuts
+
+
+def round_open_slots(sigma: dict, mate: dict, root: int, outer: int):
+    """Round-based opening: ``(tree_mate, tails, cuts)`` like
+    :func:`open_slots`."""
+    vertex = slot_vertices(sigma)
+    full_tails = round_orientation_tails(sigma, mate, outer)
+    mm = dict(mate)
+    cuts = []
+    while True:
+        round_cuts = breakable_round(sigma, mm, vertex, root, outer,
+                                     full_tails)
+        if not round_cuts:
+            break
+        for f, t, h in round_cuts:
+            mm[t] = -1
+            mm[h] = -1
+            cuts.append((f, t, h))
+    tails = {t for t in full_tails if mm[t] >= 0}
+    return mm, tails, cuts
+
+
+def dual_distances(p: PlaneMap) -> dict:
+    """Dual distance of every face (keyed by its minimum half-edge)."""
+    return slot_dual_distances(*_slot_system(p.m.sigma, p.m.alpha), p.outer)
+
+
+def breakable_edges(p: PlaneMap) -> frozenset:
+    """One breakable edge (as an edge id) per face at dual distance 1."""
+    sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
+    tails = round_orientation_tails(sigma, mate, p.outer)
+    cuts = breakable_round(sigma, dict(mate), slot_vertices(sigma),
+                           p.m.root, p.outer, tails)
+    return frozenset(min(t, h) for _, t, h in cuts)
 
 
 def loop_map():
@@ -254,3 +462,104 @@ class TestRoundTrips:
         for t in nets:
             p = closure_gamma(t)
             assert len(trace_faces(p.m)) == t.external_weight + 1
+
+
+def _open_both(sigma, mate, root, outer):
+    """Open with the ring pass and with the round oracle; every output
+    must agree, the cuts as a multiset."""
+    mm, tails, cuts = open_slots(sigma, mate, root, outer)
+    omm, otails, ocuts = round_open_slots(sigma, mate, root, outer)
+    assert mm == omm and tails == otails
+    assert Counter(cuts) == Counter(ocuts)
+    faces, _, dist, full_tails = _dual_layers(sigma, mate, outer)
+    assert {min(f): d for f, d in zip(faces, dist)} == \
+        slot_dual_distances(sigma, mate, outer)
+    assert full_tails == orientation_tails(sigma, mate, outer) == \
+        round_orientation_tails(sigma, mate, outer)
+
+
+class TestAgainstOracles:
+    def test_opening_of_every_plane_map(self, maps):
+        for p in maps:
+            sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
+            _open_both(sigma, mate, p.m.root, p.outer)
+
+    def test_opening_of_every_closed_tree(self, nets):
+        for t in nets:
+            p = closure_gamma(t)
+            sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
+            _open_both(sigma, mate, p.m.root, p.outer)
+
+    def test_opening_on_sparse_slot_keys(self):
+        """Slot systems of submaps have non-contiguous keys in any order:
+        relabel x -> 3x + 7 and list the slots backwards."""
+        for p in gen_plane_maps(4):
+            n = p.m.half_edge_count
+            sigma = {3 * h + 7: 3 * p.m.sigma[h] + 7
+                     for h in reversed(range(n))}
+            mate = {3 * h + 7: 3 * p.m.alpha[h] + 7
+                    for h in reversed(range(n))}
+            _open_both(sigma, mate, 3 * p.m.root + 7, 3 * p.outer + 7)
+
+    def test_closure_of_every_tree(self, nets):
+        for t in nets:
+            sigma, mate = _slot_system(t.sigma, t.mate)
+            out = set(t.out_buds)
+            full, pairs, outer = close_slots(sigma, mate, out, t.root)
+            ofull, opairs, oouter = scan_close_slots(sigma, mate, out, t.root)
+            assert full == ofull and outer == oouter
+            assert sorted(pairs) == sorted(opairs)
+
+    def test_arches_of_every_bud_word(self):
+        """Every cyclic word of at most 12 buds: the same pairs and the same
+        outermost arches as the list scan, or the same error."""
+        for length in range(13):
+            for word in itertools.product((False, True), repeat=length):
+                buds = list(enumerate(word))
+                if 2 * sum(word) != length:
+                    with pytest.raises(ValueError):
+                        match_buds(buds)
+                    with pytest.raises(ValueError):
+                        _arches(buds)
+                    continue
+                oracle = match_buds(buds)
+                pairs, outermost = _arches(buds)
+                assert sorted(pairs) == sorted(oracle)
+                assert sorted(outermost) == \
+                    sorted(outermost_arches(buds, oracle))
+
+
+class TestFaceTraces:
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        """Count face traces: each ``slot_faces`` call, and each
+        ``slot_face`` call made outside one."""
+        count = [0]
+        depth = [0]
+        real_faces = planar_closure.slot_faces
+        real_face = planar_closure.slot_face
+
+        def faces(sigma, mate):
+            count[0] += 1
+            depth[0] += 1
+            try:
+                return real_faces(sigma, mate)
+            finally:
+                depth[0] -= 1
+
+        def face(sigma, mate, start):
+            count[0] += not depth[0]
+            return real_face(sigma, mate, start)
+
+        monkeypatch.setattr(planar_closure, "slot_faces", faces)
+        monkeypatch.setattr(planar_closure, "slot_face", face)
+        return count
+
+    def test_one_trace_per_opening_at_most_two_per_closure(self, traces):
+        for t in gen_near_eulerian_trees(8):
+            traces[0] = 0
+            p = closure_gamma(t)
+            assert traces[0] <= 2
+            traces[0] = 0
+            assert opening_delta(p) == t
+            assert traces[0] == 1
