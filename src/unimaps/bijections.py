@@ -10,21 +10,21 @@ from oriented tree-rooted maps onto colored one-face maps on general
 surfaces, which restricts to a bijection ``phi`` on the orientable ones
 (where ``w = 0`` and the orientation is empty).
 
-The tour is decomposed BEST-style: the arcs used last to leave each vertex
-form a spanning tree toward the origin, and the remaining departures give,
-at each vertex, the rotation of half-edges.  Copies of an arc that are
-indistinguishable (the two arcs of a loop, or of an edge repeated in the
-same direction) are matched to half-edges through a fixed pairing: at each
-vertex the ingoing half-edges of oriented edges, sorted by edge label,
-are paired with the oriented edges leaving the vertex, also sorted by
-label.  This pairing depends only on labels, so the whole construction is
-invariant under relabelling of half-edges.
+The tour is decomposed BEST-style, straight off the half-edges: the
+departures from each color, in tour order, are the rotation at that color,
+and at every color but the origin the last of them is the tree edge toward
+the origin.  An oriented edge is left twice from its tail: once along its
+tail half-edge and once along an ingoing half-edge paired with it.  The
+pairing is fixed: at each vertex the ingoing half-edges of oriented edges,
+sorted by edge label, are paired with the oriented edges leaving the
+vertex, also sorted by label.  It depends only on labels, so the whole
+construction is invariant under relabelling of half-edges.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .maps_core import (
     ColoredUnicellularMap,
@@ -32,15 +32,7 @@ from .maps_core import (
     RootedMap,
     canonical_relabelling,
 )
-from .tours import (
-    BiEulerianTour,
-    Digraph,
-    EdgeLabelledGraph,
-    best_compose,
-    best_decompose,
-    xi,
-    xi_inverse,
-)
+from .tours import BiEulerianTour, EdgeLabelledGraph, xi, xi_inverse
 
 
 class _LabelledMap:
@@ -102,7 +94,9 @@ class OrientedTreeRootedMap(_LabelledMap):
     Balance requires every vertex to head as many oriented edges as it
     tails; compatibility requires oriented tree edges to point toward the
     root vertex.  A plain tree-rooted map is the ``orientation == {}``
-    case.
+    case.  Validation keeps ``up``: by vertex, the half-edge on its tree
+    edge toward the root vertex (``None`` at the root); it takes no part
+    in equality or hashing.
     """
 
     m: RootedMap
@@ -110,6 +104,7 @@ class OrientedTreeRootedMap(_LabelledMap):
     edge_labels: tuple
     tree: frozenset
     orientation: frozenset = frozenset()
+    up: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.m
@@ -151,29 +146,28 @@ class OrientedTreeRootedMap(_LabelledMap):
         if any(flow):
             raise ValueError("orientation is not balanced")
         # compatibility: oriented tree edges point toward the root vertex
-        root_v = vid[m.root]
-        parent = self._parents(vid, root_v)
+        up = self._tree_up(vid, vid[m.root], q)
         for eid, h in tails.items():
-            if eid in self.tree and parent[vid[h]] != (vid[m.alpha[h]], eid):
+            if eid in self.tree and up[vid[h]] != h:
                 raise ValueError("oriented tree edge points away from root")
+        object.__setattr__(self, "up", up)
 
-    def _parents(self, vid, root_v):
-        """parent[v] = (parent vertex, tree edge id), None at the root."""
-        m = self.m
-        adj: dict[int, list] = {}
+    def _tree_up(self, vid, root_v, q) -> tuple:
+        """By vertex, the half-edge on its tree edge toward ``root_v``."""
+        alpha = self.m.alpha
+        adj = [[] for _ in range(q)]
         for eid in self.tree:
-            a, b = vid[eid], vid[m.alpha[eid]]
-            adj.setdefault(a, []).append((b, eid))
-            adj.setdefault(b, []).append((a, eid))
-        parent = {root_v: None}
+            adj[vid[eid]].append(eid)
+            adj[vid[alpha[eid]]].append(alpha[eid])
+        up = [None] * q
         stack = [root_v]
         while stack:
-            v = stack.pop()
-            for w, eid in adj.get(v, ()):
-                if w not in parent:
-                    parent[w] = (v, eid)
+            for h in adj[stack.pop()]:
+                w = vid[alpha[h]]
+                if w != root_v and up[w] is None:
+                    up[w] = alpha[h]
                     stack.append(w)
-        return parent
+        return tuple(up)
 
     @property
     def external_weight(self) -> int:
@@ -195,278 +189,169 @@ class OrientedTreeRootedMap(_LabelledMap):
 
 
 def theta(t: OrientedTreeRootedMap) -> tuple:
-    """Map an oriented tree-rooted map to its graph and bi-Eulerian tour."""
+    """Map an oriented tree-rooted map to its graph and bi-Eulerian tour.
+
+    The walk starts along the root half-edge.  At every other vertex it
+    departs in rotation order from just after the tree half-edge toward
+    the root, which it takes last.  A tail half-edge leaves along its own
+    edge, an ingoing half-edge along the oriented edge paired with it.
+    """
     m = t.m
-    verts, edges = m.vertices(), m.edges()
+    sigma, alpha = m.sigma, m.alpha
     vid = m.vertex_index()
     vlabel, elabel = t.half_edge_labels()
+    n, q = t.n, t.q
     tail_of = {elabel[h]: h for h in t.orientation}
-    n, q = len(edges), len(verts)
     ends = [None] * n
-    edge_with_label = [None] * n
-    for c in edges:
-        h = min(c)
-        ends[elabel[h] - 1] = tuple(sorted((vlabel[h], vlabel[m.alpha[h]])))
-        edge_with_label[elabel[h] - 1] = c
+    for h, h2 in m.edges():
+        ends[elabel[h] - 1] = (vlabel[h], vlabel[h2])
     graph = EdgeLabelledGraph(q, tuple(ends))
-
-    root_v = vid[m.root]
-    parent = t._parents(vid, root_v)
-
-    # parent half-edge at each non-root vertex: the half-edge of the tree
-    # edge to the parent lying on the child side
-    parent_he = {}
-    for i in range(q):
-        if i == root_v:
-            continue
-        _, eid = parent[i]
-        parent_he[i] = eid if vid[eid] == i else m.alpha[eid]
-
-    # per-vertex half-edge sequences
-    seqs = {}
-    for i, c in enumerate(verts):
-        d = len(c)
-        if i == root_v:
-            h = m.root
-            seq = []
-            for _ in range(d):
-                seq.append(h)
-                h = m.sigma[h]
-        else:
-            h = m.sigma[parent_he[i]]
-            seq = []
-            for _ in range(d - 1):
-                seq.append(h)
-                h = m.sigma[h]
-        seqs[i] = seq
-
-    # arc table: arcs 2k, 2k+1 belong to the edge labelled k+1
-    arcs = [None] * (2 * n)
-    arc_of_he = {}
-    for k in range(n):
-        lab = k + 1
-        u, v = ends[k]
-        if lab in tail_of:
-            th = tail_of[lab]
-            pair = (vlabel[th], vlabel[m.alpha[th]])
-            arcs[2 * k] = arcs[2 * k + 1] = pair
-        elif u == v:
-            arcs[2 * k] = arcs[2 * k + 1] = (u, u)
-        else:
-            for h in edge_with_label[k]:
-                a = 2 * k if vlabel[h] == u else 2 * k + 1
-                arcs[a] = (vlabel[h], vlabel[m.alpha[h]])
-                arc_of_he[h] = a
+    ends = graph.edges
 
     # label-sorted pairing of ingoing half-edges with outgoing oriented
     # edges at each vertex
-    pi_of_head = {}
-    for i in range(q):
-        heads = sorted(lab for lab, th in tail_of.items()
-                       if vid[m.alpha[th]] == i)
-        tails = sorted(lab for lab, th in tail_of.items() if vid[th] == i)
-        assert len(heads) == len(tails)
-        for hl, tl in zip(heads, tails):
-            pi_of_head[m.alpha[tail_of[hl]]] = tl
+    heads = [[] for _ in range(q)]
+    tails = [[] for _ in range(q)]
+    for lab in sorted(tail_of):
+        th = tail_of[lab]
+        tails[vid[th]].append(lab)
+        heads[vid[alpha[th]]].append(lab)
+    paired = {}  # ingoing half-edge -> label of the edge it leaves along
+    for hs, ts in zip(heads, tails):
+        assert len(hs) == len(ts)
+        for hl, tl in zip(hs, ts):
+            paired[alpha[tail_of[hl]]] = tl
 
-    # emit the departure orders; copies of indistinguishable arcs are
-    # numbered in order of use (tree copies of oriented edges come last
-    # at their vertex, so they get the higher id)
-    copy_count = [0] * n
-    tree_arc = {}
-    for i in range(q):
-        if i == root_v:
-            continue
-        _, eid = parent[i]
-        lab = elabel[eid]
-        if lab in tail_of:
-            tree_arc[t.vertex_labels[i]] = 2 * (lab - 1) + 1
-        else:
-            tree_arc[t.vertex_labels[i]] = arc_of_he[parent_he[i]]
-
-    tau = {}
-    for i in range(q):
-        out = []
-        for h in seqs[i]:
-            lab = elabel[h]
-            if lab in tail_of:
-                th = tail_of[lab]
-                e = lab if h == th else pi_of_head[h]
-                k = e - 1
-                if e in tail_of and m.edge_of(tail_of[e]) in t.tree:
-                    a = 2 * k  # the tree holds the other copy
-                else:
-                    a = 2 * k + copy_count[k]
-                    copy_count[k] += 1
-                out.append(a)
-            elif graph.is_loop(lab):
-                k = lab - 1
-                out.append(2 * k + copy_count[k])
-                copy_count[k] += 1
-            else:
-                out.append(arc_of_he[h])
-        tau[t.vertex_labels[i]] = tuple(out)
-
-    digraph = Digraph(q, tuple(arcs))
-    origin = t.vertex_labels[root_v]
-    seq = best_compose(digraph, origin, tree_arc, tau)
-
+    root_v = vid[m.root]
+    nxt = [m.root if h is None else sigma[h] for h in t.up]
+    left = [len(c) for c in m.vertices()]
+    looped = set()
     steps = []
-    uses = [0] * n
-    for a in seq:
-        k = a // 2
-        lab = k + 1
-        u, v = ends[k]
+    current = root_v
+    for _ in range(2 * n):
+        if not left[current]:
+            raise ValueError("walk is stuck; data is not a valid BEST pair")
+        h = nxt[current]
+        nxt[current] = sigma[h]
+        left[current] -= 1
+        lab = elabel[h]
         if lab in tail_of:
-            d = 0 if (u == v or arcs[a][0] == u) else 1
-        elif u == v:
-            d = 0 if uses[k] == 0 else 1
+            if h != tail_of[lab]:
+                lab = paired[h]
+            h = tail_of[lab]
+            d = 0 if vlabel[h] == ends[lab - 1][0] else 1
+        elif lab in looped:
+            d = 1
         else:
-            d = 0 if a == 2 * k else 1
-        uses[k] += 1
+            u, v = ends[lab - 1]
+            d = 0 if vlabel[h] == u else 1
+            if u == v:
+                looped.add(lab)
+        current = vid[alpha[h]]
         steps.append((lab, d))
-    return graph, BiEulerianTour(graph, origin, tuple(steps))
+    if current != root_v:
+        raise ValueError("data does not produce an Eulerian tour")
+    return graph, BiEulerianTour(graph, t.vertex_labels[root_v], tuple(steps))
 
 
 def theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
     """All preimages of a tour under theta: exactly ``2^w`` oriented
     tree-rooted maps, where ``w`` is the number of edges the tour repeats
-    in the same direction."""
+    in the same direction.
+
+    The edge labelled ``k+1`` owns half-edges ``2k`` and ``2k+1``; ``2k``
+    lies at the smaller endpoint, at the tail of an oriented edge and at
+    the first departure along a loop.
+    """
     n, q = graph.n, graph.q
+    ends = graph.edges
+    origin = tour.origin
     oriented = tour.oriented_edges()
 
-    # direction of each oriented edge, from the tour
+    # departures of each color in tour order; an oriented edge leaves its
+    # tail both times
+    departures = [[] for _ in range(q + 1)]
     tail_color = {}
-    for k, (lab, d) in enumerate(tour.steps):
-        if lab in oriented and lab not in tail_color:
-            u, v = graph.endpoints(lab)
-            tail_color[lab] = u if (u == v or d == 0) else v
-
-    arcs = [None] * (2 * n)
-    for k in range(n):
-        lab = k + 1
-        u, v = graph.endpoints(lab)
-        if lab in oriented:
-            t = tail_color[lab]
-            h = u + v - t
-            arcs[2 * k] = arcs[2 * k + 1] = (t, h)
-        elif u == v:
-            arcs[2 * k] = arcs[2 * k + 1] = (u, u)
-        else:
-            arcs[2 * k] = (u, v)
-            arcs[2 * k + 1] = (v, u)
-
-    # tour steps -> arc ids (first use of an indistinguishable pair gets
-    # the even id)
-    uses = [0] * n
-    seq = []
     for lab, d in tour.steps:
-        k = lab - 1
-        if lab in oriented or graph.is_loop(lab):
-            seq.append(2 * k + uses[k])
-        else:
-            seq.append(2 * k if d == 0 else 2 * k + 1)
-        uses[k] += 1
-    digraph = Digraph(q, tuple(arcs))
-    origin, tree, tau = best_decompose(digraph, seq)
-    tree_labels = frozenset(a // 2 + 1 for a in tree.values())
-
-    # half-edge allocation: edge labelled k+1 owns half-edges 2k, 2k+1
-    # with 2k at the smaller endpoint (at the tail for oriented edges)
-    he_at = {}   # (label, color) -> half-edge, for non-loop edges
-    tail_he = {}
-    for k in range(n):
-        lab = k + 1
-        u, v = graph.endpoints(lab)
+        u, v = ends[lab - 1]
+        c = v if d else u
+        departures[c].append(lab)
         if lab in oriented:
-            t = tail_color[lab]
-            tail_he[lab] = 2 * k
-            if u != v:
-                he_at[(lab, t)] = 2 * k
-                he_at[(lab, u + v - t)] = 2 * k + 1
-        elif u != v:
-            he_at[(lab, u)] = 2 * k
-            he_at[(lab, v)] = 2 * k + 1
+            tail_color[lab] = c
+    tree_labels = frozenset(departures[c][-1] for c in range(1, q + 1)
+                            if c != origin)
 
-    # label-sorted pairing at each color: r-th ingoing oriented edge is
+    # label-sorted pairing at each color: the r-th ingoing oriented edge is
     # matched with the r-th outgoing one; the head half-edge of the edge
-    # labelled k+1 is 2k+1 by the allocation above
+    # labelled k+1 is 2k+1
+    heads = [[] for _ in range(q + 1)]
+    tails = [[] for _ in range(q + 1)]
+    for lab in sorted(oriented):
+        u, v = ends[lab - 1]
+        t = tail_color[lab]
+        tails[t].append(lab)
+        heads[u + v - t].append(lab)
     matched_head_he = {}  # outgoing oriented edge -> ingoing half-edge
-    for c in range(1, q + 1):
-        heads = sorted(lab for lab in oriented
-                       if arcs[2 * (lab - 1)][1] == c)
-        tails = sorted(lab for lab in oriented if tail_color[lab] == c)
-        if len(heads) != len(tails):
+    for hs, ts in zip(heads, tails):
+        if len(hs) != len(ts):
             raise ValueError("tour orientation is not balanced")
-        for hl, tl in zip(heads, tails):
-            matched_head_he[tl] = 2 * (hl - 1) + 1
+        for hl, tl in zip(hs, ts):
+            matched_head_he[tl] = 2 * hl - 1
 
-    # slots per color; fixed fills plus one binary choice per oriented
-    # non-tree edge
-    slot_hes = {}
-    choices = []  # (color, pos_a, pos_b, he_a, he_b)
+    # the rotation at each color with every choice at 0, and one binary
+    # choice per oriented non-tree edge between its two departures
+    slots = []
+    choices = []  # [color index, pos_a, pos_b, he_a, he_b]
     for c in range(1, q + 1):
-        arcs_here = list(tau.get(c, ()))
-        if c != origin:
-            arcs_here.append(tree[c])
-        fills = [None] * len(arcs_here)
-        loop_seen = {}
-        pending = {}
-        for pos, a in enumerate(arcs_here):
-            k = a // 2
-            lab = k + 1
-            u, v = graph.endpoints(lab)
-            tree_slot = c != origin and pos == len(arcs_here) - 1
+        fills = []
+        seen = {}  # edges already left once from here -> choice index
+        tree_pos = len(departures[c]) - 1 if c != origin else -1
+        for pos, lab in enumerate(departures[c]):
+            k = lab - 1
+            u, v = ends[k]
             if lab in oriented:
-                if tree_slot:
-                    fills[pos] = tail_he[lab]  # the branch toward the root
+                if pos == tree_pos:
+                    h = 2 * k  # the branch toward the root
+                elif lab in tree_labels:
+                    # the tree holds one copy; the remaining slot takes
+                    # the matched ingoing half-edge
+                    h = matched_head_he[lab]
+                elif lab in seen:
+                    h = matched_head_he[lab]
+                    choices[seen[lab]][2] = pos
                 else:
-                    pending.setdefault(lab, []).append(pos)
+                    seen[lab] = len(choices)
+                    choices.append([c - 1, pos, None, 2 * k,
+                                    matched_head_he[lab]])
+                    h = 2 * k
             elif u == v:
-                i = loop_seen.get(lab, 0)
-                loop_seen[lab] = i + 1
-                fills[pos] = 2 * k + i
+                h = 2 * k + (lab in seen)
+                seen[lab] = None
             else:
-                fills[pos] = he_at[(lab, c)]
-        for lab, positions in pending.items():
-            if lab in tree_labels:
-                # the tree holds one copy; the remaining slot takes the
-                # matched ingoing half-edge
-                assert len(positions) == 1
-                fills[positions[0]] = matched_head_he[lab]
-            else:
-                assert len(positions) == 2
-                pa, pb = positions
-                choices.append((c, pa, pb, tail_he[lab], matched_head_he[lab]))
-        slot_hes[c] = fills
+                h = 2 * k if c == u else 2 * k + 1
+            fills.append(h)
+        slots.append(fills)
 
-    w = len(choices)
+    alpha = tuple(h ^ 1 for h in range(2 * n))
+    edge_labels = tuple(range(1, n + 1))
+    tree_ids = frozenset(2 * (lab - 1) for lab in tree_labels)
+    orientation = frozenset(2 * (lab - 1) for lab in oriented)
     out = []
-    for assignment in itertools.product((0, 1), repeat=w):
-        fills = {c: list(v) for c, v in slot_hes.items()}
-        for bit, (c, pa, pb, ha, hb) in zip(assignment, choices):
+    for assignment in itertools.product((0, 1), repeat=len(choices)):
+        fills = [list(f) for f in slots] if choices else slots
+        for bit, (i, pa, pb, ha, hb) in zip(assignment, choices):
             if bit:
-                ha, hb = hb, ha
-            fills[c][pa] = ha
-            fills[c][pb] = hb
+                fills[i][pa] = hb
+                fills[i][pb] = ha
         sigma = [0] * (2 * n)
-        for c, cycle in fills.items():
-            for i, h in enumerate(cycle):
-                sigma[h] = cycle[(i + 1) % len(cycle)]
-        alpha = [0] * (2 * n)
-        for k in range(n):
-            alpha[2 * k] = 2 * k + 1
-            alpha[2 * k + 1] = 2 * k
-        root = fills[origin][0]
-        m = RootedMap(tuple(sigma), tuple(alpha), root)
-        color_of_he = {}
-        for c, cycle in fills.items():
+        for cycle in fills:
+            prev = cycle[-1]
             for h in cycle:
-                color_of_he[h] = c
-        vertex_labels = tuple(color_of_he[min(cyc)] for cyc in m.vertices())
-        edge_labels = tuple(min(cyc) // 2 + 1 for cyc in m.edges())
-        tree_ids = frozenset(2 * (lab - 1) for lab in tree_labels)
-        orientation = frozenset(tail_he[lab] for lab in oriented)
+                sigma[prev] = h
+                prev = h
+        m = RootedMap(tuple(sigma), alpha, fills[origin - 1][0])
+        vertex_labels = tuple(sorted(range(1, q + 1),
+                                     key=lambda c: min(fills[c - 1])))
         out.append(OrientedTreeRootedMap(
             m, vertex_labels, edge_labels, tree_ids, orientation))
     return tuple(out)

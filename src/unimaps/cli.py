@@ -74,18 +74,25 @@ class ParseError(ValueError):
 # Input literals
 
 
-def _split_fields(text: str) -> dict:
-    """Split ``key=value; key=value`` into a dict, tracking positions."""
+def _split_fields(text: str, known: tuple) -> dict:
+    """Split ``key=value; key=value`` into a dict, tracking positions.
+    Every key must be one of ``known`` and appear at most once."""
     fields = {}
     pos = 0
     for chunk in text.split(";"):
         stripped = chunk.strip()
         if stripped:
+            start = pos + chunk.index(stripped[0])
             if "=" not in stripped:
                 raise ParseError(f"expected key=value, got {stripped!r}",
-                                 pos + chunk.index(stripped[0]))
+                                 start)
             key, value = stripped.split("=", 1)
-            fields[key.strip()] = (value.strip(), pos)
+            key = key.strip()
+            if key not in known:
+                raise ParseError(f"unknown field {key!r}", start)
+            if key in fields:
+                raise ParseError(f"repeated field {key!r}", start)
+            fields[key] = (value.strip(), pos)
         pos += len(chunk) + 1
     return fields
 
@@ -114,7 +121,7 @@ def _int_tuple(value: str, position: int) -> tuple:
 def parse_gluing(text: str) -> ColoredUnicellularMap:
     """Parse ``n=<int>; pairs=(a b[!], ...)`` with optional ``colors=``
     and ``labels=`` fields; ``!`` marks a twisted pair."""
-    fields = _split_fields(text)
+    fields = _split_fields(text, ("n", "pairs", "colors", "labels"))
     for key in ("n", "pairs"):
         if key not in fields:
             raise ParseError(f"missing field {key!r}", 0)
@@ -157,7 +164,7 @@ def parse_gluing(text: str) -> ColoredUnicellularMap:
 def parse_rotation(text: str):
     """Parse ``sigma=(...); alpha=(...); root=k`` with optional
     ``outer=k``; returns a RootedMap or, with ``outer``, a PlaneMap."""
-    fields = _split_fields(text)
+    fields = _split_fields(text, ("sigma", "alpha", "root", "outer"))
     for key in ("sigma", "alpha"):
         if key not in fields:
             raise ParseError(f"missing field {key!r}", 0)
@@ -177,7 +184,7 @@ def parse_rotation(text: str):
 def parse_tree(text: str) -> NearEulerianTree:
     """Parse ``sigma=(...); mate=(...); out=(...); tails=(...)`` where
     ``mate`` is -1 on bud slots."""
-    fields = _split_fields(text)
+    fields = _split_fields(text, ("sigma", "mate", "out", "tails", "root"))
     for key in ("sigma", "mate"):
         if key not in fields:
             raise ParseError(f"missing field {key!r}", 0)
@@ -483,8 +490,8 @@ CHECKS = {
     "u-hat": ("max_n", 8, _check_u_hat),
     "hz": ("max_n", 8, _check_hz),
     "ledoux": ("max_n", 8, _check_ledoux),
-    "phi-roundtrip": ("max_n", 3, _check_phi_roundtrip),
-    "psi-fibers": ("max_n", 2, _check_psi_fibers),
+    "phi-roundtrip": ("max_n", 4, _check_phi_roundtrip),
+    "psi-fibers": ("max_n", 3, _check_psi_fibers),
     "gamma-roundtrip": ("max_edges", 5, _check_gamma_roundtrip),
     "planar-totals": ("max_edges", 12, _check_planar_totals),
     "algebraic-P": ("max_degree", 16, _check_algebraic_p),

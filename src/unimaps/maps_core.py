@@ -50,11 +50,14 @@ class DisjointSets:
             self.parent[ry] = rx
 
     def classes(self) -> list[list[int]]:
-        """Equivalence classes as sorted lists, ordered by minimum element."""
+        """Equivalence classes as sorted lists, ordered by minimum element
+        (each root is its class minimum, so first appearance is that
+        order)."""
         groups: dict[int, list[int]] = {}
+        find = self.find
         for x in range(len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return [groups[r] for r in sorted(groups)]
+            groups.setdefault(find(x), []).append(x)
+        return list(groups.values())
 
 
 def _check_permutation(perm, n, name):
@@ -69,11 +72,17 @@ class RootedMap:
     ``sigma`` and ``alpha`` are stored as tuples mapping a half-edge index to
     its image.  ``alpha`` must be a fixed-point-free involution and the group
     generated by ``sigma`` and ``alpha`` must act transitively on half-edges.
+    The orbits of ``sigma`` and ``alpha`` and their indexes are computed at
+    most once, on first use, and take no part in equality or hashing.
     """
 
     sigma: tuple
     alpha: tuple
     root: int = 0
+    _vertex_data: tuple = field(default=None, init=False, repr=False,
+                                compare=False)
+    _edge_data: tuple = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         n = len(self.sigma)
@@ -107,12 +116,25 @@ class RootedMap:
     def half_edge_count(self) -> int:
         return len(self.sigma)
 
+    def _orbit_data(self, name: str, perm) -> tuple:
+        """``(orbits, index)`` of ``perm``, cached in the field ``name``."""
+        data = getattr(self, name)
+        if data is None:
+            orbits = _orbits(perm)
+            index = [0] * len(perm)
+            for i, cyc in enumerate(orbits):
+                for h in cyc:
+                    index[h] = i
+            data = (tuple(orbits), tuple(index))
+            object.__setattr__(self, name, data)
+        return data
+
     def vertices(self) -> list[tuple]:
         """Orbits of sigma, each cycle starting at its minimum, sorted."""
-        return _orbits(self.sigma)
+        return list(self._orbit_data("_vertex_data", self.sigma)[0])
 
     def edges(self) -> list[tuple]:
-        return _orbits(self.alpha)
+        return list(self._orbit_data("_edge_data", self.alpha)[0])
 
     def edge_of(self, h: int) -> int:
         """Edge identifier of half-edge ``h`` (the smaller half-edge index)."""
@@ -131,12 +153,12 @@ class RootedMap:
     def vertex_index(self) -> tuple:
         """``vertex_index()[h]`` is the position of half-edge ``h``'s vertex
         in :meth:`vertices`."""
-        return _orbit_index(self.sigma)
+        return self._orbit_data("_vertex_data", self.sigma)[1]
 
     def edge_index(self) -> tuple:
         """``edge_index()[h]`` is the position of half-edge ``h``'s edge in
         :meth:`edges`."""
-        return _orbit_index(self.alpha)
+        return self._orbit_data("_edge_data", self.alpha)[1]
 
     def relabelled(self, perm) -> "RootedMap":
         """Conjugate by the half-edge relabelling ``h -> perm[h]``."""
@@ -165,15 +187,6 @@ def _orbits(perm) -> list[tuple]:
             x = perm[x]
         out.append(tuple(cyc))
     return out
-
-
-def _orbit_index(perm) -> tuple:
-    """Position of each element's orbit in :func:`_orbits` order."""
-    index = [0] * len(perm)
-    for i, cyc in enumerate(_orbits(perm)):
-        for h in cyc:
-            index[h] = i
-    return tuple(index)
 
 
 def face_permutation(m: RootedMap) -> tuple:

@@ -4,6 +4,8 @@ from math import factorial
 
 import pytest
 
+from best_oracle import arc_theta, arc_theta_fiber
+from unimaps import maps_core
 from unimaps.bijections import (
     OrientedTreeRootedMap,
     gen_oriented_tree_rooted_maps,
@@ -14,7 +16,7 @@ from unimaps.bijections import (
     upsilon,
     upsilon_fiber,
 )
-from unimaps.enumeration import gen_unicellular
+from unimaps.enumeration import gen_colored_unicellular, gen_unicellular
 from unimaps.formulas import t_formula
 from unimaps.maps_core import ColoredUnicellularMap, RootedMap, glue_polygon
 from unimaps.tours import xi
@@ -181,3 +183,52 @@ class TestDegreeProperty:
                 for cyc, lab in zip(t.m.vertices(), t.vertex_labels):
                     deg[lab] += len(cyc)
                 assert deg == corners
+
+
+class TestAgainstArcOracle:
+    """The half-edge ``theta`` and ``theta_fiber`` equal the arc-level BEST
+    oracle: the same fiber elements in the same order, and the same tour
+    back from each of them."""
+
+    CASES = {
+        "general-n1": lambda: gen_colored_unicellular(1, False),
+        "general-n2": lambda: gen_colored_unicellular(2, False),
+        "general-n3": lambda: gen_colored_unicellular(3, False),
+        "orientable-n4": lambda: gen_colored_unicellular(4, True),
+        "labelled-n2": lambda: all_colored(2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fiber_and_theta(self, case):
+        count = 0
+        for u in self.CASES[case]():
+            graph, tour = xi(u)
+            fiber = theta_fiber(graph, tour)
+            assert fiber == arc_theta_fiber(graph, tour)
+            for t in fiber:
+                assert theta(t) == arc_theta(t) == (graph, tour)
+            count += 1
+        assert count
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_theta_on_all_oriented_tree_rooted_maps(self, n):
+        """Maps with any half-edge numbering, not only fiber elements."""
+        for t in gen_oriented_tree_rooted_maps(n):
+            assert theta(t) == arc_theta(t)
+
+
+def test_phi_round_trip_traces_each_orbit_kind_once(monkeypatch):
+    """A phi round trip computes the vertex orbits and the edge orbits of
+    its one rooted map once each."""
+    maps = list(gen_colored_unicellular(3, True))
+    calls = []
+    orbits = maps_core._orbits
+
+    def counting(perm):
+        calls.append(perm)
+        return orbits(perm)
+
+    monkeypatch.setattr(maps_core, "_orbits", counting)
+    for u in maps:
+        assert phi_inverse(phi(u)) == u
+    assert len(calls) == 2 * len(maps)

@@ -223,6 +223,28 @@ class TestBijection:
         assert code == 2 and out == ""
         assert f"{field} must be an integer" in err
 
+    @pytest.mark.parametrize("name,literal,message", [
+        ("phi", "n=2; pairs=(0 1, 2 3); colors=(1,2,3); bogus=1",
+         "unknown field 'bogus' (at character 39)"),
+        ("phi", "n=2; pairs=(0 1, 2 3); n=3",
+         "repeated field 'n' (at character 23)"),
+        ("phi", "n=2; pairs=(0 1, 2 3); labels=(1,2); labels=(2,1)",
+         "repeated field 'labels' (at character 37)"),
+        ("delta", "sigma=(1 0); alpha=(1 0); outer=0; mate=(1 0)",
+         "unknown field 'mate' (at character 35)"),
+        ("delta", "sigma=(1 0); alpha=(1 0); outer=0; sigma=(1 0)",
+         "repeated field 'sigma' (at character 35)"),
+        ("gamma", "sigma=(1,0); mate=(-1,-1); out=(0); alpha=(1,0)",
+         "unknown field 'alpha' (at character 36)"),
+        ("gamma", "sigma=(1,0); mate=(-1,-1); root=0; root=1",
+         "repeated field 'root' (at character 35)"),
+    ])
+    def test_unknown_or_repeated_field_is_parse_error(self, capsys, name,
+                                                      literal, message):
+        code, out, err = run(capsys, "bijection", name, literal)
+        assert code == 2 and out == ""
+        assert f"parse error: {message}" in err
+
     def test_colored_gluing_literal(self, capsys):
         code, out, _ = run(capsys, "fiber",
                            "n=2; pairs=(0 1, 2 3); colors=(1,1,2); "
