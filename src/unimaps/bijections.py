@@ -449,6 +449,8 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     inherited rotation system has genus 0.  ``face_labels`` assigns the
     labels ``1..r`` to the ``r`` faces of the submap, listed by minimum
     half-edge; the face labelled ``r`` plays the role of the outer face.
+    Validation keeps those faces as ``submap_faces``; they take no part
+    in equality or hashing.
     """
 
     m: RootedMap
@@ -456,6 +458,8 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     edge_labels: tuple
     submap: frozenset
     face_labels: tuple
+    submap_faces: tuple = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         m = self.m
@@ -487,15 +491,13 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
         elif q != 1:
             raise ValueError("submap is not spanning and connected")
         # planarity of the inherited rotation system
-        faces = self._submap_faces()
+        faces = tuple(_submap_faces_of(m, self.submap))
         n_sub = len(self.submap)
         if q - n_sub + len(faces) != 2:
             raise ValueError("submap is not planar")
         if sorted(self.face_labels) != list(range(1, len(faces) + 1)):
             raise ValueError("face labels must be a permutation of 1..r")
-
-    def _submap_faces(self):
-        return _submap_faces_of(self.m, self.submap)
+        object.__setattr__(self, "submap_faces", faces)
 
     @property
     def q(self) -> int:
@@ -518,7 +520,7 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
         perm, key = self._canonical_form(self.submap)
         return key + (tuple(sorted(
             (min((perm[x] for x in f), default=-1), lab)
-            for f, lab in zip(self._submap_faces(), self.face_labels))),)
+            for f, lab in zip(self.submap_faces, self.face_labels))),)
 
 
 def _project(m: RootedMap, slots: set):
@@ -567,7 +569,7 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     from .planar_closure import open_slots
 
     m = p.m
-    faces = p._submap_faces()
+    faces = p.submap_faces
     r = len(faces)
     if r == 1:
         t = OrientedTreeRootedMap(m, p.vertex_labels, p.edge_labels,
@@ -578,8 +580,8 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     outer_rep = next(min(f) for f in faces if label_of_rep[min(f)] == r)
     vid = m.vertex_index()
     root_sub = min(h for h in sigma_sub if vid[h] == vid[m.root])
-    tree_mate, tails, cuts = open_slots(sigma_sub, mate_sub,
-                                        root_sub, outer_rep)
+    tree_mate, tails, cuts = open_slots(mate_sub, faces, vid, root_sub,
+                                        outer_rep)
     # cut bookkeeping: inner face -> (out slot, in slot)
     buds_of_rep = {f: (o, i) for f, o, i in cuts}
     inner = _canonical_inner_faces(m, faces, outer_rep)
@@ -638,13 +640,16 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         # the closed submap inside the big map
         m2, edge_labels = t._rejoined(pairs)
         submap = frozenset(min(h, full[h]) for h in slots)
-        # association inner face -> closure pair, by re-opening
-        tree_mate, _, cuts = open_slots(sigma_sub, full, root_sub, outer_rep)
+        # association inner face -> closure pair, by re-opening the
+        # closed submap, whose faces are traced once for this and for the
+        # face labels
+        faces = sorted(slot_faces(sigma_sub, full), key=min)
+        tree_mate, _, cuts = open_slots(full, faces, vid, root_sub,
+                                        outer_rep)
         assert {h for h in slots if tree_mate[h] == -1} == set(buds), \
             "re-opening disagrees with the cutting"
         out_slot_of_rep = {f: o for f, o, i in cuts}
         in_face_of_slot = {i: f for f, o, i in cuts}
-        faces = sorted(slot_faces(sigma_sub, full), key=min)
         inner = _canonical_inner_faces(m2, faces, outer_rep)
         index_of_rep = {min(f): k + 1 for k, f in enumerate(inner)}
         # labels: the face whose outgoing bud originally matched the

@@ -23,6 +23,7 @@ and corner ``i+1`` with corner ``j+1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 class DisjointSets:
@@ -72,8 +73,9 @@ class RootedMap:
     ``sigma`` and ``alpha`` are stored as tuples mapping a half-edge index to
     its image.  ``alpha`` must be a fixed-point-free involution and the group
     generated by ``sigma`` and ``alpha`` must act transitively on half-edges.
-    The orbits of ``sigma`` and ``alpha`` and their indexes are computed at
-    most once, on first use, and take no part in equality or hashing.
+    The orbits of ``sigma``, ``alpha`` and ``sigma∘alpha`` (vertices, edges
+    and faces) and their indexes are computed at most once, on first use,
+    and take no part in equality or hashing.
     """
 
     sigma: tuple
@@ -83,6 +85,8 @@ class RootedMap:
                                 compare=False)
     _edge_data: tuple = field(default=None, init=False, repr=False,
                               compare=False)
+    _face_data: tuple = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         n = len(self.sigma)
@@ -90,10 +94,11 @@ class RootedMap:
             raise ValueError("half-edge count must be even and positive")
         object.__setattr__(self, "sigma", tuple(self.sigma))
         object.__setattr__(self, "alpha", tuple(self.alpha))
-        _check_permutation(self.sigma, n, "sigma")
-        _check_permutation(self.alpha, n, "alpha")
-        for h in range(n):
-            if self.alpha[h] == h or self.alpha[self.alpha[h]] != h:
+        sigma, alpha = self.sigma, self.alpha
+        _check_permutation(sigma, n, "sigma")
+        _check_permutation(alpha, n, "alpha")
+        for h, a in enumerate(alpha):
+            if a == h or alpha[a] != h:
                 raise ValueError("alpha is not a fixed-point-free involution")
         if not 0 <= self.root < n:
             raise ValueError("root out of range")
@@ -104,11 +109,16 @@ class RootedMap:
         count = 1
         while stack:
             h = stack.pop()
-            for nb in (self.alpha[h], self.sigma[h]):
-                if not seen[nb]:
-                    seen[nb] = True
-                    count += 1
-                    stack.append(nb)
+            nb = alpha[h]
+            if not seen[nb]:
+                seen[nb] = True
+                count += 1
+                stack.append(nb)
+            nb = sigma[h]
+            if not seen[nb]:
+                seen[nb] = True
+                count += 1
+                stack.append(nb)
         if count != n:
             raise ValueError("map is not connected")
 
@@ -116,25 +126,21 @@ class RootedMap:
     def half_edge_count(self) -> int:
         return len(self.sigma)
 
-    def _orbit_data(self, name: str, perm) -> tuple:
-        """``(orbits, index)`` of ``perm``, cached in the field ``name``."""
+    def _orbit_data(self, name: str, perm_of) -> tuple:
+        """``(orbits, index)`` of the permutation ``perm_of(self)``, cached
+        in the field ``name``."""
         data = getattr(self, name)
         if data is None:
-            orbits = _orbits(perm)
-            index = [0] * len(perm)
-            for i, cyc in enumerate(orbits):
-                for h in cyc:
-                    index[h] = i
-            data = (tuple(orbits), tuple(index))
+            data = _orbits(perm_of(self))
             object.__setattr__(self, name, data)
         return data
 
     def vertices(self) -> list[tuple]:
         """Orbits of sigma, each cycle starting at its minimum, sorted."""
-        return list(self._orbit_data("_vertex_data", self.sigma)[0])
+        return list(self._orbit_data("_vertex_data", _sigma_of)[0])
 
     def edges(self) -> list[tuple]:
-        return list(self._orbit_data("_edge_data", self.alpha)[0])
+        return list(self._orbit_data("_edge_data", _alpha_of)[0])
 
     def edge_of(self, h: int) -> int:
         """Edge identifier of half-edge ``h`` (the smaller half-edge index)."""
@@ -153,12 +159,22 @@ class RootedMap:
     def vertex_index(self) -> tuple:
         """``vertex_index()[h]`` is the position of half-edge ``h``'s vertex
         in :meth:`vertices`."""
-        return self._orbit_data("_vertex_data", self.sigma)[1]
+        return self._orbit_data("_vertex_data", _sigma_of)[1]
 
     def edge_index(self) -> tuple:
         """``edge_index()[h]`` is the position of half-edge ``h``'s edge in
         :meth:`edges`."""
-        return self._orbit_data("_edge_data", self.alpha)[1]
+        return self._orbit_data("_edge_data", _alpha_of)[1]
+
+    def faces(self) -> list[tuple]:
+        """Orbits of sigma∘alpha (``h -> sigma[alpha[h]]``), each cycle
+        starting at its minimum, sorted."""
+        return list(self._orbit_data("_face_data", face_permutation)[0])
+
+    def face_index(self) -> tuple:
+        """``face_index()[h]`` is the position of half-edge ``h``'s face
+        in :meth:`faces`."""
+        return self._orbit_data("_face_data", face_permutation)[1]
 
     def relabelled(self, perm) -> "RootedMap":
         """Conjugate by the half-edge relabelling ``h -> perm[h]``."""
@@ -171,39 +187,42 @@ class RootedMap:
         return RootedMap(tuple(sigma), tuple(alpha), perm[self.root])
 
 
-def _orbits(perm) -> list[tuple]:
-    n = len(perm)
-    seen = [False] * n
+def _orbits(perm) -> tuple:
+    """``(orbits, index)``: the cycles of ``perm``, each from its minimum,
+    in order of minimum, and the position in ``orbits`` of every
+    element's cycle."""
+    index = [-1] * len(perm)
     out = []
-    for start in range(n):
-        if seen[start]:
+    for start in range(len(perm)):
+        if index[start] >= 0:
             continue
+        k = len(out)
+        index[start] = k
         cyc = [start]
-        seen[start] = True
         x = perm[start]
         while x != start:
-            seen[x] = True
+            index[x] = k
             cyc.append(x)
             x = perm[x]
         out.append(tuple(cyc))
-    return out
+    return tuple(out), tuple(index)
+
+
+_sigma_of = attrgetter("sigma")
+_alpha_of = attrgetter("alpha")
 
 
 def face_permutation(m: RootedMap) -> tuple:
     """The permutation ``h -> sigma[alpha[h]]`` whose orbits are the faces."""
-    return tuple(m.sigma[m.alpha[h]] for h in range(m.half_edge_count))
-
-
-def trace_faces(m: RootedMap) -> list[tuple]:
-    """Faces of ``m`` as cyclic half-edge sequences (orbits of sigma∘alpha)."""
-    return _orbits(face_permutation(m))
+    sigma = m.sigma
+    return tuple(sigma[a] for a in m.alpha)
 
 
 def euler_data(m: RootedMap) -> tuple:
     """Return ``(V, E, F, genus)`` with ``V - E + F = 2 - 2 genus``."""
     v = len(m.vertices())
     e = m.half_edge_count // 2
-    f = len(trace_faces(m))
+    f = len(m.faces())
     chi = v - e + f
     assert chi % 2 == 0, "odd Euler characteristic on an orientable map"
     genus = (2 - chi) // 2

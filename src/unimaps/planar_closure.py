@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maps_core import DisjointSets, RootedMap, euler_data, trace_faces
+from .maps_core import RootedMap, euler_data
 
 # Chirality conventions, calibrated and frozen; see module docstring.
 # OPEN_OUT: in face-walk order, outgoing buds open and ingoing buds close
@@ -64,74 +64,76 @@ class NearEulerianTree:
     def __post_init__(self):
         sigma = tuple(self.sigma)
         mate = tuple(self.mate)
+        out_buds = frozenset(self.out_buds)
+        tails = frozenset(self.tails)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "mate", mate)
-        object.__setattr__(self, "out_buds", frozenset(self.out_buds))
-        object.__setattr__(self, "tails", frozenset(self.tails))
+        object.__setattr__(self, "out_buds", out_buds)
+        object.__setattr__(self, "tails", tails)
         s = len(sigma)
         if s == 0:
             raise ValueError("need at least one slot")
         if sorted(sigma) != list(range(s)) or len(mate) != s:
             raise ValueError("sigma must be a permutation of the slots")
-        if not 0 <= self.root < s:
+        root = self.root
+        if not 0 <= root < s:
             raise ValueError("root slot out of range")
-        buds = set()
+        buds = []
         for i, j in enumerate(mate):
             if j == -1:
-                buds.add(i)
+                buds.append(i)
             elif not (0 <= j < s) or mate[j] != i or j == i:
                 raise ValueError("mate is not an involution with -1 buds")
-        if not self.out_buds <= buds:
+        if not out_buds.issubset(buds):
             raise ValueError("out_buds must be bud slots")
-        # vertices are the sigma-orbits; edges must form a spanning tree
-        vertex = slot_vertices(sigma)
-        nv = len(set(vertex.values()))
-        edges = {(i, mate[i]) for i in range(s) if 0 <= mate[i] and i < mate[i]}
-        if len(edges) != nv - 1:
+        # vertices are the sigma-orbits, numbered in order of first slot
+        vertex = [-1] * s
+        nv = 0
+        for start in range(s):
+            if vertex[start] < 0:
+                x = start
+                while vertex[x] < 0:
+                    vertex[x] = nv
+                    x = sigma[x]
+                nv += 1
+        # nv - 1 edges reaching every vertex from the root: a spanning
+        # tree.  The search walks each vertex's rotation from the slot it
+        # was entered by, and gives every vertex's depth.
+        if s - len(buds) != 2 * (nv - 1):
             raise ValueError("slot pairing does not form a tree")
-        ds = DisjointSets(s)
-        for a, b in edges:
-            if ds.find(vertex[a]) == ds.find(vertex[b]):
-                raise ValueError("slot pairing does not form a tree")
-            ds.union(vertex[a], vertex[b])
+        depth = [-1] * nv
+        depth[vertex[root]] = 0
+        queue = [root]
+        for entry in queue:
+            d = depth[vertex[entry]] + 1
+            x = entry
+            while True:
+                j = mate[x]
+                if j >= 0 and depth[vertex[j]] < 0:
+                    depth[vertex[j]] = d
+                    queue.append(j)
+                x = sigma[x]
+                if x == entry:
+                    break
+        if len(queue) != nv:
+            raise ValueError("slot pairing does not form a tree")
         # orientation: tails on tree half-edges, toward the root
-        if not all(0 <= self.mate[t] for t in self.tails):
+        if not all(0 <= t < s and 0 <= mate[t] for t in tails):
             raise ValueError("tails must be tree half-edges")
-        if any(self.mate[t] in self.tails for t in self.tails):
+        if any(mate[t] in tails for t in tails):
             raise ValueError("edge oriented both ways")
-        root_v = vertex[self.root]
-        depth = self._depths(vertex, edges, root_v)
-        for t in self.tails:
-            if depth[vertex[t]] <= depth[vertex[self.mate[t]]]:
+        for t in tails:
+            if depth[vertex[t]] <= depth[vertex[mate[t]]]:
                 raise ValueError("oriented edge points away from the root")
         # balance: per vertex, ingoing items match outgoing items
-        flow: dict[int, int] = {}
+        flow = [0] * nv
         for b in buds:
-            flow[vertex[b]] = flow.get(vertex[b], 0) + (
-                1 if b in self.out_buds else -1)
-        for t in self.tails:
-            flow[vertex[t]] = flow.get(vertex[t], 0) + 1
-            h = self.mate[t]
-            flow[vertex[h]] = flow.get(vertex[h], 0) - 1
-        if any(flow.values()):
+            flow[vertex[b]] += 1 if b in out_buds else -1
+        for t in tails:
+            flow[vertex[t]] += 1
+            flow[vertex[mate[t]]] -= 1
+        if any(flow):
             raise ValueError("near-Eulerian balance fails at a vertex")
-
-    def _depths(self, vertex, edges, root_v):
-        adj: dict[int, list] = {}
-        for a, b in edges:
-            adj.setdefault(vertex[a], []).append(vertex[b])
-            adj.setdefault(vertex[b], []).append(vertex[a])
-        depth = {root_v: 0}
-        queue = [root_v]
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            for w in adj.get(v, ()):
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-            i += 1
-        return depth
 
     @property
     def in_buds(self) -> frozenset:
@@ -154,12 +156,15 @@ class PlaneMap:
     outer: int
 
     def __post_init__(self):
-        faces = trace_faces(self.m)
+        m = self.m
+        faces = m.faces()
         # Euler characteristic 2 - 2 genus; genus 0 means exactly 2
-        if len(self.m.vertices()) - self.m.half_edge_count // 2 \
-                + len(faces) != 2:
+        if len(m.vertices()) - m.half_edge_count // 2 + len(faces) != 2:
             raise ValueError("plane maps must have genus 0")
-        if self.outer not in {min(c) for c in faces}:
+        # each face orbit starts at its minimum
+        outer = self.outer
+        if not (0 <= outer < m.half_edge_count
+                and faces[m.face_index()[outer]][0] == outer):
             raise ValueError("outer is not a face identifier")
 
 
@@ -193,24 +198,6 @@ def slot_faces(sigma: dict, mate: dict) -> list:
             seen.update(orbit)
             out.append(orbit)
     return out
-
-
-def slot_vertices(sigma) -> dict:
-    """slot -> vertex representative (minimum slot of its sigma orbit);
-    ``sigma`` is a slot dict or a permutation tuple of the slots."""
-    vertex = {}
-    for start in sigma:
-        if start in vertex:
-            continue
-        orbit = [start]
-        x = sigma[start]
-        while x != start:
-            orbit.append(x)
-            x = sigma[x]
-        rep = min(orbit)
-        for y in orbit:
-            vertex[y] = rep
-    return vertex
 
 
 def _arches(buds: list):
@@ -273,17 +260,16 @@ def close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
     return full, pairs, min(outer_face)
 
 
-def _dual_layers(sigma: dict, mate: dict, outer: int):
-    """One trace of the faces and one breadth-first search of the dual
-    graph from the outer face.
+def _dual_layers(faces: list, mate: dict, outer: int):
+    """One breadth-first search of the dual graph from the outer face,
+    over the face orbits ``faces`` of the slot system.
 
-    Returns ``(faces, face_of, dist, tails)``: the face orbits, the index
-    in ``faces`` of every slot's face, the dual distance of every face
-    and the tail slots of the dual-distance orientation (an edge is
-    oriented when its sides lie at different distances, with the
-    larger-distance face on the fixed reference side).
+    Returns ``(face_of, dist, tails)``: the index in ``faces`` of every
+    slot's face, the dual distance of every face and the tail slots of
+    the dual-distance orientation (an edge is oriented when its sides lie
+    at different distances, with the larger-distance face on the fixed
+    reference side).
     """
-    faces = slot_faces(sigma, mate)
     face_of = {}
     for k, f in enumerate(faces):
         for x in f:
@@ -316,30 +302,25 @@ def _dual_layers(sigma: dict, mate: dict, outer: int):
             tails.add(x if da > db else mx)
         else:
             tails.add(mx if da > db else x)
-    return faces, face_of, dist, tails
+    return face_of, dist, tails
 
 
-def orientation_tails(sigma: dict, mate: dict, outer: int) -> set:
-    """Dual-distance orientation: tail slots of the oriented edges (the
-    larger-distance face lies on the fixed reference side)."""
-    return _dual_layers(sigma, mate, outer)[3]
-
-
-def open_slots(sigma: dict, mate: dict, root: int, outer: int):
+def open_slots(mate: dict, faces: list, vertex, root: int, outer: int):
     """Cut the breakable edges ring by ring until only the outer face is
-    left.  Returns ``(tree_mate, tails, cuts)`` where ``cuts`` is a list
-    of ``(face_rep, out_slot, in_slot)`` with ``face_rep`` identifying the
+    left.  ``faces`` are the face orbits of the slot system and
+    ``vertex[x]`` identifies the vertex of slot ``x``.  Returns
+    ``(tree_mate, tails, cuts)`` where ``cuts`` is a list of
+    ``(face_rep, out_slot, in_slot)`` with ``face_rep`` identifying the
     inner face (its minimum slot) whose breakable edge was cut.
 
     Round k cuts the faces at dual distance k in the map as given: once
     the rings below k are cut, the outer face has absorbed them, so those
     faces are the ones at distance 1, and no face's orbit changes before
-    its own cut.  The faces are traced and the distances computed once;
-    a face's outer-incident edges in round k are its still-paired slots
-    whose mate lies on a face at distance below k.
+    its own cut.  The distances are computed once; a face's
+    outer-incident edges in round k are its still-paired slots whose
+    mate lies on a face at distance below k.
     """
-    faces, face_of, dist, full_tails = _dual_layers(sigma, mate, outer)
-    vertex = slot_vertices(sigma)
+    face_of, dist, full_tails = _dual_layers(faces, mate, outer)
     # per vertex, its paired slots with the vertex across the edge
     adj: dict = {}
     for x, mx in mate.items():
@@ -395,35 +376,33 @@ def open_slots(sigma: dict, mate: dict, root: int, outer: int):
 # ---------------------------------------------------------------------------
 
 
-def _slot_system(sigma: tuple, mate: tuple):
-    """Slot-level dicts of a rotation and a pairing on slots ``0..s-1``."""
-    return dict(enumerate(sigma)), dict(enumerate(mate))
-
-
 def dual_distance_orientation(p: PlaneMap) -> frozenset:
     """Tail half-edges of the dual-distance orientation: exactly the
     edges whose two sides have different dual distances are oriented."""
-    sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
-    return frozenset(orientation_tails(sigma, mate, p.outer))
+    return frozenset(
+        _dual_layers(p.m.faces(), dict(enumerate(p.m.alpha)), p.outer)[2])
 
 
 def closure_gamma(t: NearEulerianTree) -> PlaneMap:
     """Close a near-Eulerian tree into a plane map on the same slots."""
-    sigma, mate = _slot_system(t.sigma, t.mate)
+    sigma, mate = dict(enumerate(t.sigma)), dict(enumerate(t.mate))
     full, pairs, outer = close_slots(sigma, mate, set(t.out_buds), t.root)
-    alpha = tuple(full[i] for i in range(len(t.sigma)))
-    m = RootedMap(t.sigma, alpha, t.root)
+    # full is a copy of the slot-ordered mate dict, in slot order
+    m = RootedMap(t.sigma, tuple(full.values()), t.root)
     return PlaneMap(m, outer)
 
 
 def opening_delta(p: PlaneMap) -> NearEulerianTree:
-    """Open a plane map into a near-Eulerian tree on the same slots."""
-    sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
-    tree_mate, tails, cuts = open_slots(sigma, mate, p.m.root, p.outer)
-    mate_t = tuple(tree_mate[i] for i in range(p.m.half_edge_count))
+    """Open a plane map into a near-Eulerian tree on the same slots, from
+    the face orbits and vertex index that ``p.m`` keeps."""
+    m = p.m
+    tree_mate, tails, cuts = open_slots(
+        dict(enumerate(m.alpha)), m.faces(), m.vertex_index(), m.root,
+        p.outer)
     out_buds = frozenset(t for _, t, _ in cuts)
-    return NearEulerianTree(p.m.sigma, mate_t, out_buds,
-                            frozenset(tails), p.m.root)
+    # tree_mate is a copy of the slot-ordered mate dict, in slot order
+    return NearEulerianTree(m.sigma, tuple(tree_mate.values()), out_buds,
+                            frozenset(tails), m.root)
 
 
 def gen_near_eulerian_trees(max_slots: int):
@@ -546,5 +525,5 @@ def gen_plane_maps(max_edges: int):
         for m in gen_rooted_orientable_maps(e):
             if euler_data(m)[3] != 0:
                 continue
-            for f in trace_faces(m):
-                yield PlaneMap(m, min(f))
+            for f in m.faces():
+                yield PlaneMap(m, f[0])

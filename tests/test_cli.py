@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unimaps.cli import CHECKS, main
+from unimaps.planar_closure import gen_near_eulerian_trees, gen_plane_maps
 
 
 def run(capsys, *argv):
@@ -238,6 +243,10 @@ class TestBijection:
          "unknown field 'alpha' (at character 36)"),
         ("gamma", "sigma=(1,0); mate=(-1,-1); root=0; root=1",
          "repeated field 'root' (at character 35)"),
+        ("gamma", "sigma=(1 0); mate=(-1 -1); out=(0); tails=(9)",
+         "tails must be tree half-edges (at character 0)"),
+        ("gamma", "sigma=(0 1); mate=(1 0); tails=(-1)",
+         "tails must be tree half-edges (at character 0)"),
     ])
     def test_unknown_or_repeated_field_is_parse_error(self, capsys, name,
                                                       literal, message):
@@ -251,3 +260,58 @@ class TestBijection:
                            "labels=(2,1)")
         assert code == 0
         assert json.loads(out)["input"]["colors"] == [1, 1, 2]
+
+
+# Small valid objects whose fields the literals below keep or replace.
+SMALL_TREES = list(gen_near_eulerian_trees(6))
+SMALL_PLANE_MAPS = list(gen_plane_maps(3))
+SLOT_LISTS = st.lists(st.integers(-3, 9), max_size=8)
+SLOTS = st.integers(-3, 9)
+
+
+def _literal(fields: dict) -> str:
+    return "; ".join(
+        f"{key}={value}" if isinstance(value, int)
+        else f"{key}=({' '.join(map(str, value))})"
+        for key, value in fields.items())
+
+
+@st.composite
+def gamma_literals(draw):
+    """A small near-Eulerian tree with any of its fields replaced by
+    random slots, negative and out of range ones included."""
+    t = draw(st.sampled_from(SMALL_TREES))
+    fields = {"sigma": t.sigma, "mate": t.mate, "out": sorted(t.out_buds),
+              "tails": sorted(t.tails), "root": t.root}
+    for key in draw(st.sets(st.sampled_from(sorted(fields)))):
+        fields[key] = draw(SLOTS if key == "root" else SLOT_LISTS)
+    return _literal(fields)
+
+
+@st.composite
+def delta_literals(draw):
+    """A small plane map with any of its fields replaced by random slots,
+    or its outer face left out."""
+    p = draw(st.sampled_from(SMALL_PLANE_MAPS))
+    fields = {"sigma": p.m.sigma, "alpha": p.m.alpha, "root": p.m.root,
+              "outer": p.outer}
+    for key in draw(st.sets(st.sampled_from(sorted(fields)))):
+        fields[key] = draw(SLOTS if key in ("root", "outer")
+                           else SLOT_LISTS)
+    if draw(st.booleans()) and draw(st.booleans()):
+        del fields["outer"]
+    return _literal(fields)
+
+
+class TestExitCodes:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(gamma_literals().map(lambda lit: ("gamma", lit)),
+                     delta_literals().map(lambda lit: ("delta", lit))))
+    def test_every_literal_exits_zero_or_two(self, case):
+        """Every small ``bijection gamma`` or ``delta`` literal, valid or
+        not, exits 0 or 2 in process and raises nothing."""
+        name, literal = case
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["bijection", name, literal])
+        assert code in (0, 2)

@@ -1,5 +1,6 @@
 import pytest
 
+from unimaps import maps_core
 from unimaps.maps_core import (
     ColoredUnicellularMap,
     DisjointSets,
@@ -9,7 +10,6 @@ from unimaps.maps_core import (
     euler_data,
     face_permutation,
     glue_polygon,
-    trace_faces,
 )
 
 
@@ -61,7 +61,26 @@ class TestRootedMap:
     def test_face_permutation_orbits(self):
         m = loop_map()
         assert face_permutation(m) == (0, 1)
-        assert trace_faces(m) == [(0,), (1,)]
+        assert m.faces() == [(0,), (1,)]
+
+    def test_faces_are_traced_once(self, monkeypatch):
+        """``faces``, ``face_index`` and ``euler_data`` share one trace,
+        which takes no part in equality."""
+        m = RootedMap((1, 2, 3, 0), (3, 2, 1, 0), 0)  # two nested loops
+        calls = []
+        orbits = maps_core._orbits
+
+        def counting(perm):
+            calls.append(perm)
+            return orbits(perm)
+
+        monkeypatch.setattr(maps_core, "_orbits", counting)
+        assert m.faces() == [(0,), (1, 3), (2,)]
+        assert euler_data(m) == (1, 2, 3, 0)
+        assert m.face_index() == (0, 1, 2, 1)
+        assert m.faces() == [(0,), (1, 3), (2,)]
+        assert calls == [face_permutation(m), m.sigma]
+        assert m == RootedMap(m.sigma, m.alpha, m.root)
 
     def test_torus_map(self):
         # one vertex, two loops crossing: sigma is a 4-cycle, alpha pairs

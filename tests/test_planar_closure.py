@@ -3,9 +3,9 @@ from collections import Counter
 
 import pytest
 
-from unimaps import planar_closure
+from unimaps import maps_core, planar_closure
 from unimaps.enumeration import planar_census
-from unimaps.maps_core import DisjointSets, RootedMap, trace_faces
+from unimaps.maps_core import DisjointSets, RootedMap
 from unimaps.planar_closure import (
     BREAK_AFTER,
     LEFT_OWN,
@@ -15,7 +15,6 @@ from unimaps.planar_closure import (
     PlaneMap,
     _arches,
     _dual_layers,
-    _slot_system,
     _tree_shapes,
     close_slots,
     closure_gamma,
@@ -24,18 +23,100 @@ from unimaps.planar_closure import (
     gen_plane_maps,
     open_slots,
     opening_delta,
-    orientation_tails,
     slot_faces,
-    slot_vertices,
 )
 
 
 # ---------------------------------------------------------------------------
 # Oracles: the round-based opening, which traces the faces and reruns the
-# dual-distance search once per cut round, and the list-scan closure, which
+# dual-distance search once per cut round; the list-scan closure, which
 # restarts its matching scan after every pair and compares every arch with
-# every other to find the outermost ones.
+# every other to find the outermost ones; and the dict/union-find
+# near-Eulerian tree validator.
 # ---------------------------------------------------------------------------
+
+
+def slot_system(sigma: tuple, mate: tuple):
+    """Slot-level dicts of a rotation and a pairing on slots ``0..s-1``."""
+    return dict(enumerate(sigma)), dict(enumerate(mate))
+
+
+def slot_vertices(sigma) -> dict:
+    """slot -> vertex representative (minimum slot of its sigma orbit);
+    ``sigma`` is a slot dict or a permutation tuple of the slots."""
+    vertex = {}
+    for start in sigma:
+        if start in vertex:
+            continue
+        orbit = [start]
+        x = sigma[start]
+        while x != start:
+            orbit.append(x)
+            x = sigma[x]
+        rep = min(orbit)
+        for y in orbit:
+            vertex[y] = rep
+    return vertex
+
+
+def oracle_validate_tree(sigma, mate, out_buds, tails, root):
+    """The dict/union-find validator of near-Eulerian trees: raises
+    ``ValueError`` with the same messages as ``NearEulerianTree``, and
+    assumes every tail is a slot."""
+    s = len(sigma)
+    if s == 0:
+        raise ValueError("need at least one slot")
+    if sorted(sigma) != list(range(s)) or len(mate) != s:
+        raise ValueError("sigma must be a permutation of the slots")
+    if not 0 <= root < s:
+        raise ValueError("root slot out of range")
+    buds = set()
+    for i, j in enumerate(mate):
+        if j == -1:
+            buds.add(i)
+        elif not (0 <= j < s) or mate[j] != i or j == i:
+            raise ValueError("mate is not an involution with -1 buds")
+    if not out_buds <= buds:
+        raise ValueError("out_buds must be bud slots")
+    vertex = slot_vertices(sigma)
+    nv = len(set(vertex.values()))
+    edges = {(i, mate[i]) for i in range(s) if 0 <= mate[i] and i < mate[i]}
+    if len(edges) != nv - 1:
+        raise ValueError("slot pairing does not form a tree")
+    ds = DisjointSets(s)
+    for a, b in edges:
+        if ds.find(vertex[a]) == ds.find(vertex[b]):
+            raise ValueError("slot pairing does not form a tree")
+        ds.union(vertex[a], vertex[b])
+    if not all(0 <= mate[t] for t in tails):
+        raise ValueError("tails must be tree half-edges")
+    if any(mate[t] in tails for t in tails):
+        raise ValueError("edge oriented both ways")
+    adj: dict[int, list] = {}
+    for a, b in edges:
+        adj.setdefault(vertex[a], []).append(vertex[b])
+        adj.setdefault(vertex[b], []).append(vertex[a])
+    root_v = vertex[root]
+    depth = {root_v: 0}
+    queue = [root_v]
+    for v in queue:
+        for w in adj.get(v, ()):
+            if w not in depth:
+                depth[w] = depth[v] + 1
+                queue.append(w)
+    for t in tails:
+        if depth[vertex[t]] <= depth[vertex[mate[t]]]:
+            raise ValueError("oriented edge points away from the root")
+    flow: dict[int, int] = {}
+    for b in buds:
+        flow[vertex[b]] = flow.get(vertex[b], 0) + (
+            1 if b in out_buds else -1)
+    for t in tails:
+        flow[vertex[t]] = flow.get(vertex[t], 0) + 1
+        h = mate[t]
+        flow[vertex[h]] = flow.get(vertex[h], 0) - 1
+    if any(flow.values()):
+        raise ValueError("near-Eulerian balance fails at a vertex")
 
 
 def match_buds(bud_walk: list) -> list:
@@ -217,12 +298,12 @@ def round_open_slots(sigma: dict, mate: dict, root: int, outer: int):
 
 def dual_distances(p: PlaneMap) -> dict:
     """Dual distance of every face (keyed by its minimum half-edge)."""
-    return slot_dual_distances(*_slot_system(p.m.sigma, p.m.alpha), p.outer)
+    return slot_dual_distances(*slot_system(p.m.sigma, p.m.alpha), p.outer)
 
 
 def breakable_edges(p: PlaneMap) -> frozenset:
     """One breakable edge (as an edge id) per face at dual distance 1."""
-    sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
+    sigma, mate = slot_system(p.m.sigma, p.m.alpha)
     tails = round_orientation_tails(sigma, mate, p.outer)
     cuts = breakable_round(sigma, dict(mate), slot_vertices(sigma),
                            p.m.root, p.outer, tails)
@@ -255,6 +336,63 @@ class TestNearEulerianTree:
     def test_rejects_cycles(self):
         with pytest.raises(ValueError):
             NearEulerianTree((1, 0), (1, 0), frozenset(), frozenset())
+
+    @pytest.mark.parametrize("sigma,mate,out_buds,tails", [
+        ((1, 0), (-1, -1), {0}, {9}),
+        ((1, 0), (-1, -1), {0}, {2}),
+        ((0, 1), (1, 0), set(), {-1}),
+        ((0, 1), (1, 0), set(), {-2}),
+    ])
+    def test_rejects_tails_outside_the_slots(self, sigma, mate, out_buds,
+                                             tails):
+        with pytest.raises(ValueError, match="tails must be tree half-edges"):
+            NearEulerianTree(sigma, mate, frozenset(out_buds),
+                             frozenset(tails))
+
+    def test_one_pass_validator_agrees_with_the_oracle(self):
+        """Every tree with at most 8 slots under every single mutation:
+        two sigma entries swapped, one bud's direction flipped, one slot's
+        tail toggled, or the root moved.  The validator accepts exactly
+        when the dict/union-find oracle does, with the same message."""
+        checked = Counter()
+        for t in gen_near_eulerian_trees(8):
+            for args in tree_mutations(t):
+                try:
+                    oracle_validate_tree(*args)
+                    expected = None
+                except ValueError as exc:
+                    expected = str(exc)
+                try:
+                    NearEulerianTree(*args)
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == expected, args
+                checked[expected] += 1
+        # every check of the validator is reached
+        assert set(checked) == {
+            None, "slot pairing does not form a tree",
+            "tails must be tree half-edges", "edge oriented both ways",
+            "oriented edge points away from the root",
+            "near-Eulerian balance fails at a vertex"}
+
+
+def tree_mutations(t):
+    """The tree's own fields, then each single mutation of them."""
+    s = len(t.sigma)
+    yield t.sigma, t.mate, t.out_buds, t.tails, t.root
+    for i, j in itertools.combinations(range(s), 2):
+        sigma = list(t.sigma)
+        sigma[i], sigma[j] = sigma[j], sigma[i]
+        yield tuple(sigma), t.mate, t.out_buds, t.tails, t.root
+    for b in range(s):
+        if t.mate[b] == -1:
+            yield t.sigma, t.mate, t.out_buds ^ {b}, t.tails, t.root
+    for x in range(s):
+        yield t.sigma, t.mate, t.out_buds, t.tails ^ {x}, t.root
+    for r in range(s):
+        if r != t.root:
+            yield t.sigma, t.mate, t.out_buds, t.tails, r
 
 
 class TestPlaneMap:
@@ -461,49 +599,55 @@ class TestRoundTrips:
         tree has w+1 faces."""
         for t in nets:
             p = closure_gamma(t)
-            assert len(trace_faces(p.m)) == t.external_weight + 1
+            assert len(p.m.faces()) == t.external_weight + 1
 
 
-def _open_both(sigma, mate, root, outer):
-    """Open with the ring pass and with the round oracle; every output
-    must agree, the cuts as a multiset."""
-    mm, tails, cuts = open_slots(sigma, mate, root, outer)
+def _open_both(sigma, mate, root, outer, faces, vertex):
+    """Open with the ring pass, given the face orbits and the vertex of
+    every slot, and with the round oracle; every output must agree, the
+    cuts as a multiset."""
+    mm, tails, cuts = open_slots(mate, faces, vertex, root, outer)
     omm, otails, ocuts = round_open_slots(sigma, mate, root, outer)
     assert mm == omm and tails == otails
     assert Counter(cuts) == Counter(ocuts)
-    faces, _, dist, full_tails = _dual_layers(sigma, mate, outer)
+    face_of, dist, full_tails = _dual_layers(faces, mate, outer)
     assert {min(f): d for f, d in zip(faces, dist)} == \
         slot_dual_distances(sigma, mate, outer)
-    assert full_tails == orientation_tails(sigma, mate, outer) == \
-        round_orientation_tails(sigma, mate, outer)
+    assert all(x in faces[face_of[x]] for x in mate)
+    assert full_tails == round_orientation_tails(sigma, mate, outer)
 
 
 class TestAgainstOracles:
     def test_opening_of_every_plane_map(self, maps):
         for p in maps:
-            sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
-            _open_both(sigma, mate, p.m.root, p.outer)
+            sigma, mate = slot_system(p.m.sigma, p.m.alpha)
+            assert p.m.faces() == slot_faces(sigma, mate)
+            _open_both(sigma, mate, p.m.root, p.outer, p.m.faces(),
+                       p.m.vertex_index())
 
     def test_opening_of_every_closed_tree(self, nets):
         for t in nets:
             p = closure_gamma(t)
-            sigma, mate = _slot_system(p.m.sigma, p.m.alpha)
-            _open_both(sigma, mate, p.m.root, p.outer)
+            sigma, mate = slot_system(p.m.sigma, p.m.alpha)
+            _open_both(sigma, mate, p.m.root, p.outer, p.m.faces(),
+                       p.m.vertex_index())
 
     def test_opening_on_sparse_slot_keys(self):
         """Slot systems of submaps have non-contiguous keys in any order:
-        relabel x -> 3x + 7 and list the slots backwards."""
+        relabel x -> 3x + 7 and list the slots backwards.  The faces and
+        vertices come from the slot-level traces, in that order."""
         for p in gen_plane_maps(4):
             n = p.m.half_edge_count
             sigma = {3 * h + 7: 3 * p.m.sigma[h] + 7
                      for h in reversed(range(n))}
             mate = {3 * h + 7: 3 * p.m.alpha[h] + 7
                     for h in reversed(range(n))}
-            _open_both(sigma, mate, 3 * p.m.root + 7, 3 * p.outer + 7)
+            _open_both(sigma, mate, 3 * p.m.root + 7, 3 * p.outer + 7,
+                       slot_faces(sigma, mate), slot_vertices(sigma))
 
     def test_closure_of_every_tree(self, nets):
         for t in nets:
-            sigma, mate = _slot_system(t.sigma, t.mate)
+            sigma, mate = slot_system(t.sigma, t.mate)
             out = set(t.out_buds)
             full, pairs, outer = close_slots(sigma, mate, out, t.root)
             ofull, opairs, oouter = scan_close_slots(sigma, mate, out, t.root)
@@ -555,11 +699,36 @@ class TestFaceTraces:
         monkeypatch.setattr(planar_closure, "slot_face", face)
         return count
 
-    def test_one_trace_per_opening_at_most_two_per_closure(self, traces):
+    def test_no_trace_per_opening_at_most_two_per_closure(self, traces):
         for t in gen_near_eulerian_trees(8):
             traces[0] = 0
             p = closure_gamma(t)
             assert traces[0] <= 2
             traces[0] = 0
             assert opening_delta(p) == t
-            assert traces[0] == 1
+            assert traces[0] == 0
+
+    def test_opening_reads_the_orbits_the_plane_map_keeps(self, monkeypatch):
+        """``opening_delta`` of a validated plane map calls neither
+        ``slot_faces`` nor ``slot_vertices`` and traces no orbit: it reads
+        the faces and the vertex index that ``p.m`` keeps."""
+        maps = list(gen_plane_maps(4))
+        closed = [closure_gamma(t) for t in gen_near_eulerian_trees(8)]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(planar_closure, "slot_faces",
+                            counted("slot_faces", slot_faces))
+        monkeypatch.setattr(planar_closure, "slot_vertices",
+                            counted("slot_vertices", slot_vertices),
+                            raising=False)
+        monkeypatch.setattr(maps_core, "_orbits",
+                            counted("_orbits", maps_core._orbits))
+        for p in maps + closed:
+            opening_delta(p)
+        assert calls == Counter()

@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from unimaps import bijections, planar_closure
 from unimaps.bijections import (
     ExternallyLabelledPlanarRootedMap,
     gen_externally_labelled_maps,
@@ -122,3 +123,37 @@ class TestPsiFibers:
             assert p.face_labels == (1,)
             assert p.submap == t.tree
             assert p.m == t.m
+
+
+class TestSubmapFaces:
+    def test_psi_traces_no_submap_face(self, monkeypatch):
+        """``psi`` reads the submap faces its input's validation kept and
+        hands them to the opening: no submap face is traced inside it."""
+        fibers = [psi_fiber(u) for u in all_colored(2)]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(bijections, "_submap_faces_of",
+                            counted("_submap_faces_of",
+                                    bijections._submap_faces_of))
+        monkeypatch.setattr(planar_closure, "slot_faces",
+                            counted("slot_faces", planar_closure.slot_faces))
+        weights = Counter()
+        for fiber in fibers:
+            for p in fiber:
+                weights[p.external_weight] += 1
+                psi(p)
+        assert set(weights) == {0, 1, 2}
+        assert calls == Counter()
+
+    def test_kept_faces_are_the_submap_faces(self):
+        for u in all_colored(2):
+            for p in psi_fiber(u):
+                assert p.submap_faces == tuple(
+                    bijections._submap_faces_of(p.m, p.submap))
+                assert len(p.submap_faces) == p.r
