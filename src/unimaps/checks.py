@@ -1,0 +1,286 @@
+"""Registry of the identity checks: one implementation of each, run by
+``unimaps verify`` and by the acceptance gate.
+
+A check ``run(bound, census)`` examines every instance up to ``bound``
+and returns None when all of them hold, else its first counterexample as
+a JSON-ready dict.  ``census(max_edges)`` supplies the planar census, so
+the command line can serve it from its cache and tests from
+``enumeration.planar_census`` directly.
+"""
+
+from __future__ import annotations
+
+from collections import Counter, namedtuple
+from math import comb, factorial
+
+# Layer functions are called as attributes of their modules, never bound
+# here with ``from ... import``: the benchmark's tracer
+# (perfbench/trace_op.py) rebinds names only inside the layer modules, so a
+# name bound in this module would drop its spans from ``--trace 1``.
+from . import bijections, enumeration, formulas, maps_core, planar_closure, \
+    series
+
+
+def map_payload(m) -> dict:
+    """JSON form of a rooted map."""
+    return {"sigma": list(m.sigma), "alpha": list(m.alpha), "root": m.root}
+
+
+def tree_payload(t) -> dict:
+    """JSON form of a near-Eulerian tree."""
+    return {"sigma": list(t.sigma), "mate": list(t.mate),
+            "out": sorted(t.out_buds), "tails": sorted(t.tails),
+            "root": t.root}
+
+
+def eps_eta_table(bound: int, orientable_only: bool):
+    """One-face map counts by (edges, vertices) for 1 <= n <= ``bound``:
+    the eps table when ``orientable_only``, else the eta table."""
+    table = enumeration.CountTable()
+    for n in range(1, bound + 1):
+        table.merge(enumeration.vertex_profile(n, orientable_only))
+    return table
+
+
+def _check_gluing_totals(bound, census):
+    for n in range(1, bound + 1):
+        orientable = enumeration.vertex_profile(n, True).total()
+        total = enumeration.vertex_profile(n).total()
+        if orientable != formulas.double_factorial(2 * n - 1):
+            return {"n": n, "orientable": orientable}
+        if total != 2 ** n * formulas.double_factorial(2 * n - 1):
+            return {"n": n, "total": total}
+    return None
+
+
+def _surjection_sums(bound, orientable_only, formula):
+    """Colored counts as sums over the vertex profile, against
+    ``formula(n, q)``: a map with v vertices has surj(v, q) colorings."""
+    for n in range(1, bound + 1):
+        table = enumeration.vertex_profile(n, orientable_only)
+        for q in range(1, n + 2):
+            direct = sum(table[(n, v)] * enumeration.surjection_count(v, q)
+                         for v in range(1, n + 2))
+            if direct != formula(n, q):
+                return {"n": n, "q": q, "direct": direct,
+                        "formula": formula(n, q)}
+    return None
+
+
+def _check_t_formula(bound, census):
+    return _surjection_sums(bound, True, formulas.t_formula)
+
+
+def _check_jackson(bound, census):
+    surj = enumeration.surjection_count
+    for n in range(1, bound + 1):
+        by_pq = Counter()
+        for g in enumeration.gen_unicellular(n, orientable_only=True):
+            classes = maps_core.glue_polygon(g).vertex_classes
+            # one-face bipartite maps have corners alternating by side
+            if any(len({c % 2 for c in cls}) != 1 for cls in classes):
+                continue
+            even = sum(1 for cls in classes if cls[0] % 2 == 0)
+            odd = len(classes) - even
+            for p in range(1, even + 1):
+                for q in range(1, odd + 1):
+                    by_pq[(p, q)] += surj(even, p) * surj(odd, q)
+        for p in range(1, n + 2):
+            for q in range(1, n + 2):
+                if by_pq[(p, q)] != formulas.jackson_formula(n, p, q):
+                    return {"n": n, "p": p, "q": q, "brute": by_pq[(p, q)],
+                            "formula": formulas.jackson_formula(n, p, q)}
+    return None
+
+
+def _check_u_formula(bound, census):
+    planar = census(bound)
+    return _surjection_sums(bound, False,
+                            lambda n, q: formulas.u_formula(n, q, planar))
+
+
+def _check_u_hat(bound, census):
+    planar = census(bound)
+    for n in range(1, bound + 1):
+        for N in range(1, n + 3):
+            direct = sum(comb(N, q) * formulas.u_formula(n, q, planar)
+                         for q in range(1, N + 1))
+            if direct != formulas.u_hat_formula(n, N):
+                return {"n": n, "N": N, "direct": direct,
+                        "formula": formulas.u_hat_formula(n, N)}
+    return None
+
+
+def _recurrence(bound, orientable_only, check, first_n):
+    """The first failing ``check(table, n, v)`` on the eps or eta table,
+    for ``first_n`` <= n <= ``bound`` and every v."""
+    table = eps_eta_table(bound, orientable_only)
+    for n in range(first_n, bound + 1):
+        for v in range(1, n + 2):
+            verdict = check(table, n, v)
+            if not verdict.ok:
+                return {"detail": verdict.detail, "lhs": repr(verdict.lhs),
+                        "rhs": repr(verdict.rhs)}
+    return None
+
+
+def _check_hz(bound, census):
+    return _recurrence(bound, True, formulas.hz_recurrence_check, 1)
+
+
+def _check_ledoux(bound, census):
+    return _recurrence(bound, False, formulas.ledoux_check, 2)
+
+
+def _pair(a, b) -> tuple:
+    return (a, b) if a <= b else (b, a)
+
+
+def _check_phi_roundtrip(bound, census):
+    """phi is inverted by phi_inverse, keeps the multiset of edge
+    endpoint colors (property (*)), and has as many images on q vertices
+    as the closed formula T_n(q) counts."""
+    for n in range(1, bound + 1):
+        images = Counter()
+        for u in enumeration.gen_colored_unicellular(n, True):
+            t = bijections.phi(u)
+            if bijections.phi_inverse(t) != u:
+                return {"n": n, "gluing": list(u.gluing.pairs),
+                        "property": "round trip"}
+            cc, nn = u.corner_colors, 2 * n
+            label, vertex = t.vertex_labels, t.m.vertex_index()
+            if sorted(_pair(cc[a], cc[(a + 1) % nn])
+                      for a, _ in u.gluing.pairs) != \
+                    sorted(_pair(label[vertex[h]], label[vertex[h2]])
+                           for h, h2 in t.m.edges()):
+                return {"n": n, "gluing": list(u.gluing.pairs),
+                        "property": "color pairs"}
+            images[t.q] += 1
+        for q in range(1, n + 2):
+            if images[q] != formulas.t_formula(n, q):
+                return {"n": n, "q": q, "images": images[q],
+                        "formula": formulas.t_formula(n, q)}
+    return None
+
+
+def _fiber_fault(u, fiber):
+    """The first property that psi's fiber over ``u`` breaks, or None: it
+    has 2^w elements with distinct canonical keys and one weight w, which
+    is 0 exactly on orientable gluings; psi maps each back to ``u``; and
+    each has the vertex degrees of the corner colors (property (**))."""
+    if not fiber:
+        return "empty fiber"
+    w = fiber[0].external_weight
+    if len(fiber) != 2 ** w:
+        return "fiber size"
+    if (w == 0) != u.gluing.orientable:
+        return "weight"
+    corner_degrees = Counter(u.corner_colors)
+    keys = set()
+    for p in fiber:
+        if p.external_weight != w:
+            return "weight"
+        if bijections.psi(p) != u:
+            return "round trip"
+        keys.add(p.canonical_key())
+        degrees = Counter()
+        for cyc, label in zip(p.m.vertices(), p.vertex_labels):
+            degrees[label] += len(cyc)
+        if degrees != corner_degrees:
+            return "degrees"
+    return None if len(keys) == len(fiber) else "distinct keys"
+
+
+def _check_psi_fibers(bound, census):
+    for n in range(1, bound + 1):
+        for u in enumeration.gen_colored_unicellular(n, False):
+            fiber = bijections.psi_fiber(u)
+            fault = _fiber_fault(u, fiber)
+            if fault is not None:
+                return {"n": n, "gluing": list(u.gluing.pairs),
+                        "fiber_size": len(fiber),
+                        "w": fiber[0].external_weight if fiber else None,
+                        "property": fault}
+    return None
+
+
+def _check_gamma_roundtrip(bound, census):
+    """Opening inverts closure on every tree, whose tails and outgoing
+    buds are the dual-distance orientation of its closure, and closure
+    inverts opening on every plane map."""
+    for t in planar_closure.gen_near_eulerian_trees(2 * bound):
+        p = planar_closure.closure_gamma(t)
+        if planar_closure.opening_delta(p) != t or \
+                planar_closure.dual_distance_orientation(p) != \
+                t.tails | t.out_buds:
+            return {"tree": tree_payload(t)}
+    for p in planar_closure.gen_plane_maps(bound):
+        p2 = planar_closure.closure_gamma(planar_closure.opening_delta(p))
+        if p2.m != p.m or p2.outer != p.outer:
+            return {"map": map_payload(p.m), "outer": p.outer}
+    return None
+
+
+def _check_planar_totals(bound, census):
+    planar = census(bound)
+    for e in range(1, bound + 1):
+        total = sum(c for (q, r), c in planar.items() if q + r - 2 == e)
+        expect = 2 * 3 ** e * factorial(2 * e) // (
+            factorial(e) * factorial(e + 2))
+        if total != expect:
+            return {"edges": e, "total": total, "expected": expect}
+    return None
+
+
+def _series_verdict(verdict):
+    return None if verdict.ok else {"detail": verdict.detail}
+
+
+def _check_algebraic_p(bound, census):
+    return _series_verdict(series.check_algebraic_P(
+        series.p_series(census(max(bound - 2, 1)), bound)))
+
+
+def _check_q_pde(bound, census):
+    return _series_verdict(series.check_q_pde(
+        series.q_from_p(census(bound), bound - 2)))
+
+
+def _check_rec_hp(bound, census):
+    return _series_verdict(series.check_rec_hp(census(bound + 3), bound))
+
+
+def _check_a_combination(bound, census):
+    return _series_verdict(series.check_a_combination(
+        series.p_series(census(bound), bound + 2)))
+
+
+def _check_qfd(bound, census):
+    return _series_verdict(series.check_qfd(eps_eta_table(bound, False),
+                                            bound))
+
+
+# a registered check: what its bound measures, its default bound, the
+# smallest bound at which it examines anything, and the check itself
+Check = namedtuple("Check", "bound_name default minimum run")
+
+# ledoux starts at n = 2, the quartic needs the x y term of P, and the PDE
+# residual of Q at t-degree bound - 2 is trusted through bound - 6
+CHECKS = {
+    "gluing-totals": Check("max_n", 8, 1, _check_gluing_totals),
+    "t-formula": Check("max_n", 8, 1, _check_t_formula),
+    "jackson": Check("max_n", 3, 1, _check_jackson),
+    "u-formula": Check("max_n", 8, 1, _check_u_formula),
+    "u-hat": Check("max_n", 8, 1, _check_u_hat),
+    "hz": Check("max_n", 8, 1, _check_hz),
+    "ledoux": Check("max_n", 8, 2, _check_ledoux),
+    "phi-roundtrip": Check("max_n", 4, 1, _check_phi_roundtrip),
+    "psi-fibers": Check("max_n", 3, 1, _check_psi_fibers),
+    "gamma-roundtrip": Check("max_edges", 5, 1, _check_gamma_roundtrip),
+    "planar-totals": Check("max_edges", 12, 1, _check_planar_totals),
+    "algebraic-P": Check("max_degree", 16, 2, _check_algebraic_p),
+    "q-pde": Check("max_edges", 10, 4, _check_q_pde),
+    "rec-hP": Check("max_total", 10, 1, _check_rec_hp),
+    "a-combination": Check("max_edges", 10, 1, _check_a_combination),
+    "qfd": Check("max_n", 8, 1, _check_qfd),
+}

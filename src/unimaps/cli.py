@@ -14,32 +14,14 @@ import json
 import os
 import sys
 import time
-from math import comb, factorial
 
-from .bijections import (
-    phi,
-    phi_inverse,
-    psi,
-    psi_fiber,
-    upsilon_fiber,
-)
+from .bijections import phi, psi_fiber, upsilon_fiber
+from .checks import CHECKS, map_payload, tree_payload
 from .enumeration import (
     CountTable,
-    gen_colored_unicellular,
     gen_tree_rooted_maps,
-    gen_unicellular,
     planar_census,
-    surjection_count,
     vertex_profile,
-)
-from .formulas import (
-    double_factorial,
-    hz_recurrence_check,
-    jackson_formula,
-    ledoux_check,
-    t_formula,
-    u_formula,
-    u_hat_formula,
 )
 from .maps_core import ColoredUnicellularMap, PolygonGluing, RootedMap, \
     glue_polygon
@@ -47,18 +29,7 @@ from .planar_closure import (
     NearEulerianTree,
     PlaneMap,
     closure_gamma,
-    gen_near_eulerian_trees,
-    gen_plane_maps,
     opening_delta,
-)
-from .series import (
-    check_a_combination,
-    check_algebraic_P,
-    check_q_pde,
-    check_qfd,
-    check_rec_hp,
-    p_series,
-    q_from_p,
 )
 
 SCHEMA = 1
@@ -231,16 +202,6 @@ def _emit_table(payload: dict, fmt: str) -> None:
         sys.stdout.write(",".join(str(x) for x in key) + "," + count + "\n")
 
 
-def _map_payload(m: RootedMap) -> dict:
-    return {"sigma": list(m.sigma), "alpha": list(m.alpha), "root": m.root}
-
-
-def _tree_payload(t: NearEulerianTree) -> dict:
-    return {"sigma": list(t.sigma), "mate": list(t.mate),
-            "out": sorted(t.out_buds), "tails": sorted(t.tails),
-            "root": t.root}
-
-
 # ---------------------------------------------------------------------------
 # census
 
@@ -310,217 +271,20 @@ class SystemExit2(SystemExit):
 # verify
 
 
-def _first_bad(verdicts):
-    for verdict in verdicts:
-        if not verdict.ok:
-            return {"detail": verdict.detail, "lhs": repr(verdict.lhs),
-                    "rhs": repr(verdict.rhs)}
-    return None
-
-
-def _check_gluing_totals(bound, cache_dir):
-    for n in range(1, bound + 1):
-        orientable = vertex_profile(n, True).total()
-        total = vertex_profile(n).total()
-        if orientable != double_factorial(2 * n - 1):
-            return {"n": n, "orientable": orientable}
-        if total != 2 ** n * double_factorial(2 * n - 1):
-            return {"n": n, "total": total}
-    return None
-
-
-def _check_t_formula(bound, cache_dir):
-    for n in range(1, bound + 1):
-        eps = vertex_profile(n, True)
-        for q in range(1, n + 2):
-            direct = sum(eps[(n, v)] * surjection_count(v, q)
-                         for v in range(1, n + 2))
-            if direct != t_formula(n, q):
-                return {"n": n, "q": q, "direct": direct,
-                        "formula": t_formula(n, q)}
-    return None
-
-
-def _check_jackson(bound, cache_dir):
-    for n in range(1, bound + 1):
-        by_pq = {}
-        for g in gen_unicellular(n, orientable_only=True):
-            classes = glue_polygon(g).vertex_classes
-            # one-face bipartite maps have corners alternating by side
-            if any(len({c % 2 for c in cls}) != 1 for cls in classes):
-                continue
-            even = [cls for cls in classes if cls[0] % 2 == 0]
-            odd = [cls for cls in classes if cls[0] % 2 == 1]
-            for p in range(1, len(even) + 1):
-                for q in range(1, len(odd) + 1):
-                    by_pq[(n, p, q)] = by_pq.get((n, p, q), 0) + \
-                        surjection_count(len(even), p) * \
-                        surjection_count(len(odd), q)
-        for p in range(1, n + 2):
-            for q in range(1, n + 2):
-                brute = by_pq.get((n, p, q), 0)
-                if brute != jackson_formula(n, p, q):
-                    return {"n": n, "p": p, "q": q, "brute": brute,
-                            "formula": jackson_formula(n, p, q)}
-    return None
-
-
-def _check_u_formula(bound, cache_dir):
-    census = _planar_census(cache_dir, bound)
-    for n in range(1, bound + 1):
-        eta = vertex_profile(n)
-        for q in range(1, n + 2):
-            direct = sum(eta[(n, v)] * surjection_count(v, q)
-                         for v in range(1, n + 2))
-            if direct != u_formula(n, q, census):
-                return {"n": n, "q": q, "direct": direct,
-                        "formula": u_formula(n, q, census)}
-    return None
-
-
-def _check_u_hat(bound, cache_dir):
-    census = _planar_census(cache_dir, bound)
-    for n in range(1, bound + 1):
-        for N in range(1, n + 3):
-            direct = sum(comb(N, q) * u_formula(n, q, census)
-                         for q in range(1, N + 1))
-            if direct != u_hat_formula(n, N):
-                return {"n": n, "N": N, "direct": direct,
-                        "formula": u_hat_formula(n, N)}
-    return None
-
-
-def _eps_eta_table(bound, orientable_only):
-    table = CountTable()
-    for n in range(1, bound + 1):
-        table.merge(vertex_profile(n, orientable_only))
-    return table
-
-
-def _check_hz(bound, cache_dir):
-    eps = _eps_eta_table(bound, True)
-    return _first_bad(hz_recurrence_check(eps, n, v)
-                      for n in range(1, bound + 1)
-                      for v in range(1, n + 2))
-
-
-def _check_ledoux(bound, cache_dir):
-    eta = _eps_eta_table(bound, False)
-    return _first_bad(ledoux_check(eta, n, v)
-                      for n in range(2, bound + 1)
-                      for v in range(1, n + 2))
-
-
-def _check_phi_roundtrip(bound, cache_dir):
-    for n in range(1, bound + 1):
-        for u in gen_colored_unicellular(n, True):
-            if phi_inverse(phi(u)) != u:
-                return {"n": n, "gluing": list(u.gluing.pairs)}
-    return None
-
-
-def _check_psi_fibers(bound, cache_dir):
-    for n in range(1, bound + 1):
-        for u in gen_colored_unicellular(n, False):
-            fiber = psi_fiber(u)
-            w = fiber[0].external_weight
-            if len(fiber) != 2 ** w or any(psi(p) != u for p in fiber):
-                return {"n": n, "gluing": list(u.gluing.pairs),
-                        "fiber_size": len(fiber), "w": w}
-    return None
-
-
-def _check_gamma_roundtrip(bound, cache_dir):
-    for t in gen_near_eulerian_trees(2 * bound):
-        if opening_delta(closure_gamma(t)) != t:
-            return {"tree": _tree_payload(t)}
-    for p in gen_plane_maps(bound):
-        p2 = closure_gamma(opening_delta(p))
-        if p2.m != p.m or p2.outer != p.outer:
-            return {"map": _map_payload(p.m), "outer": p.outer}
-    return None
-
-
-def _check_planar_totals(bound, cache_dir):
-    census = _planar_census(cache_dir, bound)
-    for e in range(1, bound + 1):
-        total = sum(c for (q, r), c in census.items() if q + r - 2 == e)
-        expect = 2 * 3 ** e * factorial(2 * e) // (
-            factorial(e) * factorial(e + 2))
-        if total != expect:
-            return {"edges": e, "total": total, "expected": expect}
-    return None
-
-
-def _check_algebraic_p(bound, cache_dir):
-    census = _planar_census(cache_dir, max(bound - 2, 1))
-    verdict = check_algebraic_P(p_series(census, bound))
-    return None if verdict.ok else {"detail": verdict.detail}
-
-
-def _check_q_pde(bound, cache_dir):
-    census = _planar_census(cache_dir, bound)
-    verdict = check_q_pde(q_from_p(census, bound - 2))
-    return None if verdict.ok else {"detail": verdict.detail}
-
-
-def _check_rec_hp(bound, cache_dir):
-    census = _planar_census(cache_dir, bound + 3)
-    verdict = check_rec_hp(census, bound)
-    return None if verdict.ok else {"detail": verdict.detail}
-
-
-def _check_a_combination(bound, cache_dir):
-    census = _planar_census(cache_dir, bound)
-    verdict = check_a_combination(p_series(census, bound + 2))
-    return None if verdict.ok else {"detail": verdict.detail}
-
-
-def _check_qfd(bound, cache_dir):
-    verdict = check_qfd(_eps_eta_table(bound, False), bound)
-    return None if verdict.ok else {"detail": verdict.detail}
-
-
-# name -> (bound meaning, default bound, function)
-CHECKS = {
-    "gluing-totals": ("max_n", 8, _check_gluing_totals),
-    "t-formula": ("max_n", 8, _check_t_formula),
-    "jackson": ("max_n", 3, _check_jackson),
-    "u-formula": ("max_n", 8, _check_u_formula),
-    "u-hat": ("max_n", 8, _check_u_hat),
-    "hz": ("max_n", 8, _check_hz),
-    "ledoux": ("max_n", 8, _check_ledoux),
-    "phi-roundtrip": ("max_n", 4, _check_phi_roundtrip),
-    "psi-fibers": ("max_n", 3, _check_psi_fibers),
-    "gamma-roundtrip": ("max_edges", 5, _check_gamma_roundtrip),
-    "planar-totals": ("max_edges", 12, _check_planar_totals),
-    "algebraic-P": ("max_degree", 16, _check_algebraic_p),
-    "q-pde": ("max_edges", 10, _check_q_pde),
-    "rec-hP": ("max_total", 10, _check_rec_hp),
-    "a-combination": ("max_edges", 10, _check_a_combination),
-    "qfd": ("max_n", 8, _check_qfd),
-}
-
-# smallest bound at which a check examines anything; 1 where not listed.
-# ledoux starts at n = 2, the quartic needs the x y term of P, and the PDE
-# residual of Q at t-degree bound - 2 is trusted through bound - 6
-MIN_BOUND = {"ledoux": 2, "algebraic-P": 2, "q-pde": 4}
-
-
 def cmd_verify(args) -> int:
-    bound_name, default, func = CHECKS[args.check]
-    bound = args.bound if args.bound is not None else default
-    minimum = MIN_BOUND.get(args.check, 1)
-    if bound < minimum:
+    check = CHECKS[args.check]
+    bound = args.bound if args.bound is not None else check.default
+    if bound < check.minimum:
         raise SystemExit2(f"--bound of {args.check} must be at least "
-                          f"{minimum}, got {bound}")
+                          f"{check.minimum}, got {bound}")
     start = time.monotonic()
-    counterexample = func(bound, args.cache)
+    counterexample = check.run(
+        bound, lambda max_edges: _planar_census(args.cache, max_edges))
     elapsed = time.monotonic() - start
     report = {
         "schema": SCHEMA,
         "check": args.check,
-        "bounds": {bound_name: bound},
+        "bounds": {check.bound_name: bound},
         "verdict": "pass" if counterexample is None else "fail",
     }
     if counterexample is not None:
@@ -542,7 +306,7 @@ def _psi_element_payload(p) -> dict:
     for cyc, lab in zip(p.m.vertices(), p.vertex_labels):
         deg[str(lab)] = len(cyc)
     return {
-        "map": _map_payload(p.m),
+        "map": map_payload(p.m),
         "vertex_labels": list(p.vertex_labels),
         "edge_labels": list(p.edge_labels),
         "submap": sorted(p.submap),
@@ -554,7 +318,7 @@ def _psi_element_payload(p) -> dict:
 
 def _upsilon_element_payload(t) -> dict:
     return {
-        "map": _map_payload(t.m),
+        "map": map_payload(t.m),
         "vertex_labels": list(t.vertex_labels),
         "edge_labels": list(t.edge_labels),
         "tree": sorted(t.tree),
@@ -602,12 +366,12 @@ def cmd_bijection(args) -> int:
         t = parse_tree(args.input)
         p = closure_gamma(t)
         _emit({"schema": SCHEMA,
-               "image": dict(_map_payload(p.m), outer=p.outer)})
+               "image": dict(map_payload(p.m), outer=p.outer)})
     else:  # delta
         p = parse_rotation(args.input)
         if not isinstance(p, PlaneMap):
             raise SystemExit2("delta needs an outer= field")
-        _emit({"schema": SCHEMA, "image": _tree_payload(opening_delta(p))})
+        _emit({"schema": SCHEMA, "image": tree_payload(opening_delta(p))})
     return 0
 
 

@@ -120,56 +120,6 @@ def u_hat_formula(n: int, N: int) -> int:
     return total.numerator
 
 
-def eps_from_colored(counts_every_color, n: int, v: int) -> int:
-    """Recover a by-vertex count from the every-color counts.
-
-    ``counts_every_color(q)`` must return the number of maps colored with
-    every color in ``1..q``; dividing by ``q!`` gives the count with a
-    distinguished vertex partition, and Moebius inversion over set
-    partitions reduces to counting maps with exactly ``v`` vertices.  Uses
-    the identity  #maps with v vertices = sum_q s(v, q) / v! * ...  in the
-    equivalent binomial form: the polynomial  sum_v count_v N^v  equals
-    sum_q binom(N, q) counts_every_color(q), so the counts are extracted
-    by evaluating at N = 0..n+1 and solving the triangular system.
-    """
-    top = n + 1
-    # values of the polynomial at N = 0..top
-    values = [sum(comb(N, q) * counts_every_color(q)
-                  for q in range(1, min(N, top) + 1)) for N in range(top + 1)]
-    # solve Vandermonde system for monomial coefficients, exactly
-    coeffs = _monomial_coeffs(values)
-    return coeffs[v] if v < len(coeffs) else 0
-
-
-def _monomial_coeffs(values):
-    """Coefficients of the unique polynomial with P(i) = values[i]."""
-    k = len(values)
-    # Newton forward differences give the binomial-basis coefficients
-    diffs = list(map(Fraction, values))
-    newton = [diffs[0]]
-    for level in range(1, k):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        newton.append(diffs[0])
-    # expand sum_j newton[j] * binom(N, j) into monomials
-    coeffs = [Fraction(0)] * k
-    basis = [Fraction(1)]  # binom(N, 0) = 1
-    for j in range(k):
-        for i, c in enumerate(basis):
-            coeffs[i] += newton[j] * c
-        # binom(N, j+1) = binom(N, j) * (N - j) / (j + 1)
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for i, c in enumerate(basis):
-            nxt[i + 1] += c / (j + 1)
-            nxt[i] -= c * j / (j + 1)
-        basis = nxt
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("polynomial has non-integer coefficients")
-        out.append(c.numerator)
-    return out
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of checking one identity instance."""

@@ -249,16 +249,6 @@ def canonical_relabelling(m: RootedMap) -> list[int]:
     return new
 
 
-def canonicalize(m: RootedMap) -> RootedMap:
-    """Canonical representative of the rooted-isomorphism class of ``m``.
-
-    Half-edges are relabelled in first-visit order of the traversal from the
-    root, so the root becomes 0.  Two rooted maps are isomorphic as rooted
-    maps iff their canonical forms are identical.
-    """
-    return m.relabelled(canonical_relabelling(m))
-
-
 # ---------------------------------------------------------------------------
 # Polygon gluings (general surfaces)
 # ---------------------------------------------------------------------------

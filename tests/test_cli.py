@@ -1,12 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unimaps.cli import CHECKS, main
+import unimaps
+from unimaps import bijections
+from unimaps.checks import CHECKS
+from unimaps.cli import main
 from unimaps.planar_closure import gen_near_eulerian_trees, gen_plane_maps
 
 
@@ -118,26 +124,56 @@ class TestVerify:
         assert json.loads(out)["verdict"] == "pass"
 
     def test_failure_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setitem(CHECKS, "ledoux",
-                            ("max_n", 4, lambda bound, cache: {"n": 3}))
+        monkeypatch.setitem(CHECKS, "ledoux", CHECKS["ledoux"]._replace(
+            run=lambda bound, census: {"n": 3}))
         code, out, _ = run(capsys, "verify", "ledoux")
         assert code == 1
         payload = json.loads(out)
         assert payload["verdict"] == "fail"
         assert payload["counterexample"] == {"n": 3}
 
-    @pytest.mark.parametrize("check,bound,minimum", [
-        ("rec-hP", -5, 1), ("u-formula", 0, 1), ("u-hat", 0, 1),
-        ("planar-totals", 0, 1), ("q-pde", 0, 4), ("q-pde", 3, 4),
-        ("a-combination", 0, 1), ("hz", 0, 1), ("ledoux", 1, 2),
-        ("algebraic-P", 0, 2), ("algebraic-P", 1, 2)])
+    def test_fiber_of_copies_fails(self, capsys, monkeypatch):
+        """2^w copies of one element have the right size but not 2^w
+        distinct elements."""
+        real = bijections.psi_fiber
+
+        def copies(u):
+            fiber = real(u)
+            return fiber[:1] * len(fiber)
+        monkeypatch.setattr(bijections, "psi_fiber", copies)
+        code, out, _ = run(capsys, "verify", "psi-fibers", "--bound", "2")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "fail"
+        assert payload["counterexample"]["property"] == "distinct keys"
+
+    def test_empty_fiber_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(bijections, "psi_fiber", lambda u: ())
+        code, out, err = run(capsys, "verify", "psi-fibers", "--bound", "2")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "fail"
+        assert payload["counterexample"]["property"] == "empty fiber"
+        assert "Traceback" not in err
+
+    # every check's minimum minus 1, plus bounds further below
+    @pytest.mark.parametrize("check,bound,minimum", sorted(
+        {(name, c.minimum - 1, c.minimum) for name, c in CHECKS.items()}
+        | {("rec-hP", -5, 1), ("q-pde", 0, 4), ("algebraic-P", 0, 2)}))
     def test_bound_below_minimum_is_usage_error(self, capsys, check, bound,
                                                 minimum):
         code, out, err = run(capsys, "verify", check, "--bound", str(bound))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and f"at least {minimum}" in err
-        assert CHECKS[check][1] >= minimum
+        assert CHECKS[check].default >= minimum
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_minimum_bound_passes(self, capsys, check):
+        code, out, _ = run(capsys, "verify", check, "--bound",
+                           str(CHECKS[check].minimum))
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
 
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -145,9 +181,17 @@ class TestVerify:
         assert info.value.code == 2
 
     def test_every_registered_check_has_defaults(self):
-        for name, (bound_name, default, func) in CHECKS.items():
-            assert default >= 1 and callable(func)
-            assert bound_name.startswith("max_")
+        for check in CHECKS.values():
+            assert check.default >= check.minimum and callable(check.run)
+            assert check.bound_name.startswith("max_")
+
+    def test_import_leaves_cache_out(self):
+        """The census cache is imported only when a command uses it."""
+        src = os.path.dirname(os.path.dirname(unimaps.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "import unimaps.cli; "
+                "sys.exit('unimaps.cache' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestFiber:

@@ -21,7 +21,7 @@ from unimaps.maps_core import (
     DisjointSets,
     PolygonGluing,
     RootedMap,
-    canonicalize,
+    canonical_relabelling,
     euler_data,
     glue_polygon,
     glue_sides,
@@ -170,7 +170,7 @@ class TestGenRootedOrientableMaps:
         maps = list(gen_rooted_orientable_maps(2))
         assert len(set(maps)) == len(maps)
         for m in maps:
-            assert m == canonicalize(m)
+            assert m == m.relabelled(canonical_relabelling(m))
 
     def test_one_face_maps_match_gluings(self):
         for n in (1, 2, 3):

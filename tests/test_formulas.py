@@ -14,7 +14,6 @@ from unimaps.formulas import (
     Verdict,
     binomial,
     double_factorial,
-    eps_from_colored,
     hz_recurrence_check,
     jackson_formula,
     ledoux_check,
@@ -208,17 +207,3 @@ class TestRecurrences:
         v = Verdict(False, 3, 4, "demo")
         assert not v and v.lhs == 3 and v.rhs == 4
 
-
-class TestEpsFromColored:
-    def test_recovers_tables(self, eps_table):
-        for n in range(1, 5):
-            for v in range(1, n + 2):
-                got = eps_from_colored(lambda q, n=n: t_formula(n, q), n, v)
-                assert got == eps_table[(n, v)]
-
-    def test_general_surface_side(self, census, eta_table):
-        for n in range(1, 5):
-            for v in range(1, n + 2):
-                got = eps_from_colored(
-                    lambda q, n=n: u_formula(n, q, census), n, v)
-                assert got == eta_table[(n, v)]

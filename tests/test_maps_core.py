@@ -6,11 +6,21 @@ from unimaps.maps_core import (
     DisjointSets,
     PolygonGluing,
     RootedMap,
-    canonicalize,
+    canonical_relabelling,
     euler_data,
     face_permutation,
     glue_polygon,
 )
+
+
+def canonicalize(m: RootedMap) -> RootedMap:
+    """Canonical representative of the rooted-isomorphism class of ``m``.
+
+    Half-edges are relabelled in first-visit order of the traversal from the
+    root, so the root becomes 0.  Two rooted maps are isomorphic as rooted
+    maps iff their canonical forms are identical.
+    """
+    return m.relabelled(canonical_relabelling(m))
 
 
 def loop_map():
