@@ -30,6 +30,7 @@ from .maps_core import (
     ColoredUnicellularMap,
     DisjointSets,
     RootedMap,
+    _unchecked,
     canonical_relabelling,
 )
 from .tours import BiEulerianTour, EdgeLabelledGraph, xi, xi_inverse
@@ -74,7 +75,7 @@ class _LabelledMap:
         for o, i in pairs:
             alpha[o] = i
             alpha[i] = o
-        m2 = RootedMap(m.sigma, tuple(alpha), m.root)
+        m2 = RootedMap._trusted(m.sigma, tuple(alpha), m.root)
         outs = {o for o, _ in pairs}
         edge_labels = tuple(elabel[alpha[h] if alpha[h] in outs else h]
                             for h in (min(c) for c in m2.edges()))
@@ -107,49 +108,70 @@ class OrientedTreeRootedMap(_LabelledMap):
     up: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.m
         object.__setattr__(self, "vertex_labels", tuple(self.vertex_labels))
         object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
         object.__setattr__(self, "tree", frozenset(self.tree))
         object.__setattr__(self, "orientation", frozenset(self.orientation))
-        verts = m.vertices()
-        edges = m.edges()
-        q, n = len(verts), len(edges)
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, m, vertex_labels, edge_labels, tree, orientation,
+                 up=None) -> "OrientedTreeRootedMap":
+        """A map from fields known to be valid (tuples and frozensets);
+        ``up`` is derived from the tree unless the caller holds it.
+        Nothing is checked."""
+        t = _unchecked(cls, m=m, vertex_labels=vertex_labels,
+                       edge_labels=edge_labels, tree=tree,
+                       orientation=orientation, up=up)
+        if up is None:
+            vid = m.vertex_index()
+            object.__setattr__(t, "up", t._tree_up(vid, vid[m.root],
+                                                   len(vertex_labels)))
+        return t
+
+    def validate(self) -> None:
+        """Raise ValueError unless the fields describe a labelled map with
+        a spanning tree and a compatible balanced orientation, and keep
+        ``up`` (a kept ``up`` that disagrees with the tree is an error).
+        Reads the vertex index of ``m`` and traces no edge orbit."""
+        m = self.m
+        alpha = m.alpha
+        nh = len(alpha)
+        vid = m.vertex_index()
+        q, n = len(m.vertices()), nh // 2
         if sorted(self.vertex_labels) != list(range(1, q + 1)):
             raise ValueError("vertex labels must be a permutation of 1..q")
         if sorted(self.edge_labels) != list(range(1, n + 1)):
             raise ValueError("edge labels must be a permutation of 1..n")
-        eids = [min(c) for c in edges]
-        if not self.tree <= set(eids):
+        # an edge id is the smaller half-edge of its edge
+        if not all(0 <= e < nh and e < alpha[e] for e in self.tree):
             raise ValueError("tree contains unknown edges")
-        # spanning tree check
-        vid = m.vertex_index()
         if len(self.tree) != q - 1:
             raise ValueError("tree has the wrong number of edges")
-        ds = DisjointSets(q)
-        for eid in self.tree:
-            a, b = vid[eid], vid[m.alpha[eid]]
-            if ds.find(a) == ds.find(b):
-                raise ValueError("tree edges contain a cycle")
-            ds.union(a, b)
+        # q - 1 edges reaching every vertex from the root: a spanning tree
+        up = self._tree_up(vid, vid[m.root], q)
+        if up.count(None) != 1:
+            raise ValueError("tree edges contain a cycle")
         # orientation: one tail per edge, balanced
+        if not all(0 <= h < nh for h in self.orientation):
+            raise ValueError("orientation holds unknown half-edges")
         tails = {}
+        flow = [0] * q
         for h in self.orientation:
-            eid = m.edge_of(h)
+            eid = min(h, alpha[h])
             if eid in tails:
                 raise ValueError("edge oriented twice")
             tails[eid] = h
-        flow = [0] * q
-        for h in tails.values():
             flow[vid[h]] += 1
-            flow[vid[m.alpha[h]]] -= 1
+            flow[vid[alpha[h]]] -= 1
         if any(flow):
             raise ValueError("orientation is not balanced")
         # compatibility: oriented tree edges point toward the root vertex
-        up = self._tree_up(vid, vid[m.root], q)
         for eid, h in tails.items():
             if eid in self.tree and up[vid[h]] != h:
                 raise ValueError("oriented tree edge points away from root")
+        if self.up is not None and self.up != up:
+            raise ValueError("kept tree half-edges disagree with the tree")
         object.__setattr__(self, "up", up)
 
     def _tree_up(self, vid, root_v, q) -> tuple:
@@ -204,9 +226,9 @@ def theta(t: OrientedTreeRootedMap) -> tuple:
     tail_of = {elabel[h]: h for h in t.orientation}
     ends = [None] * n
     for h, h2 in m.edges():
-        ends[elabel[h] - 1] = (vlabel[h], vlabel[h2])
-    graph = EdgeLabelledGraph(q, tuple(ends))
-    ends = graph.edges
+        a, b = vlabel[h], vlabel[h2]
+        ends[elabel[h] - 1] = (a, b) if a <= b else (b, a)
+    graph = EdgeLabelledGraph._trusted(q, tuple(ends))
 
     # label-sorted pairing of ingoing half-edges with outgoing oriented
     # edges at each vertex
@@ -251,7 +273,8 @@ def theta(t: OrientedTreeRootedMap) -> tuple:
         steps.append((lab, d))
     if current != root_v:
         raise ValueError("data does not produce an Eulerian tour")
-    return graph, BiEulerianTour(graph, t.vertex_labels[root_v], tuple(steps))
+    return graph, BiEulerianTour._trusted(graph, t.vertex_labels[root_v],
+                                          tuple(steps))
 
 
 def theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
@@ -349,11 +372,15 @@ def theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
             for h in cycle:
                 sigma[prev] = h
                 prev = h
-        m = RootedMap(tuple(sigma), alpha, fills[origin - 1][0])
+        m = RootedMap._trusted(tuple(sigma), alpha, fills[origin - 1][0])
         vertex_labels = tuple(sorted(range(1, q + 1),
                                      key=lambda c: min(fills[c - 1])))
-        out.append(OrientedTreeRootedMap(
-            m, vertex_labels, edge_labels, tree_ids, orientation))
+        # the last departure from every color but the origin is its tree
+        # half-edge toward the root
+        up = tuple(None if c == origin else fills[c - 1][-1]
+                   for c in vertex_labels)
+        out.append(OrientedTreeRootedMap._trusted(
+            m, vertex_labels, edge_labels, tree_ids, orientation, up))
     return tuple(out)
 
 
@@ -462,29 +489,45 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
                                 compare=False)
 
     def __post_init__(self):
-        m = self.m
         object.__setattr__(self, "vertex_labels", tuple(self.vertex_labels))
         object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
         object.__setattr__(self, "submap", frozenset(self.submap))
         object.__setattr__(self, "face_labels", tuple(self.face_labels))
-        verts = m.vertices()
-        edges = m.edges()
-        q, n = len(verts), len(edges)
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, m, vertex_labels, edge_labels, submap, face_labels,
+                 submap_faces) -> "ExternallyLabelledPlanarRootedMap":
+        """A map from fields known to be valid (tuples and a frozenset)
+        and the caller's trace ``submap_faces`` of the submap's faces, as
+        :func:`_submap_faces_of` lists them.  Nothing is checked."""
+        return _unchecked(cls, m=m, vertex_labels=vertex_labels,
+                          edge_labels=edge_labels, submap=submap,
+                          face_labels=face_labels, submap_faces=submap_faces)
+
+    def validate(self) -> None:
+        """Raise ValueError unless the submap is a spanning planar submap
+        with labelled faces, and keep its faces (kept faces that disagree
+        with the submap are an error)."""
+        m = self.m
+        alpha = m.alpha
+        nh = len(alpha)
+        q, n = len(m.vertices()), nh // 2
         if sorted(self.vertex_labels) != list(range(1, q + 1)):
             raise ValueError("vertex labels must be a permutation of 1..q")
         if sorted(self.edge_labels) != list(range(1, n + 1)):
             raise ValueError("edge labels must be a permutation of 1..n")
-        eids = {min(c) for c in edges}
-        if not self.submap <= eids:
+        # an edge id is the smaller half-edge of its edge
+        if not all(0 <= e < nh and e < alpha[e] for e in self.submap):
             raise ValueError("submap contains unknown edges")
         # spanning and connected
         vid = m.vertex_index()
         ds = DisjointSets(q)
         touched = set()
         for eid in self.submap:
-            ds.union(vid[eid], vid[m.alpha[eid]])
+            ds.union(vid[eid], vid[alpha[eid]])
             touched.add(vid[eid])
-            touched.add(vid[m.alpha[eid]])
+            touched.add(vid[alpha[eid]])
         if self.submap:
             if touched != set(range(q)) or len(ds.classes()) != 1:
                 raise ValueError("submap is not spanning and connected")
@@ -492,11 +535,12 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
             raise ValueError("submap is not spanning and connected")
         # planarity of the inherited rotation system
         faces = tuple(_submap_faces_of(m, self.submap))
-        n_sub = len(self.submap)
-        if q - n_sub + len(faces) != 2:
+        if q - len(self.submap) + len(faces) != 2:
             raise ValueError("submap is not planar")
         if sorted(self.face_labels) != list(range(1, len(faces) + 1)):
             raise ValueError("face labels must be a permutation of 1..r")
+        if self.submap_faces is not None and self.submap_faces != faces:
+            raise ValueError("kept submap faces disagree with the submap")
         object.__setattr__(self, "submap_faces", faces)
 
     @property
@@ -526,7 +570,9 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
 def _project(m: RootedMap, slots: set):
     """Rotation and pairing induced by ``m`` on a subset of half-edges."""
     sigma = {}
-    for h in slots:
+    # in slot order, so that every face traced on the system starts at
+    # its minimum
+    for h in sorted(slots):
         x = m.sigma[h]
         while x not in slots:
             x = m.sigma[x]
@@ -572,8 +618,8 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     faces = p.submap_faces
     r = len(faces)
     if r == 1:
-        t = OrientedTreeRootedMap(m, p.vertex_labels, p.edge_labels,
-                                  p.submap, frozenset())
+        t = OrientedTreeRootedMap._trusted(m, p.vertex_labels, p.edge_labels,
+                                           p.submap, frozenset())
         return upsilon(t)
     sigma_sub, mate_sub = _submap_system(m, p.submap)
     label_of_rep = {min(f): lab for f, lab in zip(faces, p.face_labels)}
@@ -596,8 +642,8 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     m2, edge_labels = p._rejoined(pairs)
     tree = frozenset(eid for eid in p.submap if tree_mate[eid] >= 0)
     orientation = frozenset(tails) | {o for o, _ in pairs}
-    t = OrientedTreeRootedMap(m2, p.vertex_labels, edge_labels,
-                              tree, orientation)
+    t = OrientedTreeRootedMap._trusted(m2, p.vertex_labels, edge_labels,
+                                       tree, orientation)
     return upsilon(t)
 
 
@@ -612,8 +658,9 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         cut_edges = [m.edge_of(h) for h in t.orientation
                      if m.edge_of(h) not in t.tree]
         if not cut_edges:
-            out.append(ExternallyLabelledPlanarRootedMap(
-                m, t.vertex_labels, t.edge_labels, t.tree, (1,)))
+            out.append(ExternallyLabelledPlanarRootedMap._trusted(
+                m, t.vertex_labels, t.edge_labels, t.tree, (1,),
+                tuple(_submap_faces_of(m, t.tree))))
             continue
         tail_of_edge = {m.edge_of(h): h for h in t.orientation}
         # near-Eulerian tree inside the map: tree half-edges plus the buds
@@ -662,8 +709,9 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         w = len(inner)
         face_labels = tuple(
             label_of_rep.get(min(f), w + 1) for f in faces)
-        out.append(ExternallyLabelledPlanarRootedMap(
-            m2, t.vertex_labels, edge_labels, submap, face_labels))
+        out.append(ExternallyLabelledPlanarRootedMap._trusted(
+            m2, t.vertex_labels, edge_labels, submap, face_labels,
+            tuple(faces)))
     return tuple(out)
 
 

@@ -136,14 +136,29 @@ def _pair(a, b) -> tuple:
     return (a, b) if a <= b else (b, a)
 
 
+def _invalid(*objects):
+    """The fault of the first of ``objects`` that fails its validation, or
+    None.  The bijections build their images unchecked; a check that
+    claims an image lies in a family validates it here, once."""
+    for obj in objects:
+        try:
+            obj.validate()
+        except ValueError as exc:
+            return {"property": "valid image", "detail": str(exc)}
+    return None
+
+
 def _check_phi_roundtrip(bound, census):
-    """phi is inverted by phi_inverse, keeps the multiset of edge
-    endpoint colors (property (*)), and has as many images on q vertices
-    as the closed formula T_n(q) counts."""
+    """phi maps onto valid tree-rooted maps, is inverted by phi_inverse,
+    keeps the multiset of edge endpoint colors (property (*)), and has as
+    many images on q vertices as the closed formula T_n(q) counts."""
     for n in range(1, bound + 1):
         images = Counter()
         for u in enumeration.gen_colored_unicellular(n, True):
             t = bijections.phi(u)
+            fault = _invalid(t.m, t)
+            if fault is not None:
+                return {"n": n, "gluing": list(u.gluing.pairs), **fault}
             if bijections.phi_inverse(t) != u:
                 return {"n": n, "gluing": list(u.gluing.pairs),
                         "property": "round trip"}
@@ -163,11 +178,21 @@ def _check_phi_roundtrip(bound, census):
     return None
 
 
+def degree_certificate_ok(u, p) -> bool:
+    """Property (**) of a psi fiber element ``p`` over ``u``: the vertex
+    labelled i has as many half-edges as ``u`` has corners colored i."""
+    degrees = Counter()
+    for cyc, label in zip(p.m.vertices(), p.vertex_labels):
+        degrees[label] += len(cyc)
+    return degrees == Counter(u.corner_colors)
+
+
 def _fiber_fault(u, fiber):
     """The first property that psi's fiber over ``u`` breaks, or None: it
     has 2^w elements with distinct canonical keys and one weight w, which
     is 0 exactly on orientable gluings; psi maps each back to ``u``; and
-    each has the vertex degrees of the corner colors (property (**))."""
+    each has the vertex degrees of the corner colors (property (**)).
+    The elements are taken to be valid."""
     if not fiber:
         return "empty fiber"
     w = fiber[0].external_weight
@@ -175,7 +200,6 @@ def _fiber_fault(u, fiber):
         return "fiber size"
     if (w == 0) != u.gluing.orientable:
         return "weight"
-    corner_degrees = Counter(u.corner_colors)
     keys = set()
     for p in fiber:
         if p.external_weight != w:
@@ -183,39 +207,49 @@ def _fiber_fault(u, fiber):
         if bijections.psi(p) != u:
             return "round trip"
         keys.add(p.canonical_key())
-        degrees = Counter()
-        for cyc, label in zip(p.m.vertices(), p.vertex_labels):
-            degrees[label] += len(cyc)
-        if degrees != corner_degrees:
+        if not degree_certificate_ok(u, p):
             return "degrees"
     return None if len(keys) == len(fiber) else "distinct keys"
 
 
 def _check_psi_fibers(bound, census):
+    """Every element of psi's fiber over every colored map is a valid
+    externally-labelled planar-rooted map, and the fiber has the
+    properties of :func:`_fiber_fault`."""
     for n in range(1, bound + 1):
         for u in enumeration.gen_colored_unicellular(n, False):
             fiber = bijections.psi_fiber(u)
-            fault = _fiber_fault(u, fiber)
-            if fault is not None:
+            fault = _invalid(*[x for p in fiber for x in (p.m, p)])
+            if fault is None:
+                fault = {"property": _fiber_fault(u, fiber)}
+            if fault["property"] is not None:
                 return {"n": n, "gluing": list(u.gluing.pairs),
                         "fiber_size": len(fiber),
                         "w": fiber[0].external_weight if fiber else None,
-                        "property": fault}
+                        **fault}
     return None
 
 
 def _check_gamma_roundtrip(bound, census):
-    """Opening inverts closure on every tree, whose tails and outgoing
-    buds are the dual-distance orientation of its closure, and closure
-    inverts opening on every plane map."""
+    """Closure maps every tree to a valid plane map, which opening
+    inverts and whose dual-distance orientation is the tree's tails and
+    outgoing buds; opening maps every plane map to a valid tree, which
+    closure inverts."""
     for t in planar_closure.gen_near_eulerian_trees(2 * bound):
         p = planar_closure.closure_gamma(t)
+        fault = _invalid(p.m, p)
+        if fault is not None:
+            return {"tree": tree_payload(t), **fault}
         if planar_closure.opening_delta(p) != t or \
                 planar_closure.dual_distance_orientation(p) != \
                 t.tails | t.out_buds:
             return {"tree": tree_payload(t)}
     for p in planar_closure.gen_plane_maps(bound):
-        p2 = planar_closure.closure_gamma(planar_closure.opening_delta(p))
+        t = planar_closure.opening_delta(p)
+        fault = _invalid(t)
+        if fault is not None:
+            return {"map": map_payload(p.m), "outer": p.outer, **fault}
+        p2 = planar_closure.closure_gamma(t)
         if p2.m != p.m or p2.outer != p.outer:
             return {"map": map_payload(p.m), "outer": p.outer}
     return None

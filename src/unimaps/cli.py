@@ -14,9 +14,10 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .bijections import phi, psi_fiber, upsilon_fiber
-from .checks import CHECKS, map_payload, tree_payload
+from .checks import CHECKS, degree_certificate_ok, map_payload, tree_payload
 from .enumeration import (
     CountTable,
     gen_tree_rooted_maps,
@@ -125,11 +126,17 @@ def parse_gluing(text: str) -> ColoredUnicellularMap:
     else:
         colors = tuple(range(1, v + 1))
     labels = _int_tuple(*fields["labels"]) if "labels" in fields else None
+    # the colors first, so that each error points at its own field
     try:
-        return ColoredUnicellularMap(gluing, colors,
-                                     max(colors, default=0), labels)
+        u = ColoredUnicellularMap(gluing, colors, max(colors, default=0))
     except ValueError as exc:
         raise ParseError(str(exc), fields.get("colors", ("", 0))[1])
+    if labels is None:
+        return u
+    try:
+        return replace(u, edge_labels=labels)
+    except ValueError as exc:
+        raise ParseError(str(exc), fields["labels"][1])
 
 
 def parse_rotation(text: str):
@@ -330,15 +337,10 @@ def _upsilon_element_payload(t) -> dict:
 def cmd_fiber(args) -> int:
     u = parse_gluing(args.map)
     if args.kind == "psi":
-        fiber = psi_fiber(u)
-        corner_deg = {}
-        for color in u.corner_colors:
-            corner_deg[str(color)] = corner_deg.get(str(color), 0) + 1
         elements = []
-        for p in fiber:
+        for p in psi_fiber(u):
             payload = _psi_element_payload(p)
-            payload["degree_certificate_ok"] = \
-                payload["degrees_by_label"] == corner_deg
+            payload["degree_certificate_ok"] = degree_certificate_ok(u, p)
             elements.append(payload)
     else:
         elements = [_upsilon_element_payload(t) for t in upsilon_fiber(u)]

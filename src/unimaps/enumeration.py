@@ -80,11 +80,11 @@ def gen_unicellular(n: int, orientable_only: bool = False):
     if n < 1:
         raise ValueError("need at least one edge")
     twist_choices = (False,) if orientable_only else (False, True)
-    for pairs in _matchings(list(range(2 * n))):
-        # validate each matching once; its twist masks reuse the pairs
-        untwisted = PolygonGluing(n, tuple(pairs), (False,) * n)
+    for matching in _matchings(list(range(2 * n))):
+        # each pair (a, b) has a < b, and the pairs come sorted by a
+        pairs = tuple(matching)
         for twists in itertools.product(twist_choices, repeat=n):
-            yield untwisted._retwisted(twists)
+            yield PolygonGluing._trusted(n, pairs, twists)
 
 
 def _surjections(v: int, q: int):
@@ -114,12 +114,14 @@ def gen_colored_unicellular(n: int, orientable_only: bool = False):
     every ``q``: gluings in :func:`gen_unicellular` order, then ``q``
     ascending, then the colorings (one color per vertex class) in
     lexicographic order."""
+    labels = tuple(range(1, n + 1))
     for g in gen_unicellular(n, orientable_only):
         skel = glue_polygon(g)
         v = skel.vertex_count
         for q in range(1, v + 1):
             for colors in _surjections(v, q):
-                yield ColoredUnicellularMap._on_skeleton(g, skel, colors, q)
+                yield ColoredUnicellularMap._trusted(g, skel, colors, q,
+                                                     labels)
 
 
 def _first_appearance(labels) -> tuple:
@@ -191,7 +193,8 @@ def gen_rooted_orientable_maps(e: int):
     rooted maps with ``e`` edges on orientable surfaces, all genera.
 
     Maps are built directly in canonical form (half-edge labels equal to the
-    first-visit order of the root traversal), so no dedupe pass is needed.
+    first-visit order of the root traversal), so no dedupe pass is needed,
+    and connected by construction, so none is validated again.
     """
     if e < 1:
         raise ValueError("need at least one edge")
@@ -202,7 +205,7 @@ def gen_rooted_orientable_maps(e: int):
 
     def rec(event: int, k: int):
         if event == 2 * n:
-            yield RootedMap(tuple(sigma), tuple(alpha), 0)
+            yield RootedMap._trusted(tuple(sigma), tuple(alpha), 0)
             return
         h, kind = divmod(event, 2)
         if h >= k:

@@ -61,6 +61,15 @@ class DisjointSets:
         return list(groups.values())
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, neither normalized nor validated; fields left out keep their
+    class defaults.  Every trusted constructor builds on this."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _check_permutation(perm, n, name):
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise ValueError(f"{name} is not a permutation of 0..{n - 1}")
@@ -89,12 +98,24 @@ class RootedMap:
                               compare=False)
 
     def __post_init__(self):
-        n = len(self.sigma)
-        if n == 0 or n % 2:
-            raise ValueError("half-edge count must be even and positive")
         object.__setattr__(self, "sigma", tuple(self.sigma))
         object.__setattr__(self, "alpha", tuple(self.alpha))
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, sigma: tuple, alpha: tuple, root: int) -> "RootedMap":
+        """A map on tuples known to form a connected rotation system;
+        nothing is checked."""
+        return _unchecked(cls, sigma=sigma, alpha=alpha, root=root)
+
+    def validate(self) -> None:
+        """Raise ValueError unless the fields form a connected map.  The
+        constructor runs this; so does every check on the maps a
+        bijection claims to produce."""
         sigma, alpha = self.sigma, self.alpha
+        n = len(sigma)
+        if n == 0 or n % 2:
+            raise ValueError("half-edge count must be even and positive")
         _check_permutation(sigma, n, "sigma")
         _check_permutation(alpha, n, "alpha")
         for h, a in enumerate(alpha):
@@ -146,16 +167,6 @@ class RootedMap:
         """Edge identifier of half-edge ``h`` (the smaller half-edge index)."""
         return min(h, self.alpha[h])
 
-    def vertex_of(self, h: int) -> int:
-        """Vertex identifier of half-edge ``h`` (minimum of its sigma-orbit)."""
-        m = h
-        x = self.sigma[h]
-        while x != h:
-            if x < m:
-                m = x
-            x = self.sigma[x]
-        return m
-
     def vertex_index(self) -> tuple:
         """``vertex_index()[h]`` is the position of half-edge ``h``'s vertex
         in :meth:`vertices`."""
@@ -184,7 +195,7 @@ class RootedMap:
         for h in range(n):
             sigma[perm[h]] = perm[self.sigma[h]]
             alpha[perm[h]] = perm[self.alpha[h]]
-        return RootedMap(tuple(sigma), tuple(alpha), perm[self.root])
+        return RootedMap._trusted(tuple(sigma), tuple(alpha), perm[self.root])
 
 
 def _orbits(perm) -> tuple:
@@ -264,11 +275,23 @@ class PolygonGluing:
     twists: tuple  # bool per pair
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one edge")
         pairs = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "twists", tuple(bool(t) for t in self.twists))
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, n: int, pairs: tuple, twists: tuple) -> "PolygonGluing":
+        """A gluing from ``pairs``, each ``(a, b)`` with ``a < b`` and
+        sorted by ``a``, known to match the ``2n`` sides, and a tuple of
+        bools ``twists``; nothing is checked."""
+        return _unchecked(cls, n=n, pairs=pairs, twists=twists)
+
+    def validate(self) -> None:
+        """Raise ValueError unless the pairs match the sides perfectly."""
+        if self.n < 1:
+            raise ValueError("need at least one edge")
+        pairs = self.pairs
         if len(pairs) != self.n or len(self.twists) != self.n:
             raise ValueError("need exactly n pairs and n twist flags")
         seen = set()
@@ -280,17 +303,6 @@ class PolygonGluing:
     @property
     def orientable(self) -> bool:
         return not any(self.twists)
-
-    def _retwisted(self, twists: tuple) -> "PolygonGluing":
-        """The same validated pairs with the tuple of bools ``twists``;
-        only its length is checked."""
-        if len(twists) != self.n:
-            raise ValueError("need exactly n pairs and n twist flags")
-        g = object.__new__(PolygonGluing)
-        object.__setattr__(g, "n", self.n)
-        object.__setattr__(g, "pairs", self.pairs)
-        object.__setattr__(g, "twists", twists)
-        return g
 
 
 @dataclass(frozen=True)
@@ -332,6 +344,15 @@ def glue_polygon(g: PolygonGluing) -> GluedSkeleton:
     return GluedSkeleton(classes, g.orientable)
 
 
+def _corner_colors(skel: GluedSkeleton, colors: tuple, n: int) -> tuple:
+    """The color of each of the ``2n`` corners."""
+    corner_colors = [0] * (2 * n)
+    for cls, color in zip(skel.vertex_classes, colors):
+        for c in cls:
+            corner_colors[c] = color
+    return tuple(corner_colors)
+
+
 @dataclass(frozen=True)
 class ColoredUnicellularMap:
     """A polygon gluing with vertex classes colored using every color in
@@ -353,45 +374,40 @@ class ColoredUnicellularMap:
     corner_colors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._settle(glue_polygon(self.gluing))
+        n = self.gluing.n
+        labels = self.edge_labels
+        object.__setattr__(self, "colors", tuple(self.colors))
+        object.__setattr__(self, "edge_labels", tuple(range(1, n + 1))
+                           if labels is None else tuple(labels))
+        object.__setattr__(self, "skeleton", glue_polygon(self.gluing))
+        self.validate()
+        object.__setattr__(self, "corner_colors",
+                           _corner_colors(self.skeleton, self.colors, n))
 
     @classmethod
-    def _on_skeleton(cls, gluing, skel, colors, q, edge_labels=None):
-        """Same as the constructor, for a caller that already holds
-        ``skel = glue_polygon(gluing)``."""
-        u = object.__new__(cls)
-        for name, value in (("gluing", gluing), ("colors", colors),
-                            ("q", q), ("edge_labels", edge_labels)):
-            object.__setattr__(u, name, value)
-        u._settle(skel)
-        return u
+    def _trusted(cls, gluing, skeleton, colors, q, edge_labels,
+                 corner_colors=None) -> "ColoredUnicellularMap":
+        """A map from fields known to be valid: ``skeleton`` is
+        ``glue_polygon(gluing)``, ``colors`` and ``edge_labels`` are
+        tuples; ``corner_colors`` is derived unless the caller holds it.
+        Nothing is checked."""
+        if corner_colors is None:
+            corner_colors = _corner_colors(skeleton, colors, gluing.n)
+        return _unchecked(cls, gluing=gluing, colors=colors, q=q,
+                          edge_labels=edge_labels, skeleton=skeleton,
+                          corner_colors=corner_colors)
 
-    def _settle(self, skel):
-        """Validate against the glued skeleton and store it."""
-        object.__setattr__(self, "colors", tuple(self.colors))
-        if len(self.colors) != skel.vertex_count:
+    def validate(self) -> None:
+        """Raise ValueError unless the colors and edge labels fit the
+        glued skeleton."""
+        if len(self.colors) != self.skeleton.vertex_count:
             raise ValueError("need one color per vertex class")
         if set(self.colors) != set(range(1, self.q + 1)):
             raise ValueError("coloring must use every color in 1..q")
-        if self.edge_labels is None:
-            object.__setattr__(self, "edge_labels",
-                               tuple(range(1, self.gluing.n + 1)))
-        else:
-            object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
         if sorted(self.edge_labels) != list(range(1, self.gluing.n + 1)):
             raise ValueError("edge labels must be a permutation of 1..n")
-        corner_colors = [0] * (2 * self.gluing.n)
-        for cls, color in zip(skel.vertex_classes, self.colors):
-            for c in cls:
-                corner_colors[c] = color
-        object.__setattr__(self, "skeleton", skel)
-        object.__setattr__(self, "corner_colors", tuple(corner_colors))
 
     def corner_color(self, corner: int) -> int:
         if not 0 <= corner < len(self.corner_colors):
             raise ValueError("corner out of range")
         return self.corner_colors[corner]
-
-    def stripped(self) -> "ColoredUnicellularMap":
-        """Forget edge labels (reset them to the canonical 1..n order)."""
-        return ColoredUnicellularMap(self.gluing, self.colors, self.q)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maps_core import RootedMap, euler_data
+from .maps_core import RootedMap, _unchecked, euler_data
 
 # Chirality conventions, calibrated and frozen; see module docstring.
 # OPEN_OUT: in face-walk order, outgoing buds open and ingoing buds close
@@ -62,14 +62,25 @@ class NearEulerianTree:
     root: int = 0
 
     def __post_init__(self):
-        sigma = tuple(self.sigma)
-        mate = tuple(self.mate)
-        out_buds = frozenset(self.out_buds)
-        tails = frozenset(self.tails)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "mate", mate)
-        object.__setattr__(self, "out_buds", out_buds)
-        object.__setattr__(self, "tails", tails)
+        object.__setattr__(self, "sigma", tuple(self.sigma))
+        object.__setattr__(self, "mate", tuple(self.mate))
+        object.__setattr__(self, "out_buds", frozenset(self.out_buds))
+        object.__setattr__(self, "tails", frozenset(self.tails))
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, sigma: tuple, mate: tuple, out_buds: frozenset,
+                 tails: frozenset, root: int) -> "NearEulerianTree":
+        """A tree from fields known to form a valid near-Eulerian tree;
+        nothing is checked."""
+        return _unchecked(cls, sigma=sigma, mate=mate, out_buds=out_buds,
+                          tails=tails, root=root)
+
+    def validate(self) -> None:
+        """Raise ValueError unless the slots form a balanced rooted plane
+        tree with buds, oriented toward the root; one linear pass."""
+        sigma, mate = self.sigma, self.mate
+        out_buds, tails = self.out_buds, self.tails
         s = len(sigma)
         if s == 0:
             raise ValueError("need at least one slot")
@@ -136,11 +147,6 @@ class NearEulerianTree:
             raise ValueError("near-Eulerian balance fails at a vertex")
 
     @property
-    def in_buds(self) -> frozenset:
-        return frozenset(i for i, j in enumerate(self.mate)
-                         if j == -1 and i not in self.out_buds)
-
-    @property
     def external_weight(self) -> int:
         return len(self.out_buds)
 
@@ -156,6 +162,17 @@ class PlaneMap:
     outer: int
 
     def __post_init__(self):
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, m: RootedMap, outer: int) -> "PlaneMap":
+        """A plane map known to have genus 0 and ``outer`` a face
+        identifier; nothing is checked."""
+        return _unchecked(cls, m=m, outer=outer)
+
+    def validate(self) -> None:
+        """Raise ValueError unless ``m`` has genus 0 and ``outer`` is one
+        of its face identifiers; ``m`` keeps the orbits this traces."""
         m = self.m
         faces = m.faces()
         # Euler characteristic 2 - 2 genus; genus 0 means exactly 2
@@ -388,8 +405,8 @@ def closure_gamma(t: NearEulerianTree) -> PlaneMap:
     sigma, mate = dict(enumerate(t.sigma)), dict(enumerate(t.mate))
     full, pairs, outer = close_slots(sigma, mate, set(t.out_buds), t.root)
     # full is a copy of the slot-ordered mate dict, in slot order
-    m = RootedMap(t.sigma, tuple(full.values()), t.root)
-    return PlaneMap(m, outer)
+    m = RootedMap._trusted(t.sigma, tuple(full.values()), t.root)
+    return PlaneMap._trusted(m, outer)
 
 
 def opening_delta(p: PlaneMap) -> NearEulerianTree:
@@ -401,8 +418,8 @@ def opening_delta(p: PlaneMap) -> NearEulerianTree:
         p.outer)
     out_buds = frozenset(t for _, t, _ in cuts)
     # tree_mate is a copy of the slot-ordered mate dict, in slot order
-    return NearEulerianTree(m.sigma, tuple(tree_mate.values()), out_buds,
-                            frozenset(tails), m.root)
+    return NearEulerianTree._trusted(m.sigma, tuple(tree_mate.values()),
+                                     out_buds, frozenset(tails), m.root)
 
 
 def gen_near_eulerian_trees(max_slots: int):
@@ -465,7 +482,7 @@ def _decorate(shape):
         if j == k:
             tails = frozenset(child for child, lo, hi in edges
                               if prefix[hi] - prefix[lo] == -1)
-            yield NearEulerianTree(
+            yield NearEulerianTree._trusted(
                 sigma, mate, frozenset(b for b, o in zip(buds, out) if o),
                 tails, 0)
             return
@@ -526,4 +543,4 @@ def gen_plane_maps(max_edges: int):
             if euler_data(m)[3] != 0:
                 continue
             for f in m.faces():
-                yield PlaneMap(m, f[0])
+                yield PlaneMap._trusted(m, f[0])

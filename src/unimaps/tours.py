@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maps_core import ColoredUnicellularMap, PolygonGluing
+from .maps_core import ColoredUnicellularMap, PolygonGluing, _unchecked
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,19 @@ class EdgeLabelledGraph:
     edges: tuple
 
     def __post_init__(self):
-        q = self.q
-        edges = tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(
+            (u, v) if u <= v else (v, u) for u, v in self.edges))
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, q: int, edges: tuple) -> "EdgeLabelledGraph":
+        """A graph from endpoint pairs already ordered ``u <= v``, known
+        to be connected on ``1..q``; nothing is checked."""
+        return _unchecked(cls, q=q, edges=edges)
+
+    def validate(self) -> None:
+        """Raise ValueError unless the edges connect all of ``1..q``."""
+        q, edges = self.q, self.edges
         if q < 1 or not edges:
             raise ValueError("need at least one vertex and one edge")
         adj = [[] for _ in range(q + 1)]
@@ -64,10 +74,6 @@ class EdgeLabelledGraph:
     def endpoints(self, label: int) -> tuple:
         return self.edges[label - 1]
 
-    def is_loop(self, label: int) -> bool:
-        u, v = self.edges[label - 1]
-        return u == v
-
 
 @dataclass(frozen=True)
 class BiEulerianTour:
@@ -82,10 +88,23 @@ class BiEulerianTour:
     steps: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(
+            (int(l), int(d)) for l, d in self.steps))
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, graph: EdgeLabelledGraph, origin: int,
+                 steps: tuple) -> "BiEulerianTour":
+        """A tour from a tuple of int pairs known to walk ``graph`` as a
+        bi-Eulerian tour from ``origin``; nothing is checked."""
+        return _unchecked(cls, graph=graph, origin=origin, steps=steps)
+
+    def validate(self) -> None:
+        """Raise ValueError unless the steps walk every edge of the graph
+        twice, from the origin back to it."""
         ends = self.graph.edges
         n = len(ends)
-        steps = tuple((int(l), int(d)) for l, d in self.steps)
-        object.__setattr__(self, "steps", steps)
+        steps = self.steps
         if len(steps) != 2 * n:
             raise ValueError("tour must have exactly 2n steps")
         seen = [0] * (n + 1)
@@ -149,8 +168,9 @@ def xi(u: ColoredUnicellularMap) -> tuple:
         label = u.edge_labels[k]
         label_of_side[a] = label_of_side[b] = label
         twist_of_side[a] = twist_of_side[b] = twist
-        edge_list[label - 1] = (corner_color[a], corner_color[(a + 1) % nn])
-    graph = EdgeLabelledGraph(u.q, tuple(edge_list))
+        x, y = corner_color[a], corner_color[(a + 1) % nn]
+        edge_list[label - 1] = (x, y) if x <= y else (y, x)
+    graph = EdgeLabelledGraph._trusted(u.q, tuple(edge_list))
     ends = graph.edges
     steps = []
     seen = set()
@@ -167,7 +187,7 @@ def xi(u: ColoredUnicellularMap) -> tuple:
             d = 0 if frm == uu else 1
         seen.add(label)
         steps.append((label, d))
-    tour = BiEulerianTour(graph, corner_color[0], tuple(steps))
+    tour = BiEulerianTour._trusted(graph, corner_color[0], tuple(steps))
     return graph, tour
 
 
@@ -194,7 +214,9 @@ def xi_inverse(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> ColoredUnicell
         pairs.append((i, j))
         twists.append(d_j == 0 if u == v else steps[i][1] == d_j)
         labels.append(label)
-    gluing = PolygonGluing(n, tuple(pairs), tuple(twists))
+    # the positions come in order of first use, so each pair is (i, j)
+    # with i < j and the pairs are sorted
+    gluing = PolygonGluing._trusted(n, tuple(pairs), tuple(twists))
     from .maps_core import glue_polygon
 
     skel = glue_polygon(gluing)
@@ -204,5 +226,5 @@ def xi_inverse(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> ColoredUnicell
         if len(values) != 1:
             raise ValueError("tour colors are inconsistent with the gluing")
         colors.append(values.pop())
-    return ColoredUnicellularMap._on_skeleton(gluing, skel, tuple(colors),
-                                              graph.q, tuple(labels))
+    return ColoredUnicellularMap._trusted(gluing, skel, tuple(colors), graph.q,
+                                          tuple(labels), tuple(corner_color))

@@ -33,6 +33,12 @@ class Digraph:
                 raise ValueError("arc endpoint out of range")
 
 
+def is_loop(graph: EdgeLabelledGraph, label: int) -> bool:
+    """Whether the edge labelled ``label`` joins a vertex to itself."""
+    u, v = graph.endpoints(label)
+    return u == v
+
+
 def gen_eulerian_tours(g: Digraph, origin: int):
     """All Eulerian tours of ``g`` from ``origin``, as arc-id sequences."""
     used = [False] * len(g.arcs)
@@ -231,7 +237,7 @@ def arc_theta(t: OrientedTreeRootedMap) -> tuple:
                     a = 2 * k + copy_count[k]
                     copy_count[k] += 1
                 out.append(a)
-            elif graph.is_loop(lab):
+            elif is_loop(graph, lab):
                 k = lab - 1
                 out.append(2 * k + copy_count[k])
                 copy_count[k] += 1
@@ -293,7 +299,7 @@ def arc_theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
     seq = []
     for lab, d in tour.steps:
         k = lab - 1
-        if lab in oriented or graph.is_loop(lab):
+        if lab in oriented or is_loop(graph, lab):
             seq.append(2 * k + uses[k])
         else:
             seq.append(2 * k if d == 0 else 2 * k + 1)

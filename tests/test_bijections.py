@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from best_oracle import arc_theta, arc_theta_fiber
+from revalidate import revalidated
 from unimaps import maps_core
 from unimaps.bijections import (
     OrientedTreeRootedMap,
@@ -62,6 +63,13 @@ class TestOrientedTreeRootedMap:
         except ValueError:
             pass
         assert not balanced
+
+    @pytest.mark.parametrize("orientation", [{-1}, {2}])
+    def test_rejects_unknown_orientation_half_edges(self, orientation):
+        # -1 used to index the loop's last half-edge and pass as balanced
+        m = RootedMap((1, 0), (1, 0), 0)
+        with pytest.raises(ValueError, match="unknown half-edges"):
+            OrientedTreeRootedMap(m, (1,), (1,), frozenset(), orientation)
 
     def test_canonical_key_invariant_under_relabelling(self):
         m = RootedMap((1, 2, 3, 0), (2, 3, 0, 1), 0)
@@ -188,7 +196,10 @@ class TestDegreeProperty:
 class TestAgainstArcOracle:
     """The half-edge ``theta`` and ``theta_fiber`` equal the arc-level BEST
     oracle: the same fiber elements in the same order, and the same tour
-    back from each of them."""
+    back from each of them.  Every object built on the way, unchecked, is
+    valid: the colored maps, graphs, tours and fiber elements, and the
+    colored map back from each element, through n = 4 on orientable
+    surfaces (the bound of criterion 8)."""
 
     CASES = {
         "general-n1": lambda: gen_colored_unicellular(1, False),
@@ -201,12 +212,14 @@ class TestAgainstArcOracle:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_fiber_and_theta(self, case):
         count = 0
-        for u in self.CASES[case]():
-            graph, tour = xi(u)
+        for u in map(revalidated, self.CASES[case]()):
+            graph, tour = map(revalidated, xi(u))
             fiber = theta_fiber(graph, tour)
             assert fiber == arc_theta_fiber(graph, tour)
-            for t in fiber:
-                assert theta(t) == arc_theta(t) == (graph, tour)
+            for t in map(revalidated, fiber):
+                assert tuple(map(revalidated, theta(t))) == arc_theta(t) \
+                    == (graph, tour)
+                assert revalidated(upsilon(t)) == u
             count += 1
         assert count
 

@@ -8,11 +8,13 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from revalidate import revalidated
 
 import unimaps
 from unimaps import bijections
+from unimaps.bijections import OrientedTreeRootedMap
 from unimaps.checks import CHECKS
-from unimaps.cli import main
+from unimaps.cli import main, parse_gluing
 from unimaps.planar_closure import gen_near_eulerian_trees, gen_plane_maps
 
 
@@ -146,6 +148,30 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["verdict"] == "fail"
         assert payload["counterexample"]["property"] == "distinct keys"
+
+    def test_broken_phi_image_fails(self, capsys, monkeypatch):
+        """A theta_fiber that drops one tree edge builds, unchecked, a
+        tree-rooted map that is not valid: revalidation raises, and the
+        registry check reports it as a counterexample, not a traceback."""
+        real = bijections.theta_fiber
+
+        def drop_tree_edge(graph, tour):
+            return tuple(
+                OrientedTreeRootedMap._trusted(
+                    t.m, t.vertex_labels, t.edge_labels,
+                    t.tree - {min(t.tree)}, t.orientation, t.up)
+                if t.tree else t for t in real(graph, tour))
+        monkeypatch.setattr(bijections, "theta_fiber", drop_tree_edge)
+        broken = bijections.phi(parse_gluing("n=1; pairs=(0 1)"))
+        with pytest.raises(ValueError, match="wrong number of edges"):
+            revalidated(broken)
+        code, out, err = run(capsys, "verify", "phi-roundtrip",
+                             "--bound", "2")
+        assert code == 1
+        counterexample = json.loads(out)["counterexample"]
+        assert counterexample["property"] == "valid image"
+        assert counterexample["detail"] == "tree has the wrong number of edges"
+        assert "Traceback" not in err
 
     def test_empty_fiber_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(bijections, "psi_fiber", lambda u: ())
@@ -291,6 +317,12 @@ class TestBijection:
          "tails must be tree half-edges (at character 0)"),
         ("gamma", "sigma=(0 1); mate=(1 0); tails=(-1)",
          "tails must be tree half-edges (at character 0)"),
+        ("phi", "n=1; pairs=(0 1); colors=(1 2); labels=(5)",
+         "edge labels must be a permutation of 1..n (at character 31)"),
+        ("phi", "n=1; pairs=(0 1); labels=(5)",
+         "edge labels must be a permutation of 1..n (at character 17)"),
+        ("phi", "n=1; pairs=(0 1); colors=(1 3); labels=(1)",
+         "coloring must use every color in 1..q (at character 17)"),
     ])
     def test_unknown_or_repeated_field_is_parse_error(self, capsys, name,
                                                       literal, message):

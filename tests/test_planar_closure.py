@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
+from revalidate import revalidated
 
 from unimaps import maps_core, planar_closure
 from unimaps.enumeration import planar_census
@@ -314,11 +315,17 @@ def loop_map():
     return RootedMap((1, 0), (1, 0), 0)
 
 
+def in_buds(t: NearEulerianTree) -> frozenset:
+    """The ingoing buds: bud slots that are not outgoing."""
+    return frozenset(i for i, j in enumerate(t.mate)
+                     if j == -1 and i not in t.out_buds)
+
+
 class TestNearEulerianTree:
     def test_single_out_in_pair(self):
         t = NearEulerianTree((1, 0), (-1, -1), frozenset({0}), frozenset())
         assert t.external_weight == 1
-        assert t.in_buds == frozenset({1})
+        assert in_buds(t) == frozenset({1})
 
     def test_rejects_unbalanced(self):
         with pytest.raises(ValueError):
@@ -555,14 +562,16 @@ class TestGenerator:
 LEVEL_COUNTS = {1: 3, 2: 18, 3: 135, 4: 1134, 5: 10206}
 
 
+# The generators build their trees and maps unchecked; the fixtures
+# revalidate every one of them, at the bound of criterion 9.
 @pytest.fixture(scope="module")
 def nets():
-    return list(gen_near_eulerian_trees(10))
+    return list(map(revalidated, gen_near_eulerian_trees(10)))
 
 
 @pytest.fixture(scope="module")
 def maps():
-    return list(gen_plane_maps(5))
+    return list(map(revalidated, gen_plane_maps(5)))
 
 
 class TestRoundTrips:
@@ -573,13 +582,13 @@ class TestRoundTrips:
 
     def test_gamma_then_delta_is_identity(self, nets):
         for t in nets:
-            t2 = opening_delta(closure_gamma(t))
+            t2 = revalidated(opening_delta(revalidated(closure_gamma(t))))
             assert (t2.sigma, t2.mate, t2.out_buds, t2.tails, t2.root) == (
                 t.sigma, t.mate, t.out_buds, t.tails, t.root)
 
     def test_delta_then_gamma_is_identity(self, maps):
         for p in maps:
-            p2 = closure_gamma(opening_delta(p))
+            p2 = revalidated(closure_gamma(revalidated(opening_delta(p))))
             assert p2.m == p.m and p2.outer == p.outer
 
     def test_gamma_is_injective(self, nets):
@@ -711,9 +720,13 @@ class TestFaceTraces:
     def test_opening_reads_the_orbits_the_plane_map_keeps(self, monkeypatch):
         """``opening_delta`` of a validated plane map calls neither
         ``slot_faces`` nor ``slot_vertices`` and traces no orbit: it reads
-        the faces and the vertex index that ``p.m`` keeps."""
+        the faces and the vertex index that ``p.m`` keeps.  The generated
+        maps keep the orbits that ``gen_plane_maps`` traced; the closures,
+        built unchecked, keep those of their validation."""
         maps = list(gen_plane_maps(4))
         closed = [closure_gamma(t) for t in gen_near_eulerian_trees(8)]
+        for p in closed:
+            p.validate()
         calls = Counter()
 
         def counted(name, fn):

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 from collections import Counter
 from math import comb, factorial
 
 import pytest
+from revalidate import revalidated
 
 from unimaps import bijections, planar_closure
 from unimaps.bijections import (
@@ -12,7 +14,12 @@ from unimaps.bijections import (
     psi,
     psi_fiber,
 )
-from unimaps.enumeration import gen_unicellular, planar_census
+from unimaps.checks import _fiber_fault, degree_certificate_ok
+from unimaps.enumeration import (
+    gen_colored_unicellular,
+    gen_unicellular,
+    planar_census,
+)
 from unimaps.formulas import double_factorial
 from unimaps.maps_core import ColoredUnicellularMap, RootedMap, glue_polygon
 
@@ -69,6 +76,17 @@ class TestPsiFibers:
             for p in fiber:
                 assert psi(p) == u
 
+    def test_every_element_is_valid(self):
+        """Every fiber element built unchecked, and psi's image of it, is
+        valid, through n = 3 on all surfaces (the bound of criterion 10)."""
+        elements = 0
+        for n in range(1, 4):
+            for u in map(revalidated, gen_colored_unicellular(n, False)):
+                for p in map(revalidated, psi_fiber(u)):
+                    assert revalidated(psi(p)) == u
+                    elements += 1
+        assert elements == 1699
+
     def test_fiber_structure_three_edges(self):
         seen_w = Counter()
         for i, u in enumerate(all_colored(3)):
@@ -113,6 +131,22 @@ class TestPsiFibers:
                 for cyc, lab in zip(p.m.vertices(), p.vertex_labels):
                     deg[lab] += len(cyc)
                 assert deg == corners
+
+    def test_wrong_degrees_fail_both_certificates(self, monkeypatch):
+        """An element whose vertex labels are swapped between vertices of
+        different degrees fails the degree property (**) both where the
+        registry checks fibers and where ``fiber`` reports it; psi is
+        patched to map every element back to ``u``, so that the degrees
+        are the first property that fails."""
+        u = next(u for u in gen_colored_unicellular(2, True)
+                 if sorted(Counter(u.corner_colors).values()) == [1, 3])
+        (p,) = psi_fiber(u)
+        wrong = dataclasses.replace(p, vertex_labels=p.vertex_labels[::-1])
+        assert degree_certificate_ok(u, p)
+        assert not degree_certificate_ok(u, wrong)
+        monkeypatch.setattr(bijections, "psi", lambda p: u)
+        assert _fiber_fault(u, (p,)) is None
+        assert _fiber_fault(u, (wrong,)) == "degrees"
 
     def test_orientable_case_reduces_to_tree_rooted(self):
         """On orientable maps the single preimage is the tree-rooted map
