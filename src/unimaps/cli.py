@@ -14,24 +14,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
-from .bijections import phi, psi_fiber, upsilon_fiber
+# Only the check registry is imported here: each command and parser imports
+# the layers it runs, so a command pays the start-up of those alone.
 from .checks import CHECKS, degree_certificate_ok, map_payload, tree_payload
-from .enumeration import (
-    CountTable,
-    gen_tree_rooted_maps,
-    planar_census,
-    vertex_profile,
-)
-from .maps_core import ColoredUnicellularMap, PolygonGluing, RootedMap, \
-    glue_polygon
-from .planar_closure import (
-    NearEulerianTree,
-    PlaneMap,
-    closure_gamma,
-    opening_delta,
-)
 
 SCHEMA = 1
 
@@ -93,6 +79,10 @@ def _int_tuple(value: str, position: int) -> tuple:
 def parse_gluing(text: str) -> ColoredUnicellularMap:
     """Parse ``n=<int>; pairs=(a b[!], ...)`` with optional ``colors=``
     and ``labels=`` fields; ``!`` marks a twisted pair."""
+    from dataclasses import replace
+
+    from .maps_core import ColoredUnicellularMap, PolygonGluing, \
+        glue_polygon
     fields = _split_fields(text, ("n", "pairs", "colors", "labels"))
     for key in ("n", "pairs"):
         if key not in fields:
@@ -142,6 +132,8 @@ def parse_gluing(text: str) -> ColoredUnicellularMap:
 def parse_rotation(text: str):
     """Parse ``sigma=(...); alpha=(...); root=k`` with optional
     ``outer=k``; returns a RootedMap or, with ``outer``, a PlaneMap."""
+    from .maps_core import RootedMap
+    from .planar_closure import PlaneMap
     fields = _split_fields(text, ("sigma", "alpha", "root", "outer"))
     for key in ("sigma", "alpha"):
         if key not in fields:
@@ -162,6 +154,7 @@ def parse_rotation(text: str):
 def parse_tree(text: str) -> NearEulerianTree:
     """Parse ``sigma=(...); mate=(...); out=(...); tails=(...)`` where
     ``mate`` is -1 on bud slots."""
+    from .planar_closure import NearEulerianTree
     fields = _split_fields(text, ("sigma", "mate", "out", "tails", "root"))
     for key in ("sigma", "mate"):
         if key not in fields:
@@ -220,11 +213,15 @@ def _cached(cache_dir, name, params, build):
     table = load_census(cache_dir, name, params)
     if table is None:
         table = build()
-        store_census(cache_dir, name, params, table)
+        try:
+            store_census(cache_dir, name, params, table)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write the cache {cache_dir!r}: {exc}")
     return table
 
 
 def _planar_census(cache_dir, max_edges):
+    from .enumeration import planar_census
     return _cached(cache_dir, "planar-pqr", {"max_edges": max_edges},
                    lambda: planar_census(max_edges))
 
@@ -237,6 +234,7 @@ def _require_positive(value, option: str) -> None:
 
 
 def cmd_census(args) -> int:
+    from .enumeration import CountTable, gen_tree_rooted_maps, vertex_profile
     family = args.family
     cache_dir = args.cache
     if args.threads < 1:
@@ -335,6 +333,7 @@ def _upsilon_element_payload(t) -> dict:
 
 
 def cmd_fiber(args) -> int:
+    from .bijections import psi_fiber, upsilon_fiber
     u = parse_gluing(args.map)
     if args.kind == "psi":
         elements = []
@@ -360,16 +359,19 @@ def cmd_fiber(args) -> int:
 
 def cmd_bijection(args) -> int:
     if args.name == "phi":
+        from .bijections import phi
         u = parse_gluing(args.input)
         if not u.gluing.orientable:
             raise SystemExit2("phi needs an orientable gluing")
         _emit({"schema": SCHEMA, "image": _upsilon_element_payload(phi(u))})
     elif args.name == "gamma":
+        from .planar_closure import closure_gamma
         t = parse_tree(args.input)
         p = closure_gamma(t)
         _emit({"schema": SCHEMA,
                "image": dict(map_payload(p.m), outer=p.outer)})
     else:  # delta
+        from .planar_closure import PlaneMap, opening_delta
         p = parse_rotation(args.input)
         if not isinstance(p, PlaneMap):
             raise SystemExit2("delta needs an outer= field")

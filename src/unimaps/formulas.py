@@ -29,16 +29,6 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def binomial(x, k: int) -> Fraction:
-    """Generalized binomial ``x (x-1) ... (x-k+1) / k!`` for any exact x."""
-    if k < 0:
-        raise ValueError("lower index must be nonnegative")
-    num = Fraction(1)
-    for i in range(k):
-        num *= Fraction(x) - i
-    return num / factorial(k)
-
-
 def t_formula(n: int, q: int) -> int:
     """``T_n(q) = 2^(q-1) binom(n, q-1) (2n-1)!!``: orientable one-face maps
     with ``n`` edges, vertices colored with every color in ``1..q``.  Also
@@ -89,6 +79,15 @@ def u_formula(n: int, q: int, planar_counts) -> int:
     return total.numerator
 
 
+def _binomial_row(x: Fraction, k: int) -> list:
+    """``[binom(x, 0), ..., binom(x, k)]`` for an exact ``x``, by
+    ``binom(x, m+1) = binom(x, m) (x - m) / (m + 1)``."""
+    row = [Fraction(1)]
+    for m in range(k):
+        row.append(row[-1] * (x - m) / (m + 1))
+    return row
+
+
 def u_hat_formula(n: int, N: int) -> int:
     """``U^_n(N)``: one-face maps on general surfaces with ``n`` edges,
     vertices colored with some of the colors ``1..N``.
@@ -99,18 +98,24 @@ def u_hat_formula(n: int, N: int) -> int:
                                 binom((N-1)/2, r)
         + (2n-1)!! sum_{q=1}^{N-1} 2^(q-1) binom(N-1, q) binom(n, q-1)
 
-    with generalized binomials evaluated exactly over the rationals.
+    exactly, in O(n) rational operations.  With the sums swapped, the
+    k-sum is the integer weight ``E_r = sum_k 2^(2n-k) binom(k+r-1, k)``
+    (k and r run over 0..n), and Pascal's rule on ``binom(k+r-1, k)``
+    gives ``E_0 = 4^n`` and ``E_r = 2 E_(r-1) - 2^n binom(n+r-1, n)``;
+    the generalized binomials of ``n - 1/2`` and ``(N-1)/2`` are built as
+    rows.
     """
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1")
-    half = Fraction(0)
-    for k in range(n + 1):
-        inner = Fraction(0)
-        for r in range(n + 1):
-            inner += (binomial(Fraction(2 * n - 1, 2), n - r)
-                      * binomial(k + r - 1, k)
-                      * binomial(Fraction(N - 1, 2), r))
-        half += 2 ** (2 * n - k) * inner
+    top = _binomial_row(Fraction(2 * n - 1, 2), n)
+    side = _binomial_row(Fraction(N - 1, 2), n)
+    # after step r, weight is E_r and b is binom(n+r, n)
+    weight, b = 4 ** n, 1
+    half = top[n] * side[0] * weight
+    for r in range(1, n + 1):
+        weight = 2 * weight - 2 ** n * b
+        b = b * (n + r) // r
+        half += top[n - r] * side[r] * weight
     half *= factorial(n)
     tail = sum(2 ** (q - 1) * comb(N - 1, q) * comb(n, q - 1)
                for q in range(1, N))

@@ -152,9 +152,6 @@ class TruncatedBivariateSeries:
             k += 1
         return self._like(total.coeffs, degree)
 
-    def truncate(self, degree) -> "TruncatedBivariateSeries":
-        return self._like(self.coeffs, min(self.degree, degree))
-
     def nonzero_terms(self):
         """Stored nonzero terms within trust, sorted by weighted degree."""
         return sorted(self.coeffs.items(),
@@ -268,20 +265,6 @@ def delta_w(f: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
             if k:
                 out[(i, k)] = out.get((i, k), Fraction(0)) + k * c
     return TruncatedBivariateSeries(out, f.degree, f.weights, f.names)
-
-
-def apply_operator_polynomial(op_poly, f):
-    """Apply ``sum c_(a,b) Delta_t^a Delta_w^b`` (the operators commute)
-    to a series; ``op_poly`` maps ``(a, b)`` to a coefficient."""
-    total = TruncatedBivariateSeries({}, f.degree, f.weights, f.names)
-    for (a, b), c in sorted(op_poly.items()):
-        g = f
-        for _ in range(a):
-            g = delta_t(g)
-        for _ in range(b):
-            g = delta_w(g)
-        total = total + g.scale(c)
-    return total
 
 
 def check_q_pde(q: TruncatedBivariateSeries) -> Verdict:

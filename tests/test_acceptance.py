@@ -91,9 +91,9 @@ def test_criterion_05_u_formula(census5):
 
 
 def test_criterion_06_u_hat():
-    ok = passes(4, "u-hat") and u_hat_formula(1, 2) == 6
+    ok = passes(12, "u-hat") and u_hat_formula(1, 2) == 6
     report(6, "some-colors closed form matches the binomial sum for "
-           "n <= 4, N <= n + 2; u_hat(1,2)=6", ok)
+           "n <= 12, N <= n + 2; u_hat(1,2)=6", ok)
 
 
 def test_criterion_07_ledoux():

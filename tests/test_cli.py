@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,47 @@ class TestCensus:
             path.write_text("{broken")
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+class TestUnusableCache:
+    """A cache path that cannot be written is a usage error: exit 2, one
+    ``error:`` line on stderr and nothing on stdout."""
+
+    @staticmethod
+    def assert_usage_error(code, out, err):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("census", "planar-pqr", "--max-edges", "3"),
+        ("census", "unicellular-general", "--n", "2"),
+        ("verify", "planar-totals", "--bound", "3"),
+        ("verify", "u-formula", "--bound", "2"),
+    ])
+    def test_regular_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "table.json"
+        path.write_text("{}")
+        self.assert_usage_error(*run(capsys, "--cache", str(path), *argv))
+        assert path.read_text() == "{}"
+
+    def test_regular_file_from_environment(self, capsys, tmp_path,
+                                           monkeypatch):
+        path = tmp_path / "table.json"
+        path.write_text("{}")
+        monkeypatch.setenv("UNIMAPS_CACHE", str(path))
+        self.assert_usage_error(*run(capsys, "verify", "planar-totals",
+                                     "--bound", "3"))
+
+    def test_unwritable_directory(self, capsys, tmp_path, monkeypatch):
+        def deny(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(tmp_path))
+        monkeypatch.setattr(tempfile, "mkstemp", deny)
+        self.assert_usage_error(*run(capsys, "--cache", str(tmp_path),
+                                     "census", "planar-pqr",
+                                     "--max-edges", "2"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:
@@ -211,13 +253,35 @@ class TestVerify:
             assert check.default >= check.minimum and callable(check.run)
             assert check.bound_name.startswith("max_")
 
-    def test_import_leaves_cache_out(self):
-        """The census cache is imported only when a command uses it."""
-        src = os.path.dirname(os.path.dirname(unimaps.__file__))
-        code = (f"import sys; sys.path.insert(0, {src!r}); "
-                "import unimaps.cli; "
-                "sys.exit('unimaps.cache' in sys.modules)")
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+def loaded_modules(code: str) -> set:
+    """The ``unimaps`` modules a fresh interpreter holds after running
+    ``code`` with this checkout's package first on its path."""
+    src = os.path.dirname(os.path.dirname(unimaps.__file__))
+    probe = (f"import json, sys; sys.path.insert(0, {src!r}); {code}; "
+             "print(json.dumps([m for m in sys.modules "
+             "if m.split('.')[0] == 'unimaps']))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, check=True)
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+class TestStartup:
+    def test_commands_import_only_their_layers(self):
+        """Building the parser loads the command line and the check
+        registry alone, so not the census cache, which only the commands
+        that use it import; ``verify hz`` loads none of the layers it
+        does not run."""
+        assert loaded_modules(
+            "import unimaps.cli; unimaps.cli.build_parser()") == {
+                "unimaps", "unimaps.cli", "unimaps.checks"}
+        hz = loaded_modules("import unimaps.cli; "
+                            "unimaps.cli.main(['verify', 'hz', '--bound', "
+                            "'2'])")
+        assert "unimaps.formulas" in hz
+        assert not hz & {"unimaps.bijections", "unimaps.tours",
+                         "unimaps.planar_closure", "unimaps.series",
+                         "unimaps.cache"}
 
 
 class TestFiber:

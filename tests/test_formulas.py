@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from formula_oracle import binomial, u_hat_double_sum
 from unimaps.enumeration import (
     gen_unicellular,
     planar_census,
@@ -12,7 +13,6 @@ from unimaps.enumeration import (
 )
 from unimaps.formulas import (
     Verdict,
-    binomial,
     double_factorial,
     hz_recurrence_check,
     jackson_formula,
@@ -145,6 +145,13 @@ class TestUHatFormula:
             expect = sum(comb(N, q) * brute_colored(n, q)
                          for q in range(1, n + 2))
             assert u_hat_formula(n, N) == expect
+
+    def test_kernel_matches_double_sum(self):
+        """The O(n) kernel against the closed form summed term by term,
+        for every n <= 10 and N <= n + 3."""
+        for n in range(1, 11):
+            for N in range(1, n + 4):
+                assert u_hat_formula(n, N) == u_hat_double_sum(n, N), (n, N)
 
     def test_consistency_with_u_formula(self, census):
         for n in (1, 2, 3, 4):
