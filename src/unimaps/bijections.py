@@ -24,7 +24,6 @@ construction is invariant under relabelling of half-edges.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .maps_core import (
     ColoredUnicellularMap,
@@ -32,6 +31,7 @@ from .maps_core import (
     RootedMap,
     _unchecked,
     canonical_relabelling,
+    record,
 )
 from .tours import BiEulerianTour, EdgeLabelledGraph, xi, xi_inverse
 
@@ -82,7 +82,7 @@ class _LabelledMap:
         return m2, edge_labels
 
 
-@dataclass(frozen=True)
+@record
 class OrientedTreeRootedMap(_LabelledMap):
     """Rooted orientable map with labelled vertices and edges, a marked
     spanning tree, and a compatible balanced orientation.
@@ -105,7 +105,7 @@ class OrientedTreeRootedMap(_LabelledMap):
     edge_labels: tuple
     tree: frozenset
     orientation: frozenset = frozenset()
-    up: tuple = field(default=None, init=False, repr=False, compare=False)
+    up = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertex_labels", tuple(self.vertex_labels))
@@ -416,7 +416,10 @@ def phi_inverse(t: OrientedTreeRootedMap) -> ColoredUnicellularMap:
 def gen_oriented_tree_rooted_maps(n: int, weight: int = None):
     """Stream all oriented tree-rooted maps with ``n`` edges (every vertex
     labelling, edge labelling, spanning tree and compatible balanced
-    orientation), optionally restricted to one external weight."""
+    orientation), optionally restricted to one external weight.  The
+    public constructor filters the trees and orientations; relabellings
+    of an accepted map are built trusted, with its ``up``, which no
+    relabelling changes."""
     from .enumeration import gen_rooted_orientable_maps, spanning_edge_subsets
 
     for m in gen_rooted_orientable_maps(n):
@@ -435,8 +438,8 @@ def gen_oriented_tree_rooted_maps(n: int, weight: int = None):
                     continue
                 for vperm in itertools.permutations(range(1, q + 1)):
                     for eperm in itertools.permutations(range(1, n + 1)):
-                        yield OrientedTreeRootedMap(
-                            m, vperm, eperm, tree, orient)
+                        yield OrientedTreeRootedMap._trusted(
+                            m, vperm, eperm, t.tree, t.orientation, t.up)
 
 
 def _balanced_orientations(m: RootedMap):
@@ -467,7 +470,7 @@ def _subsets(items):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     """Rooted orientable map with labelled vertices and edges, a marked
     spanning planar submap, and a labelling of the submap's faces.
@@ -485,8 +488,7 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     edge_labels: tuple
     submap: frozenset
     face_labels: tuple
-    submap_faces: tuple = field(default=None, init=False, repr=False,
-                                compare=False)
+    submap_faces = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertex_labels", tuple(self.vertex_labels))
@@ -716,7 +718,10 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
 
 
 def gen_externally_labelled_maps(n: int):
-    """Stream every externally-labelled planar-rooted map with n edges."""
+    """Stream every externally-labelled planar-rooted map with n edges.
+    The public constructor filters the submaps; relabellings of an
+    accepted map are built trusted, with its submap faces, which no
+    relabelling changes."""
     from .enumeration import gen_rooted_orientable_maps
 
     for m in gen_rooted_orientable_maps(n):
@@ -725,7 +730,7 @@ def gen_externally_labelled_maps(n: int):
         for sub in _subsets(eids):
             r = len(_submap_faces_of(m, frozenset(sub)))
             try:
-                ExternallyLabelledPlanarRootedMap(
+                p = ExternallyLabelledPlanarRootedMap(
                     m, tuple(range(1, q + 1)), tuple(range(1, n + 1)),
                     frozenset(sub), tuple(range(1, r + 1)))
             except ValueError:
@@ -733,5 +738,6 @@ def gen_externally_labelled_maps(n: int):
             for vperm in itertools.permutations(range(1, q + 1)):
                 for eperm in itertools.permutations(range(1, n + 1)):
                     for fperm in itertools.permutations(range(1, r + 1)):
-                        yield ExternallyLabelledPlanarRootedMap(
-                            m, vperm, eperm, frozenset(sub), fperm)
+                        yield ExternallyLabelledPlanarRootedMap._trusted(
+                            m, vperm, eperm, p.submap, fperm,
+                            p.submap_faces)

@@ -322,7 +322,7 @@ Check = namedtuple("Check", "bound_name default minimum run")
 CHECKS = {
     "gluing-totals": Check("max_n", 8, 1, _check_gluing_totals),
     "t-formula": Check("max_n", 8, 1, _check_t_formula),
-    "jackson": Check("max_n", 3, 1, _check_jackson),
+    "jackson": Check("max_n", 6, 1, _check_jackson),
     "u-formula": Check("max_n", 8, 1, _check_u_formula),
     "u-hat": Check("max_n", 20, 1, _check_u_hat),
     "hz": Check("max_n", 8, 1, _check_hz),
@@ -330,10 +330,10 @@ CHECKS = {
     "phi-roundtrip": Check("max_n", 4, 1, _check_phi_roundtrip),
     "psi-fibers": Check("max_n", 3, 1, _check_psi_fibers),
     "gamma-roundtrip": Check("max_edges", 5, 1, _check_gamma_roundtrip),
-    "planar-totals": Check("max_edges", 12, 1, _check_planar_totals),
-    "algebraic-P": Check("max_degree", 16, 2, _check_algebraic_p),
-    "q-pde": Check("max_edges", 10, 4, _check_q_pde),
-    "rec-hP": Check("max_total", 10, 1, _check_rec_hp),
-    "a-combination": Check("max_edges", 10, 1, _check_a_combination),
+    "planar-totals": Check("max_edges", 20, 1, _check_planar_totals),
+    "algebraic-P": Check("max_degree", 24, 2, _check_algebraic_p),
+    "q-pde": Check("max_edges", 20, 4, _check_q_pde),
+    "rec-hP": Check("max_total", 18, 1, _check_rec_hp),
+    "a-combination": Check("max_edges", 20, 1, _check_a_combination),
     "qfd": Check("max_n", 8, 1, _check_qfd),
 }

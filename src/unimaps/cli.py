@@ -79,10 +79,8 @@ def _int_tuple(value: str, position: int) -> tuple:
 def parse_gluing(text: str) -> ColoredUnicellularMap:
     """Parse ``n=<int>; pairs=(a b[!], ...)`` with optional ``colors=``
     and ``labels=`` fields; ``!`` marks a twisted pair."""
-    from dataclasses import replace
-
     from .maps_core import ColoredUnicellularMap, PolygonGluing, \
-        glue_polygon
+        glue_polygon, replace
     fields = _split_fields(text, ("n", "pairs", "colors", "labels"))
     for key in ("n", "pairs"):
         if key not in fields:

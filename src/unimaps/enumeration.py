@@ -10,7 +10,6 @@ bijection and both transfers are checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .maps_core import (
     ColoredUnicellularMap,
@@ -22,14 +21,14 @@ from .maps_core import (
 )
 
 
-@dataclass
 class CountTable:
     """Finite mapping from integer tuples to exact nonnegative integers.
 
     Missing keys count as zero.
     """
 
-    by_key: dict = field(default_factory=dict)
+    def __init__(self, by_key: dict = None):
+        self.by_key = {} if by_key is None else by_key
 
     def __getitem__(self, key) -> int:
         return self.by_key.get(tuple(key), 0)

@@ -13,9 +13,10 @@ Conventions: ``(-1)!! = 1`` and ``binom(x, 0) = 1`` for every ``x``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+
+from .maps_core import record
 
 
 def double_factorial(k: int) -> int:
@@ -125,7 +126,7 @@ def u_hat_formula(n: int, N: int) -> int:
     return total.numerator
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Outcome of checking one identity instance."""
 

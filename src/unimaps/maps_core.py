@@ -22,7 +22,6 @@ and corner ``i+1`` with corner ``j+1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 
@@ -61,8 +60,97 @@ class DisjointSets:
         return list(groups.values())
 
 
+def record(cls):
+    """Make ``cls`` an immutable value record whose fields are the names
+    annotated in its body, in order; a class attribute of the same name is
+    the field's default.
+
+    The record gets an ``__init__`` that binds its arguments to the fields
+    like a function signature and then runs the class's ``__post_init__``,
+    if any; ``__eq__`` and ``__hash__`` over the field values (equal only
+    to a record of the same class); a ``__repr__`` that names the fields;
+    and ``__setattr__`` and ``__delattr__`` that raise AttributeError.  A
+    ``__post_init__`` normalizes fields with ``object.__setattr__``.
+    Unannotated class attributes are not fields: an instance may keep
+    derived data under such a name, which takes no part in equality,
+    hashing or ``repr``.  ``cls._fields`` is the tuple of field names.
+    The methods are closures, so defining a record compiles no source.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = frozenset(n for n in names if n in cls.__dict__)
+    count, required = len(names), len(names) - len(defaults)
+    if defaults.intersection(names[:required]):
+        raise TypeError(f"{cls.__name__}: a field without a default "
+                        "follows one with a default")
+    post_init = getattr(cls, "__post_init__", None)
+    key = attrgetter(*names)
+
+    def bind(args, kwargs) -> dict:
+        """The fields given by ``args`` and ``kwargs``, or TypeError."""
+        if len(args) > count:
+            raise TypeError(f"{cls.__name__}() takes at most {count} "
+                            f"arguments ({len(args)} given)")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected "
+                                f"keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values "
+                                f"for argument {name!r}")
+            values[name] = value
+        missing = [n for n in names if n not in values and n not in defaults]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required "
+                            f"arguments: {', '.join(missing)}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        # Fields left out keep their class defaults.  Updating from a
+        # whole dict, not from pairs, gives the instance a combined dict,
+        # whose attributes read about three times faster on CPython 3.11.
+        if kwargs or not required <= len(args) <= count:
+            self.__dict__.update(bind(args, kwargs))
+        else:
+            self.__dict__.update(dict(zip(names, args)))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in names))
+
+    cls._fields = names
+    cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
+    cls.__repr__ = __repr__
+    cls.__setattr__, cls.__delattr__ = _immutable, _immutable
+    return cls
+
+
+def _immutable(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete {name!r} of "
+                         f"{self.__class__.__name__}")
+
+
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with the fields in ``changes``
+    replaced, built through its public constructor, which normalizes and
+    validates every field."""
+    fields = {name: getattr(obj, name) for name in obj._fields}
+    fields.update(changes)
+    return obj.__class__(**fields)
+
+
 def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    """An instance of the record class ``cls`` holding ``fields`` as
     given, neither normalized nor validated; fields left out keep their
     class defaults.  Every trusted constructor builds on this."""
     obj = object.__new__(cls)
@@ -75,7 +163,7 @@ def _check_permutation(perm, n, name):
         raise ValueError(f"{name} is not a permutation of 0..{n - 1}")
 
 
-@dataclass(frozen=True)
+@record
 class RootedMap:
     """A rooted map on an orientable surface as a rotation system.
 
@@ -90,12 +178,9 @@ class RootedMap:
     sigma: tuple
     alpha: tuple
     root: int = 0
-    _vertex_data: tuple = field(default=None, init=False, repr=False,
-                                compare=False)
-    _edge_data: tuple = field(default=None, init=False, repr=False,
-                              compare=False)
-    _face_data: tuple = field(default=None, init=False, repr=False,
-                              compare=False)
+    _vertex_data = None
+    _edge_data = None
+    _face_data = None
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(self.sigma))
@@ -265,7 +350,7 @@ def canonical_relabelling(m: RootedMap) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PolygonGluing:
     """A perfect matching of the ``2n`` sides of a rooted ``2n``-gon with a
     twist flag per pair.  Side 0 is the root side."""
@@ -305,7 +390,7 @@ class PolygonGluing:
         return not any(self.twists)
 
 
-@dataclass(frozen=True)
+@record
 class GluedSkeleton:
     """Vertex classes of a glued polygon: a partition of the 2n corners."""
 
@@ -353,7 +438,7 @@ def _corner_colors(skel: GluedSkeleton, colors: tuple, n: int) -> tuple:
     return tuple(corner_colors)
 
 
-@dataclass(frozen=True)
+@record
 class ColoredUnicellularMap:
     """A polygon gluing with vertex classes colored using every color in
     ``1..q`` and (internally) edge labels ``1..n`` on the glued pairs.
@@ -370,8 +455,8 @@ class ColoredUnicellularMap:
     colors: tuple
     q: int
     edge_labels: tuple = None
-    skeleton: GluedSkeleton = field(init=False, repr=False, compare=False)
-    corner_colors: tuple = field(init=False, repr=False, compare=False)
+    skeleton = None
+    corner_colors = None
 
     def __post_init__(self):
         n = self.gluing.n

@@ -23,9 +23,7 @@ mirror image which is an equally valid but different normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .maps_core import RootedMap, _unchecked, euler_data
+from .maps_core import RootedMap, _unchecked, euler_data, record
 
 # Chirality conventions, calibrated and frozen; see module docstring.
 # OPEN_OUT: in face-walk order, outgoing buds open and ingoing buds close
@@ -44,7 +42,7 @@ BREAK_AFTER = True
 OUTER_AT_IN = False
 
 
-@dataclass(frozen=True)
+@record
 class NearEulerianTree:
     """Rooted plane tree with buds and a partial orientation.
 
@@ -151,7 +149,7 @@ class NearEulerianTree:
         return len(self.out_buds)
 
 
-@dataclass(frozen=True)
+@record
 class PlaneMap:
     """A rooted planar map with a marked outer face.
 

@@ -18,16 +18,16 @@ to vanish identically on all trusted coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .formulas import Verdict, double_factorial
+from .maps_core import record
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedBivariateSeries:
     """Sparse bivariate series with exact coefficients and a trust degree.
 

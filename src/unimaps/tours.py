@@ -17,12 +17,15 @@ has exactly two bi-Eulerian tours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .maps_core import (
+    ColoredUnicellularMap,
+    PolygonGluing,
+    _unchecked,
+    record,
+)
 
-from .maps_core import ColoredUnicellularMap, PolygonGluing, _unchecked
 
-
-@dataclass(frozen=True)
+@record
 class EdgeLabelledGraph:
     """Connected undirected graph, vertex set ``1..q``, edges labelled
     ``1..n``.  ``edges[k]`` is the endpoint pair ``(u, v)`` with ``u <= v``
@@ -75,7 +78,7 @@ class EdgeLabelledGraph:
         return self.edges[label - 1]
 
 
-@dataclass(frozen=True)
+@record
 class BiEulerianTour:
     """Closed walk on an :class:`EdgeLabelledGraph` using every edge twice.
 

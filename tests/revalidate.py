@@ -9,42 +9,33 @@ asserts that nothing changed.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
+from unimaps.maps_core import replace
 
 
 def revalidated(obj):
     """Assert that ``obj`` passes its public constructor unchanged, and
     return it.
 
-    ``dataclasses.replace(obj)`` re-runs the constructor's normalization
-    and validation; the rebuilt object must equal ``obj``, hash alike, and
+    ``replace(obj)`` re-runs the constructor's normalization and
+    validation; the rebuilt object must equal ``obj``, hash alike, and
     hold fields of the same types.  Kept data that takes no part in
-    equality (a tree's ``up``, a submap's faces, a skeleton) must agree
-    wherever both objects hold it.  Dataclass fields, such as the rooted
-    map inside a tree-rooted map or the graph of a tour, are revalidated
-    the same way first.  Raises ValueError when validation fails.
+    equality (a tree's ``up``, a submap's faces, a skeleton: whatever the
+    instance holds beyond its fields) must agree wherever both objects
+    hold it.  Record fields, such as the rooted map inside a tree-rooted
+    map or the graph of a tour, are revalidated the same way first.
+    Raises ValueError when validation fails.
     """
-    init, kept = _field_names(type(obj))
-    for name in init:
+    fields = obj._fields
+    for name in fields:
         value = getattr(obj, name)
-        if dataclasses.is_dataclass(value):
+        if hasattr(value, "_fields"):
             revalidated(value)
-    rebuilt = dataclasses.replace(obj)
+    rebuilt = replace(obj)
     assert rebuilt == obj and hash(rebuilt) == hash(obj), obj
-    for name in init:
+    for name in fields:
         assert type(getattr(obj, name)) is type(getattr(rebuilt, name)), \
             (name, obj)
-    for name in kept:
+    for name in vars(obj).keys() - set(fields):
         a, b = getattr(obj, name), getattr(rebuilt, name)
         assert a is None or b is None or a == b, (name, obj)
     return obj
-
-
-@functools.cache
-def _field_names(cls) -> tuple:
-    """The names of the constructor's fields of ``cls``, and of the
-    fields it computes itself."""
-    fields = dataclasses.fields(cls)
-    return (tuple(f.name for f in fields if f.init),
-            tuple(f.name for f in fields if not f.init))

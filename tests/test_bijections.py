@@ -9,6 +9,7 @@ from revalidate import revalidated
 from unimaps import maps_core
 from unimaps.bijections import (
     OrientedTreeRootedMap,
+    gen_externally_labelled_maps,
     gen_oriented_tree_rooted_maps,
     phi,
     phi_inverse,
@@ -228,6 +229,20 @@ class TestAgainstArcOracle:
         """Maps with any half-edge numbering, not only fiber elements."""
         for t in gen_oriented_tree_rooted_maps(n):
             assert theta(t) == arc_theta(t)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("stream", [gen_oriented_tree_rooted_maps,
+                                    gen_externally_labelled_maps])
+def test_label_streams_yield_valid_objects(stream, n):
+    """Both label-permuting generators build the relabellings of each map
+    their filter accepts through a trusted constructor; every object they
+    yield passes its public constructor unchanged, kept data included."""
+    count = 0
+    for obj in stream(n):
+        revalidated(obj)
+        count += 1
+    assert count
 
 
 def test_phi_round_trip_traces_each_orbit_kind_once(monkeypatch):

@@ -255,15 +255,21 @@ class TestVerify:
 
 
 def loaded_modules(code: str) -> set:
-    """The ``unimaps`` modules a fresh interpreter holds after running
-    ``code`` with this checkout's package first on its path."""
+    """The modules a fresh interpreter loads while running ``code`` with
+    this checkout's package first on its path; those loaded before, by
+    the site setup or the probe itself, are left out."""
     src = os.path.dirname(os.path.dirname(unimaps.__file__))
-    probe = (f"import json, sys; sys.path.insert(0, {src!r}); {code}; "
-             "print(json.dumps([m for m in sys.modules "
-             "if m.split('.')[0] == 'unimaps']))")
+    probe = (f"import json, sys; before = set(sys.modules); "
+             f"sys.path.insert(0, {src!r}); {code}; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
     result = subprocess.run([sys.executable, "-c", probe],
                             capture_output=True, text=True, check=True)
     return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def package_modules(code: str) -> set:
+    """The ``unimaps`` modules a fresh interpreter loads running ``code``."""
+    return {m for m in loaded_modules(code) if m.split(".")[0] == "unimaps"}
 
 
 class TestStartup:
@@ -272,16 +278,32 @@ class TestStartup:
         registry alone, so not the census cache, which only the commands
         that use it import; ``verify hz`` loads none of the layers it
         does not run."""
-        assert loaded_modules(
+        assert package_modules(
             "import unimaps.cli; unimaps.cli.build_parser()") == {
                 "unimaps", "unimaps.cli", "unimaps.checks"}
-        hz = loaded_modules("import unimaps.cli; "
-                            "unimaps.cli.main(['verify', 'hz', '--bound', "
-                            "'2'])")
+        hz = package_modules("import unimaps.cli; "
+                             "unimaps.cli.main(['verify', 'hz', '--bound', "
+                             "'2'])")
         assert "unimaps.formulas" in hz
         assert not hz & {"unimaps.bijections", "unimaps.tours",
                          "unimaps.planar_closure", "unimaps.series",
                          "unimaps.cache"}
+
+    def test_commands_load_no_class_generation_machinery(self, tmp_path):
+        """The model classes are records built from closures, so no
+        command of any layer loads ``dataclasses`` or ``inspect`` (about
+        12 ms of start-up together); modules the site setup loaded before
+        do not count."""
+        for argv in (["verify", "hz", "--bound", "2"],
+                     ["--cache", str(tmp_path), "verify", "planar-totals",
+                      "--bound", "2"],
+                     ["verify", "gamma-roundtrip", "--bound", "1"],
+                     ["verify", "phi-roundtrip", "--bound", "1"],
+                     ["fiber", "n=2; pairs=(0 2!, 1 3)"]):
+            loaded = loaded_modules(
+                f"import unimaps.cli; unimaps.cli.main({argv!r})")
+            assert "unimaps.cli" in loaded
+            assert not loaded & {"dataclasses", "inspect"}, argv
 
 
 class TestFiber:

@@ -1,18 +1,28 @@
-from dataclasses import replace
-
 import pytest
 
 from unimaps import maps_core
+from unimaps.bijections import (
+    ExternallyLabelledPlanarRootedMap,
+    OrientedTreeRootedMap,
+)
+from unimaps.formulas import Verdict
 from unimaps.maps_core import (
     ColoredUnicellularMap,
     DisjointSets,
+    GluedSkeleton,
     PolygonGluing,
     RootedMap,
+    _unchecked,
     canonical_relabelling,
     euler_data,
     face_permutation,
     glue_polygon,
+    record,
+    replace,
 )
+from unimaps.planar_closure import NearEulerianTree, PlaneMap
+from unimaps.series import TruncatedBivariateSeries
+from unimaps.tours import BiEulerianTour, EdgeLabelledGraph
 
 
 def canonicalize(m: RootedMap) -> RootedMap:
@@ -233,3 +243,91 @@ class TestColoredUnicellularMap:
         assert replace(cm, edge_labels=None).edge_labels == (1, 2)
         with pytest.raises(ValueError):
             ColoredUnicellularMap(g, (1,), 1, edge_labels=(1, 1))
+
+
+def _orbits_traced(m: RootedMap) -> RootedMap:
+    m.vertices(), m.edges(), m.faces()
+    return m
+
+
+def _loop_gluing() -> PolygonGluing:
+    return PolygonGluing(1, ((0, 1),), (False,))
+
+
+def _loop_graph() -> EdgeLabelledGraph:
+    return EdgeLabelledGraph(1, ((1, 1),))
+
+
+# an instance of each record class built through its public constructor,
+# the names of the data it keeps beyond its fields, and a field value its
+# constructor rejects with ValueError (None: the class validates nothing)
+RECORDS = [
+    (lambda: _orbits_traced(loop_map()),
+     {"_vertex_data", "_edge_data", "_face_data"}, ("alpha", (0, 1))),
+    (_loop_gluing, set(), ("pairs", ((0, 0),))),
+    (lambda: glue_polygon(_loop_gluing()), set(), None),
+    (lambda: ColoredUnicellularMap(_loop_gluing(), (1, 2), 2),
+     {"skeleton", "corner_colors"}, ("q", 3)),
+    (_loop_graph, set(), ("q", 2)),
+    (lambda: BiEulerianTour(_loop_graph(), 1, ((1, 0), (1, 0))), set(),
+     ("origin", 2)),
+    (lambda: OrientedTreeRootedMap(loop_map(), (1,), (1,), frozenset(),
+                                   frozenset({0})),
+     {"up"}, ("vertex_labels", (2,))),
+    (lambda: ExternallyLabelledPlanarRootedMap(loop_map(), (1,), (1,),
+                                               frozenset(), (1,)),
+     {"submap_faces"}, ("face_labels", (2,))),
+    (lambda: NearEulerianTree((1, 0), (-1, -1), frozenset({0}),
+                              frozenset()), set(), ("root", 5)),
+    (lambda: PlaneMap(loop_map(), 0), set(), ("outer", 5)),
+    (lambda: Verdict(True, 1, 1, "x"), set(), None),
+    (lambda: TruncatedBivariateSeries({(0, 1): 2}, 3), set(),
+     ("coeffs", {(0, 0): "x"})),
+]
+
+
+@pytest.mark.parametrize("make,kept,bad", RECORDS, ids=[
+    type(make()).__name__ for make, _, _ in RECORDS])
+def test_record_semantics(make, kept, bad):
+    """What every model class keeps from its former dataclass form:
+    value equality and hashing over the fields alone, immutability, a
+    repr naming the fields, and constructor errors."""
+    obj = make()
+    cls = type(obj)
+    fields = {name: getattr(obj, name) for name in cls._fields}
+    assert set(vars(obj)) - set(fields) == kept
+    # kept data takes no part in equality or hashing
+    fresh = _unchecked(cls, **fields)
+    assert not set(vars(fresh)) - set(fields)
+    assert obj == fresh and not obj != fresh
+    if cls is not TruncatedBivariateSeries:  # its coeffs are a dict
+        assert hash(obj) == hash(fresh)
+    # a record of another class with equal fields is not equal
+    twin_cls = record(type("Twin", (), {"__annotations__": dict.fromkeys(
+        cls._fields)}))
+    twin = _unchecked(twin_cls, **fields)
+    assert obj != twin and twin != obj
+    # immutable, fields and kept data alike
+    for name in list(fields)[:1] + sorted(kept):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert obj == fresh
+    text = repr(obj)
+    assert text.startswith(cls.__name__ + "(")
+    assert all(f"{name}=" in text for name in fields)
+    assert not any(name in text for name in kept)
+    if bad is not None:
+        with pytest.raises(ValueError):
+            replace(obj, **dict([bad]))
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        replace(obj, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    first = cls._fields[0]
+    with pytest.raises(TypeError):
+        cls(fields[first], **fields)
+    assert replace(obj) == obj

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from collections import Counter
 from math import comb, factorial
@@ -21,7 +20,12 @@ from unimaps.enumeration import (
     planar_census,
 )
 from unimaps.formulas import double_factorial
-from unimaps.maps_core import ColoredUnicellularMap, RootedMap, glue_polygon
+from unimaps.maps_core import (
+    ColoredUnicellularMap,
+    RootedMap,
+    glue_polygon,
+    replace,
+)
 
 
 def all_colored(n, orientable_only=False):
@@ -141,7 +145,7 @@ class TestPsiFibers:
         u = next(u for u in gen_colored_unicellular(2, True)
                  if sorted(Counter(u.corner_colors).values()) == [1, 3])
         (p,) = psi_fiber(u)
-        wrong = dataclasses.replace(p, vertex_labels=p.vertex_labels[::-1])
+        wrong = replace(p, vertex_labels=p.vertex_labels[::-1])
         assert degree_certificate_ok(u, p)
         assert not degree_certificate_ok(u, wrong)
         monkeypatch.setattr(bijections, "psi", lambda p: u)
