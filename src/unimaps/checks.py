@@ -32,21 +32,13 @@ def tree_payload(t) -> dict:
             "root": t.root}
 
 
-def eps_eta_table(bound: int, orientable_only: bool):
-    """One-face map counts by (edges, vertices) for 1 <= n <= ``bound``:
-    the eps table when ``orientable_only``, else the eta table."""
-    from . import enumeration
-    table = enumeration.CountTable()
-    for n in range(1, bound + 1):
-        table.merge(enumeration.vertex_profile(n, orientable_only))
-    return table
-
-
 def _check_gluing_totals(bound, census):
     from . import enumeration, formulas
+    eps = enumeration.vertex_profile(bound, True)
+    eta = enumeration.vertex_profile(bound)
     for n in range(1, bound + 1):
-        orientable = enumeration.vertex_profile(n, True).total()
-        total = enumeration.vertex_profile(n).total()
+        orientable = sum(eps[(n, v)] for v in range(1, n + 2))
+        total = sum(eta[(n, v)] for v in range(1, n + 2))
         if orientable != formulas.double_factorial(2 * n - 1):
             return {"n": n, "orientable": orientable}
         if total != 2 ** n * formulas.double_factorial(2 * n - 1):
@@ -58,8 +50,8 @@ def _surjection_sums(bound, orientable_only, formula):
     """Colored counts as sums over the vertex profile, against
     ``formula(n, q)``: a map with v vertices has surj(v, q) colorings."""
     from . import enumeration
+    table = enumeration.vertex_profile(bound, orientable_only)
     for n in range(1, bound + 1):
-        table = enumeration.vertex_profile(n, orientable_only)
         for q in range(1, n + 2):
             direct = sum(table[(n, v)] * enumeration.surjection_count(v, q)
                          for v in range(1, n + 2))
@@ -122,7 +114,8 @@ def _check_u_hat(bound, census):
 def _recurrence(bound, orientable_only, check, first_n):
     """The first failing ``check(table, n, v)`` on the eps or eta table,
     for ``first_n`` <= n <= ``bound`` and every v."""
-    table = eps_eta_table(bound, orientable_only)
+    from . import enumeration
+    table = enumeration.vertex_profile(bound, orientable_only)
     for n in range(first_n, bound + 1):
         for v in range(1, n + 2):
             verdict = check(table, n, v)
@@ -308,9 +301,9 @@ def _check_a_combination(bound, census):
 
 
 def _check_qfd(bound, census):
-    from . import series
-    return _series_verdict(series.check_qfd(eps_eta_table(bound, False),
-                                            bound))
+    from . import enumeration, series
+    return _series_verdict(series.check_qfd(
+        enumeration.vertex_profile(bound), bound))
 
 
 # a registered check: what its bound measures, its default bound, the
@@ -320,13 +313,13 @@ Check = namedtuple("Check", "bound_name default minimum run")
 # ledoux starts at n = 2, the quartic needs the x y term of P, and the PDE
 # residual of Q at t-degree bound - 2 is trusted through bound - 6
 CHECKS = {
-    "gluing-totals": Check("max_n", 8, 1, _check_gluing_totals),
-    "t-formula": Check("max_n", 8, 1, _check_t_formula),
+    "gluing-totals": Check("max_n", 12, 1, _check_gluing_totals),
+    "t-formula": Check("max_n", 13, 1, _check_t_formula),
     "jackson": Check("max_n", 6, 1, _check_jackson),
-    "u-formula": Check("max_n", 8, 1, _check_u_formula),
+    "u-formula": Check("max_n", 12, 1, _check_u_formula),
     "u-hat": Check("max_n", 20, 1, _check_u_hat),
-    "hz": Check("max_n", 8, 1, _check_hz),
-    "ledoux": Check("max_n", 8, 2, _check_ledoux),
+    "hz": Check("max_n", 13, 1, _check_hz),
+    "ledoux": Check("max_n", 12, 2, _check_ledoux),
     "phi-roundtrip": Check("max_n", 4, 1, _check_phi_roundtrip),
     "psi-fibers": Check("max_n", 3, 1, _check_psi_fibers),
     "gamma-roundtrip": Check("max_edges", 5, 1, _check_gamma_roundtrip),
@@ -335,5 +328,5 @@ CHECKS = {
     "q-pde": Check("max_edges", 20, 4, _check_q_pde),
     "rec-hP": Check("max_total", 18, 1, _check_rec_hp),
     "a-combination": Check("max_edges", 20, 1, _check_a_combination),
-    "qfd": Check("max_n", 8, 1, _check_qfd),
+    "qfd": Check("max_n", 12, 1, _check_qfd),
 }

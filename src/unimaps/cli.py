@@ -240,8 +240,13 @@ def cmd_census(args) -> int:
     if family in ("unicellular-orientable", "unicellular-general"):
         _require_positive(args.n, "--n")
         orientable = family == "unicellular-orientable"
-        table = _cached(cache_dir, family, {"n": args.n},
-                        lambda: vertex_profile(args.n, orientable))
+
+        def build():
+            # the census of n edges is the last row of the one-pass table
+            return CountTable({key: count for key, count in
+                               vertex_profile(args.n, orientable).items()
+                               if key[0] == args.n})
+        table = _cached(cache_dir, family, {"n": args.n}, build)
         bounds = {"n": args.n}
     elif family == "planar-pqr":
         _require_positive(args.max_edges, "--max-edges")

@@ -46,10 +46,6 @@ class CountTable:
     def total(self) -> int:
         return sum(self.by_key.values())
 
-    def merge(self, other: "CountTable") -> None:
-        for key, value in other.by_key.items():
-            self.add(key, value)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountTable):
             return NotImplemented
@@ -123,67 +119,156 @@ def gen_colored_unicellular(n: int, orientable_only: bool = False):
                                                      labels)
 
 
-def _first_appearance(labels) -> tuple:
-    """Relabel a sequence by order of first appearance: (5, 2, 5) -> (0, 1, 0)."""
-    names = {}
-    return tuple(names.setdefault(x, len(names)) for x in labels)
+def _canonical(cur: int, sides, orientable_only: bool) -> tuple:
+    """The key of a transfer state: the current corner's label ``cur``
+    and the open sides ``sides``, relabelled so that label 0 stays 0.
+
+    Two rounds of colour refinement give each label a colour from its
+    role (corner 0, current, other) and the colours at the far ends of
+    its sides; the sides are sorted by the colours of their ends (an
+    unordered side put in colour order first) and the labels renamed by
+    first appearance after 0 and ``cur``.  The key is the renamed current
+    label followed by the renamed sides, sorted and flattened.  Every
+    relabelling that fixes 0 keeps the count of completions, so states
+    that the colours fail to tell apart are merely kept apart, never
+    wrongly merged.
+    """
+    colour = dict.fromkeys([x for side in sides for x in side], 2)
+    colour[cur] = 1
+    colour[0] = 0
+    for _ in range(2):
+        around = {x: [] for x in colour}
+        for a, b in sides:
+            around[a].append(colour[b])
+            # on orientable surfaces an end also knows its direction
+            around[b].append(~colour[a] if orientable_only else colour[a])
+        signature = {x: (c, tuple(sorted(around[x])))
+                     for x, c in colour.items()}
+        rank = {s: i for i, s in enumerate(sorted(set(signature.values())))}
+        colour = {x: rank[s] for x, s in signature.items()}
+    if not orientable_only:
+        sides = [(a, b) if colour[a] <= colour[b] else (b, a)
+                 for a, b in sides]
+    sides = sorted(sides, key=lambda side: (colour[side[0]],
+                                            colour[side[1]]))
+    names = {0: 0}
+    names.setdefault(cur, 1)
+    for a, b in sides:
+        names.setdefault(a, len(names))
+        names.setdefault(b, len(names))
+    renamed = [(names[a], names[b]) for a, b in sides]
+    if not orientable_only:
+        renamed = [(a, b) if a <= b else (b, a) for a, b in renamed]
+    renamed.sort()
+    return (names[cur],) + tuple(x for side in renamed for x in side)
 
 
-def _add_shifted(level: dict, state: tuple, counts: dict, shift: int) -> None:
+def _successors(state: tuple, orientable_only: bool):
+    """The states one side after ``state`` when that side runs to a fresh
+    corner: the state that opens it, and a list of ``(state, closed,
+    ways)`` for closing it onto each distinct open side, where ``closed``
+    counts the vertex classes the gluing leaves without a live corner and
+    ``ways`` the gluings that give it."""
+    cur = state[0]
+    sides = list(zip(state[1::2], state[2::2]))
+    fresh = max(state) + 1
+    opened = _canonical(fresh, sides + [(cur, fresh)], orientable_only)
+    twist_choices = (False,) if orientable_only else (False, True)
+    closing = {}
+    for i, side in enumerate(sides):
+        if i and side == sides[i - 1]:
+            continue
+        # a side occurring m times closes in m ways to the same state
+        ways = sides.count(side)
+        rest = sides[:i] + sides[i + 1:]
+        for twisted in twist_choices:
+            ds = DisjointSets(fresh + 1)
+            glue_sides(ds, side[0], side[1], cur, fresh, twisted)
+            find = ds.find
+            rest_roots = [(find(a), find(b)) for a, b in rest]
+            live = {0, find(fresh)}.union(*rest_roots)
+            closed = len({find(x) for x in range(fresh + 1)}) - len(live)
+            key = (_canonical(find(fresh), rest_roots, orientable_only),
+                   closed)
+            closing[key] = closing.get(key, 0) + ways
+    return opened, [(key, closed, ways)
+                    for (key, closed), ways in closing.items()]
+
+
+def _add_shifted(level: dict, state: tuple, counts: dict, shift: int,
+                 ways: int = 1) -> None:
     bucket = level.setdefault(state, {})
     for closed, count in counts.items():
-        bucket[closed + shift] = bucket.get(closed + shift, 0) + count
+        bucket[closed + shift] = bucket.get(closed + shift, 0) + ways * count
 
 
 def vertex_profile(n: int, orientable_only: bool = False) -> CountTable:
-    """Count gluings with ``n`` edges by vertex number: key ``(n, v)``.
+    """Count gluings with at most ``n`` edges by edges and vertices: key
+    ``(k, v)`` for every ``1 <= k <= n``.
 
     With ``orientable_only`` this is the table of one-face maps on orientable
     surfaces; without, the table over all (locally orientable) surfaces.
 
     Exact transfer over the polygon sides instead of a loop over the
-    ``2^n (2n-1)!!`` gluings.  Side ``k`` runs from the current corner ``k``
-    to corner ``k+1``; it either opens a pair or closes one of the open
-    sides (untwisted, or also twisted unless ``orientable_only``).  A state
-    labels the live corners -- corner 0, the current corner, then the start
-    and end corner of each open side in scan order -- by vertex class, in
-    first-appearance order.  Its value maps the number of classes already
-    closed (no live corner left in them) to the number of partial gluings.
-    The tests check it against brute force over every gluing.
+    ``2^n (2n-1)!!`` gluings.  Side ``s`` runs from the current corner
+    ``s`` to corner ``s+1``; it either opens a pair or closes one of the
+    open sides (untwisted, or also twisted unless ``orientable_only``),
+    gluing corners by :func:`maps_core.glue_sides`.  A state names the
+    vertex classes of the live corners by labels, corner 0's class being
+    label 0, and is the current corner's label with the open sides as a
+    multiset of (start, end) label pairs.  Its value maps the number of
+    classes already closed (no live corner left in them) to the number of
+    partial gluings.
+
+    The order of the open sides does not matter, since any later side may
+    close any of them: a side that occurs m times closes in m ways to one
+    state.  On all surfaces the ends of an open side do not matter either,
+    since closing (a, b) untwisted glues the same corners as closing
+    (b, a) twisted: the two gluings are a ~ end with b ~ current, and
+    a ~ current with b ~ end, both counted even when a = b.  States are
+    keyed by :func:`_canonical`, and the successors of each are computed
+    once per call, because states recur from one side to the next.
+
+    One pass gives every size: the last side of a polygon with ``2k``
+    sides is side ``2k - 1``, so the row for ``k`` edges is read off
+    before it, from the states with one open side, by closing that side
+    onto corner 0.  The tests check the table against brute force over
+    every gluing and against a labelled transfer.
     """
     if n < 1:
         raise ValueError("need at least one edge")
     nn = 2 * n
     twist_choices = (False,) if orientable_only else (False, True)
-    level = {(0, 0): {0: 1}}
-    for side in range(nn):
-        last = side == nn - 1
-        following = {}
-        for state, counts in level.items():
-            labels = max(state) + 1
-            # the new corner gets a fresh label, except that the end corner
-            # of the last side is corner 0 itself
-            end = state[0] if last else labels
-            size = labels if last else labels + 1
-            start = state[1]
-            # open this side only if the sides after it can close it too
-            if len(state) // 2 < nn - side:
-                _add_shifted(following, _first_appearance(
-                    (state[0], end) + state[2:] + (start, end)), counts, 0)
-            for i in range(2, len(state), 2):
-                live = (state[0], end) + state[2:i] + state[i + 2:]
-                for twisted in twist_choices:
-                    ds = DisjointSets(size)
-                    glue_sides(ds, state[i], state[i + 1], start, end,
-                               twisted)
-                    roots = [ds.find(x) for x in live]
-                    closed = len(ds.classes()) - len(set(roots))
-                    _add_shifted(following, _first_appearance(roots),
-                                 counts, closed)
-        level = following
     table = CountTable()
-    for closed, count in level[(0, 0)].items():
-        table[(n, closed + 1)] = count
+    successors = {}
+    level = {(0,): {0: 1}}
+    for side in range(nn):
+        if side % 2:
+            k = (side + 1) // 2
+            for state, counts in level.items():
+                if len(state) != 3:
+                    continue
+                cur, a, b = state
+                for twisted in twist_choices:
+                    ds = DisjointSets(max(state) + 1)
+                    glue_sides(ds, a, b, cur, 0, twisted)
+                    left = len(ds.classes())
+                    for closed, count in counts.items():
+                        table.add((k, closed + left), count)
+        if side == nn - 1:
+            break
+        following = {}
+        # open this side only if the sides after it can close it too
+        room = nn - side - 1
+        for state, counts in level.items():
+            if state not in successors:
+                successors[state] = _successors(state, orientable_only)
+            opened, closing = successors[state]
+            if len(state) // 2 + 1 <= room:
+                _add_shifted(following, opened, counts, 0)
+            for key, closed, ways in closing:
+                _add_shifted(following, key, counts, closed, ways)
+        level = following
     return table
 
 

@@ -13,10 +13,13 @@ Conventions: ``(-1)!! = 1`` and ``binom(x, 0) = 1`` for every ``x``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 
 from .maps_core import record
+
+# ``fractions`` (which loads ``decimal``) is imported inside the three
+# functions that use it, so the checks that stay in the integers load
+# neither at start-up.
 
 
 def double_factorial(k: int) -> int:
@@ -64,6 +67,7 @@ def u_formula(n: int, q: int, planar_counts) -> int:
 
         q! r! P_{q,r} / 2^(r-1) * binom(2n, 2q+2r-4) * (2n-2q-2r+3)!!
     """
+    from fractions import Fraction
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
     total = Fraction(0)
@@ -80,9 +84,10 @@ def u_formula(n: int, q: int, planar_counts) -> int:
     return total.numerator
 
 
-def _binomial_row(x: Fraction, k: int) -> list:
+def _binomial_row(x, k: int) -> list:
     """``[binom(x, 0), ..., binom(x, k)]`` for an exact ``x``, by
     ``binom(x, m+1) = binom(x, m) (x - m) / (m + 1)``."""
+    from fractions import Fraction
     row = [Fraction(1)]
     for m in range(k):
         row.append(row[-1] * (x - m) / (m + 1))
@@ -106,6 +111,7 @@ def u_hat_formula(n: int, N: int) -> int:
     the generalized binomials of ``n - 1/2`` and ``(N-1)/2`` are built as
     rows.
     """
+    from fractions import Fraction
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1")
     top = _binomial_row(Fraction(2 * n - 1, 2), n)

@@ -12,13 +12,14 @@ import sys
 import pytest
 
 from unimaps.bijections import phi
-from unimaps.checks import CHECKS, eps_eta_table
+from unimaps.checks import CHECKS
 from unimaps.enumeration import (
     CountTable,
     gen_colored_unicellular,
     gen_tree_rooted_maps,
     gen_unicellular,
     planar_census,
+    vertex_profile,
 )
 from unimaps.formulas import (
     double_factorial,
@@ -74,7 +75,7 @@ def test_criterion_02_t_formula():
 
 def test_criterion_03_hz_identity_and_recurrence():
     report(3, "some-colors identity and three-term recurrence on "
-           "orientable tables for n <= 8", passes(8, "t-formula", "hz"))
+           "orientable tables for n <= 10", passes(10, "t-formula", "hz"))
 
 
 def test_criterion_04_jackson():
@@ -98,7 +99,7 @@ def test_criterion_06_u_hat():
 
 def test_criterion_07_ledoux():
     report(7, "four-term recurrence on general-surface tables for "
-           "2 <= n <= 8", passes(8, "ledoux"))
+           "2 <= n <= 10", passes(10, "ledoux"))
 
 
 def test_criterion_08_phi_bijection_and_star():
@@ -137,7 +138,7 @@ def test_criterion_12_series_pipeline():
     # the PDE residual of Q at t-degree 8 is trusted through degree 6, and
     # A(x, y) of P at degree 12 through degree 10
     ok = passes(10, "q-pde", "a-combination") & passes(8, "rec-hP", "qfd")
-    eta = eps_eta_table(8, False)
+    eta = vertex_profile(8)
     for n in range(9):
         by_recurrence = all(ledoux_check(eta, m, v).ok
                             for m in range(2, n + 1)

@@ -305,6 +305,21 @@ class TestStartup:
             assert "unimaps.cli" in loaded
             assert not loaded & {"dataclasses", "inspect"}, argv
 
+    def test_integer_checks_load_no_fractions(self):
+        """Only the rational formulas import ``fractions`` (with
+        ``decimal``, about 4 ms of start-up), so the one-face checks that
+        stay in the integers do not load it, unless the site setup did;
+        ``u-hat``, which does, still passes."""
+        for check in ("hz", "ledoux", "t-formula", "gluing-totals"):
+            loaded = loaded_modules(
+                "import unimaps.cli; unimaps.cli.main(['verify', "
+                f"{check!r}, '--bound', '2'])")
+            assert "unimaps.formulas" in loaded
+            assert "fractions" not in loaded, check
+        loaded_modules("import unimaps.cli; code = unimaps.cli.main("
+                       "['verify', 'u-hat', '--bound', '2']); "
+                       "assert code == 0, code")
+
 
 class TestFiber:
     def test_orientable_loop_fiber(self, capsys):

@@ -3,9 +3,11 @@ from math import comb, factorial
 
 import pytest
 from revalidate import revalidated
+from transfer_oracle import labelled_vertex_profile
 
 from unimaps.enumeration import (
     CountTable,
+    _canonical,
     _matchings,
     gen_colored_unicellular,
     gen_rooted_orientable_maps,
@@ -90,24 +92,67 @@ class TestVertexProfile:
     def test_orientable_tables(self):
         # [DERIVED] one-face map counts on orientable surfaces by vertices
         assert vertex_profile(1, True).items() == [((1, 2), 1)]
-        assert vertex_profile(2, True).items() == [((2, 1), 1), ((2, 3), 2)]
+        assert vertex_profile(2, True).items() == [
+            ((1, 2), 1), ((2, 1), 1), ((2, 3), 2)]
 
     def test_orientable_n3(self):
         t = vertex_profile(3, True)
-        assert t[(3, 2)] == 10
-        assert t[(3, 4)] == 5
+        assert t.items() == [((1, 2), 1), ((2, 1), 1), ((2, 3), 2),
+                             ((3, 2), 10), ((3, 4), 5)]
         assert t[(3, 1)] == 0 and t[(3, 3)] == 0
-        assert t.total() == 15
 
     def test_general_tables(self):
         # [DERIVED] one-face maps on all surfaces by vertices
         assert vertex_profile(1).items() == [((1, 1), 1), ((1, 2), 1)]
         assert vertex_profile(2).items() == [
-            ((2, 1), 5), ((2, 2), 5), ((2, 3), 2)]
+            ((1, 1), 1), ((1, 2), 1), ((2, 1), 5), ((2, 2), 5), ((2, 3), 2)]
 
     def test_totals_match_stream(self):
-        assert vertex_profile(3).total() == 8 * 15
-        assert vertex_profile(4, True).total() == 105
+        assert vertex_profile(3).total() == 2 + 4 * 3 + 8 * 15
+        assert vertex_profile(4, True).total() == 1 + 3 + 15 + 105
+
+
+def edge_rows(table, k):
+    """The rows of ``table`` with ``k`` edges."""
+    return {key: c for key, c in table.by_key.items() if key[0] == k}
+
+
+class TestCanonicalForm:
+    """States that differ only in the order of their open sides, or on all
+    surfaces in the ends of one side, get one key; label 0 stays 0.
+
+    The colours tell every label of these states apart.  Where they do
+    not, the key may follow the order of the sides, which keeps equal
+    states apart but never merges different ones."""
+
+    @pytest.mark.parametrize("orientable_only", [True, False])
+    def test_order_of_open_sides(self, orientable_only):
+        sides = [(0, 3), (3, 2), (1, 4), (2, 2)]
+        key = _canonical(1, sides, orientable_only)
+        for perm in itertools.permutations(sides):
+            assert _canonical(1, list(perm), orientable_only) == key
+
+    def test_ends_of_a_side_on_all_surfaces(self):
+        sides = [(0, 3), (3, 2), (1, 4), (2, 2)]
+        key = _canonical(1, sides, False)
+        for flips in itertools.product((False, True), repeat=len(sides)):
+            flipped = [(b, a) if f else (a, b)
+                       for (a, b), f in zip(sides, flips)]
+            for perm in itertools.permutations(flipped):
+                assert _canonical(1, list(perm), False) == key
+        # on orientable surfaces the direction of a side is kept
+        assert _canonical(1, [(0, 1)], True) != _canonical(1, [(1, 0)], True)
+
+    @pytest.mark.parametrize("orientable_only", [True, False])
+    def test_label_zero_stays_zero(self, orientable_only):
+        # corner 0's class is label 0, here current, at a start and an end
+        assert _canonical(0, [(2, 1)], orientable_only)[0] == 0
+        for cur, sides in ((3, [(0, 3), (3, 2)]), (2, [(3, 0), (1, 0)])):
+            key = _canonical(cur, sides, orientable_only)
+            renamed = list(zip(key[1::2], key[2::2]))
+            assert sum(side.count(0) for side in renamed) == \
+                sum(side.count(0) for side in sides)
+            assert key[0] != 0
 
 
 def brute_vertex_profile(n, orientable_only):
@@ -129,33 +174,41 @@ class TestTransferAgainstOracle:
     @pytest.mark.parametrize("n,orientable_only", [
         (n, o) for n in range(1, 7) for o in (True, False)] + [(7, True)])
     def test_equals_brute_force(self, n, orientable_only):
-        assert vertex_profile(n, orientable_only).by_key == \
-            brute_vertex_profile(n, orientable_only).by_key
+        """Brute force, computed once, against both transfers."""
+        brute = brute_vertex_profile(n, orientable_only).by_key
+        assert labelled_vertex_profile(n, orientable_only).by_key == brute
+        assert edge_rows(vertex_profile(n, orientable_only), n) == brute
+
+    @pytest.mark.parametrize("n,orientable_only", [(9, False), (10, True)])
+    def test_equals_labelled_transfer(self, n, orientable_only):
+        """Every row of the one-pass table against the labelled transfer,
+        one size at a time."""
+        labelled = {}
+        for k in range(1, n + 1):
+            labelled.update(labelled_vertex_profile(k, orientable_only).by_key)
+        assert vertex_profile(n, orientable_only).by_key == labelled
 
     @pytest.fixture(scope="class")
     def eps_eta(self):
-        eps, eta = CountTable(), CountTable()
-        for n in range(1, 9):
-            eps.merge(vertex_profile(n, True))
-            eta.merge(vertex_profile(n))
-        return eps, eta
+        return vertex_profile(10, True), vertex_profile(10)
 
     def test_totals_beyond_brute_force(self, eps_eta):
         eps, eta = eps_eta
-        assert sum(c for (n, _), c in eps.items() if n == 8) == dfact(15)
-        assert sum(c for (n, _), c in eta.items() if n == 8) == \
-            2 ** 8 * dfact(15)
+        for n in range(1, 11):
+            assert sum(edge_rows(eps, n).values()) == dfact(2 * n - 1)
+            assert sum(edge_rows(eta, n).values()) == \
+                2 ** n * dfact(2 * n - 1)
 
-    def test_recurrences_through_eight_edges(self, eps_eta):
+    def test_recurrences_through_ten_edges(self, eps_eta):
         eps, eta = eps_eta
-        for n in range(1, 9):
+        for n in range(1, 11):
             for v in range(1, n + 2):
                 verdict = hz_recurrence_check(eps, n, v)
                 assert verdict, verdict
                 if n >= 2:
                     verdict = ledoux_check(eta, n, v)
                     assert verdict, verdict
-        verdict = check_qfd(eta, 8)
+        verdict = check_qfd(eta, 10)
         assert verdict, verdict.detail
 
 
@@ -180,7 +233,7 @@ class TestGenRootedOrientableMaps:
                 v, _, f, _ = euler_data(m)
                 if f == 1:
                     stream.add((n, v))
-            assert stream == vertex_profile(n, True)
+            assert stream.by_key == edge_rows(vertex_profile(n, True), n)
 
 
 def brute_planar_census(max_edges):

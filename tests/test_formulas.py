@@ -168,20 +168,12 @@ def census():
 
 @pytest.fixture(scope="module")
 def eps_table():
-    t = {}
-    for n in range(1, 6):
-        for key, c in vertex_profile(n, True).items():
-            t[key] = c
-    return _Table(t)
+    return _Table(vertex_profile(5, True).by_key)
 
 
 @pytest.fixture(scope="module")
 def eta_table():
-    t = {}
-    for n in range(1, 6):
-        for key, c in vertex_profile(n).items():
-            t[key] = c
-    return _Table(t)
+    return _Table(vertex_profile(5).by_key)
 
 
 class _Table(dict):

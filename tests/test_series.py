@@ -71,10 +71,7 @@ def census7():
 
 @pytest.fixture(scope="module")
 def eta():
-    table = vertex_profile(1)
-    for n in range(2, 7):
-        table.merge(vertex_profile(n))
-    return table
+    return vertex_profile(6)
 
 
 def perturbed(census, key=(2, 2), delta=1):

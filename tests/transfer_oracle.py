@@ -1,0 +1,68 @@
+"""The labelled one-face transfer, kept as the middle test oracle between
+brute force over every gluing and the multiset transfer
+:func:`unimaps.enumeration.vertex_profile`."""
+
+from __future__ import annotations
+
+from unimaps.enumeration import CountTable
+from unimaps.maps_core import DisjointSets, glue_sides
+
+
+def _first_appearance(labels) -> tuple:
+    """Relabel a sequence by order of first appearance: (5, 2, 5) -> (0, 1, 0)."""
+    names = {}
+    return tuple(names.setdefault(x, len(names)) for x in labels)
+
+
+def _add_shifted(level: dict, state: tuple, counts: dict, shift: int) -> None:
+    bucket = level.setdefault(state, {})
+    for closed, count in counts.items():
+        bucket[closed + shift] = bucket.get(closed + shift, 0) + count
+
+
+def labelled_vertex_profile(n: int, orientable_only: bool = False) -> CountTable:
+    """Count gluings with ``n`` edges by vertex number: key ``(n, v)``.
+
+    Exact transfer over the polygon sides instead of a loop over the
+    ``2^n (2n-1)!!`` gluings.  Side ``k`` runs from the current corner ``k``
+    to corner ``k+1``; it either opens a pair or closes one of the open
+    sides (untwisted, or also twisted unless ``orientable_only``).  A state
+    labels the live corners -- corner 0, the current corner, then the start
+    and end corner of each open side in scan order -- by vertex class, in
+    first-appearance order.  Its value maps the number of classes already
+    closed (no live corner left in them) to the number of partial gluings.
+    """
+    if n < 1:
+        raise ValueError("need at least one edge")
+    nn = 2 * n
+    twist_choices = (False,) if orientable_only else (False, True)
+    level = {(0, 0): {0: 1}}
+    for side in range(nn):
+        last = side == nn - 1
+        following = {}
+        for state, counts in level.items():
+            labels = max(state) + 1
+            # the new corner gets a fresh label, except that the end corner
+            # of the last side is corner 0 itself
+            end = state[0] if last else labels
+            size = labels if last else labels + 1
+            start = state[1]
+            # open this side only if the sides after it can close it too
+            if len(state) // 2 < nn - side:
+                _add_shifted(following, _first_appearance(
+                    (state[0], end) + state[2:] + (start, end)), counts, 0)
+            for i in range(2, len(state), 2):
+                live = (state[0], end) + state[2:i] + state[i + 2:]
+                for twisted in twist_choices:
+                    ds = DisjointSets(size)
+                    glue_sides(ds, state[i], state[i + 1], start, end,
+                               twisted)
+                    roots = [ds.find(x) for x in live]
+                    closed = len(ds.classes()) - len(set(roots))
+                    _add_shifted(following, _first_appearance(roots),
+                                 counts, closed)
+        level = following
+    table = CountTable()
+    for closed, count in level[(0, 0)].items():
+        table[(n, closed + 1)] = count
+    return table
