@@ -42,6 +42,27 @@ class _LabelledMap:
     order) and ``edge_labels`` (by edge, in :meth:`RootedMap.edges`
     order)."""
 
+    @property
+    def q(self) -> int:
+        return len(self.vertex_labels)
+
+    @property
+    def n(self) -> int:
+        return len(self.edge_labels)
+
+    def _tuple_labels(self) -> None:
+        """Normalize ``vertex_labels`` and ``edge_labels`` to tuples."""
+        object.__setattr__(self, "vertex_labels", tuple(self.vertex_labels))
+        object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
+
+    def _check_labels(self, q: int, n: int) -> None:
+        """Raise ValueError unless the labels are permutations of ``1..q``
+        and ``1..n``."""
+        if sorted(self.vertex_labels) != list(range(1, q + 1)):
+            raise ValueError("vertex labels must be a permutation of 1..q")
+        if sorted(self.edge_labels) != list(range(1, n + 1)):
+            raise ValueError("edge labels must be a permutation of 1..n")
+
     def half_edge_labels(self) -> tuple:
         """Vertex label and edge label of every half-edge, as two lists."""
         m = self.m
@@ -108,8 +129,7 @@ class OrientedTreeRootedMap(_LabelledMap):
     up = None
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_labels", tuple(self.vertex_labels))
-        object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
+        self._tuple_labels()
         object.__setattr__(self, "tree", frozenset(self.tree))
         object.__setattr__(self, "orientation", frozenset(self.orientation))
         self.validate()
@@ -139,10 +159,7 @@ class OrientedTreeRootedMap(_LabelledMap):
         nh = len(alpha)
         vid = m.vertex_index()
         q, n = len(m.vertices()), nh // 2
-        if sorted(self.vertex_labels) != list(range(1, q + 1)):
-            raise ValueError("vertex labels must be a permutation of 1..q")
-        if sorted(self.edge_labels) != list(range(1, n + 1)):
-            raise ValueError("edge labels must be a permutation of 1..n")
+        self._check_labels(q, n)
         # an edge id is the smaller half-edge of its edge
         if not all(0 <= e < nh and e < alpha[e] for e in self.tree):
             raise ValueError("tree contains unknown edges")
@@ -195,14 +212,6 @@ class OrientedTreeRootedMap(_LabelledMap):
     def external_weight(self) -> int:
         return sum(1 for h in self.orientation
                    if self.m.edge_of(h) not in self.tree)
-
-    @property
-    def q(self) -> int:
-        return len(self.vertex_labels)
-
-    @property
-    def n(self) -> int:
-        return len(self.edge_labels)
 
     def canonical_key(self) -> tuple:
         """Hashable form invariant under half-edge relabelling."""
@@ -491,8 +500,7 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     submap_faces = None
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_labels", tuple(self.vertex_labels))
-        object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
+        self._tuple_labels()
         object.__setattr__(self, "submap", frozenset(self.submap))
         object.__setattr__(self, "face_labels", tuple(self.face_labels))
         self.validate()
@@ -515,10 +523,7 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
         alpha = m.alpha
         nh = len(alpha)
         q, n = len(m.vertices()), nh // 2
-        if sorted(self.vertex_labels) != list(range(1, q + 1)):
-            raise ValueError("vertex labels must be a permutation of 1..q")
-        if sorted(self.edge_labels) != list(range(1, n + 1)):
-            raise ValueError("edge labels must be a permutation of 1..n")
+        self._check_labels(q, n)
         # an edge id is the smaller half-edge of its edge
         if not all(0 <= e < nh and e < alpha[e] for e in self.submap):
             raise ValueError("submap contains unknown edges")
@@ -544,14 +549,6 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
         if self.submap_faces is not None and self.submap_faces != faces:
             raise ValueError("kept submap faces disagree with the submap")
         object.__setattr__(self, "submap_faces", faces)
-
-    @property
-    def q(self) -> int:
-        return len(self.vertex_labels)
-
-    @property
-    def n(self) -> int:
-        return len(self.edge_labels)
 
     @property
     def r(self) -> int:

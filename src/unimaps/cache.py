@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import Counter
 
 # Version of the stored tables.  A change to the code that produces any
 # cached table bumps it, so tables written by the old producer are misses.
@@ -33,7 +34,8 @@ def _digest(entries) -> str:
 
 
 def store_census(cache_dir: str, name: str, params: dict, table) -> str:
-    """Write a CountTable to the cache; returns the file path."""
+    """Write a count table (a mapping from key tuples to integers) to the
+    cache; returns the file path."""
     os.makedirs(cache_dir, exist_ok=True)
     entries = sorted(
         [list(k) if isinstance(k, tuple) else [k], str(v)]
@@ -62,23 +64,23 @@ def store_census(cache_dir: str, name: str, params: dict, table) -> str:
 
 
 def load_census(cache_dir: str, name: str, params: dict):
-    """Read a CountTable back; None on any miss or mismatch."""
-    from .enumeration import CountTable
-
+    """Read a count table back as a Counter; None on any miss or
+    mismatch."""
     path = _path(cache_dir, name, params)
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
-    if (payload.get("schema") != SCHEMA or payload.get("name") != name
+    if (not isinstance(payload, dict) or payload.get("schema") != SCHEMA
+            or payload.get("name") != name
             or payload.get("params") != params):
         return None
     entries = payload.get("entries")
     if not isinstance(entries, list) or \
             payload.get("sha256") != _digest(entries):
         return None
-    table = CountTable()
+    table = Counter()
     try:
         for key, value in entries:
             table[tuple(key)] = int(value)

@@ -72,7 +72,7 @@ def _check_jackson(bound, census):
     for n in range(1, bound + 1):
         by_pq = Counter()
         for g in enumeration.gen_unicellular(n, orientable_only=True):
-            classes = maps_core.glue_polygon(g).vertex_classes
+            classes = maps_core.glue_polygon(g)
             # one-face bipartite maps have corners alternating by side
             if any(len({c % 2 for c in cls}) != 1 for cls in classes):
                 continue

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 # Only the check registry is imported here: each command and parser imports
 # the layers it runs, so a command pays the start-up of those alone.
@@ -96,7 +97,7 @@ def parse_gluing(text: str) -> ColoredUnicellularMap:
         if not part:
             continue
         twist = part.endswith("!")
-        toks = part.rstrip("!").split()
+        toks = part[:-1].split() if twist else part.split()
         if len(toks) != 2:
             raise ParseError(f"pair needs two sides, got {part!r}", pos)
         try:
@@ -108,7 +109,7 @@ def parse_gluing(text: str) -> ColoredUnicellularMap:
         gluing = PolygonGluing(n, tuple(pairs), tuple(twists))
     except ValueError as exc:
         raise ParseError(str(exc), pos)
-    v = glue_polygon(gluing).vertex_count
+    v = len(glue_polygon(gluing))
     if "colors" in fields:
         colors = _int_tuple(*fields["colors"])
     else:
@@ -178,12 +179,12 @@ def _emit(obj) -> None:
                                 separators=(",", ":")) + "\n")
 
 
-def _table_payload(family: str, bounds: dict, table: CountTable) -> dict:
+def _table_payload(family: str, bounds: dict, table: Counter) -> dict:
     return {
         "schema": SCHEMA,
         "family": family,
         "bounds": bounds,
-        "entries": [[list(k), str(v)] for k, v in table.items() if v],
+        "entries": [[list(k), str(v)] for k, v in sorted(table.items()) if v],
         "total": str(table.total()),
     }
 
@@ -232,7 +233,7 @@ def _require_positive(value, option: str) -> None:
 
 
 def cmd_census(args) -> int:
-    from .enumeration import CountTable, gen_tree_rooted_maps, vertex_profile
+    from .enumeration import gen_tree_rooted_maps, vertex_profile
     family = args.family
     cache_dir = args.cache
     if args.threads < 1:
@@ -243,9 +244,9 @@ def cmd_census(args) -> int:
 
         def build():
             # the census of n edges is the last row of the one-pass table
-            return CountTable({key: count for key, count in
-                               vertex_profile(args.n, orientable).items()
-                               if key[0] == args.n})
+            return Counter({key: count for key, count in
+                            vertex_profile(args.n, orientable).items()
+                            if key[0] == args.n})
         table = _cached(cache_dir, family, {"n": args.n}, build)
         bounds = {"n": args.n}
     elif family == "planar-pqr":
@@ -256,7 +257,7 @@ def cmd_census(args) -> int:
         _require_positive(args.n, "--n")
 
         def build():
-            table = CountTable()
+            table = Counter()
             for q in range(1, args.n + 2):
                 table[(args.n, q)] = sum(
                     1 for _ in gen_tree_rooted_maps(args.n, q))

@@ -10,6 +10,7 @@ bijection and both transfers are checked.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .maps_core import (
     ColoredUnicellularMap,
@@ -19,39 +20,6 @@ from .maps_core import (
     glue_polygon,
     glue_sides,
 )
-
-
-class CountTable:
-    """Finite mapping from integer tuples to exact nonnegative integers.
-
-    Missing keys count as zero.
-    """
-
-    def __init__(self, by_key: dict = None):
-        self.by_key = {} if by_key is None else by_key
-
-    def __getitem__(self, key) -> int:
-        return self.by_key.get(tuple(key), 0)
-
-    def __setitem__(self, key, value: int) -> None:
-        self.by_key[tuple(key)] = value
-
-    def add(self, key, value: int = 1) -> None:
-        key = tuple(key)
-        self.by_key[key] = self.by_key.get(key, 0) + value
-
-    def items(self):
-        return sorted(self.by_key.items())
-
-    def total(self) -> int:
-        return sum(self.by_key.values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CountTable):
-            return NotImplemented
-        a = {k: v for k, v in self.by_key.items() if v}
-        b = {k: v for k, v in other.by_key.items() if v}
-        return a == b
 
 
 def _matchings(elements):
@@ -111,11 +79,11 @@ def gen_colored_unicellular(n: int, orientable_only: bool = False):
     lexicographic order."""
     labels = tuple(range(1, n + 1))
     for g in gen_unicellular(n, orientable_only):
-        skel = glue_polygon(g)
-        v = skel.vertex_count
+        classes = glue_polygon(g)
+        v = len(classes)
         for q in range(1, v + 1):
             for colors in _surjections(v, q):
-                yield ColoredUnicellularMap._trusted(g, skel, colors, q,
+                yield ColoredUnicellularMap._trusted(g, classes, colors, q,
                                                      labels)
 
 
@@ -202,7 +170,7 @@ def _add_shifted(level: dict, state: tuple, counts: dict, shift: int,
         bucket[closed + shift] = bucket.get(closed + shift, 0) + ways * count
 
 
-def vertex_profile(n: int, orientable_only: bool = False) -> CountTable:
+def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
     """Count gluings with at most ``n`` edges by edges and vertices: key
     ``(k, v)`` for every ``1 <= k <= n``.
 
@@ -239,7 +207,7 @@ def vertex_profile(n: int, orientable_only: bool = False) -> CountTable:
         raise ValueError("need at least one edge")
     nn = 2 * n
     twist_choices = (False,) if orientable_only else (False, True)
-    table = CountTable()
+    table = Counter()
     successors = {}
     level = {(0,): {0: 1}}
     for side in range(nn):
@@ -254,7 +222,7 @@ def vertex_profile(n: int, orientable_only: bool = False) -> CountTable:
                     glue_sides(ds, a, b, cur, 0, twisted)
                     left = len(ds.classes())
                     for closed, count in counts.items():
-                        table.add((k, closed + left), count)
+                        table[(k, closed + left)] += count
         if side == nn - 1:
             break
         following = {}
@@ -325,7 +293,7 @@ def gen_rooted_orientable_maps(e: int):
     yield from rec(0, 1)
 
 
-def planar_census(max_edges: int) -> CountTable:
+def planar_census(max_edges: int) -> Counter:
     """Counts of rooted planar maps by (vertices, faces): key ``(q, r)``.
 
     Covers all ``q + r - 2 <= max_edges``, including the single vertex map
@@ -340,7 +308,7 @@ def planar_census(max_edges: int) -> CountTable:
     """
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
-    table = CountTable()
+    table = Counter()
     table[(1, 1)] = 1
     levels = [{(0, 1): 1}]
     for e in range(1, max_edges + 1):
@@ -358,7 +326,7 @@ def planar_census(max_edges: int) -> CountTable:
             for k in range(1, d + 2):
                 level[(k, v)] = level.get((k, v), 0) + c
         for (_, v), c in level.items():
-            table.add((v, e + 2 - v), c)
+            table[(v, e + 2 - v)] += c
         levels.append(level)
     return table
 

@@ -145,6 +145,19 @@ class Verdict:
         return self.ok
 
 
+def _with_boundary(table):
+    """The reader ``(n, v) -> table[(n, v)]`` of a one-face count table
+    under the boundary convention: 1 at ``(0, 1)`` and 0 at every other
+    ``n <= 0`` or ``v < 1``."""
+    def val(n, v):
+        if n == 0:
+            return 1 if v == 1 else 0
+        if n < 0 or v < 1:
+            return 0
+        return table[(n, v)]
+    return val
+
+
 def hz_recurrence_check(eps, n: int, v: int) -> Verdict:
     """Check ``(n+1) eps_v(n) = (4n-2) eps_{v-1}(n-1)
     + (n-1)(2n-1)(2n-3) eps_v(n-2)`` at one point.
@@ -153,13 +166,7 @@ def hz_recurrence_check(eps, n: int, v: int) -> Verdict:
     boundary convention is ``eps_1(0) = 1`` and ``eps_v(n) = 0`` for other
     out-of-range indices.
     """
-    def val(nn, vv):
-        if nn == 0:
-            return 1 if vv == 1 else 0
-        if nn < 0 or vv < 1:
-            return 0
-        return eps[(nn, vv)]
-
+    val = _with_boundary(eps)
     lhs = (n + 1) * val(n, v)
     rhs = (4 * n - 2) * val(n - 1, v - 1) \
         + (n - 1) * (2 * n - 1) * (2 * n - 3) * val(n - 2, v)
@@ -180,14 +187,7 @@ def ledoux_check(eta, n: int, v: int) -> Verdict:
     """
     if n < 2:
         raise ValueError("recurrence holds for n >= 2")
-
-    def val(nn, vv):
-        if nn == 0:
-            return 1 if vv == 1 else 0
-        if nn < 0 or vv < 1:
-            return 0
-        return eta[(nn, vv)]
-
+    val = _with_boundary(eta)
     lhs = (n + 1) * val(n, v)
     rhs = (4 * n - 1) * (2 * val(n - 1, v - 1) - val(n - 1, v))
     rhs += (2 * n - 3) * ((10 * n * n - 9 * n) * val(n - 2, v)

@@ -390,18 +390,6 @@ class PolygonGluing:
         return not any(self.twists)
 
 
-@record
-class GluedSkeleton:
-    """Vertex classes of a glued polygon: a partition of the 2n corners."""
-
-    vertex_classes: tuple  # tuple of sorted corner tuples, ordered by min
-    orientable: bool
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertex_classes)
-
-
 def glue_sides(ds: DisjointSets, a: int, a_end: int, b: int, b_end: int,
                twisted: bool) -> None:
     """Identify the corners of two glued sides running from corner ``a`` to
@@ -419,20 +407,21 @@ def glue_sides(ds: DisjointSets, a: int, a_end: int, b: int, b_end: int,
         ds.union(a_end, b)
 
 
-def glue_polygon(g: PolygonGluing) -> GluedSkeleton:
-    """Identify the polygon corners according to the gluing."""
+def glue_polygon(g: PolygonGluing) -> tuple:
+    """Identify the polygon corners according to the gluing: the vertex
+    classes, a partition of the ``2n`` corners into sorted tuples ordered
+    by their minimum."""
     nn = 2 * g.n
     ds = DisjointSets(nn)
     for (a, b), twist in zip(g.pairs, g.twists):
         glue_sides(ds, a, (a + 1) % nn, b, (b + 1) % nn, twist)
-    classes = tuple(tuple(c) for c in ds.classes())
-    return GluedSkeleton(classes, g.orientable)
+    return tuple(tuple(c) for c in ds.classes())
 
 
-def _corner_colors(skel: GluedSkeleton, colors: tuple, n: int) -> tuple:
+def _corner_colors(vertex_classes: tuple, colors: tuple, n: int) -> tuple:
     """The color of each of the ``2n`` corners."""
     corner_colors = [0] * (2 * n)
-    for cls, color in zip(skel.vertex_classes, colors):
+    for cls, color in zip(vertex_classes, colors):
         for c in cls:
             corner_colors[c] = color
     return tuple(corner_colors)
@@ -443,19 +432,19 @@ class ColoredUnicellularMap:
     """A polygon gluing with vertex classes colored using every color in
     ``1..q`` and (internally) edge labels ``1..n`` on the glued pairs.
 
-    ``colors[k]`` is the color of the k-th vertex class of the skeleton (in
-    the canonical by-minimum-corner order); ``edge_labels[k]`` labels the k-th
-    pair of the gluing.  The default edge labelling is ``1..n`` in pair order.
-    The polygon is glued once, on construction: ``skeleton`` and
-    ``corner_colors`` (the color of every corner) are stored and take no
-    part in equality or hashing.
+    ``colors[k]`` is the color of the k-th vertex class of the glued polygon
+    (in the canonical by-minimum-corner order); ``edge_labels[k]`` labels the
+    k-th pair of the gluing.  The default edge labelling is ``1..n`` in pair
+    order.  The polygon is glued once, on construction: ``vertex_classes``
+    and ``corner_colors`` (the color of every corner) are stored and take
+    no part in equality or hashing.
     """
 
     gluing: PolygonGluing
     colors: tuple
     q: int
     edge_labels: tuple = None
-    skeleton = None
+    vertex_classes = None
     corner_colors = None
 
     def __post_init__(self):
@@ -464,28 +453,29 @@ class ColoredUnicellularMap:
         object.__setattr__(self, "colors", tuple(self.colors))
         object.__setattr__(self, "edge_labels", tuple(range(1, n + 1))
                            if labels is None else tuple(labels))
-        object.__setattr__(self, "skeleton", glue_polygon(self.gluing))
+        object.__setattr__(self, "vertex_classes", glue_polygon(self.gluing))
         self.validate()
-        object.__setattr__(self, "corner_colors",
-                           _corner_colors(self.skeleton, self.colors, n))
+        object.__setattr__(self, "corner_colors", _corner_colors(
+            self.vertex_classes, self.colors, n))
 
     @classmethod
-    def _trusted(cls, gluing, skeleton, colors, q, edge_labels,
+    def _trusted(cls, gluing, vertex_classes, colors, q, edge_labels,
                  corner_colors=None) -> "ColoredUnicellularMap":
-        """A map from fields known to be valid: ``skeleton`` is
+        """A map from fields known to be valid: ``vertex_classes`` is
         ``glue_polygon(gluing)``, ``colors`` and ``edge_labels`` are
         tuples; ``corner_colors`` is derived unless the caller holds it.
         Nothing is checked."""
         if corner_colors is None:
-            corner_colors = _corner_colors(skeleton, colors, gluing.n)
+            corner_colors = _corner_colors(vertex_classes, colors, gluing.n)
         return _unchecked(cls, gluing=gluing, colors=colors, q=q,
-                          edge_labels=edge_labels, skeleton=skeleton,
+                          edge_labels=edge_labels,
+                          vertex_classes=vertex_classes,
                           corner_colors=corner_colors)
 
     def validate(self) -> None:
         """Raise ValueError unless the colors and edge labels fit the
-        glued skeleton."""
-        if len(self.colors) != self.skeleton.vertex_count:
+        glued polygon."""
+        if len(self.colors) != len(self.vertex_classes):
             raise ValueError("need one color per vertex class")
         if set(self.colors) != set(range(1, self.q + 1)):
             raise ValueError("coloring must use every color in 1..q")

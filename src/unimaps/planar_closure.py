@@ -14,32 +14,22 @@ only the outer face remains.  Round k cuts the faces at distance k, which
 the cuts of the rounds before have brought to distance 1.
 
 Everything is combinatorial: plane maps are rotation systems of genus 0
-with a distinguished face, and "counterclockwise" is fixed once and for
-all by the three convention flags below.  The flags were pinned by running
-the exhaustive round-trip tests over all small instances; flipping any of
-them (mirror conventions) breaks the round trips, except for the global
-mirror image which is an equally valid but different normalization.
+with a distinguished face, and one chirality holds throughout.  In
+face-walk order outgoing buds open and ingoing buds close the
+non-crossing matching, and the infinite face of a closure is the orbit of
+the outgoing bud of an outermost arch.  The face on the reference side of
+a half-edge, directed away from its vertex, is the face of its mate's
+orbit, so a dual-distance edge has its tail on the nearer face's orbit.
+The breakable edge is the outer-incident edge crossed right after the
+stretch of the face on the root vertex's component.  Of the sixteen ways
+to choose these four rules, this is the only one under which both round
+trips succeed on every instance up to 8 slots; the global mirror image
+would be an equally valid normalization.
 """
 
 from __future__ import annotations
 
 from .maps_core import RootedMap, _unchecked, euler_data, record
-
-# Chirality conventions, calibrated and frozen; see module docstring.
-# OPEN_OUT: in face-walk order, outgoing buds open and ingoing buds close
-# the non-crossing matching (False means the reverse).
-# LEFT_OWN: the face on the reference side of a half-edge h, directed away
-# from its vertex, is the face whose orbit contains h (False: the mate's).
-# BREAK_AFTER: the breakable edge is the outer-incident edge crossed right
-# after walking the root-component stretch of the face (False: before).
-# OUTER_AT_IN: the infinite face of a closure lies on the orbit of the
-# ingoing bud of the outermost arches (False: the outgoing bud).
-# This is the unique combination (out of 16) for which both round trips
-# succeed on every instance; all were checked exhaustively up to 8 slots.
-OPEN_OUT = True
-LEFT_OWN = False
-BREAK_AFTER = True
-OUTER_AT_IN = False
 
 
 @record
@@ -220,7 +210,7 @@ def _arches(buds: list):
     stack pass.
 
     ``buds`` lists ``(slot, is_out)`` pairs; outgoing buds open and
-    ingoing buds close (the reverse under the mirror convention).  Read
+    ingoing buds close.  Read
     from just after its lowest prefix depth, the walk never goes below
     that depth, so every closer meets its opener on the stack; the arches
     that close back at that depth are the outermost ones, inside no other
@@ -229,7 +219,7 @@ def _arches(buds: list):
     """
     depth = low = start = 0
     for k, (_, is_out) in enumerate(buds):
-        depth += 1 if is_out == OPEN_OUT else -1
+        depth += 1 if is_out else -1
         if depth < low:
             low, start = depth, k + 1
     if depth:
@@ -238,10 +228,10 @@ def _arches(buds: list):
     outermost = []
     stack = []
     for slot, is_out in buds[start:] + buds[:start]:
-        if is_out == OPEN_OUT:
+        if is_out:
             stack.append(slot)
             continue
-        pair = (stack.pop(), slot) if OPEN_OUT else (slot, stack.pop())
+        pair = (stack.pop(), slot)
         pairs.append(pair)
         if not stack:
             outermost.append(pair)
@@ -267,10 +257,9 @@ def close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
         full[i] = o
     if not pairs:
         return full, pairs, min(walk)
-    side = 1 if OUTER_AT_IN else 0
-    outer_face = slot_face(sigma, full, outermost[0][side])
+    outer_face = slot_face(sigma, full, outermost[0][0])
     on_outer = set(outer_face)
-    if any(a[side] not in on_outer for a in outermost):
+    if any(o not in on_outer for o, _ in outermost):
         raise ValueError("closure edges disagree on the outer face")
     return full, pairs, min(outer_face)
 
@@ -313,10 +302,7 @@ def _dual_layers(faces: list, mate: dict, outer: int):
         da, db = dist[face_of[x]], dist[face_of[mx]]
         if da == db:
             continue
-        if LEFT_OWN:
-            tails.add(x if da > db else mx)
-        else:
-            tails.add(mx if da > db else x)
+        tails.add(mx if da > db else x)
     return face_of, dist, tails
 
 
@@ -367,8 +353,7 @@ def open_slots(mate: dict, faces: list, vertex, root: int, outer: int):
                         reached.add(w)
                         stack.append(w)
             # the slot after x along f is sigma[mm[x]], at mm[x]'s vertex
-            chosen = [x for x in eslots
-                      if vertex[mm[x] if BREAK_AFTER else x] in reached]
+            chosen = [x for x in eslots if vertex[mm[x]] in reached]
             if len(chosen) != 1:
                 raise ValueError("breakable edge is not unique")
             b = chosen[0]

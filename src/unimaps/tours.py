@@ -208,26 +208,23 @@ def xi_inverse(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> ColoredUnicell
         positions.setdefault(label, []).append(k)
         u, v = ends[label - 1]
         corner_color.append(v if d else u)
-    pairs = []
-    twists = []
-    labels = []
-    for label, (i, j) in positions.items():
-        u, v = ends[label - 1]
-        d_j = steps[j][1]
-        pairs.append((i, j))
-        twists.append(d_j == 0 if u == v else steps[i][1] == d_j)
-        labels.append(label)
     # the positions come in order of first use, so each pair is (i, j)
-    # with i < j and the pairs are sorted
-    gluing = PolygonGluing._trusted(n, tuple(pairs), tuple(twists))
+    # with i < j and the pairs are sorted; a pair is twisted exactly when
+    # the tour takes its edge twice in the same direction
+    oriented = tour.oriented_edges()
+    labels = tuple(positions)
+    pairs = tuple(map(tuple, positions.values()))
+    twists = tuple(label in oriented for label in labels)
+    gluing = PolygonGluing._trusted(n, pairs, twists)
     from .maps_core import glue_polygon
 
-    skel = glue_polygon(gluing)
+    classes = glue_polygon(gluing)
     colors = []
-    for cls in skel.vertex_classes:
+    for cls in classes:
         values = {corner_color[c] for c in cls}
         if len(values) != 1:
             raise ValueError("tour colors are inconsistent with the gluing")
         colors.append(values.pop())
-    return ColoredUnicellularMap._trusted(gluing, skel, tuple(colors), graph.q,
-                                          tuple(labels), tuple(corner_color))
+    return ColoredUnicellularMap._trusted(gluing, classes, tuple(colors),
+                                          graph.q, labels,
+                                          tuple(corner_color))

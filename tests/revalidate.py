@@ -19,7 +19,7 @@ def revalidated(obj):
     ``replace(obj)`` re-runs the constructor's normalization and
     validation; the rebuilt object must equal ``obj``, hash alike, and
     hold fields of the same types.  Kept data that takes no part in
-    equality (a tree's ``up``, a submap's faces, a skeleton: whatever the
+    equality (a tree's ``up``, a submap's faces, vertex classes: whatever the
     instance holds beyond its fields) must agree wherever both objects
     hold it.  Record fields, such as the rooted map inside a tree-rooted
     map or the graph of a tour, are revalidated the same way first.

@@ -1,14 +1,15 @@
+import hashlib
 import threading
+from collections import Counter
 
 import pytest
 
 from unimaps import cache
 from unimaps.cache import load_census, store_census
-from unimaps.enumeration import CountTable
 
 
 def table(offset):
-    t = CountTable()
+    t = Counter()
     t[(2, 1)] = 5 + offset
     t[(2, 3)] = 2
     return t
@@ -56,3 +57,22 @@ def test_older_schema_is_a_miss(tmp_path, monkeypatch):
     assert load_census(str(tmp_path), "demo", {"n": 2}) == table(0)
     monkeypatch.undo()
     assert load_census(str(tmp_path), "demo", {"n": 2}) is None
+
+
+def test_stored_planar_census_bytes_are_pinned(tmp_path):
+    """The file of ``census planar-pqr --max-edges 4`` under schema 2, the
+    same whatever order the table was filled in."""
+    from unimaps.enumeration import planar_census
+
+    assert cache.SCHEMA == 2
+    census = planar_census(4)
+    backward = Counter()
+    for key in sorted(census, reverse=True):
+        backward[key] = census[key]
+    for k, filled in enumerate((census, backward)):
+        path = store_census(str(tmp_path / str(k)), "planar-pqr",
+                            {"max_edges": 4}, filled)
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == (
+                "a34907dbf1e378bdb1c1e691b54479fed68c5875e428c9476b0ca01e"
+                "717f6726")

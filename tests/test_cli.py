@@ -104,6 +104,41 @@ class TestCensus:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("text", ["[]", "1", "null", '"x"'])
+    def test_cache_holding_no_object_is_recomputed(self, capsys, tmp_path,
+                                                   text):
+        from unimaps import cache
+        args = ("census", "planar-pqr", "--max-edges", "3")
+        _, fresh, _ = run(capsys, *args)
+        path = cache._path(str(tmp_path), "planar-pqr", {"max_edges": 3})
+        with open(path, "w") as fh:
+            fh.write(text)
+        code, out, err = run(capsys, "--cache", str(tmp_path), *args)
+        assert (code, out, err) == (0, fresh, "")
+        assert json.loads(out)["total"] == "66"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_entries_sorted_whatever_the_fill_order(self, capsys,
+                                                    monkeypatch, fmt):
+        from collections import Counter
+
+        from unimaps import enumeration
+        real = enumeration.planar_census(2)
+        reversed_fill = Counter()
+        for key in sorted(real, reverse=True):
+            reversed_fill[key] = real[key]
+        monkeypatch.setattr(enumeration, "planar_census",
+                            lambda max_edges: reversed_fill)
+        code, out, _ = run(capsys, "census", "planar-pqr", "--max-edges",
+                           "2", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            keys = [tuple(k) for k, _ in json.loads(out)["entries"]]
+        else:
+            keys = [tuple(map(int, line.split(",")[:2]))
+                    for line in out.splitlines()[1:]]
+        assert keys == sorted(real) != list(reversed_fill)
+
 
 class TestUnusableCache:
     """A cache path that cannot be written is a usage error: exit 2, one
@@ -430,6 +465,13 @@ class TestBijection:
         code, out, err = run(capsys, "bijection", name, literal)
         assert code == 2 and out == ""
         assert f"parse error: {message}" in err
+
+    @pytest.mark.parametrize("pairs", ["0 1!!", "0 1!!!", "0 1 ! !",
+                                       "0 !1!"])
+    def test_more_than_one_twist_mark_is_parse_error(self, capsys, pairs):
+        code, out, err = run(capsys, "fiber", f"n=1; pairs=({pairs})")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: ")
 
     def test_colored_gluing_literal(self, capsys):
         code, out, _ = run(capsys, "fiber",

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -6,7 +7,6 @@ from revalidate import revalidated
 from transfer_oracle import labelled_vertex_profile
 
 from unimaps.enumeration import (
-    CountTable,
     _canonical,
     _matchings,
     gen_colored_unicellular,
@@ -71,7 +71,7 @@ def filtered_colored_maps(n, orientable_only):
     """Oracle: every coloring in ``itertools.product`` order, kept when it
     uses every color."""
     for g in gen_unicellular(n, orientable_only):
-        v = glue_polygon(g).vertex_count
+        v = len(glue_polygon(g))
         for q in range(1, v + 1):
             for colors in itertools.product(range(1, q + 1), repeat=v):
                 if set(colors) == set(range(1, q + 1)):
@@ -85,26 +85,27 @@ class TestColoredStream:
             fast = list(map(revalidated,
                             gen_colored_unicellular(n, orientable_only)))
             assert fast == list(filtered_colored_maps(n, orientable_only))
-            assert all(u.skeleton == glue_polygon(u.gluing) for u in fast)
+            assert all(u.vertex_classes == glue_polygon(u.gluing)
+                       for u in fast)
 
 
 class TestVertexProfile:
     def test_orientable_tables(self):
         # [DERIVED] one-face map counts on orientable surfaces by vertices
-        assert vertex_profile(1, True).items() == [((1, 2), 1)]
-        assert vertex_profile(2, True).items() == [
+        assert sorted(vertex_profile(1, True).items()) == [((1, 2), 1)]
+        assert sorted(vertex_profile(2, True).items()) == [
             ((1, 2), 1), ((2, 1), 1), ((2, 3), 2)]
 
     def test_orientable_n3(self):
         t = vertex_profile(3, True)
-        assert t.items() == [((1, 2), 1), ((2, 1), 1), ((2, 3), 2),
+        assert sorted(t.items()) == [((1, 2), 1), ((2, 1), 1), ((2, 3), 2),
                              ((3, 2), 10), ((3, 4), 5)]
         assert t[(3, 1)] == 0 and t[(3, 3)] == 0
 
     def test_general_tables(self):
         # [DERIVED] one-face maps on all surfaces by vertices
-        assert vertex_profile(1).items() == [((1, 1), 1), ((1, 2), 1)]
-        assert vertex_profile(2).items() == [
+        assert sorted(vertex_profile(1).items()) == [((1, 1), 1), ((1, 2), 1)]
+        assert sorted(vertex_profile(2).items()) == [
             ((1, 1), 1), ((1, 2), 1), ((2, 1), 5), ((2, 2), 5), ((2, 3), 2)]
 
     def test_totals_match_stream(self):
@@ -114,7 +115,7 @@ class TestVertexProfile:
 
 def edge_rows(table, k):
     """The rows of ``table`` with ``k`` edges."""
-    return {key: c for key, c in table.by_key.items() if key[0] == k}
+    return {key: c for key, c in table.items() if key[0] == k}
 
 
 class TestCanonicalForm:
@@ -158,7 +159,7 @@ class TestCanonicalForm:
 def brute_vertex_profile(n, orientable_only):
     """Oracle: glue every (matching, twist mask) pair and count classes."""
     nn = 2 * n
-    table = CountTable()
+    table = Counter()
     masks = (0,) if orientable_only else range(1 << n)
     for pairs in _matchings(list(range(nn))):
         for mask in masks:
@@ -166,7 +167,7 @@ def brute_vertex_profile(n, orientable_only):
             for k, (a, b) in enumerate(pairs):
                 glue_sides(ds, a, (a + 1) % nn, b, (b + 1) % nn,
                            mask >> k & 1)
-            table.add((n, len({ds.find(c) for c in range(nn)})))
+            table[(n, len({ds.find(c) for c in range(nn)}))] += 1
     return table
 
 
@@ -175,18 +176,18 @@ class TestTransferAgainstOracle:
         (n, o) for n in range(1, 7) for o in (True, False)] + [(7, True)])
     def test_equals_brute_force(self, n, orientable_only):
         """Brute force, computed once, against both transfers."""
-        brute = brute_vertex_profile(n, orientable_only).by_key
-        assert labelled_vertex_profile(n, orientable_only).by_key == brute
+        brute = brute_vertex_profile(n, orientable_only)
+        assert labelled_vertex_profile(n, orientable_only) == brute
         assert edge_rows(vertex_profile(n, orientable_only), n) == brute
 
     @pytest.mark.parametrize("n,orientable_only", [(9, False), (10, True)])
     def test_equals_labelled_transfer(self, n, orientable_only):
         """Every row of the one-pass table against the labelled transfer,
         one size at a time."""
-        labelled = {}
+        labelled = Counter()
         for k in range(1, n + 1):
-            labelled.update(labelled_vertex_profile(k, orientable_only).by_key)
-        assert vertex_profile(n, orientable_only).by_key == labelled
+            labelled.update(labelled_vertex_profile(k, orientable_only))
+        assert vertex_profile(n, orientable_only) == labelled
 
     @pytest.fixture(scope="class")
     def eps_eta(self):
@@ -228,23 +229,23 @@ class TestGenRootedOrientableMaps:
 
     def test_one_face_maps_match_gluings(self):
         for n in (1, 2, 3):
-            stream = CountTable()
+            stream = Counter()
             for m in gen_rooted_orientable_maps(n):
                 v, _, f, _ = euler_data(m)
                 if f == 1:
-                    stream.add((n, v))
-            assert stream.by_key == edge_rows(vertex_profile(n, True), n)
+                    stream[(n, v)] += 1
+            assert stream == edge_rows(vertex_profile(n, True), n)
 
 
 def brute_planar_census(max_edges):
     """Oracle: keep the genus-0 maps among all rooted orientable maps."""
-    table = CountTable()
+    table = Counter()
     table[(1, 1)] = 1
     for e in range(1, max_edges + 1):
         for m in gen_rooted_orientable_maps(e):
             v, _, f, genus = euler_data(m)
             if genus == 0:
-                table.add((v, f))
+                table[(v, f)] += 1
     return table
 
 
@@ -255,8 +256,7 @@ def planar_maps_with_edges(e):
 class TestPlanarCensus:
     @pytest.mark.parametrize("max_edges", range(1, 7))
     def test_equals_brute_force(self, max_edges):
-        assert planar_census(max_edges).by_key == \
-            brute_planar_census(max_edges).by_key
+        assert planar_census(max_edges) == brute_planar_census(max_edges)
 
     def test_totals_through_fourteen_edges(self):
         t = planar_census(14)

@@ -9,7 +9,6 @@ from unimaps.formulas import Verdict
 from unimaps.maps_core import (
     ColoredUnicellularMap,
     DisjointSets,
-    GluedSkeleton,
     PolygonGluing,
     RootedMap,
     _unchecked,
@@ -159,24 +158,24 @@ class TestPolygonGluing:
         assert PolygonGluing(2, ((0, 2), (1, 3)), (False, False)).orientable
 
     def test_untwisted_loop_gives_two_vertices(self):
-        skel = glue_polygon(PolygonGluing(1, ((0, 1),), (False,)))
-        assert skel.vertex_count == 2
-        assert skel.orientable
+        classes = glue_polygon(PolygonGluing(1, ((0, 1),), (False,)))
+        assert classes == ((0,), (1,))
 
     def test_twisted_loop_gives_one_vertex(self):
-        skel = glue_polygon(PolygonGluing(1, ((0, 1),), (True,)))
-        assert skel.vertex_count == 1
-        assert not skel.orientable
+        classes = glue_polygon(PolygonGluing(1, ((0, 1),), (True,)))
+        assert classes == ((0, 1),)
 
     def test_torus_gluing(self):
         # aba'b' square glued without twists: one vertex, genus 1
-        skel = glue_polygon(PolygonGluing(2, ((0, 2), (1, 3)), (False, False)))
-        assert skel.vertex_count == 1
+        classes = glue_polygon(PolygonGluing(2, ((0, 2), (1, 3)),
+                                             (False, False)))
+        assert len(classes) == 1
 
     def test_klein_bottle_gluing(self):
         # aabb square, both twisted: V=1, E=2, F=1, chi=0
-        skel = glue_polygon(PolygonGluing(2, ((0, 1), (2, 3)), (True, True)))
-        assert skel.vertex_count == 1
+        classes = glue_polygon(PolygonGluing(2, ((0, 1), (2, 3)),
+                                             (True, True)))
+        assert len(classes) == 1
 
 
 class TestColoredUnicellularMap:
@@ -234,7 +233,7 @@ class TestColoredUnicellularMap:
         u2 = xi_inverse(graph, tour)
         assert len(calls) == 1
         assert u2 == u
-        assert u2.skeleton == real(g)
+        assert u2.vertex_classes == real(g)
         assert u2.corner_colors == u.corner_colors
 
     def test_edge_labels_default_and_strip(self):
@@ -265,9 +264,8 @@ RECORDS = [
     (lambda: _orbits_traced(loop_map()),
      {"_vertex_data", "_edge_data", "_face_data"}, ("alpha", (0, 1))),
     (_loop_gluing, set(), ("pairs", ((0, 0),))),
-    (lambda: glue_polygon(_loop_gluing()), set(), None),
     (lambda: ColoredUnicellularMap(_loop_gluing(), (1, 2), 2),
-     {"skeleton", "corner_colors"}, ("q", 3)),
+     {"vertex_classes", "corner_colors"}, ("q", 3)),
     (_loop_graph, set(), ("q", 2)),
     (lambda: BiEulerianTour(_loop_graph(), 1, ((1, 0), (1, 0))), set(),
      ("origin", 2)),

@@ -8,10 +8,6 @@ from unimaps import maps_core, planar_closure
 from unimaps.enumeration import planar_census
 from unimaps.maps_core import DisjointSets, RootedMap
 from unimaps.planar_closure import (
-    BREAK_AFTER,
-    LEFT_OWN,
-    OPEN_OUT,
-    OUTER_AT_IN,
     NearEulerianTree,
     PlaneMap,
     _arches,
@@ -131,10 +127,8 @@ def match_buds(bud_walk: list) -> list:
         for i in range(n):
             slot, is_out = items[i]
             nslot, nis_out = items[(i + 1) % n]
-            if is_out == OPEN_OUT and nis_out != OPEN_OUT:
-                out_slot = slot if is_out else nslot
-                in_slot = nslot if is_out else slot
-                pairs.append((out_slot, in_slot))
+            if is_out and not nis_out:
+                pairs.append((slot, nslot))
                 for k in sorted(((i + 1) % n, i), reverse=True):
                     items.pop(k)
                 done = True
@@ -179,8 +173,7 @@ def scan_close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
         assert len(closed_faces) == 1
         return full, pairs, min(closed_faces[0])
     face_of = {x: f for f in closed_faces for x in f}
-    side = 1 if OUTER_AT_IN else 0
-    outer_orbits = {face_of[a[side]] for a in outermost_arches(buds, pairs)}
+    outer_orbits = {face_of[o] for o, _ in outermost_arches(buds, pairs)}
     if len(outer_orbits) != 1:
         raise ValueError("closure edges disagree on the outer face")
     return full, pairs, min(outer_orbits.pop())
@@ -220,10 +213,7 @@ def round_orientation_tails(sigma: dict, mate: dict, outer: int) -> set:
         da, db = dist[face_of[x]], dist[face_of[mx]]
         if da == db:
             continue
-        if LEFT_OWN:
-            tails.add(x if da > db else mx)
-        else:
-            tails.add(mx if da > db else x)
+        tails.add(mx if da > db else x)
     return tails
 
 
@@ -264,8 +254,7 @@ def breakable_round(sigma: dict, mm: dict, vertex: dict, root: int,
 
         chosen = []
         for x in eslots:
-            probe = vertex[next_slot(x)] if BREAK_AFTER else vertex[x]
-            if ds.find(index[probe]) == root_comp:
+            if ds.find(index[vertex[next_slot(x)]]) == root_comp:
                 chosen.append(x)
         if len(chosen) != 1:
             raise ValueError("breakable edge is not unique")

@@ -30,7 +30,7 @@ from unimaps.maps_core import (
 
 def all_colored(n, orientable_only=False):
     for g in gen_unicellular(n, orientable_only):
-        v = glue_polygon(g).vertex_count
+        v = len(glue_polygon(g))
         for q in range(1, v + 1):
             for colors in itertools.product(range(1, q + 1), repeat=v):
                 if set(colors) != set(range(1, q + 1)):

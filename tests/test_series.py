@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -6,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formula_oracle import binomial
-from unimaps.enumeration import (
-    CountTable,
-    planar_census,
-    surjection_count,
-    vertex_profile,
-)
+from unimaps.enumeration import planar_census, surjection_count, vertex_profile
 from unimaps.formulas import ledoux_check, u_formula
 from unimaps.series import (
     TruncatedBivariateSeries,
@@ -74,10 +70,9 @@ def eta():
     return vertex_profile(6)
 
 
-def perturbed(census, key=(2, 2), delta=1):
-    bad = CountTable()
-    bad.by_key = dict(census.by_key)
-    bad.by_key[key] += delta
+def perturbed(table, key=(2, 2), delta=1):
+    bad = Counter(table)
+    bad[key] += delta
     return bad
 
 
@@ -237,7 +232,7 @@ class TestRecHP:
         assert rec_hp_residual(census, -1, -2) == 0
 
     def test_trivial_vanishing_outside_quadrant(self):
-        empty = CountTable()
+        empty = Counter()
         assert rec_hp_residual(empty, -2, 0) == 0
         assert rec_hp_residual(empty, 0, -3) == 0
 
@@ -265,7 +260,7 @@ class TestRecHP:
 
     def test_missing_census_entry_rejected(self):
         with pytest.raises(ValueError):
-            check_rec_hp(CountTable(), 2)
+            check_rec_hp(Counter(), 2)
 
 
 class TestACombination:
@@ -303,9 +298,7 @@ class TestQfd:
         assert "n <= 6" in verdict.detail
 
     def test_reports_offending_edge_count(self, eta):
-        bad = CountTable()
-        bad.by_key = dict(eta.by_key)
-        bad.by_key[(4, 2)] += 1
+        bad = perturbed(eta, (4, 2))
         verdict = check_qfd(bad, 6)
         assert not verdict
         assert "n=4" in verdict.detail
@@ -315,9 +308,7 @@ class TestQfd:
         """Perturbing any table entry breaks the five-term polynomial
         identity exactly when it breaks the four-term recurrence: two
         routes, one truth."""
-        bad = CountTable()
-        bad.by_key = dict(eta.by_key)
-        bad.by_key[key] += 1
+        bad = perturbed(eta, key)
         for table in (eta, bad):
             by_recurrence = all(
                 ledoux_check(table, n, v).ok

@@ -60,7 +60,7 @@ def direction_free(tour: BiEulerianTour) -> bool:
 def all_colored(n, orientable_only=False, with_labels=True):
     """Every edge-labelled colored gluing with n edges (all q)."""
     for g in gen_unicellular(n, orientable_only):
-        v = glue_polygon(g).vertex_count
+        v = len(glue_polygon(g))
         for q in range(1, v + 1):
             for colors in itertools.product(range(1, q + 1), repeat=v):
                 if set(colors) != set(range(1, q + 1)):

@@ -4,7 +4,8 @@ brute force over every gluing and the multiset transfer
 
 from __future__ import annotations
 
-from unimaps.enumeration import CountTable
+from collections import Counter
+
 from unimaps.maps_core import DisjointSets, glue_sides
 
 
@@ -20,7 +21,7 @@ def _add_shifted(level: dict, state: tuple, counts: dict, shift: int) -> None:
         bucket[closed + shift] = bucket.get(closed + shift, 0) + count
 
 
-def labelled_vertex_profile(n: int, orientable_only: bool = False) -> CountTable:
+def labelled_vertex_profile(n: int, orientable_only: bool = False) -> Counter:
     """Count gluings with ``n`` edges by vertex number: key ``(n, v)``.
 
     Exact transfer over the polygon sides instead of a loop over the
@@ -62,7 +63,7 @@ def labelled_vertex_profile(n: int, orientable_only: bool = False) -> CountTable
                     _add_shifted(following, _first_appearance(roots),
                                  counts, closed)
         level = following
-    table = CountTable()
+    table = Counter()
     for closed, count in level[(0, 0)].items():
         table[(n, closed + 1)] = count
     return table
