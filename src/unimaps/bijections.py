@@ -422,58 +422,6 @@ def phi_inverse(t: OrientedTreeRootedMap) -> ColoredUnicellularMap:
     return upsilon(t)
 
 
-def gen_oriented_tree_rooted_maps(n: int, weight: int = None):
-    """Stream all oriented tree-rooted maps with ``n`` edges (every vertex
-    labelling, edge labelling, spanning tree and compatible balanced
-    orientation), optionally restricted to one external weight.  The
-    public constructor filters the trees and orientations; relabellings
-    of an accepted map are built trusted, with its ``up``, which no
-    relabelling changes."""
-    from .enumeration import gen_rooted_orientable_maps, spanning_edge_subsets
-
-    for m in gen_rooted_orientable_maps(n):
-        q = len(m.vertices())
-        trees = spanning_edge_subsets(m)
-        orientations = _balanced_orientations(m)
-        for tree in trees:
-            for orient in orientations:
-                try:
-                    t = OrientedTreeRootedMap(
-                        m, tuple(range(1, q + 1)), tuple(range(1, n + 1)),
-                        tree, orient)
-                except ValueError:
-                    continue
-                if weight is not None and t.external_weight != weight:
-                    continue
-                for vperm in itertools.permutations(range(1, q + 1)):
-                    for eperm in itertools.permutations(range(1, n + 1)):
-                        yield OrientedTreeRootedMap._trusted(
-                            m, vperm, eperm, t.tree, t.orientation, t.up)
-
-
-def _balanced_orientations(m: RootedMap):
-    """All balanced partial orientations of ``m`` as tail half-edge sets."""
-    vid = m.vertex_index()
-    q = max(vid) + 1
-    eids = [min(c) for c in m.edges()]
-    out = []
-    for subset in _subsets(eids):
-        for tails in itertools.product(*[(h, m.alpha[h]) for h in subset]):
-            flow = [0] * q
-            for h in tails:
-                flow[vid[h]] += 1
-                flow[vid[m.alpha[h]]] -= 1
-            if not any(flow):
-                out.append(frozenset(tails))
-    return sorted(set(out), key=sorted)
-
-
-def _subsets(items):
-    items = list(items)
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
-
-
 # ---------------------------------------------------------------------------
 # Externally-labelled planar-rooted maps and the surjection psi
 # ---------------------------------------------------------------------------
@@ -611,7 +559,7 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     submap recovers a near-Eulerian tree whose cut edges are re-joined
     according to the remaining labels, giving a compatibly-oriented
     tree-rooted map, whose tour is then read off."""
-    from .planar_closure import open_slots
+    from .planar_closure import dual_layers, open_slots
 
     m = p.m
     faces = p.submap_faces
@@ -625,8 +573,9 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     outer_rep = next(min(f) for f in faces if label_of_rep[min(f)] == r)
     vid = m.vertex_index()
     root_sub = min(h for h in sigma_sub if vid[h] == vid[m.root])
-    tree_mate, tails, cuts = open_slots(mate_sub, faces, vid, root_sub,
-                                        outer_rep)
+    tree_mate, tails, cuts = open_slots(
+        mate_sub, faces, vid, root_sub,
+        dual_layers(faces, mate_sub, outer_rep))
     # cut bookkeeping: inner face -> (out slot, in slot)
     buds_of_rep = {f: (o, i) for f, o, i in cuts}
     inner = _canonical_inner_faces(m, faces, outer_rep)
@@ -649,7 +598,8 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
 def psi_fiber(u: ColoredUnicellularMap) -> tuple:
     """All preimages of ``u`` under psi: exactly ``2^w`` externally
     labelled planar-rooted maps whose submaps have ``w + 1`` faces."""
-    from .planar_closure import close_slots, open_slots, slot_faces
+    from .planar_closure import (close_slots, dual_layers, open_slots,
+                                 slot_faces)
 
     out = []
     for t in upsilon_fiber(u):
@@ -690,8 +640,8 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         # closed submap, whose faces are traced once for this and for the
         # face labels
         faces = sorted(slot_faces(sigma_sub, full), key=min)
-        tree_mate, _, cuts = open_slots(full, faces, vid, root_sub,
-                                        outer_rep)
+        tree_mate, _, cuts = open_slots(
+            full, faces, vid, root_sub, dual_layers(faces, full, outer_rep))
         assert {h for h in slots if tree_mate[h] == -1} == set(buds), \
             "re-opening disagrees with the cutting"
         out_slot_of_rep = {f: o for f, o, i in cuts}
@@ -712,29 +662,3 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
             m2, t.vertex_labels, edge_labels, submap, face_labels,
             tuple(faces)))
     return tuple(out)
-
-
-def gen_externally_labelled_maps(n: int):
-    """Stream every externally-labelled planar-rooted map with n edges.
-    The public constructor filters the submaps; relabellings of an
-    accepted map are built trusted, with its submap faces, which no
-    relabelling changes."""
-    from .enumeration import gen_rooted_orientable_maps
-
-    for m in gen_rooted_orientable_maps(n):
-        q = len(m.vertices())
-        eids = [min(c) for c in m.edges()]
-        for sub in _subsets(eids):
-            r = len(_submap_faces_of(m, frozenset(sub)))
-            try:
-                p = ExternallyLabelledPlanarRootedMap(
-                    m, tuple(range(1, q + 1)), tuple(range(1, n + 1)),
-                    frozenset(sub), tuple(range(1, r + 1)))
-            except ValueError:
-                continue
-            for vperm in itertools.permutations(range(1, q + 1)):
-                for eperm in itertools.permutations(range(1, n + 1)):
-                    for fperm in itertools.permutations(range(1, r + 1)):
-                        yield ExternallyLabelledPlanarRootedMap._trusted(
-                            m, vperm, eperm, p.submap, fperm,
-                            p.submap_faces)

@@ -237,11 +237,20 @@ def _check_psi_fibers(bound, census):
 
 
 def _check_gamma_roundtrip(bound, census):
-    """Closure maps every tree to a valid plane map, which opening
-    inverts and whose dual-distance orientation is the tree's tails and
-    outgoing buds; opening maps every plane map to a valid tree, which
-    closure inverts."""
+    """Closure maps every tree with at most ``2 bound`` slots to a valid
+    plane map, which opening inverts and whose dual-distance orientation
+    is the tree's tails and outgoing buds; so closure is injective.  Per
+    edge count e, the trees, their closure images up to relabelling and
+    the plane maps of the census (rooted planar maps with a marked face,
+    the sum of r P_{q,r} over q + r - 2 = e) are equally many; so closure
+    is onto, and opening inverts it on every plane map too."""
     from . import planar_closure
+    plane_maps = Counter()
+    for (q, r), count in census(bound).items():
+        plane_maps[q + r - 2] += r * count
+    trees = Counter()
+    images = Counter()
+    edges, keys = 0, set()
     for t in planar_closure.gen_near_eulerian_trees(2 * bound):
         p = planar_closure.closure_gamma(t)
         fault = _invalid(p.m, p)
@@ -251,14 +260,16 @@ def _check_gamma_roundtrip(bound, census):
                 planar_closure.dual_distance_orientation(p) != \
                 t.tails | t.out_buds:
             return {"tree": tree_payload(t)}
-    for p in planar_closure.gen_plane_maps(bound):
-        t = planar_closure.opening_delta(p)
-        fault = _invalid(t)
-        if fault is not None:
-            return {"map": map_payload(p.m), "outer": p.outer, **fault}
-        p2 = planar_closure.closure_gamma(t)
-        if p2.m != p.m or p2.outer != p.outer:
-            return {"map": map_payload(p.m), "outer": p.outer}
+        # the trees come by ascending slot count, two slots per edge
+        if len(t.sigma) != 2 * edges:
+            edges, keys = len(t.sigma) // 2, set()
+        keys.add(p.canonical_key())
+        trees[edges] += 1
+        images[edges] = len(keys)
+    for e in range(1, bound + 1):
+        if not trees[e] == images[e] == plane_maps[e]:
+            return {"edges": e, "trees": trees[e], "images": images[e],
+                    "plane_maps": plane_maps[e]}
     return None
 
 

@@ -220,9 +220,11 @@ def _cached(cache_dir, name, params, build):
 
 
 def _planar_census(cache_dir, max_edges):
-    from .enumeration import planar_census
-    return _cached(cache_dir, "planar-pqr", {"max_edges": max_edges},
-                   lambda: planar_census(max_edges))
+    def build():
+        # a cache hit loads no enumerator
+        from .enumeration import planar_census
+        return planar_census(max_edges)
+    return _cached(cache_dir, "planar-pqr", {"max_edges": max_edges}, build)
 
 
 def _require_positive(value, option: str) -> None:

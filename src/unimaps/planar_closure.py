@@ -29,7 +29,13 @@ would be an equally valid normalization.
 
 from __future__ import annotations
 
-from .maps_core import RootedMap, _unchecked, euler_data, record
+from .maps_core import (
+    RootedMap,
+    _unchecked,
+    canonical_relabelling,
+    euler_data,
+    record,
+)
 
 
 @record
@@ -143,11 +149,15 @@ class NearEulerianTree:
 class PlaneMap:
     """A rooted planar map with a marked outer face.
 
-    ``outer`` is the minimum half-edge of the marked face's orbit.
+    ``outer`` is the minimum half-edge of the marked face's orbit.  The
+    breadth-first search of the dual graph from the outer face
+    (:meth:`layers`) runs at most once, on first use, and takes no part
+    in equality or hashing.
     """
 
     m: RootedMap
     outer: int
+    _layers = None
 
     def __post_init__(self):
         self.validate()
@@ -171,6 +181,24 @@ class PlaneMap:
         if not (0 <= outer < m.half_edge_count
                 and faces[m.face_index()[outer]][0] == outer):
             raise ValueError("outer is not a face identifier")
+
+    def layers(self) -> tuple:
+        """The :func:`dual_layers` triple ``(face_of, dist, tails)`` of
+        the map's faces, computed once; callers must not mutate it."""
+        if self._layers is None:
+            object.__setattr__(self, "_layers", dual_layers(
+                self.m.faces(), dict(enumerate(self.m.alpha)), self.outer))
+        return self._layers
+
+    def canonical_key(self) -> tuple:
+        """Hashable form invariant under half-edge relabelling: the
+        first-visit relabelling's rotation and pairing, then the least
+        new label on the outer face."""
+        m = self.m
+        perm = canonical_relabelling(m)
+        c = m.relabelled(perm)
+        outer_face = m.faces()[m.face_index()[self.outer]]
+        return c.sigma + c.alpha + (min(perm[x] for x in outer_face),)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +292,7 @@ def close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
     return full, pairs, min(outer_face)
 
 
-def _dual_layers(faces: list, mate: dict, outer: int):
+def dual_layers(faces: list, mate: dict, outer: int):
     """One breadth-first search of the dual graph from the outer face,
     over the face orbits ``faces`` of the slot system.
 
@@ -306,10 +334,12 @@ def _dual_layers(faces: list, mate: dict, outer: int):
     return face_of, dist, tails
 
 
-def open_slots(mate: dict, faces: list, vertex, root: int, outer: int):
+def open_slots(mate: dict, faces: list, vertex, root: int, layers: tuple):
     """Cut the breakable edges ring by ring until only the outer face is
-    left.  ``faces`` are the face orbits of the slot system and
-    ``vertex[x]`` identifies the vertex of slot ``x``.  Returns
+    left.  ``faces`` are the face orbits of the slot system,
+    ``vertex[x]`` identifies the vertex of slot ``x`` and ``layers`` is
+    the :func:`dual_layers` triple of ``faces`` from the outer face,
+    which the caller may already hold for other uses.  Returns
     ``(tree_mate, tails, cuts)`` where ``cuts`` is a list of
     ``(face_rep, out_slot, in_slot)`` with ``face_rep`` identifying the
     inner face (its minimum slot) whose breakable edge was cut.
@@ -321,7 +351,7 @@ def open_slots(mate: dict, faces: list, vertex, root: int, outer: int):
     outer-incident edges in round k are its still-paired slots whose
     mate lies on a face at distance below k.
     """
-    face_of, dist, full_tails = _dual_layers(faces, mate, outer)
+    face_of, dist, full_tails = layers
     # per vertex, its paired slots with the vertex across the edge
     adj: dict = {}
     for x, mx in mate.items():
@@ -379,8 +409,7 @@ def open_slots(mate: dict, faces: list, vertex, root: int, outer: int):
 def dual_distance_orientation(p: PlaneMap) -> frozenset:
     """Tail half-edges of the dual-distance orientation: exactly the
     edges whose two sides have different dual distances are oriented."""
-    return frozenset(
-        _dual_layers(p.m.faces(), dict(enumerate(p.m.alpha)), p.outer)[2])
+    return frozenset(p.layers()[2])
 
 
 def closure_gamma(t: NearEulerianTree) -> PlaneMap:
@@ -394,11 +423,12 @@ def closure_gamma(t: NearEulerianTree) -> PlaneMap:
 
 def opening_delta(p: PlaneMap) -> NearEulerianTree:
     """Open a plane map into a near-Eulerian tree on the same slots, from
-    the face orbits and vertex index that ``p.m`` keeps."""
+    the face orbits and vertex index that ``p.m`` keeps and the dual
+    layers that ``p`` keeps."""
     m = p.m
     tree_mate, tails, cuts = open_slots(
         dict(enumerate(m.alpha)), m.faces(), m.vertex_index(), m.root,
-        p.outer)
+        p.layers())
     out_buds = frozenset(t for _, t, _ in cuts)
     # tree_mate is a copy of the slot-ordered mate dict, in slot order
     return NearEulerianTree._trusted(m.sigma, tuple(tree_mate.values()),
@@ -518,7 +548,10 @@ def _layout(shape):
 
 def gen_plane_maps(max_edges: int):
     """All plane maps with 1..max_edges edges (each planar rooted map once
-    per choice of marked face)."""
+    per choice of marked face), by brute force over the rooted maps.  An
+    oracle for the tests and the benchmark's pools; no check calls it:
+    ``verify gamma-roundtrip`` counts the plane maps with the planar
+    census instead."""
     from .enumeration import gen_rooted_orientable_maps
 
     for e in range(1, max_edges + 1):

@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from unimaps.bijections import phi
-from unimaps.checks import CHECKS
+from unimaps.checks import CHECKS, _invalid
 from unimaps.enumeration import (
     gen_colored_unicellular,
     gen_tree_rooted_maps,
@@ -28,6 +28,7 @@ from unimaps.formulas import (
     u_formula,
     u_hat_formula,
 )
+from unimaps.planar_closure import closure_gamma, gen_plane_maps, opening_delta
 from unimaps.series import check_algebraic_P, check_qfd, p_series
 
 
@@ -114,9 +115,16 @@ def test_criterion_08_phi_bijection_and_star():
 
 
 def test_criterion_09_closure_opening():
-    report(9, "closure/opening inverse on trees to 10 slots and plane "
-           "maps to 5 edges, with the dual-distance orientation",
-           passes(5, "gamma-roundtrip"))
+    # the registry check walks the trees only and counts the plane maps
+    # against the census; the plane maps are walked here as well
+    ok = passes(5, "gamma-roundtrip")
+    for p in gen_plane_maps(5):
+        t = opening_delta(p)
+        ok &= _invalid(t) is None and closure_gamma(t) == p
+    report(9, "closure/opening inverse on trees to 10 slots, with the "
+           "dual-distance orientation; closure onto the plane maps to 5 "
+           "edges by a count of its images against the planar census; "
+           "and opening/closure inverse on every plane map to 5 edges", ok)
 
 
 def test_criterion_10_psi_fibers():

@@ -5,12 +5,14 @@ from math import factorial
 import pytest
 
 from best_oracle import arc_theta, arc_theta_fiber
+from labelled_oracle import (
+    gen_externally_labelled_maps,
+    gen_oriented_tree_rooted_maps,
+)
 from revalidate import revalidated
 from unimaps import maps_core
 from unimaps.bijections import (
     OrientedTreeRootedMap,
-    gen_externally_labelled_maps,
-    gen_oriented_tree_rooted_maps,
     phi,
     phi_inverse,
     theta,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from revalidate import revalidated
 
 import unimaps
-from unimaps import bijections
+from unimaps import bijections, enumeration
 from unimaps.bijections import OrientedTreeRootedMap
 from unimaps.checks import CHECKS
 from unimaps.cli import main, parse_gluing
@@ -197,6 +197,27 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    def test_gamma_roundtrip_count_off_by_one_fails(self, capsys,
+                                                    monkeypatch):
+        """The check counts the plane maps with the census: one entry off
+        by one, P_{2,2} with two faces, leaves two plane maps with 2 edges
+        that no tree closes to."""
+        real = enumeration.planar_census
+
+        def off_by_one(max_edges):
+            table = real(max_edges)
+            table[(2, 2)] += 1
+            return table
+        monkeypatch.setattr(enumeration, "planar_census", off_by_one)
+        code, out, err = run(capsys, "verify", "gamma-roundtrip",
+                             "--bound", "3")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "fail"
+        assert payload["counterexample"] == {
+            "edges": 2, "trees": 18, "images": 18, "plane_maps": 20}
+        assert "Traceback" not in err
+
     def test_algebraic_p(self, capsys):
         code, out, _ = run(capsys, "verify", "algebraic-P", "--bound", "7")
         assert code == 0
@@ -323,6 +344,25 @@ class TestStartup:
         assert not hz & {"unimaps.bijections", "unimaps.tours",
                          "unimaps.planar_closure", "unimaps.series",
                          "unimaps.cache"}
+
+    def test_gamma_roundtrip_loads_the_census_alone(self, tmp_path):
+        """``verify gamma-roundtrip`` counts the plane maps with the
+        planar census, so it loads ``enumeration`` and no layer of the
+        one-face bijections or the series; with a cache, the second run
+        reads the census there and loads no enumerator."""
+        argv = ["verify", "gamma-roundtrip", "--bound", "1"]
+        loaded = package_modules(
+            f"import unimaps.cli; unimaps.cli.main({argv!r})")
+        assert {"unimaps.planar_closure", "unimaps.enumeration"} <= loaded
+        assert not loaded & {"unimaps.bijections", "unimaps.tours",
+                             "unimaps.series", "unimaps.cache"}
+        cached = ["--cache", str(tmp_path)] + argv
+        code = (f"import unimaps.cli; "
+                f"assert unimaps.cli.main({cached!r}) == 0")
+        first, second = package_modules(code), package_modules(code)
+        assert {"unimaps.cache", "unimaps.enumeration"} <= first
+        assert "unimaps.cache" in second
+        assert "unimaps.enumeration" not in second
 
     def test_commands_load_no_class_generation_machinery(self, tmp_path):
         """The model classes are records built from closures, so no

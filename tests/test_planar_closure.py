@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -11,11 +12,11 @@ from unimaps.planar_closure import (
     NearEulerianTree,
     PlaneMap,
     _arches,
-    _dual_layers,
     _tree_shapes,
     close_slots,
     closure_gamma,
     dual_distance_orientation,
+    dual_layers,
     gen_near_eulerian_trees,
     gen_plane_maps,
     open_slots,
@@ -565,9 +566,16 @@ def maps():
 
 class TestRoundTrips:
     def test_counts_agree(self, nets, maps):
+        """Trees by slot pairs, brute-force plane maps by edges, and the
+        census sum over q + r - 2 = e of r P_{q,r} that ``verify
+        gamma-roundtrip`` counts the plane maps with."""
         by_slots = Counter(len(t.sigma) // 2 for t in nets)
         by_edges = Counter(len(p.m.edges()) for p in maps)
-        assert by_slots == by_edges == Counter(LEVEL_COUNTS)
+        by_census = Counter()
+        for (q, r), c in planar_census(5).items():
+            if q + r > 2:
+                by_census[q + r - 2] += r * c
+        assert by_slots == by_edges == by_census == Counter(LEVEL_COUNTS)
 
     def test_gamma_then_delta_is_identity(self, nets):
         for t in nets:
@@ -600,15 +608,43 @@ class TestRoundTrips:
             assert len(p.m.faces()) == t.external_weight + 1
 
 
+class TestCanonicalKey:
+    def test_key_ignores_relabelling(self):
+        """Every closure image to 4 edges, its half-edges renamed by a
+        seeded random permutation, keeps its key."""
+        rng = random.Random(16)
+        for t in gen_near_eulerian_trees(8):
+            p = closure_gamma(t)
+            perm = list(range(p.m.half_edge_count))
+            rng.shuffle(perm)
+            outer_face = p.m.faces()[p.m.face_index()[p.outer]]
+            q = PlaneMap(p.m.relabelled(perm),
+                         min(perm[x] for x in outer_face))
+            assert q.canonical_key() == p.canonical_key()
+
+    def test_closure_images_are_the_plane_maps(self):
+        """The 1,290 closure images to 4 edges have 1,290 distinct keys,
+        those of the brute-force plane maps; only 188 of the images are
+        in first-visit form, so raw tuples would not compare."""
+        images = [closure_gamma(t) for t in gen_near_eulerian_trees(8)]
+        keys = {p.canonical_key() for p in images}
+        assert len(images) == len(keys) == 1290
+        assert keys == {p.canonical_key() for p in gen_plane_maps(4)}
+        first_visit = [p for p in images if maps_core.canonical_relabelling(
+            p.m) == list(range(p.m.half_edge_count))]
+        assert len(first_visit) == 188
+
+
 def _open_both(sigma, mate, root, outer, faces, vertex):
     """Open with the ring pass, given the face orbits and the vertex of
     every slot, and with the round oracle; every output must agree, the
     cuts as a multiset."""
-    mm, tails, cuts = open_slots(mate, faces, vertex, root, outer)
+    layers = dual_layers(faces, mate, outer)
+    mm, tails, cuts = open_slots(mate, faces, vertex, root, layers)
     omm, otails, ocuts = round_open_slots(sigma, mate, root, outer)
     assert mm == omm and tails == otails
     assert Counter(cuts) == Counter(ocuts)
-    face_of, dist, full_tails = _dual_layers(faces, mate, outer)
+    face_of, dist, full_tails = layers
     assert {min(f): d for f, d in zip(faces, dist)} == \
         slot_dual_distances(sigma, mate, outer)
     assert all(x in faces[face_of[x]] for x in mate)

@@ -3,12 +3,12 @@ from collections import Counter
 from math import comb, factorial
 
 import pytest
+from labelled_oracle import gen_externally_labelled_maps
 from revalidate import revalidated
 
 from unimaps import bijections, planar_closure
 from unimaps.bijections import (
     ExternallyLabelledPlanarRootedMap,
-    gen_externally_labelled_maps,
     phi,
     psi,
     psi_fiber,
