@@ -158,35 +158,40 @@ class OrientedTreeRootedMap(_LabelledMap):
         alpha = m.alpha
         nh = len(alpha)
         vid = m.vertex_index()
-        q, n = len(m.vertices()), nh // 2
-        self._check_labels(q, n)
+        q = len(m.vertices())
+        self._check_labels(q, nh // 2)
+        tree, orientation = self.tree, self.orientation
         # an edge id is the smaller half-edge of its edge
-        if not all(0 <= e < nh and e < alpha[e] for e in self.tree):
-            raise ValueError("tree contains unknown edges")
-        if len(self.tree) != q - 1:
+        for e in tree:
+            if not (0 <= e < nh and e < alpha[e]):
+                raise ValueError("tree contains unknown edges")
+        if len(tree) != q - 1:
             raise ValueError("tree has the wrong number of edges")
         # q - 1 edges reaching every vertex from the root: a spanning tree
         up = self._tree_up(vid, vid[m.root], q)
         if up.count(None) != 1:
             raise ValueError("tree edges contain a cycle")
-        # orientation: one tail per edge, balanced
-        if not all(0 <= h < nh for h in self.orientation):
-            raise ValueError("orientation holds unknown half-edges")
-        tails = {}
-        flow = [0] * q
-        for h in self.orientation:
-            eid = min(h, alpha[h])
-            if eid in tails:
-                raise ValueError("edge oriented twice")
-            tails[eid] = h
-            flow[vid[h]] += 1
-            flow[vid[alpha[h]]] -= 1
-        if any(flow):
-            raise ValueError("orientation is not balanced")
-        # compatibility: oriented tree edges point toward the root vertex
-        for eid, h in tails.items():
-            if eid in self.tree and up[vid[h]] != h:
-                raise ValueError("oriented tree edge points away from root")
+        if orientation:
+            if not all(0 <= h < nh for h in orientation):
+                raise ValueError("orientation holds unknown half-edges")
+            # one tail per edge, balanced
+            tails = {}
+            flow = [0] * q
+            for h in orientation:
+                eid = min(h, alpha[h])
+                if eid in tails:
+                    raise ValueError("edge oriented twice")
+                tails[eid] = h
+                flow[vid[h]] += 1
+                flow[vid[alpha[h]]] -= 1
+            if any(flow):
+                raise ValueError("orientation is not balanced")
+            # compatibility: oriented tree edges point toward the root
+            # vertex
+            for eid, h in tails.items():
+                if eid in tree and up[vid[h]] != h:
+                    raise ValueError(
+                        "oriented tree edge points away from root")
         if self.up is not None and self.up != up:
             raise ValueError("kept tree half-edges disagree with the tree")
         object.__setattr__(self, "up", up)
@@ -196,16 +201,19 @@ class OrientedTreeRootedMap(_LabelledMap):
         alpha = self.m.alpha
         adj = [[] for _ in range(q)]
         for eid in self.tree:
+            a = alpha[eid]
             adj[vid[eid]].append(eid)
-            adj[vid[alpha[eid]]].append(alpha[eid])
+            adj[vid[a]].append(a)
         up = [None] * q
-        stack = [root_v]
-        while stack:
-            for h in adj[stack.pop()]:
-                w = vid[alpha[h]]
+        # the search order grows while it is walked
+        order = [root_v]
+        for x in order:
+            for h in adj[x]:
+                a = alpha[h]
+                w = vid[a]
                 if w != root_v and up[w] is None:
-                    up[w] = alpha[h]
-                    stack.append(w)
+                    up[w] = a
+                    order.append(w)
         return tuple(up)
 
     @property
@@ -229,34 +237,36 @@ def theta(t: OrientedTreeRootedMap) -> tuple:
     """
     m = t.m
     sigma, alpha = m.sigma, m.alpha
-    vid = m.vertex_index()
-    vlabel, elabel = t.half_edge_labels()
-    n, q = t.n, t.q
-    tail_of = {elabel[h]: h for h in t.orientation}
+    vid, eid = m.vertex_index(), m.edge_index()
+    vertex_labels, edge_labels = t.vertex_labels, t.edge_labels
+    n, q = len(edge_labels), len(vertex_labels)
     ends = [None] * n
-    for h, h2 in m.edges():
-        a, b = vlabel[h], vlabel[h2]
-        ends[elabel[h] - 1] = (a, b) if a <= b else (b, a)
+    for lab, (h, h2) in zip(edge_labels, m.edges()):
+        a, b = vertex_labels[vid[h]], vertex_labels[vid[h2]]
+        ends[lab - 1] = (a, b) if a <= b else (b, a)
     graph = EdgeLabelledGraph._trusted(q, tuple(ends))
 
-    # label-sorted pairing of ingoing half-edges with outgoing oriented
-    # edges at each vertex
-    heads = [[] for _ in range(q)]
-    tails = [[] for _ in range(q)]
-    for lab in sorted(tail_of):
-        th = tail_of[lab]
-        tails[vid[th]].append(lab)
-        heads[vid[alpha[th]]].append(lab)
+    tail_of = {edge_labels[eid[h]]: h for h in t.orientation}
     paired = {}  # ingoing half-edge -> label of the edge it leaves along
-    for hs, ts in zip(heads, tails):
-        assert len(hs) == len(ts)
-        for hl, tl in zip(hs, ts):
-            paired[alpha[tail_of[hl]]] = tl
+    if tail_of:
+        # label-sorted pairing of ingoing half-edges with outgoing
+        # oriented edges at each vertex
+        heads = [[] for _ in range(q)]
+        tails = [[] for _ in range(q)]
+        for lab in sorted(tail_of):
+            th = tail_of[lab]
+            tails[vid[th]].append(lab)
+            heads[vid[alpha[th]]].append(lab)
+        for hs, ts in zip(heads, tails):
+            if len(hs) != len(ts):
+                raise ValueError("orientation is not balanced")
+            for hl, tl in zip(hs, ts):
+                paired[alpha[tail_of[hl]]] = tl
 
     root_v = vid[m.root]
     nxt = [m.root if h is None else sigma[h] for h in t.up]
     left = [len(c) for c in m.vertices()]
-    looped = set()
+    looped = [False] * (n + 1)
     steps = []
     current = root_v
     for _ in range(2 * n):
@@ -265,24 +275,24 @@ def theta(t: OrientedTreeRootedMap) -> tuple:
         h = nxt[current]
         nxt[current] = sigma[h]
         left[current] -= 1
-        lab = elabel[h]
+        lab = edge_labels[eid[h]]
+        u, v = ends[lab - 1]
         if lab in tail_of:
             if h != tail_of[lab]:
                 lab = paired[h]
+                u, v = ends[lab - 1]
             h = tail_of[lab]
-            d = 0 if vlabel[h] == ends[lab - 1][0] else 1
-        elif lab in looped:
-            d = 1
+            d = 0 if vertex_labels[vid[h]] == u else 1
+        elif u != v:
+            d = 0 if vertex_labels[current] == u else 1
         else:
-            u, v = ends[lab - 1]
-            d = 0 if vlabel[h] == u else 1
-            if u == v:
-                looped.add(lab)
+            d = 1 if looped[lab] else 0
+            looped[lab] = True
         current = vid[alpha[h]]
         steps.append((lab, d))
     if current != root_v:
         raise ValueError("data does not produce an Eulerian tour")
-    return graph, BiEulerianTour._trusted(graph, t.vertex_labels[root_v],
+    return graph, BiEulerianTour._trusted(graph, vertex_labels[root_v],
                                           tuple(steps))
 
 
@@ -295,34 +305,95 @@ def theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
     lies at the smaller endpoint, at the tail of an oriented edge and at
     the first departure along a loop.
     """
-    n, q = graph.n, graph.q
     ends = graph.edges
+    n, q = len(ends), graph.q
     origin = tour.origin
-    oriented = tour.oriented_edges()
 
-    # departures of each color in tour order; an oriented edge leaves its
-    # tail both times
-    departures = [[] for _ in range(q + 1)]
-    tail_color = {}
+    # one pass: the departures of each color in tour order, as half-edges
+    # (the edge labelled k+1 leaves its smaller endpoint, or the first
+    # time along a loop, by 2k, else by 2k+1), and the edges taken twice
+    # in the same direction (a loop's first step has direction 0)
+    fills = [[] for _ in range(q + 1)]  # by color; 0 is unused
+    first_d = [-1] * (n + 1)
+    oriented = []
     for lab, d in tour.steps:
         u, v = ends[lab - 1]
-        c = v if d else u
-        departures[c].append(lab)
-        if lab in oriented:
-            tail_color[lab] = c
-    tree_labels = frozenset(departures[c][-1] for c in range(1, q + 1)
-                            if c != origin)
+        if first_d[lab] < 0:
+            first_d[lab] = d
+        elif first_d[lab] == d:
+            oriented.append(lab)
+        fills[v if d else u].append(2 * lab - 2 + d)
+    del fills[0]
+    # the last departure from every color but the origin is its tree
+    # half-edge toward the root
+    root_fills = fills[origin - 1]
+    tree_ids = frozenset([f[-1] & -2 for f in fills if f is not root_fills])
+    nh = 2 * n
+    alpha = [0] * nh
+    alpha[::2] = range(1, nh, 2)
+    alpha[1::2] = range(0, nh, 2)
+    alpha = tuple(alpha)
+    edge_labels = tuple(range(1, n + 1))
+    if not oriented:
+        return (_fiber_element(fills, origin, alpha, edge_labels, tree_ids,
+                               frozenset()),)
 
-    # label-sorted pairing at each color: the r-th ingoing oriented edge is
-    # matched with the r-th outgoing one; the head half-edge of the edge
-    # labelled k+1 is 2k+1
+    orientation = frozenset([2 * lab - 2 for lab in oriented])
+    choices = _orient_fills(fills, ends, origin, oriented, first_d)
+    out = []
+    for assignment in itertools.product((0, 1), repeat=len(choices)):
+        chosen = [list(f) for f in fills]
+        for bit, (i, pa, pb) in zip(assignment, choices):
+            if bit:
+                f = chosen[i]
+                f[pa], f[pb] = f[pb], f[pa]
+        out.append(_fiber_element(chosen, origin, alpha, edge_labels,
+                                  tree_ids, orientation))
+    return tuple(out)
+
+
+def _fiber_element(fills, origin, alpha, edge_labels, tree_ids,
+                   orientation) -> OrientedTreeRootedMap:
+    """The element of :func:`theta_fiber` whose rotation at each color
+    ``c`` is the cycle ``fills[c - 1]``: the departures from ``c`` in
+    tour order, the first of the origin's being the root and the last
+    of every other color's its tree half-edge toward the root."""
+    sigma = [0] * len(alpha)
+    for cycle in fills:
+        prev = cycle[-1]
+        for h in cycle:
+            sigma[prev] = h
+            prev = h
+    m = RootedMap._trusted(tuple(sigma), alpha, fills[origin - 1][0])
+    # vertices in order of their minimum half-edge
+    _, vertex_labels = zip(*sorted([(min(f), c)
+                                    for c, f in enumerate(fills, 1)]))
+    up = tuple([None if c == origin else fills[c - 1][-1]
+                for c in vertex_labels])
+    return OrientedTreeRootedMap._trusted(m, vertex_labels, edge_labels,
+                                          tree_ids, orientation, up)
+
+
+def _orient_fills(fills, ends, origin, oriented, first_d) -> list:
+    """Put the oriented edges into the departures ``fills`` of
+    :func:`theta_fiber`, in place, with every choice at 0, and return the
+    choices as ``(color index, pos_a, pos_b)``: one per oriented non-tree
+    edge, whose two departures may swap.
+
+    An oriented edge leaves its tail both times: once along its tail
+    half-edge, once along the ingoing half-edge that the label-sorted
+    pairing at the tail matches with it.  At each color the r-th ingoing
+    oriented edge is matched with the r-th outgoing one; the head
+    half-edge of the edge labelled k+1 is 2k+1.
+    """
+    q = len(fills)
     heads = [[] for _ in range(q + 1)]
     tails = [[] for _ in range(q + 1)]
     for lab in sorted(oriented):
         u, v = ends[lab - 1]
-        t = tail_color[lab]
-        tails[t].append(lab)
-        heads[u + v - t].append(lab)
+        tail = v if first_d[lab] else u
+        tails[tail].append(lab)
+        heads[u + v - tail].append(lab)
     matched_head_he = {}  # outgoing oriented edge -> ingoing half-edge
     for hs, ts in zip(heads, tails):
         if len(hs) != len(ts):
@@ -330,67 +401,29 @@ def theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
         for hl, tl in zip(hs, ts):
             matched_head_he[tl] = 2 * hl - 1
 
-    # the rotation at each color with every choice at 0, and one binary
-    # choice per oriented non-tree edge between its two departures
-    slots = []
-    choices = []  # [color index, pos_a, pos_b, he_a, he_b]
-    for c in range(1, q + 1):
-        fills = []
-        seen = {}  # edges already left once from here -> choice index
-        tree_pos = len(departures[c]) - 1 if c != origin else -1
-        for pos, lab in enumerate(departures[c]):
-            k = lab - 1
-            u, v = ends[k]
-            if lab in oriented:
-                if pos == tree_pos:
-                    h = 2 * k  # the branch toward the root
-                elif lab in tree_labels:
-                    # the tree holds one copy; the remaining slot takes
-                    # the matched ingoing half-edge
-                    h = matched_head_he[lab]
-                elif lab in seen:
-                    h = matched_head_he[lab]
-                    choices[seen[lab]][2] = pos
-                else:
-                    seen[lab] = len(choices)
-                    choices.append([c - 1, pos, None, 2 * k,
-                                    matched_head_he[lab]])
-                    h = 2 * k
-            elif u == v:
-                h = 2 * k + (lab in seen)
-                seen[lab] = None
+    choices = []
+    for i, f in enumerate(fills):
+        # the last departure from a color but the origin is its tree edge
+        tree_lab = (f[-1] >> 1) + 1 if i != origin - 1 else 0
+        first_pos = {}  # oriented edge left once from here -> position
+        free = []  # (pos_a, pos_b) of the oriented non-tree edges
+        for pos, h in enumerate(f):
+            lab = (h >> 1) + 1
+            if lab not in matched_head_he:
+                continue
+            if lab not in first_pos:
+                first_pos[lab] = pos
+                continue
+            pa = first_pos[lab]
+            if lab == tree_lab:
+                # the branch toward the root comes last, and the earlier
+                # slot takes the matched ingoing half-edge
+                f[pa], f[pos] = matched_head_he[lab], 2 * lab - 2
             else:
-                h = 2 * k if c == u else 2 * k + 1
-            fills.append(h)
-        slots.append(fills)
-
-    alpha = tuple(h ^ 1 for h in range(2 * n))
-    edge_labels = tuple(range(1, n + 1))
-    tree_ids = frozenset(2 * (lab - 1) for lab in tree_labels)
-    orientation = frozenset(2 * (lab - 1) for lab in oriented)
-    out = []
-    for assignment in itertools.product((0, 1), repeat=len(choices)):
-        fills = [list(f) for f in slots] if choices else slots
-        for bit, (i, pa, pb, ha, hb) in zip(assignment, choices):
-            if bit:
-                fills[i][pa] = hb
-                fills[i][pb] = ha
-        sigma = [0] * (2 * n)
-        for cycle in fills:
-            prev = cycle[-1]
-            for h in cycle:
-                sigma[prev] = h
-                prev = h
-        m = RootedMap._trusted(tuple(sigma), alpha, fills[origin - 1][0])
-        vertex_labels = tuple(sorted(range(1, q + 1),
-                                     key=lambda c: min(fills[c - 1])))
-        # the last departure from every color but the origin is its tree
-        # half-edge toward the root
-        up = tuple(None if c == origin else fills[c - 1][-1]
-                   for c in vertex_labels)
-        out.append(OrientedTreeRootedMap._trusted(
-            m, vertex_labels, edge_labels, tree_ids, orientation, up))
-    return tuple(out)
+                f[pa], f[pos] = 2 * lab - 2, matched_head_he[lab]
+                free.append((pa, pos))
+        choices.extend((i, pa, pb) for pa, pb in sorted(free))
+    return choices
 
 
 def upsilon(t: OrientedTreeRootedMap) -> ColoredUnicellularMap:
@@ -412,7 +445,9 @@ def phi(u: ColoredUnicellularMap) -> OrientedTreeRootedMap:
     if not u.gluing.orientable:
         raise ValueError("phi is defined on orientable maps only")
     fiber = upsilon_fiber(u)
-    assert len(fiber) == 1 and not fiber[0].orientation
+    if len(fiber) != 1 or fiber[0].orientation:
+        raise RuntimeError("the fiber over an orientable map must be one "
+                           "map with an empty orientation")
     return fiber[0]
 
 
@@ -642,8 +677,8 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         faces = sorted(slot_faces(sigma_sub, full), key=min)
         tree_mate, _, cuts = open_slots(
             full, faces, vid, root_sub, dual_layers(faces, full, outer_rep))
-        assert {h for h in slots if tree_mate[h] == -1} == set(buds), \
-            "re-opening disagrees with the cutting"
+        if {h for h in slots if tree_mate[h] == -1} != set(buds):
+            raise RuntimeError("re-opening disagrees with the cutting")
         out_slot_of_rep = {f: o for f, o, i in cuts}
         in_face_of_slot = {i: f for f, o, i in cuts}
         inner = _canonical_inner_faces(m2, faces, outer_rep)

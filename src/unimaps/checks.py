@@ -135,8 +135,29 @@ def _check_ledoux(bound, census):
     return _recurrence(bound, False, formulas.ledoux_check, 2)
 
 
-def _pair(a, b) -> tuple:
-    return (a, b) if a <= b else (b, a)
+def _color_pairs(u) -> list:
+    """The sorted color pairs ``(x, y)``, ``x <= y``, of the corners at
+    the two ends of the first side of every glued pair of ``u``."""
+    cc = u.corner_colors
+    out = []
+    for a, _ in u.gluing.pairs:
+        # a < b, so corner a + 1 needs no wrap-around
+        x, y = cc[a], cc[a + 1]
+        out.append((x, y) if x <= y else (y, x))
+    out.sort()
+    return out
+
+
+def _endpoint_labels(t) -> list:
+    """The sorted vertex-label pairs ``(x, y)``, ``x <= y``, of the ends
+    of every edge of the labelled map ``t``."""
+    label, vertex = t.vertex_labels, t.m.vertex_index()
+    out = []
+    for h, h2 in t.m.edges():
+        x, y = label[vertex[h]], label[vertex[h2]]
+        out.append((x, y) if x <= y else (y, x))
+    out.sort()
+    return out
 
 
 def _invalid(*objects):
@@ -166,12 +187,7 @@ def _check_phi_roundtrip(bound, census):
             if bijections.phi_inverse(t) != u:
                 return {"n": n, "gluing": list(u.gluing.pairs),
                         "property": "round trip"}
-            cc, nn = u.corner_colors, 2 * n
-            label, vertex = t.vertex_labels, t.m.vertex_index()
-            if sorted(_pair(cc[a], cc[(a + 1) % nn])
-                      for a, _ in u.gluing.pairs) != \
-                    sorted(_pair(label[vertex[h]], label[vertex[h2]])
-                           for h, h2 in t.m.edges()):
+            if _color_pairs(u) != _endpoint_labels(t):
                 return {"n": n, "gluing": list(u.gluing.pairs),
                         "property": "color pairs"}
             images[t.q] += 1

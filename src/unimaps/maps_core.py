@@ -26,7 +26,11 @@ from operator import attrgetter
 
 
 class DisjointSets:
-    """Array-backed union-find on ``0 .. n-1``."""
+    """Array-backed union-find on ``0 .. n-1``.
+
+    A union hangs the larger root under the smaller, and path halving
+    only moves a parent up its own path, so every parent is at most its
+    child and every root is its class minimum."""
 
     __slots__ = ("parent",)
 
@@ -35,28 +39,34 @@ class DisjointSets:
 
     def find(self, x: int) -> int:
         p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
+        while p[x] != x:
+            # path halving: x skips to its grandparent
+            p[x] = x = p[p[x]]
+        return x
 
     def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if rx > ry:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+        p = self.parent
+        while p[x] != x:
+            p[x] = x = p[p[x]]
+        while p[y] != y:
+            p[y] = y = p[p[y]]
+        if x < y:
+            p[y] = x
+        elif y < x:
+            p[x] = y
 
     def classes(self) -> list[list[int]]:
-        """Equivalence classes as sorted lists, ordered by minimum element
-        (each root is its class minimum, so first appearance is that
-        order)."""
+        """Equivalence classes as sorted lists, ordered by minimum element.
+        Parents are smaller than their children, so one ascending pass
+        meets every parent's root before the child."""
+        root = self.parent[:]
         groups: dict[int, list[int]] = {}
-        find = self.find
-        for x in range(len(self.parent)):
-            groups.setdefault(find(x), []).append(x)
+        for x in range(len(root)):
+            r = root[x] = root[root[x]]
+            if r == x:
+                groups[x] = [x]
+            else:
+                groups[r].append(x)
         return list(groups.values())
 
 
@@ -117,6 +127,8 @@ def record(cls):
             post_init(self)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return key(self) == key(other)
         return NotImplemented
@@ -158,9 +170,12 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _check_permutation(perm, n, name):
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        raise ValueError(f"{name} is not a permutation of 0..{n - 1}")
+def _check_permutation(perm, identity, name):
+    """Raise ValueError unless ``perm`` sorts to the list ``identity``,
+    which is ``list(range(n))``."""
+    if sorted(perm) != identity:
+        raise ValueError(f"{name} is not a permutation of "
+                         f"0..{len(identity) - 1}")
 
 
 @record
@@ -201,31 +216,28 @@ class RootedMap:
         n = len(sigma)
         if n == 0 or n % 2:
             raise ValueError("half-edge count must be even and positive")
-        _check_permutation(sigma, n, "sigma")
-        _check_permutation(alpha, n, "alpha")
+        identity = list(range(n))
+        _check_permutation(sigma, identity, "sigma")
+        _check_permutation(alpha, identity, "alpha")
         for h, a in enumerate(alpha):
             if a == h or alpha[a] != h:
                 raise ValueError("alpha is not a fixed-point-free involution")
         if not 0 <= self.root < n:
             raise ValueError("root out of range")
-        # connectivity
+        # connectivity: the search order grows while it is walked
         seen = [False] * n
-        stack = [self.root]
         seen[self.root] = True
-        count = 1
-        while stack:
-            h = stack.pop()
+        order = [self.root]
+        for h in order:
             nb = alpha[h]
             if not seen[nb]:
                 seen[nb] = True
-                count += 1
-                stack.append(nb)
+                order.append(nb)
             nb = sigma[h]
             if not seen[nb]:
                 seen[nb] = True
-                count += 1
-                stack.append(nb)
-        if count != n:
+                order.append(nb)
+        if len(order) != n:
             raise ValueError("map is not connected")
 
     @property
@@ -320,9 +332,11 @@ def euler_data(m: RootedMap) -> tuple:
     e = m.half_edge_count // 2
     f = len(m.faces())
     chi = v - e + f
-    assert chi % 2 == 0, "odd Euler characteristic on an orientable map"
+    if chi % 2:
+        raise ValueError("odd Euler characteristic on an orientable map")
     genus = (2 - chi) // 2
-    assert genus >= 0
+    if genus < 0:
+        raise ValueError("negative genus: the map is not connected")
     return v, e, f, genus
 
 
@@ -415,7 +429,7 @@ def glue_polygon(g: PolygonGluing) -> tuple:
     ds = DisjointSets(nn)
     for (a, b), twist in zip(g.pairs, g.twists):
         glue_sides(ds, a, (a + 1) % nn, b, (b + 1) % nn, twist)
-    return tuple(tuple(c) for c in ds.classes())
+    return tuple(map(tuple, ds.classes()))
 
 
 def _corner_colors(vertex_classes: tuple, colors: tuple, n: int) -> tuple:

@@ -17,6 +17,7 @@ has exactly two bi-Eulerian tours.
 
 from __future__ import annotations
 
+from . import maps_core
 from .maps_core import (
     ColoredUnicellularMap,
     PolygonGluing,
@@ -162,69 +163,66 @@ def xi(u: ColoredUnicellularMap) -> tuple:
     same direction.
     """
     g = u.gluing
-    nn = 2 * g.n
     corner_color = u.corner_colors
-    label_of_side = {}
-    twist_of_side = {}
     edge_list = [None] * g.n
-    for k, ((a, b), twist) in enumerate(zip(g.pairs, g.twists)):
-        label = u.edge_labels[k]
-        label_of_side[a] = label_of_side[b] = label
-        twist_of_side[a] = twist_of_side[b] = twist
-        x, y = corner_color[a], corner_color[(a + 1) % nn]
-        edge_list[label - 1] = (x, y) if x <= y else (y, x)
-    graph = EdgeLabelledGraph._trusted(u.q, tuple(edge_list))
-    ends = graph.edges
-    steps = []
-    seen = set()
-    for k in range(nn):
-        label = label_of_side[k]
-        frm = corner_color[k]
-        uu, vv = ends[label - 1]
-        if uu == vv:
-            if label not in seen:
-                d = 0
-            else:
-                d = 0 if twist_of_side[k] else 1
+    steps = [None] * (2 * g.n)
+    for (a, b), twist, label in zip(g.pairs, g.twists, u.edge_labels):
+        # a < b, so corner a + 1 needs no wrap-around
+        x, y = corner_color[a], corner_color[a + 1]
+        if x <= y:
+            edge_list[label - 1] = (x, y)
+            d = 0
         else:
-            d = 0 if frm == uu else 1
-        seen.add(label)
-        steps.append((label, d))
+            edge_list[label - 1] = (y, x)
+            d = 1
+        # side b runs between the same two colors, the other way round
+        # unless the pair is twisted; a loop's first step has direction 0
+        # and its second 0 exactly when it is twisted, which is the same
+        # rule
+        steps[a] = (label, d)
+        steps[b] = (label, d if twist else 1 - d)
+    graph = EdgeLabelledGraph._trusted(u.q, tuple(edge_list))
     tour = BiEulerianTour._trusted(graph, corner_color[0], tuple(steps))
     return graph, tour
 
 
 def xi_inverse(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> ColoredUnicellularMap:
     """Rebuild the colored gluing whose face tour is ``tour``."""
-    if tour.graph != graph:
+    if tour.graph is not graph and tour.graph != graph:
         raise ValueError("tour does not live on the given graph")
     n = graph.n
     ends = graph.edges
-    steps = tour.steps
-    # both positions of every label, in order of first use
-    positions: dict[int, list] = {}
-    corner_color = []  # corner k gets the from-color of step k
-    for k, (label, d) in enumerate(steps):
-        positions.setdefault(label, []).append(k)
+    # one pass: corner k gets the from-color of step k, and every label
+    # its pair of positions, in order of first use, so that each pair is
+    # (i, j) with i < j and the pairs are sorted; a pair is twisted
+    # exactly when the tour takes its edge twice in the same direction
+    # (a loop's first step has direction 0)
+    corner_color = []
+    pair_of = [-1] * (n + 1)
+    labels, pairs, twists = [], [], []
+    for k, (label, d) in enumerate(tour.steps):
         u, v = ends[label - 1]
         corner_color.append(v if d else u)
-    # the positions come in order of first use, so each pair is (i, j)
-    # with i < j and the pairs are sorted; a pair is twisted exactly when
-    # the tour takes its edge twice in the same direction
-    oriented = tour.oriented_edges()
-    labels = tuple(positions)
-    pairs = tuple(map(tuple, positions.values()))
-    twists = tuple(label in oriented for label in labels)
-    gluing = PolygonGluing._trusted(n, pairs, twists)
-    from .maps_core import glue_polygon
-
-    classes = glue_polygon(gluing)
+        i = pair_of[label]
+        if i < 0:
+            pair_of[label] = len(labels)
+            labels.append(label)
+            pairs.append(k)
+            twists.append(d)  # the first direction, until the second
+        else:
+            pairs[i] = (pairs[i], k)
+            twists[i] = d == twists[i]
+    gluing = PolygonGluing._trusted(n, tuple(pairs), tuple(twists))
+    # looked up on the module, so that a wrapper installed there is called
+    classes = maps_core.glue_polygon(gluing)
     colors = []
     for cls in classes:
-        values = {corner_color[c] for c in cls}
-        if len(values) != 1:
-            raise ValueError("tour colors are inconsistent with the gluing")
-        colors.append(values.pop())
+        color = corner_color[cls[0]]
+        for c in cls:
+            if corner_color[c] != color:
+                raise ValueError(
+                    "tour colors are inconsistent with the gluing")
+        colors.append(color)
     return ColoredUnicellularMap._trusted(gluing, classes, tuple(colors),
-                                          graph.q, labels,
+                                          graph.q, tuple(labels),
                                           tuple(corner_color))

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from math import factorial
 
@@ -22,8 +23,13 @@ from unimaps.bijections import (
 )
 from unimaps.enumeration import gen_colored_unicellular, gen_unicellular
 from unimaps.formulas import t_formula
-from unimaps.maps_core import ColoredUnicellularMap, RootedMap, glue_polygon
-from unimaps.tours import xi
+from unimaps.maps_core import (
+    ColoredUnicellularMap,
+    PolygonGluing,
+    RootedMap,
+    glue_polygon,
+)
+from unimaps.tours import xi, xi_inverse
 
 
 def all_colored(n, orientable_only=False):
@@ -35,6 +41,25 @@ def all_colored(n, orientable_only=False):
                     continue
                 for labels in itertools.permutations(range(1, n + 1)):
                     yield ColoredUnicellularMap(g, colors, q, labels)
+
+
+def twisted_colored_gluing(rng, n):
+    """A random colored gluing with ``n`` edges, at least one pair
+    twisted, colored onto ``1..q`` for a random ``q`` and edge-labelled
+    by a random permutation, built through the public constructors."""
+    sides = list(range(2 * n))
+    rng.shuffle(sides)
+    twists = [rng.random() < 0.5 for _ in range(n)]
+    twists[rng.randrange(n)] = True
+    g = PolygonGluing(n, zip(sides[::2], sides[1::2]), twists)
+    v = len(glue_polygon(g))
+    q = rng.randint(1, v)
+    colors = list(range(1, q + 1)) + [rng.randint(1, q)
+                                      for _ in range(v - q)]
+    rng.shuffle(colors)
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return ColoredUnicellularMap(g, colors, q, labels)
 
 
 class TestOrientedTreeRootedMap:
@@ -225,6 +250,23 @@ class TestAgainstArcOracle:
                 assert revalidated(upsilon(t)) == u
             count += 1
         assert count
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_sampled_twisted_gluings(self, n):
+        """Past n = 3 on general surfaces, a fixed-seed sample of colored
+        gluings with at least one twisted pair each (fibers of up to 2^n
+        elements) agrees with the oracle, and ``xi`` is inverted."""
+        rng = random.Random(f"twisted gluings:{n}")
+        for _ in range(200):
+            u = revalidated(twisted_colored_gluing(rng, n))
+            graph, tour = map(revalidated, xi(u))
+            assert revalidated(xi_inverse(graph, tour)) == u
+            fiber = theta_fiber(graph, tour)
+            assert fiber == arc_theta_fiber(graph, tour)
+            for t in map(revalidated, fiber):
+                assert tuple(map(revalidated, theta(t))) == arc_theta(t) \
+                    == (graph, tour)
+                assert revalidated(upsilon(t)) == u
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_theta_on_all_oriented_tree_rooted_maps(self, n):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from revalidate import revalidated
 
 import unimaps
-from unimaps import bijections, enumeration
+from unimaps import bijections, enumeration, formulas, maps_core
 from unimaps.bijections import OrientedTreeRootedMap
 from unimaps.checks import CHECKS
 from unimaps.cli import main, parse_gluing
@@ -270,6 +270,76 @@ class TestVerify:
         assert counterexample["property"] == "valid image"
         assert counterexample["detail"] == "tree has the wrong number of edges"
         assert "Traceback" not in err
+
+    def test_wrong_phi_inverse_fails_round_trip(self, capsys, monkeypatch):
+        """An xi_inverse that reverses the edge labels breaks the round
+        trip from n = 2 on."""
+        real = bijections.xi_inverse
+
+        def reversed_labels(graph, tour):
+            u = real(graph, tour)
+            return maps_core.replace(u, edge_labels=u.edge_labels[::-1])
+        monkeypatch.setattr(bijections, "xi_inverse", reversed_labels)
+        code, out, err = run(capsys, "verify", "phi-roundtrip",
+                             "--bound", "2")
+        assert code == 1
+        counterexample = json.loads(out)["counterexample"]
+        assert counterexample["property"] == "round trip"
+        assert counterexample["n"] == 2
+        assert "Traceback" not in err
+
+    def test_broken_color_pairs_fail(self, capsys, monkeypatch):
+        """An image whose vertex labels 1 and 2 trade places is still a
+        valid tree-rooted map, and with a phi_inverse that returns the
+        map it came from the round trip holds; only the edge color pairs
+        tell the fault, first on the loop and link of n = 2."""
+        real = bijections.phi
+        sources = []
+
+        def swapped_labels(u):
+            t = real(u)
+            sources.append(u)
+            if t.q < 2:
+                return t
+            return OrientedTreeRootedMap._trusted(
+                t.m, tuple(3 - c if c <= 2 else c for c in t.vertex_labels),
+                t.edge_labels, t.tree, t.orientation)
+        monkeypatch.setattr(bijections, "phi", swapped_labels)
+        monkeypatch.setattr(bijections, "phi_inverse",
+                            lambda t: sources[-1])
+        code, out, err = run(capsys, "verify", "phi-roundtrip",
+                             "--bound", "2")
+        assert code == 1
+        counterexample = json.loads(out)["counterexample"]
+        assert counterexample["property"] == "color pairs"
+        assert counterexample["n"] == 2
+        assert "Traceback" not in err
+
+    def test_wrong_t_formula_fails(self, capsys, monkeypatch):
+        real = formulas.t_formula
+        monkeypatch.setattr(formulas, "t_formula",
+                            lambda n, q: real(n, q) + ((n, q) == (2, 2)))
+        code, out, err = run(capsys, "verify", "phi-roundtrip",
+                             "--bound", "3")
+        assert code == 1
+        counterexample = json.loads(out)["counterexample"]
+        assert counterexample == {"n": 2, "q": 2, "images": real(2, 2),
+                                  "formula": real(2, 2) + 1}
+        assert "Traceback" not in err
+
+    def test_phi_inverse_runs_on_every_image(self, capsys, monkeypatch):
+        """The check inverts every image, not only a sample: 435 colored
+        orientable maps with at most 3 edges."""
+        real = bijections.phi_inverse
+        calls = []
+        monkeypatch.setattr(bijections, "phi_inverse",
+                            lambda t: calls.append(t) or real(t))
+        code, out, _ = run(capsys, "verify", "phi-roundtrip", "--bound", "3")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+        assert len(calls) == 435 == sum(
+            1 for n in range(1, 4)
+            for _ in enumeration.gen_colored_unicellular(n, True))
 
     def test_empty_fiber_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(bijections, "psi_fiber", lambda u: ())

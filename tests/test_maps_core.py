@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unimaps import maps_core
 from unimaps.bijections import (
     ExternallyLabelledPlanarRootedMap,
     OrientedTreeRootedMap,
 )
+from unimaps.enumeration import gen_unicellular
 from unimaps.formulas import Verdict
 from unimaps.maps_core import (
     ColoredUnicellularMap,
@@ -62,6 +65,69 @@ class TestDisjointSets:
         assert ds.find(4) == ds.find(0)
         assert ds.find(1) != ds.find(0)
         assert ds.classes() == [[0, 3, 4], [1], [2]]
+
+    @settings(max_examples=300, deadline=None)
+    # descending unions leave the chain 5 -> 4 -> ... -> 0 uncompressed
+    @example((6, [(True, k - 1, k) for k in range(5, 0, -1)]))
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.booleans(), st.integers(0, n - 1),
+                           st.integers(0, n - 1)), max_size=3 * n))))
+    def test_matches_naive_closure(self, case):
+        """After any unions, with finds interleaved, the classes are the
+        naive closure of the united pairs, each sorted and ordered by
+        minimum, and ``find`` gives the minimum of the class."""
+        n, ops = case
+        ds = DisjointSets(n)
+        pairs = []
+        for unite, x, y in ops:
+            if unite:
+                ds.union(x, y)
+                pairs.append((x, y))
+            else:
+                ds.find(x)
+        classes = naive_closure(n, pairs)
+        assert ds.classes() == classes
+        for cls in classes:
+            assert all(ds.find(x) == cls[0] for x in cls)
+
+    def test_glue_polygon_is_the_closure_of_glue_sides(self, monkeypatch):
+        """On every gluing with at most 4 edges, on all surfaces, the
+        vertex classes are the closure of the corner pairs that
+        ``glue_sides`` identifies."""
+        real = maps_core.glue_sides
+        pairs = []
+
+        class Recorder:
+            def union(self, x, y):
+                pairs.append((x, y))
+
+        def recording(ds, *sides):
+            real(Recorder(), *sides)
+            real(ds, *sides)
+        monkeypatch.setattr(maps_core, "glue_sides", recording)
+        count = 0
+        for n in range(1, 5):
+            for g in gen_unicellular(n):
+                pairs.clear()
+                classes = glue_polygon(g)
+                assert len(pairs) == 2 * n
+                assert classes == tuple(map(tuple, naive_closure(2 * n,
+                                                                 pairs)))
+                count += 1
+        assert count == 2 + 12 + 120 + 1680
+
+
+def naive_closure(n, pairs) -> list:
+    """The classes of the equivalence on ``0 .. n-1`` generated by
+    ``pairs``, by merging sets: sorted lists ordered by minimum."""
+    cls = {x: {x} for x in range(n)}
+    for x, y in pairs:
+        if cls[x] is not cls[y]:
+            merged = cls[x] | cls[y]
+            for z in merged:
+                cls[z] = merged
+    return sorted({min(c): sorted(c) for c in cls.values()}.values())
 
 
 class TestRootedMap:
