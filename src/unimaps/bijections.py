@@ -227,8 +227,9 @@ class OrientedTreeRootedMap(_LabelledMap):
         return key + (tuple(sorted(perm[h] for h in self.orientation)),)
 
 
-def theta(t: OrientedTreeRootedMap) -> tuple:
-    """Map an oriented tree-rooted map to its graph and bi-Eulerian tour.
+def theta(t: OrientedTreeRootedMap) -> BiEulerianTour:
+    """Map an oriented tree-rooted map to a bi-Eulerian tour of its graph
+    of vertex labels.
 
     The walk starts along the root half-edge.  At every other vertex it
     departs in rotation order from just after the tree half-edge toward
@@ -292,11 +293,11 @@ def theta(t: OrientedTreeRootedMap) -> tuple:
         steps.append((lab, d))
     if current != root_v:
         raise ValueError("data does not produce an Eulerian tour")
-    return graph, BiEulerianTour._trusted(graph, vertex_labels[root_v],
-                                          tuple(steps))
+    return BiEulerianTour._trusted(graph, vertex_labels[root_v],
+                                   tuple(steps))
 
 
-def theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
+def theta_fiber(tour: BiEulerianTour) -> tuple:
     """All preimages of a tour under theta: exactly ``2^w`` oriented
     tree-rooted maps, where ``w`` is the number of edges the tour repeats
     in the same direction.
@@ -305,8 +306,8 @@ def theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
     lies at the smaller endpoint, at the tail of an oriented edge and at
     the first departure along a loop.
     """
-    ends = graph.edges
-    n, q = len(ends), graph.q
+    ends = tour.graph.edges
+    n, q = len(ends), tour.graph.q
     origin = tour.origin
 
     # one pass: the departures of each color in tour order, as half-edges
@@ -428,15 +429,13 @@ def _orient_fills(fills, ends, origin, oriented, first_d) -> list:
 
 def upsilon(t: OrientedTreeRootedMap) -> ColoredUnicellularMap:
     """The colored one-face map whose face tour is theta of ``t``."""
-    graph, tour = theta(t)
-    return xi_inverse(graph, tour)
+    return xi_inverse(theta(t))
 
 
 def upsilon_fiber(u: ColoredUnicellularMap) -> tuple:
     """All oriented tree-rooted maps mapping to ``u``: ``2^w`` of them,
     with ``w = 0`` exactly when ``u`` is orientable."""
-    graph, tour = xi(u)
-    return theta_fiber(graph, tour)
+    return theta_fiber(xi(u))
 
 
 def phi(u: ColoredUnicellularMap) -> OrientedTreeRootedMap:
@@ -633,8 +632,7 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
 def psi_fiber(u: ColoredUnicellularMap) -> tuple:
     """All preimages of ``u`` under psi: exactly ``2^w`` externally
     labelled planar-rooted maps whose submaps have ``w + 1`` faces."""
-    from .planar_closure import (close_slots, dual_layers, open_slots,
-                                 slot_faces)
+    from .planar_closure import close_slots, slot_faces
 
     out = []
     for t in upsilon_fiber(u):
@@ -671,16 +669,12 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         # the closed submap inside the big map
         m2, edge_labels = t._rejoined(pairs)
         submap = frozenset(min(h, full[h]) for h in slots)
-        # association inner face -> closure pair, by re-opening the
-        # closed submap, whose faces are traced once for this and for the
-        # face labels
+        # the faces of the closed submap, each named by its minimum slot;
+        # the arch of a closure pair (o, i) bounds the inner face through
+        # its ingoing slot i, the face whose arch the opening would cut
         faces = sorted(slot_faces(sigma_sub, full), key=min)
-        tree_mate, _, cuts = open_slots(
-            full, faces, vid, root_sub, dual_layers(faces, full, outer_rep))
-        if {h for h in slots if tree_mate[h] == -1} != set(buds):
-            raise RuntimeError("re-opening disagrees with the cutting")
-        out_slot_of_rep = {f: o for f, o, i in cuts}
-        in_face_of_slot = {i: f for f, o, i in cuts}
+        rep = {h: min(f) for f in faces for h in f}
+        out_slot_of_rep = {rep[i]: o for o, i in pairs}
         inner = _canonical_inner_faces(m2, faces, outer_rep)
         index_of_rep = {min(f): k + 1 for k, f in enumerate(inner)}
         # labels: the face whose outgoing bud originally matched the
@@ -688,8 +682,7 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         label_of_rep = {}
         for f in inner:
             o = out_slot_of_rep[min(f)]
-            partner_face = in_face_of_slot[m.alpha[o]]
-            label_of_rep[min(f)] = index_of_rep[partner_face]
+            label_of_rep[min(f)] = index_of_rep[rep[m.alpha[o]]]
         w = len(inner)
         face_labels = tuple(
             label_of_rep.get(min(f), w + 1) for f in faces)

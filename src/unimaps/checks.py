@@ -112,16 +112,15 @@ def _check_u_hat(bound, census):
 
 
 def _recurrence(bound, orientable_only, check, first_n):
-    """The first failing ``check(table, n, v)`` on the eps or eta table,
-    for ``first_n`` <= n <= ``bound`` and every v."""
+    """The counterexample of the first failing ``check(table, n, v)`` on
+    the eps or eta table, for ``first_n`` <= n <= ``bound`` and every v."""
     from . import enumeration
     table = enumeration.vertex_profile(bound, orientable_only)
     for n in range(first_n, bound + 1):
         for v in range(1, n + 2):
-            verdict = check(table, n, v)
-            if not verdict.ok:
-                return {"detail": verdict.detail, "lhs": repr(verdict.lhs),
-                        "rhs": repr(verdict.rhs)}
+            fault = check(table, n, v)
+            if fault is not None:
+                return fault
     return None
 
 
@@ -300,37 +299,32 @@ def _check_planar_totals(bound, census):
     return None
 
 
-def _series_verdict(verdict):
-    return None if verdict.ok else {"detail": verdict.detail}
-
-
 def _check_algebraic_p(bound, census):
     from . import series
-    return _series_verdict(series.check_algebraic_P(
-        series.p_series(census(max(bound - 2, 1)), bound)))
+    return series.check_algebraic_P(
+        series.p_series(census(max(bound - 2, 1)), bound))
 
 
 def _check_q_pde(bound, census):
     from . import series
-    return _series_verdict(series.check_q_pde(
-        series.q_from_p(census(bound), bound - 2)))
+    return series.check_q_pde(
+        series.q_from_p(census(bound), bound - 2))
 
 
 def _check_rec_hp(bound, census):
     from . import series
-    return _series_verdict(series.check_rec_hp(census(bound + 3), bound))
+    return series.check_rec_hp(census(bound + 3), bound)
 
 
 def _check_a_combination(bound, census):
     from . import series
-    return _series_verdict(series.check_a_combination(
-        series.p_series(census(bound), bound + 2)))
+    return series.check_a_combination(
+        series.p_series(census(bound), bound + 2))
 
 
 def _check_qfd(bound, census):
     from . import enumeration, series
-    return _series_verdict(series.check_qfd(
-        enumeration.vertex_profile(bound), bound))
+    return series.check_qfd(enumeration.vertex_profile(bound), bound)
 
 
 # a registered check: what its bound measures, its default bound, the

@@ -33,9 +33,10 @@ class ParseError(ValueError):
 # Input literals
 
 
-def _split_fields(text: str, known: tuple) -> dict:
+def _split_fields(text: str, known: tuple, required: tuple) -> dict:
     """Split ``key=value; key=value`` into a dict, tracking positions.
-    Every key must be one of ``known`` and appear at most once."""
+    Every key must be one of ``known`` and appear at most once, and every
+    key of ``required`` must appear."""
     fields = {}
     pos = 0
     for chunk in text.split(";"):
@@ -53,13 +54,14 @@ def _split_fields(text: str, known: tuple) -> dict:
                 raise ParseError(f"repeated field {key!r}", start)
             fields[key] = (value.strip(), pos)
         pos += len(chunk) + 1
+    for key in required:
+        if key not in fields:
+            raise ParseError(f"missing field {key!r}", 0)
     return fields
 
 
 def _int_field(fields: dict, key: str) -> int:
-    """The integer value of the field ``key``."""
-    if key not in fields:
-        raise ParseError(f"missing field {key!r}", 0)
+    """The integer value of the field ``key``, which is present."""
     value, pos = fields[key]
     try:
         return int(value)
@@ -82,10 +84,8 @@ def parse_gluing(text: str) -> ColoredUnicellularMap:
     and ``labels=`` fields; ``!`` marks a twisted pair."""
     from .maps_core import ColoredUnicellularMap, PolygonGluing, \
         glue_polygon, replace
-    fields = _split_fields(text, ("n", "pairs", "colors", "labels"))
-    for key in ("n", "pairs"):
-        if key not in fields:
-            raise ParseError(f"missing field {key!r}", 0)
+    fields = _split_fields(text, ("n", "pairs", "colors", "labels"),
+                           ("n", "pairs"))
     n = _int_field(fields, "n")
     value, pos = fields["pairs"]
     inner = value.strip()
@@ -133,10 +133,8 @@ def parse_rotation(text: str):
     ``outer=k``; returns a RootedMap or, with ``outer``, a PlaneMap."""
     from .maps_core import RootedMap
     from .planar_closure import PlaneMap
-    fields = _split_fields(text, ("sigma", "alpha", "root", "outer"))
-    for key in ("sigma", "alpha"):
-        if key not in fields:
-            raise ParseError(f"missing field {key!r}", 0)
+    fields = _split_fields(text, ("sigma", "alpha", "root", "outer"),
+                           ("sigma", "alpha"))
     sigma = _int_tuple(*fields["sigma"])
     alpha = _int_tuple(*fields["alpha"])
     root = _int_field(fields, "root") if "root" in fields else 0
@@ -154,10 +152,8 @@ def parse_tree(text: str) -> NearEulerianTree:
     """Parse ``sigma=(...); mate=(...); out=(...); tails=(...)`` where
     ``mate`` is -1 on bud slots."""
     from .planar_closure import NearEulerianTree
-    fields = _split_fields(text, ("sigma", "mate", "out", "tails", "root"))
-    for key in ("sigma", "mate"):
-        if key not in fields:
-            raise ParseError(f"missing field {key!r}", 0)
+    fields = _split_fields(text, ("sigma", "mate", "out", "tails", "root"),
+                           ("sigma", "mate"))
     sigma = _int_tuple(*fields["sigma"])
     mate = _int_tuple(*fields["mate"])
     out = _int_tuple(*fields["out"]) if "out" in fields else ()

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .maps_core import record
-
 # ``fractions`` (which loads ``decimal``) is imported inside the three
 # functions that use it, so the checks that stay in the integers load
 # neither at start-up.
@@ -132,19 +130,6 @@ def u_hat_formula(n: int, N: int) -> int:
     return total.numerator
 
 
-@record
-class Verdict:
-    """Outcome of checking one identity instance."""
-
-    ok: bool
-    lhs: object
-    rhs: object
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _with_boundary(table):
     """The reader ``(n, v) -> table[(n, v)]`` of a one-face count table
     under the boundary convention: 1 at ``(0, 1)`` and 0 at every other
@@ -158,9 +143,18 @@ def _with_boundary(table):
     return val
 
 
-def hz_recurrence_check(eps, n: int, v: int) -> Verdict:
+def _point_fault(lhs, rhs, detail):
+    """None when the two sides of an identity agree at one point, else
+    the counterexample: ``detail`` and the ``repr`` of each side."""
+    if lhs == rhs:
+        return None
+    return {"detail": detail, "lhs": repr(lhs), "rhs": repr(rhs)}
+
+
+def hz_recurrence_check(eps, n: int, v: int):
     """Check ``(n+1) eps_v(n) = (4n-2) eps_{v-1}(n-1)
-    + (n-1)(2n-1)(2n-3) eps_v(n-2)`` at one point.
+    + (n-1)(2n-1)(2n-3) eps_v(n-2)`` at one point; None when it holds,
+    else the counterexample of :func:`_point_fault`.
 
     ``eps`` is a table keyed by ``(n, v)`` with zero for missing keys; the
     boundary convention is ``eps_1(0) = 1`` and ``eps_v(n) = 0`` for other
@@ -170,12 +164,12 @@ def hz_recurrence_check(eps, n: int, v: int) -> Verdict:
     lhs = (n + 1) * val(n, v)
     rhs = (4 * n - 2) * val(n - 1, v - 1) \
         + (n - 1) * (2 * n - 1) * (2 * n - 3) * val(n - 2, v)
-    return Verdict(lhs == rhs, lhs, rhs, f"hz n={n} v={v}")
+    return _point_fault(lhs, rhs, f"hz n={n} v={v}")
 
 
-def ledoux_check(eta, n: int, v: int) -> Verdict:
+def ledoux_check(eta, n: int, v: int):
     """Check the four-term recurrence for general-surface counts at one
-    point:
+    point, with the result of :func:`hz_recurrence_check`:
 
         (n+1) eta_v(n) = (4n-1)(2 eta_{v-1}(n-1) - eta_v(n-1))
           + (2n-3)((10n^2-9n) eta_v(n-2) + 8 eta_{v-1}(n-2)
@@ -196,4 +190,4 @@ def ledoux_check(eta, n: int, v: int) -> Verdict:
         val(n - 3, v) - 2 * val(n - 3, v - 1))
     rhs -= 2 * (2 * n - 3) * (2 * n - 4) * (2 * n - 5) * (2 * n - 6) \
         * (2 * n - 7) * val(n - 4, v)
-    return Verdict(lhs == rhs, lhs, rhs, f"ledoux n={n} v={v}")
+    return _point_fault(lhs, rhs, f"ledoux n={n} v={v}")

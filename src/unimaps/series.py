@@ -12,7 +12,9 @@ Truncation is tracked by a *trust degree*: a series knows through which
 (weighted) total degree its coefficients are complete, and every
 operation propagates that bound conservatively.  A check can therefore
 only ever claim an identity "through degree D"; residuals are required
-to vanish identically on all trusted coefficients.
+to vanish identically on all trusted coefficients.  Each check returns
+None when its identity holds, else its counterexample
+``{"detail": ...}``, as the registry in :mod:`unimaps.checks` reports it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from fractions import Fraction
 from math import factorial
 
-from .formulas import Verdict, double_factorial
+from .formulas import double_factorial
 from .maps_core import record
 
 INF = math.inf
@@ -36,12 +38,13 @@ class TruncatedBivariateSeries:
     are complete (``math.inf`` for exact polynomials); ``weights`` gives
     the grading, e.g. ``(1, 1)`` for total degree or ``(1, 0)`` to track
     truncation in the first variable only (the second being complete).
+    The variables are ``x, y`` under ``(1, 1)`` and ``t, w`` under
+    ``(1, 0)``.
     """
 
     coeffs: dict
     degree: object = INF
     weights: tuple = (1, 1)
-    names: tuple = ("x", "y")
 
     def __post_init__(self):
         clean = {}
@@ -70,8 +73,7 @@ class TruncatedBivariateSeries:
         return sorted(self.coeffs.items())
 
     def _like(self, coeffs, degree):
-        return TruncatedBivariateSeries(coeffs, degree, self.weights,
-                                        self.names)
+        return TruncatedBivariateSeries(coeffs, degree, self.weights)
 
     def _check_compatible(self, other):
         if self.weights != other.weights:
@@ -158,22 +160,21 @@ class TruncatedBivariateSeries:
                       key=lambda kv: (self.gdeg(*kv[0]), kv[0]))
 
 
-def poly(terms, weights=(1, 1), names=("x", "y")) -> TruncatedBivariateSeries:
+def poly(terms, weights=(1, 1)) -> TruncatedBivariateSeries:
     """Exact polynomial: ``terms`` maps ``(i, j)`` to a coefficient."""
-    return TruncatedBivariateSeries(dict(terms), INF, weights, names)
+    return TruncatedBivariateSeries(dict(terms), INF, weights)
 
 
-def _zero_verdict(residual: TruncatedBivariateSeries, label: str) -> Verdict:
+def _zero_verdict(residual: TruncatedBivariateSeries, label: str):
+    """None when the residual vanishes through its trust degree, else the
+    counterexample naming its first nonzero term."""
     bad = residual.nonzero_terms()
-    if bad:
-        (i, j), c = bad[0]
-        return Verdict(False, {(i, j): c}, 0,
-                       f"{label}: first nonzero coefficient at "
-                       f"{residual.names[0]}^{i} {residual.names[1]}^{j}, "
-                       f"trusted through degree {residual.degree}")
-    return Verdict(True, 0, 0,
-                   f"{label}: residual vanishes through weighted degree "
-                   f"{residual.degree}")
+    if not bad:
+        return None
+    (i, j), _ = bad[0]
+    x, y = ("t", "w") if residual.weights == (1, 0) else ("x", "y")
+    return {"detail": f"{label}: first nonzero coefficient at "
+            f"{x}^{i} {y}^{j}, trusted through degree {residual.degree}"}
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ def p_series(planar_counts, degree: int) -> TruncatedBivariateSeries:
     return TruncatedBivariateSeries(coeffs, degree)
 
 
-def check_algebraic_P(p: TruncatedBivariateSeries) -> Verdict:
+def check_algebraic_P(p: TruncatedBivariateSeries):
     """The planar series satisfies an explicit quartic equation:
 
         27 P^4 - (36x + 36y - 1) P^3
@@ -234,7 +235,7 @@ def q_from_p(planar_counts, degree: int) -> TruncatedBivariateSeries:
             coeffs[(q + r - 2, q)] = Fraction(
                 factorial(q) * factorial(r) * c,
                 factorial(2 * q + 2 * r - 4))
-    return TruncatedBivariateSeries(coeffs, degree, (1, 0), ("t", "w"))
+    return TruncatedBivariateSeries(coeffs, degree, (1, 0))
 
 
 def u_from_q(q: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
@@ -243,31 +244,12 @@ def u_from_q(q: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
     vertices colored with every color in 1..q) divided by ``(2n)!``."""
     if q.weights != (1, 0):
         raise ValueError("expected a (t, w)-graded series")
-    half_t = TruncatedBivariateSeries(
-        {(1, 0): Fraction(1, 2)}, INF, (1, 0), ("t", "w"))
+    half_t = poly({(1, 0): Fraction(1, 2)}, (1, 0))
     return half_t.exp(q.degree) * q.rescale(Fraction(1, 2), 2) \
         * Fraction(1, 2)
 
 
-def delta_t(f: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
-    """Operator ``t d/dt``: multiplies the ``t^i w^j`` coefficient by i."""
-    return TruncatedBivariateSeries(
-        {(i, j): i * c for (i, j), c in f.coeffs.items()},
-        f.degree, f.weights, f.names)
-
-
-def delta_w(f: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
-    """Operator ``w d/dw ((1 + w) . )``: sends the coefficient table
-    ``F[i, j]`` to ``j (F[i, j] + F[i, j-1])``."""
-    out = {}
-    for (i, j), c in f.coeffs.items():
-        for k in (j, j + 1):
-            if k:
-                out[(i, k)] = out.get((i, k), Fraction(0)) + k * c
-    return TruncatedBivariateSeries(out, f.degree, f.weights, f.names)
-
-
-def check_q_pde(q: TruncatedBivariateSeries) -> Verdict:
+def check_q_pde(q: TruncatedBivariateSeries):
     """``Q`` satisfies the linear PDE
 
         (6tw + 4w^2 - 36t - 7w - 6) Q
@@ -284,7 +266,7 @@ def check_q_pde(q: TruncatedBivariateSeries) -> Verdict:
         raise ValueError("expected a (t, w)-graded series")
 
     def tw(terms):
-        return poly(terms, (1, 0), ("t", "w"))
+        return poly(terms, (1, 0))
 
     qt = q.partial(0)
     qw = q.partial(1)
@@ -355,26 +337,22 @@ def rec_hp_residual(planar_counts, q: int, r: int) -> Fraction:
         * ph(q + 2, r + 3))
 
 
-def check_rec_hp(planar_counts, max_total: int) -> Verdict:
+def check_rec_hp(planar_counts, max_total: int):
     """Check the eight-term recurrence at every index pair ``(q, r)``
     with ``q >= -1``, ``r >= -2`` and ``q + r <= max_total`` (outside
     that quadrant every referenced entry vanishes); needs a census
-    covering ``q + r + 3`` edges."""
-    failures = []
-    checked = 0
+    covering ``q + r + 3`` edges.  None when it holds everywhere, else
+    the counterexample counting the failing pairs."""
+    failures = checked = 0
     for q in range(-1, max_total + 3):
         for r in range(-2, max_total - q + 1):
             checked += 1
-            value = rec_hp_residual(planar_counts, q, r)
-            if value:
-                failures.append(((q, r), value))
+            if rec_hp_residual(planar_counts, q, r):
+                failures += 1
     if failures:
-        return Verdict(False, dict(failures[:3]), 0,
-                       f"recurrence fails at {len(failures)} of "
-                       f"{checked} index pairs")
-    return Verdict(True, 0, 0,
-                   f"recurrence holds at all {checked} index pairs with "
-                   f"q + r <= {max_total}")
+        return {"detail": f"recurrence fails at {failures} of "
+                f"{checked} index pairs"}
+    return None
 
 
 def a_combination(p: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
@@ -417,7 +395,7 @@ def a_combination(p: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
                           (1, 2): 144}) * pyyx))
 
 
-def check_a_combination(p: TruncatedBivariateSeries) -> Verdict:
+def check_a_combination(p: TruncatedBivariateSeries):
     return _zero_verdict(a_combination(p), "A(x, y)")
 
 
@@ -425,7 +403,7 @@ def check_a_combination(p: TruncatedBivariateSeries) -> Verdict:
 # The five-term edge recurrence for counts over all surfaces
 
 
-def check_qfd(eta, n_max: int) -> Verdict:
+def check_qfd(eta, n_max: int):
     """With ``v^_n(x) = (sum_v eta_v(n) x^v) / (2n)!`` and
     ``v^_n = 0`` for ``n < 0``, check that for every ``0 <= n <= n_max``
 
@@ -467,12 +445,9 @@ def check_qfd(eta, n_max: int) -> Verdict:
         add(acc, v_hat(n - 2), [10 * n * n - 9 * n, 8, -8])
         add(acc, v_hat(n - 3), [5, -10])
         add(acc, v_hat(n - 4), [-2])
-        bad = {v: c for v, c in acc.items() if c}
-        if bad:
-            return Verdict(False, bad, 0, f"five-term recurrence fails "
-                           f"at n={n}")
-    return Verdict(True, 0, 0,
-                   f"five-term recurrence holds for all n <= {n_max}")
+        if any(acc.values()):
+            return {"detail": f"five-term recurrence fails at n={n}"}
+    return None
 
 
 def u_check_values(u: TruncatedBivariateSeries, n: int, q: int) -> Fraction:

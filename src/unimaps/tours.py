@@ -75,9 +75,6 @@ class EdgeLabelledGraph:
     def n(self) -> int:
         return len(self.edges)
 
-    def endpoints(self, label: int) -> tuple:
-        return self.edges[label - 1]
-
 
 @record
 class BiEulerianTour:
@@ -133,28 +130,15 @@ class BiEulerianTour:
         if any(c != 2 for c in seen[1:]):
             raise ValueError("every edge must be used exactly twice")
 
-    def oriented_edges(self) -> frozenset:
-        """Labels of edges taken twice in the same direction."""
-        ends = self.graph.edges
-        first: dict[int, int] = {}
-        out = set()
-        for label, d in self.steps:
-            if label not in first:
-                first[label] = d
-                continue
-            u, v = ends[label - 1]
-            if d == 0 if u == v else d == first[label]:
-                out.add(label)
-        return frozenset(out)
-
 
 # ---------------------------------------------------------------------------
 # Polygon gluing <-> tour correspondence
 # ---------------------------------------------------------------------------
 
 
-def xi(u: ColoredUnicellularMap) -> tuple:
-    """Map a colored polygon gluing to its graph and bi-Eulerian tour.
+def xi(u: ColoredUnicellularMap) -> BiEulerianTour:
+    """Map a colored polygon gluing to the bi-Eulerian tour of its face,
+    on the graph of its color pairs.
 
     Step ``k`` of the tour is side ``k`` of the polygon, going from the
     color of corner ``k`` to the color of corner ``k+1``; the edge labelled
@@ -182,14 +166,12 @@ def xi(u: ColoredUnicellularMap) -> tuple:
         steps[a] = (label, d)
         steps[b] = (label, d if twist else 1 - d)
     graph = EdgeLabelledGraph._trusted(u.q, tuple(edge_list))
-    tour = BiEulerianTour._trusted(graph, corner_color[0], tuple(steps))
-    return graph, tour
+    return BiEulerianTour._trusted(graph, corner_color[0], tuple(steps))
 
 
-def xi_inverse(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> ColoredUnicellularMap:
+def xi_inverse(tour: BiEulerianTour) -> ColoredUnicellularMap:
     """Rebuild the colored gluing whose face tour is ``tour``."""
-    if tour.graph is not graph and tour.graph != graph:
-        raise ValueError("tour does not live on the given graph")
+    graph = tour.graph
     n = graph.n
     ends = graph.edges
     # one pass: corner k gets the from-color of step k, and every label

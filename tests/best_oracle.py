@@ -33,10 +33,32 @@ class Digraph:
                 raise ValueError("arc endpoint out of range")
 
 
+def endpoints(graph: EdgeLabelledGraph, label: int) -> tuple:
+    """The endpoints ``(u, v)``, ``u <= v``, of the edge labelled
+    ``label``."""
+    return graph.edges[label - 1]
+
+
 def is_loop(graph: EdgeLabelledGraph, label: int) -> bool:
     """Whether the edge labelled ``label`` joins a vertex to itself."""
-    u, v = graph.endpoints(label)
+    u, v = endpoints(graph, label)
     return u == v
+
+
+def oriented_edges(tour: BiEulerianTour) -> frozenset:
+    """Labels of the edges that ``tour`` takes twice in the same
+    direction (a loop's first step has direction 0)."""
+    ends = tour.graph.edges
+    first: dict[int, int] = {}
+    out = set()
+    for label, d in tour.steps:
+        if label not in first:
+            first[label] = d
+            continue
+        u, v = ends[label - 1]
+        if d == 0 if u == v else d == first[label]:
+            out.add(label)
+    return frozenset(out)
 
 
 def gen_eulerian_tours(g: Digraph, origin: int):
@@ -270,19 +292,19 @@ def arc_theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
     """Oracle for ``bijections.theta_fiber``: the ``2^w`` preimages of a
     tour, read off its arcs with :func:`best_decompose`."""
     n, q = graph.n, graph.q
-    oriented = tour.oriented_edges()
+    oriented = oriented_edges(tour)
 
     # direction of each oriented edge, from the tour
     tail_color = {}
     for k, (lab, d) in enumerate(tour.steps):
         if lab in oriented and lab not in tail_color:
-            u, v = graph.endpoints(lab)
+            u, v = endpoints(graph, lab)
             tail_color[lab] = u if (u == v or d == 0) else v
 
     arcs = [None] * (2 * n)
     for k in range(n):
         lab = k + 1
-        u, v = graph.endpoints(lab)
+        u, v = endpoints(graph, lab)
         if lab in oriented:
             t = tail_color[lab]
             h = u + v - t
@@ -314,7 +336,7 @@ def arc_theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
     tail_he = {}
     for k in range(n):
         lab = k + 1
-        u, v = graph.endpoints(lab)
+        u, v = endpoints(graph, lab)
         if lab in oriented:
             t = tail_color[lab]
             tail_he[lab] = 2 * k
@@ -352,7 +374,7 @@ def arc_theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
         for pos, a in enumerate(arcs_here):
             k = a // 2
             lab = k + 1
-            u, v = graph.endpoints(lab)
+            u, v = endpoints(graph, lab)
             tree_slot = c != origin and pos == len(arcs_here) - 1
             if lab in oriented:
                 if tree_slot:

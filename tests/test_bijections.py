@@ -194,7 +194,7 @@ class TestPhi:
     def test_edge_color_property(self):
         """(star): edges by endpoint colors agree between U and phi(U)."""
         for u in all_colored(2, orientable_only=True):
-            graph, _ = xi(u)
+            graph = xi(u).graph
             t = phi(u)
             vlab = {}
             for cyc, lab in zip(t.m.vertices(), t.vertex_labels):
@@ -241,12 +241,12 @@ class TestAgainstArcOracle:
     def test_fiber_and_theta(self, case):
         count = 0
         for u in map(revalidated, self.CASES[case]()):
-            graph, tour = map(revalidated, xi(u))
-            fiber = theta_fiber(graph, tour)
-            assert fiber == arc_theta_fiber(graph, tour)
+            tour = revalidated(xi(u))
+            fiber = theta_fiber(tour)
+            assert fiber == arc_theta_fiber(tour.graph, tour)
             for t in map(revalidated, fiber):
-                assert tuple(map(revalidated, theta(t))) == arc_theta(t) \
-                    == (graph, tour)
+                assert revalidated(theta(t)) == tour
+                assert arc_theta(t) == (tour.graph, tour)
                 assert revalidated(upsilon(t)) == u
             count += 1
         assert count
@@ -259,20 +259,21 @@ class TestAgainstArcOracle:
         rng = random.Random(f"twisted gluings:{n}")
         for _ in range(200):
             u = revalidated(twisted_colored_gluing(rng, n))
-            graph, tour = map(revalidated, xi(u))
-            assert revalidated(xi_inverse(graph, tour)) == u
-            fiber = theta_fiber(graph, tour)
-            assert fiber == arc_theta_fiber(graph, tour)
+            tour = revalidated(xi(u))
+            assert revalidated(xi_inverse(tour)) == u
+            fiber = theta_fiber(tour)
+            assert fiber == arc_theta_fiber(tour.graph, tour)
             for t in map(revalidated, fiber):
-                assert tuple(map(revalidated, theta(t))) == arc_theta(t) \
-                    == (graph, tour)
+                assert revalidated(theta(t)) == tour
+                assert arc_theta(t) == (tour.graph, tour)
                 assert revalidated(upsilon(t)) == u
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_theta_on_all_oriented_tree_rooted_maps(self, n):
         """Maps with any half-edge numbering, not only fiber elements."""
         for t in gen_oriented_tree_rooted_maps(n):
-            assert theta(t) == arc_theta(t)
+            tour = theta(t)
+            assert (tour.graph, tour) == arc_theta(t)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -232,6 +232,49 @@ class TestVerify:
         assert payload["verdict"] == "fail"
         assert payload["counterexample"] == {"n": 3}
 
+    @pytest.mark.parametrize("check,bound,counterexample", [
+        ("hz", 5, {"detail": "hz n=3 v=2", "lhs": "44", "rhs": "40"}),
+        ("ledoux", 5, {"detail": "ledoux n=3 v=2", "lhs": "212",
+                       "rhs": "208"}),
+        ("qfd", 5, {"detail": "five-term recurrence fails at n=3"}),
+        ("algebraic-P", 8, {"detail": "quartic for P: first nonzero "
+                            "coefficient at x^3 y^3, trusted through "
+                            "degree 10"}),
+        ("q-pde", 8, {"detail": "PDE for Q: first nonzero coefficient at "
+                      "t^0 w^2, trusted through degree 4"}),
+        ("rec-hP", 4, {"detail": "recurrence fails at 8 of 36 index "
+                       "pairs"}),
+        ("a-combination", 6, {"detail": "A(x, y): first nonzero "
+                              "coefficient at x^2 y^0, trusted through "
+                              "degree 6"}),
+    ])
+    def test_perturbed_table_gives_exact_counterexample(
+            self, capsys, monkeypatch, check, bound, counterexample):
+        """One count off by one in the one-face profile (eps_2(3), or
+        eta_2(3)) and in the planar census (P_{2,2}) breaks every
+        recurrence and series identity, each with its own payload."""
+        real_profile = enumeration.vertex_profile
+        real_census = enumeration.planar_census
+
+        def profile(n, orientable_only=False):
+            table = real_profile(n, orientable_only)
+            table[(3, 2)] += 1
+            return table
+
+        def census(max_edges):
+            table = real_census(max_edges)
+            table[(2, 2)] += 1
+            return table
+        monkeypatch.delenv("UNIMAPS_CACHE", raising=False)
+        monkeypatch.setattr(enumeration, "vertex_profile", profile)
+        monkeypatch.setattr(enumeration, "planar_census", census)
+        code, out, err = run(capsys, "verify", check, "--bound", str(bound))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "fail"
+        assert payload["counterexample"] == counterexample
+        assert "Traceback" not in err
+
     def test_fiber_of_copies_fails(self, capsys, monkeypatch):
         """2^w copies of one element have the right size but not 2^w
         distinct elements."""
@@ -253,12 +296,12 @@ class TestVerify:
         registry check reports it as a counterexample, not a traceback."""
         real = bijections.theta_fiber
 
-        def drop_tree_edge(graph, tour):
+        def drop_tree_edge(tour):
             return tuple(
                 OrientedTreeRootedMap._trusted(
                     t.m, t.vertex_labels, t.edge_labels,
                     t.tree - {min(t.tree)}, t.orientation, t.up)
-                if t.tree else t for t in real(graph, tour))
+                if t.tree else t for t in real(tour))
         monkeypatch.setattr(bijections, "theta_fiber", drop_tree_edge)
         broken = bijections.phi(parse_gluing("n=1; pairs=(0 1)"))
         with pytest.raises(ValueError, match="wrong number of edges"):
@@ -276,8 +319,8 @@ class TestVerify:
         trip from n = 2 on."""
         real = bijections.xi_inverse
 
-        def reversed_labels(graph, tour):
-            u = real(graph, tour)
+        def reversed_labels(tour):
+            u = real(tour)
             return maps_core.replace(u, edge_labels=u.edge_labels[::-1])
         monkeypatch.setattr(bijections, "xi_inverse", reversed_labels)
         code, out, err = run(capsys, "verify", "phi-roundtrip",
@@ -575,6 +618,23 @@ class TestBijection:
         code, out, err = run(capsys, "bijection", name, literal)
         assert code == 2 and out == ""
         assert f"parse error: {message}" in err
+
+    @pytest.mark.parametrize("name,literal,field", [
+        ("phi", "pairs=(0 1)", "n"),
+        ("phi", "n=1", "pairs"),
+        ("phi", "colors=(1); labels=(1)", "n"),
+        ("phi", "n=x", "pairs"),
+        ("delta", "alpha=(1 0); outer=0", "sigma"),
+        ("delta", "sigma=(1 0); outer=0", "alpha"),
+        ("gamma", "mate=(-1)", "sigma"),
+        ("gamma", "sigma=(0); root=0", "mate"),
+    ])
+    def test_missing_field_is_parse_error(self, capsys, name, literal,
+                                          field):
+        code, out, err = run(capsys, "bijection", name, literal)
+        assert code == 2 and out == ""
+        assert err == (f"parse error: missing field {field!r} "
+                       f"(at character 0)\n")
 
     @pytest.mark.parametrize("pairs", ["0 1!!", "0 1!!!", "0 1 ! !",
                                        "0 !1!"])

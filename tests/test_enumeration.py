@@ -204,13 +204,13 @@ class TestTransferAgainstOracle:
         eps, eta = eps_eta
         for n in range(1, 11):
             for v in range(1, n + 2):
-                verdict = hz_recurrence_check(eps, n, v)
-                assert verdict, verdict
+                fault = hz_recurrence_check(eps, n, v)
+                assert fault is None, fault
                 if n >= 2:
-                    verdict = ledoux_check(eta, n, v)
-                    assert verdict, verdict
-        verdict = check_qfd(eta, 10)
-        assert verdict, verdict.detail
+                    fault = ledoux_check(eta, n, v)
+                    assert fault is None, fault
+        fault = check_qfd(eta, 10)
+        assert fault is None, fault
 
 
 class TestGenRootedOrientableMaps:

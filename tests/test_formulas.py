@@ -13,7 +13,6 @@ from unimaps.enumeration import (
     vertex_profile,
 )
 from unimaps.formulas import (
-    Verdict,
     double_factorial,
     hz_recurrence_check,
     jackson_formula,
@@ -179,24 +178,28 @@ class TestRecurrences:
     def test_hz_holds_on_census(self, eps_table):
         for n in range(1, 6):
             for v in range(1, n + 2):
-                verdict = hz_recurrence_check(eps_table, n, v)
-                assert verdict, verdict
+                fault = hz_recurrence_check(eps_table, n, v)
+                assert fault is None, fault
 
     def test_ledoux_holds_on_census(self, eta_table):
         for n in range(2, 6):
             for v in range(1, n + 2):
-                verdict = ledoux_check(eta_table, n, v)
-                assert verdict, verdict
+                fault = ledoux_check(eta_table, n, v)
+                assert fault is None, fault
 
     def test_detects_perturbation(self, eps_table, eta_table):
         bad = Counter(eps_table)
         bad[(4, 1)] += 1
-        assert not hz_recurrence_check(bad, 4, 1)
+        assert hz_recurrence_check(bad, 4, 1) is not None
         bad = Counter(eta_table)
         bad[(3, 2)] -= 1
-        assert not ledoux_check(bad, 3, 2)
+        assert ledoux_check(bad, 3, 2) is not None
 
-    def test_verdict_reports_sides(self):
-        v = Verdict(False, 3, 4, "demo")
-        assert not v and v.lhs == 3 and v.rhs == 4
+    def test_verdict_reports_sides(self, eps_table):
+        """A failing point reports its detail and the repr of each side:
+        eps_1(4) = 21 raised to 22 gives 5 * 22 against 105 eps_1(2)."""
+        bad = Counter(eps_table)
+        bad[(4, 1)] += 1
+        assert hz_recurrence_check(bad, 4, 1) == {
+            "detail": "hz n=4 v=1", "lhs": "110", "rhs": "105"}
 

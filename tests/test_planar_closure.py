@@ -688,6 +688,21 @@ class TestAgainstOracles:
             assert full == ofull and outer == oouter
             assert sorted(pairs) == sorted(opairs)
 
+    def test_each_arch_bounds_the_face_through_its_in_slot(self, nets):
+        """The opening cuts, from every inner face of a closed tree, the
+        closure arch whose ingoing slot lies on that face: the rule by
+        which ``bijections.psi_fiber`` reads off each arch's face."""
+        for t in nets:
+            sigma, mate = slot_system(t.sigma, t.mate)
+            full, pairs, outer = close_slots(sigma, mate, set(t.out_buds),
+                                             t.root)
+            faces = slot_faces(sigma, full)
+            rep = {x: min(f) for f in faces for x in f}
+            _, _, cuts = open_slots(full, faces, slot_vertices(sigma),
+                                    t.root, dual_layers(faces, full, outer))
+            assert Counter(cuts) == Counter(
+                (rep[i], o, i) for o, i in pairs)
+
     def test_arches_of_every_bud_word(self):
         """Every cyclic word of at most 12 buds: the same pairs and the same
         outermost arches as the list scan, or the same error."""

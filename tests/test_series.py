@@ -17,8 +17,6 @@ from unimaps.series import (
     check_q_pde,
     check_qfd,
     check_rec_hp,
-    delta_t,
-    delta_w,
     p_series,
     poly,
     q_from_p,
@@ -28,10 +26,28 @@ from unimaps.series import (
 )
 
 
+def delta_t(f: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
+    """Operator ``t d/dt``: multiplies the ``t^i w^j`` coefficient by i."""
+    return TruncatedBivariateSeries(
+        {(i, j): i * c for (i, j), c in f.coeffs.items()},
+        f.degree, f.weights)
+
+
+def delta_w(f: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
+    """Operator ``w d/dw ((1 + w) . )``: sends the coefficient table
+    ``F[i, j]`` to ``j (F[i, j] + F[i, j-1])``."""
+    out = {}
+    for (i, j), c in f.coeffs.items():
+        for k in (j, j + 1):
+            if k:
+                out[(i, k)] = out.get((i, k), Fraction(0)) + k * c
+    return TruncatedBivariateSeries(out, f.degree, f.weights)
+
+
 def apply_operator_polynomial(op_poly, f):
     """Apply ``sum c_(a,b) Delta_t^a Delta_w^b`` (the operators commute)
     to a series; ``op_poly`` maps ``(a, b)`` to a coefficient."""
-    total = TruncatedBivariateSeries({}, f.degree, f.weights, f.names)
+    total = TruncatedBivariateSeries({}, f.degree, f.weights)
     for (a, b), c in sorted(op_poly.items()):
         g = f
         for _ in range(a):
@@ -45,7 +61,7 @@ def apply_operator_polynomial(op_poly, f):
 def truncated(f, degree):
     """``f`` trusted only through ``degree``."""
     return TruncatedBivariateSeries(f.coeffs, min(f.degree, degree),
-                                    f.weights, f.names)
+                                    f.weights)
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +144,14 @@ class TestPSeries:
 
 class TestQuartic:
     def test_residual_zero_census_three(self):
-        assert check_algebraic_P(p_series(planar_census(3), 5))
+        assert check_algebraic_P(p_series(planar_census(3), 5)) is None
 
     def test_residual_zero_census_five(self, census):
-        assert check_algebraic_P(p_series(census, 7))
+        assert check_algebraic_P(p_series(census, 7)) is None
 
     def test_perturbation_detected(self, census):
-        verdict = check_algebraic_P(p_series(perturbed(census), 7))
-        assert not verdict
-        assert "nonzero" in verdict.detail
+        fault = check_algebraic_P(p_series(perturbed(census), 7))
+        assert "nonzero" in fault["detail"]
 
 
 class TestQAndU:
@@ -215,16 +230,16 @@ class TestDeltaOperators:
 
 class TestQPde:
     def test_residual_zero_census_five(self):
-        assert check_q_pde(q_from_p(planar_census(5), 3))
+        assert check_q_pde(q_from_p(planar_census(5), 3)) is None
 
     def test_residual_zero_census_six(self, census):
-        assert check_q_pde(q_from_p(census, 4))
+        assert check_q_pde(q_from_p(census, 4)) is None
 
     def test_residual_zero_low_order(self, census):
-        assert check_q_pde(q_from_p(census, 2))
+        assert check_q_pde(q_from_p(census, 2)) is None
 
     def test_perturbation_detected(self, census):
-        assert not check_q_pde(q_from_p(perturbed(census), 4))
+        assert check_q_pde(q_from_p(perturbed(census), 4)) is not None
 
 
 class TestRecHP:
@@ -237,9 +252,11 @@ class TestRecHP:
         assert rec_hp_residual(empty, 0, -3) == 0
 
     def test_holds_through_total_four(self, census7):
-        verdict = check_rec_hp(census7, 4)
-        assert verdict
-        assert "36" in verdict.detail
+        """It holds at every one of the 36 index pairs with
+        q + r <= 4, the count that a perturbed census reports."""
+        assert check_rec_hp(census7, 4) is None
+        fault = check_rec_hp(perturbed(census7), 4)
+        assert fault["detail"].endswith(" of 36 index pairs")
 
     def test_census_carries_the_seven_edge_counts(self):
         seven = {(q, r): c for (q, r), c in planar_census(7).items()
@@ -251,12 +268,11 @@ class TestRecHP:
         # must tie it to the live 6-edge census
         for (i, j), c in SEVEN_EDGE_COUNTS.items():
             assert census7[(j, i)] == c
-        assert check_rec_hp(census7, 4)
+        assert check_rec_hp(census7, 4) is None
 
     def test_perturbation_detected(self, census7):
-        verdict = check_rec_hp(perturbed(census7), 3)
-        assert not verdict
-        assert "fails" in verdict.detail
+        fault = check_rec_hp(perturbed(census7), 3)
+        assert "fails" in fault["detail"]
 
     def test_missing_census_entry_rejected(self):
         with pytest.raises(ValueError):
@@ -265,21 +281,22 @@ class TestRecHP:
 
 class TestACombination:
     def test_residual_zero_census_five(self):
-        assert check_a_combination(p_series(planar_census(5), 7))
+        assert check_a_combination(p_series(planar_census(5), 7)) is None
 
     def test_perturbation_detected(self, census):
-        assert not check_a_combination(p_series(perturbed(census), 7))
+        assert check_a_combination(p_series(perturbed(census), 7)) \
+            is not None
 
     def test_agreement_with_recurrence(self, census7):
         """The differential combination and the eight-term recurrence
         are two forms of one identity: they accept the true census and
         reject the same perturbed census."""
         good_p = p_series(census7, 7)
-        assert bool(check_a_combination(good_p)) == \
-            bool(check_rec_hp(census7, 4)) is True
+        assert check_a_combination(good_p) is None
+        assert check_rec_hp(census7, 4) is None
         bad = perturbed(census7)
-        assert bool(check_a_combination(p_series(bad, 7))) == \
-            bool(check_rec_hp(bad, 4)) is False
+        assert check_a_combination(p_series(bad, 7)) is not None
+        assert check_rec_hp(bad, 4) is not None
 
     def test_low_coefficients_vanish(self, census):
         a = a_combination(p_series(census, 8))
@@ -290,18 +307,15 @@ class TestACombination:
 
 class TestQfd:
     def test_boundary_cases(self):
-        assert check_qfd(vertex_profile(1), 1)
+        assert check_qfd(vertex_profile(1), 1) is None
 
     def test_holds_through_six_edges(self, eta):
-        verdict = check_qfd(eta, 6)
-        assert verdict
-        assert "n <= 6" in verdict.detail
+        assert check_qfd(eta, 6) is None
 
     def test_reports_offending_edge_count(self, eta):
         bad = perturbed(eta, (4, 2))
-        verdict = check_qfd(bad, 6)
-        assert not verdict
-        assert "n=4" in verdict.detail
+        fault = check_qfd(bad, 6)
+        assert "n=4" in fault["detail"]
 
     @pytest.mark.parametrize("key", [(3, 1), (4, 2), (5, 5), (6, 3)])
     def test_agrees_with_four_term_recurrence(self, eta, key):
@@ -311,6 +325,6 @@ class TestQfd:
         bad = perturbed(eta, key)
         for table in (eta, bad):
             by_recurrence = all(
-                ledoux_check(table, n, v).ok
+                ledoux_check(table, n, v) is None
                 for n in range(2, 7) for v in range(1, n + 2))
-            assert bool(check_qfd(table, 6)) == by_recurrence
+            assert (check_qfd(table, 6) is None) == by_recurrence
