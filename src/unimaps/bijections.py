@@ -24,7 +24,9 @@ construction is invariant under relabelling of half-edges.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
+from . import maps_core
 from .maps_core import (
     ColoredUnicellularMap,
     DisjointSets,
@@ -63,12 +65,6 @@ class _LabelledMap:
         if sorted(self.edge_labels) != list(range(1, n + 1)):
             raise ValueError("edge labels must be a permutation of 1..n")
 
-    def half_edge_labels(self) -> tuple:
-        """Vertex label and edge label of every half-edge, as two lists."""
-        m = self.m
-        return ([self.vertex_labels[i] for i in m.vertex_index()],
-                [self.edge_labels[k] for k in m.edge_index()])
-
     def _canonical_form(self, marked_edges) -> tuple:
         """``(perm, key)``: the canonical relabelling of ``m``, and the
         relabelled rotation system followed by the vertex labels, edge
@@ -89,17 +85,19 @@ class _LabelledMap:
     def _rejoined(self, pairs) -> tuple:
         """Re-pair half-edges of ``m``: each ``(out, in)`` pair becomes an
         edge that keeps the label of ``out``'s old edge.  Returns the new
-        map and its edge labels."""
+        map, which keeps the vertex orbits ``m`` holds (the rotation is
+        the same tuple), and its edge labels."""
         m = self.m
-        _, elabel = self.half_edge_labels()
+        labels, eid = self.edge_labels, m.edge_index()
         alpha = list(m.alpha)
         for o, i in pairs:
             alpha[o] = i
             alpha[i] = o
-        m2 = RootedMap._trusted(m.sigma, tuple(alpha), m.root)
+        m2 = RootedMap._trusted(m.sigma, tuple(alpha), m.root,
+                                m._vertex_data)
         outs = {o for o, _ in pairs}
-        edge_labels = tuple(elabel[alpha[h] if alpha[h] in outs else h]
-                            for h in (min(c) for c in m2.edges()))
+        edge_labels = tuple(labels[eid[alpha[h] if alpha[h] in outs else h]]
+                            for h, _ in m2.edges())
         return m2, edge_labels
 
 
@@ -218,8 +216,9 @@ class OrientedTreeRootedMap(_LabelledMap):
 
     @property
     def external_weight(self) -> int:
+        alpha = self.m.alpha
         return sum(1 for h in self.orientation
-                   if self.m.edge_of(h) not in self.tree)
+                   if min(h, alpha[h]) not in self.tree)
 
     def canonical_key(self) -> tuple:
         """Hashable form invariant under half-edge relabelling."""
@@ -329,15 +328,11 @@ def theta_fiber(tour: BiEulerianTour) -> tuple:
     # half-edge toward the root
     root_fills = fills[origin - 1]
     tree_ids = frozenset([f[-1] & -2 for f in fills if f is not root_fills])
-    nh = 2 * n
-    alpha = [0] * nh
-    alpha[::2] = range(1, nh, 2)
-    alpha[1::2] = range(0, nh, 2)
-    alpha = tuple(alpha)
+    involution = _standard_involution(n)
     edge_labels = tuple(range(1, n + 1))
     if not oriented:
-        return (_fiber_element(fills, origin, alpha, edge_labels, tree_ids,
-                               frozenset()),)
+        return (_fiber_element(fills, origin, involution, edge_labels,
+                               tree_ids, frozenset()),)
 
     orientation = frozenset([2 * lab - 2 for lab in oriented])
     choices = _orient_fills(fills, ends, origin, oriented, first_d)
@@ -348,24 +343,42 @@ def theta_fiber(tour: BiEulerianTour) -> tuple:
             if bit:
                 f = chosen[i]
                 f[pa], f[pb] = f[pb], f[pa]
-        out.append(_fiber_element(chosen, origin, alpha, edge_labels,
+        out.append(_fiber_element(chosen, origin, involution, edge_labels,
                                   tree_ids, orientation))
     return tuple(out)
 
 
-def _fiber_element(fills, origin, alpha, edge_labels, tree_ids,
+@lru_cache(maxsize=1)
+def _standard_involution(n: int) -> tuple:
+    """``(alpha, edge_data)``: the pairing of half-edges ``2k`` and
+    ``2k + 1`` on ``2n`` half-edges, and its ``(orbits, index)``.  Every
+    element of every fiber with ``n`` edges shares them; one entry is
+    kept, as exhaustive checks go through ``n`` in order."""
+    nh = 2 * n
+    alpha = [0] * nh
+    alpha[::2] = range(1, nh, 2)
+    alpha[1::2] = range(0, nh, 2)
+    alpha = tuple(alpha)
+    # looked up on the module, so that a wrapper installed there is called
+    return alpha, maps_core._orbits(alpha)
+
+
+def _fiber_element(fills, origin, involution, edge_labels, tree_ids,
                    orientation) -> OrientedTreeRootedMap:
     """The element of :func:`theta_fiber` whose rotation at each color
     ``c`` is the cycle ``fills[c - 1]``: the departures from ``c`` in
     tour order, the first of the origin's being the root and the last
-    of every other color's its tree half-edge toward the root."""
+    of every other color's its tree half-edge toward the root.  Its map
+    is on the shared ``involution`` of :func:`_standard_involution`."""
+    alpha, edge_data = involution
     sigma = [0] * len(alpha)
     for cycle in fills:
         prev = cycle[-1]
         for h in cycle:
             sigma[prev] = h
             prev = h
-    m = RootedMap._trusted(tuple(sigma), alpha, fills[origin - 1][0])
+    m = RootedMap._trusted(tuple(sigma), alpha, fills[origin - 1][0],
+                           edge_data=edge_data)
     # vertices in order of their minimum half-edge
     _, vertex_labels = zip(*sorted([(min(f), c)
                                     for c, f in enumerate(fills, 1)]))
@@ -565,8 +578,9 @@ def _project(m: RootedMap, slots: set):
 def _submap_system(m: RootedMap, submap: frozenset):
     """Rotation and pairing induced by ``m`` on the half-edges of a
     submap given by its edge ids."""
-    return _project(m, {h for h in range(m.half_edge_count)
-                        if m.edge_of(h) in submap})
+    alpha = m.alpha
+    return _project(m, {h for h in range(len(alpha))
+                        if min(h, alpha[h]) in submap})
 
 
 def _submap_faces_of(m: RootedMap, submap: frozenset):
@@ -637,27 +651,27 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
     out = []
     for t in upsilon_fiber(u):
         m = t.m
-        cut_edges = [m.edge_of(h) for h in t.orientation
-                     if m.edge_of(h) not in t.tree]
-        if not cut_edges:
+        alpha = m.alpha
+        # the tails of the cut edges: the oriented edges off the tree
+        cut_tails = [h for h in t.orientation
+                     if min(h, alpha[h]) not in t.tree]
+        if not cut_tails:
             out.append(ExternallyLabelledPlanarRootedMap._trusted(
                 m, t.vertex_labels, t.edge_labels, t.tree, (1,),
                 tuple(_submap_faces_of(m, t.tree))))
             continue
-        tail_of_edge = {m.edge_of(h): h for h in t.orientation}
         # near-Eulerian tree inside the map: tree half-edges plus the buds
         # of the cut oriented edges
         slots = set()
         for eid in t.tree:
             slots.add(eid)
-            slots.add(m.alpha[eid])
+            slots.add(alpha[eid])
         buds = {}
-        for eid in cut_edges:
-            o = tail_of_edge[eid]
+        for o in cut_tails:
             buds[o] = True
-            buds[m.alpha[o]] = False
+            buds[alpha[o]] = False
             slots.add(o)
-            slots.add(m.alpha[o])
+            slots.add(alpha[o])
         sigma_sub, mate_sub = _project(m, slots)
         for h in buds:
             mate_sub[h] = -1
@@ -682,7 +696,7 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         label_of_rep = {}
         for f in inner:
             o = out_slot_of_rep[min(f)]
-            label_of_rep[min(f)] = index_of_rep[rep[m.alpha[o]]]
+            label_of_rep[min(f)] = index_of_rep[rep[alpha[o]]]
         w = len(inner)
         face_labels = tuple(
             label_of_rep.get(min(f), w + 1) for f in faces)

@@ -22,6 +22,7 @@ and corner ``i+1`` with corner ``j+1``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import attrgetter
 
 
@@ -185,9 +186,13 @@ class RootedMap:
     ``sigma`` and ``alpha`` are stored as tuples mapping a half-edge index to
     its image.  ``alpha`` must be a fixed-point-free involution and the group
     generated by ``sigma`` and ``alpha`` must act transitively on half-edges.
-    The orbits of ``sigma``, ``alpha`` and ``sigma∘alpha`` (vertices, edges
-    and faces) and their indexes are computed at most once, on first use,
-    and take no part in equality or hashing.
+
+    Derived data is computed at most once, on first use, kept on the map
+    and takes no part in equality or hashing: the orbits of ``sigma``,
+    ``alpha`` and ``sigma∘alpha`` (vertices, edges and faces) with their
+    indexes, and the :func:`canonical_relabelling`.  A trusted map may be
+    handed the vertex or edge orbits of another map on the same ``sigma``
+    or ``alpha`` tuple, which are exactly its own.
     """
 
     sigma: tuple
@@ -196,6 +201,7 @@ class RootedMap:
     _vertex_data = None
     _edge_data = None
     _face_data = None
+    _relabelling = None
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(self.sigma))
@@ -203,10 +209,13 @@ class RootedMap:
         self.validate()
 
     @classmethod
-    def _trusted(cls, sigma: tuple, alpha: tuple, root: int) -> "RootedMap":
-        """A map on tuples known to form a connected rotation system;
-        nothing is checked."""
-        return _unchecked(cls, sigma=sigma, alpha=alpha, root=root)
+    def _trusted(cls, sigma: tuple, alpha: tuple, root: int,
+                 vertex_data=None, edge_data=None) -> "RootedMap":
+        """A map on tuples known to form a connected rotation system,
+        holding the ``(orbits, index)`` of ``sigma`` and of ``alpha`` when
+        the caller has them; nothing is checked."""
+        return _unchecked(cls, sigma=sigma, alpha=alpha, root=root,
+                          _vertex_data=vertex_data, _edge_data=edge_data)
 
     def validate(self) -> None:
         """Raise ValueError unless the fields form a connected map.  The
@@ -340,22 +349,24 @@ def euler_data(m: RootedMap) -> tuple:
     return v, e, f, genus
 
 
-def canonical_relabelling(m: RootedMap) -> list[int]:
+def canonical_relabelling(m: RootedMap) -> tuple:
     """First-visit relabelling: traverse from the root, examining
     ``alpha[h]`` then ``sigma[h]`` for each visited half-edge in visit order.
-    """
-    n = m.half_edge_count
-    new = [-1] * n
-    order = [m.root]
+    Computed once per map and kept on it."""
+    if m._relabelling is not None:
+        return m._relabelling
+    sigma, alpha = m.sigma, m.alpha
+    new = [-1] * len(sigma)
     new[m.root] = 0
-    i = 0
-    while i < len(order):
-        h = order[i]
-        for nb in (m.alpha[h], m.sigma[h]):
+    # the visit order grows while it is walked
+    order = [m.root]
+    for h in order:
+        for nb in (alpha[h], sigma[h]):
             if new[nb] < 0:
                 new[nb] = len(order)
                 order.append(nb)
-        i += 1
+    new = tuple(new)
+    object.__setattr__(m, "_relabelling", new)
     return new
 
 
@@ -424,10 +435,20 @@ def glue_sides(ds: DisjointSets, a: int, a_end: int, b: int, b_end: int,
 def glue_polygon(g: PolygonGluing) -> tuple:
     """Identify the polygon corners according to the gluing: the vertex
     classes, a partition of the ``2n`` corners into sorted tuples ordered
-    by their minimum."""
-    nn = 2 * g.n
+    by their minimum.
+
+    The classes of the last gluing are kept, one entry only: exhaustive
+    checks meet the colorings of one gluing one after another, and a
+    round trip rebuilds the gluing it started from, so nearly every call
+    there repeats the one before."""
+    return _glue_polygon(g.n, g.pairs, g.twists)
+
+
+@lru_cache(maxsize=1)
+def _glue_polygon(n: int, pairs: tuple, twists: tuple) -> tuple:
+    nn = 2 * n
     ds = DisjointSets(nn)
-    for (a, b), twist in zip(g.pairs, g.twists):
+    for (a, b), twist in zip(pairs, twists):
         glue_sides(ds, a, (a + 1) % nn, b, (b + 1) % nn, twist)
     return tuple(map(tuple, ds.classes()))
 

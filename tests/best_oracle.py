@@ -159,7 +159,8 @@ def arc_theta(t: OrientedTreeRootedMap) -> tuple:
     m = t.m
     verts, edges = m.vertices(), m.edges()
     vid = m.vertex_index()
-    vlabel, elabel = t.half_edge_labels()
+    vlabel = [t.vertex_labels[i] for i in vid]
+    elabel = [t.edge_labels[k] for k in m.edge_index()]
     tail_of = {elabel[h]: h for h in t.orientation}
     n, q = len(edges), len(verts)
     ends = [None] * n

@@ -11,11 +11,13 @@ from labelled_oracle import (
     gen_oriented_tree_rooted_maps,
 )
 from revalidate import revalidated
-from unimaps import maps_core
+from unimaps import bijections, maps_core
 from unimaps.bijections import (
     OrientedTreeRootedMap,
     phi,
     phi_inverse,
+    psi,
+    psi_fiber,
     theta,
     theta_fiber,
     upsilon,
@@ -27,6 +29,7 @@ from unimaps.maps_core import (
     ColoredUnicellularMap,
     PolygonGluing,
     RootedMap,
+    canonical_relabelling,
     glue_polygon,
 )
 from unimaps.tours import xi, xi_inverse
@@ -291,8 +294,9 @@ def test_label_streams_yield_valid_objects(stream, n):
 
 
 def test_phi_round_trip_traces_each_orbit_kind_once(monkeypatch):
-    """A phi round trip computes the vertex orbits and the edge orbits of
-    its one rooted map once each."""
+    """A phi round trip traces the vertex orbits of its one rooted map
+    once, and the edge orbits once per edge count: every image shares
+    the standard involution and its orbits."""
     maps = list(gen_colored_unicellular(3, True))
     calls = []
     orbits = maps_core._orbits
@@ -302,6 +306,68 @@ def test_phi_round_trip_traces_each_orbit_kind_once(monkeypatch):
         return orbits(perm)
 
     monkeypatch.setattr(maps_core, "_orbits", counting)
+    bijections._standard_involution.cache_clear()
     for u in maps:
         assert phi_inverse(phi(u)) == u
-    assert len(calls) == 2 * len(maps)
+    assert len(maps) == 405
+    assert len(calls) == 406
+    assert calls[0] == (1, 0, 3, 2, 5, 4)
+
+
+def _held_data(m: RootedMap) -> set:
+    """The names of the derived data ``m`` holds, after asserting that
+    each equals a fresh trace on the map rebuilt from its fields."""
+    fresh = RootedMap(m.sigma, m.alpha, m.root)
+    expect = {
+        "_vertex_data": (tuple(fresh.vertices()), fresh.vertex_index()),
+        "_edge_data": (tuple(fresh.edges()), fresh.edge_index()),
+        "_relabelling": canonical_relabelling(fresh),
+    }
+    held = {name for name in expect if getattr(m, name) is not None}
+    for name in held:
+        assert getattr(m, name) == expect[name], (name, m)
+    return held
+
+
+class TestDerivedDataExact:
+    """The orbits a map is handed and the relabelling it keeps are
+    exactly what a fresh trace on the rebuilt map gives."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_phi_images(self, n):
+        """Each phi image holds the shared edge orbits and traces its own
+        vertex orbits only when it is validated."""
+        count = 0
+        for u in gen_colored_unicellular(n, True):
+            t = phi(u)
+            assert _held_data(t.m) == {"_edge_data"}
+            t.m.validate()
+            t.validate()
+            assert phi_inverse(t) == u
+            t.canonical_key()
+            assert _held_data(t.m) == {"_vertex_data", "_edge_data",
+                                       "_relabelling"}
+            count += 1
+        assert count == sum(t_formula(n, q) for q in range(1, n + 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fiber_elements(self, n):
+        """Over every colored map, on all surfaces: each theta fiber
+        element holds the shared edge orbits; each psi fiber element
+        whose submap has inner faces holds the vertex orbits carried over
+        from its tree-rooted map and the relabelling that named those
+        faces, and keeps it through psi and its canonical key."""
+        elements = 0
+        for u in gen_colored_unicellular(n):
+            for t in upsilon_fiber(u):
+                assert "_edge_data" in _held_data(t.m)
+            for p in psi_fiber(u):
+                held = _held_data(p.m)
+                assert "_edge_data" in held
+                if p.r > 1:
+                    assert held >= {"_vertex_data", "_relabelling"}
+                assert psi(p) == u
+                p.canonical_key()
+                assert _held_data(p.m) >= {"_edge_data", "_relabelling"}
+                elements += 1
+        assert elements == {1: 5, 2: 71, 3: 1623}[n]

@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 from math import comb, factorial
+from operator import eq
 
 import pytest
 from revalidate import revalidated
@@ -157,17 +158,30 @@ class TestCanonicalForm:
 
 
 def brute_vertex_profile(n, orientable_only):
-    """Oracle: glue every (matching, twist mask) pair and count classes."""
+    """Oracle: glue every (matching, twist mask) pair and count classes.
+
+    The masks of a matching are walked depth first: ``walk`` glues pairs
+    k .. n-1 untwisted, and before each pair j it hands a copy of the
+    union-find, with pair j glued twisted, to its own walk from j + 1.
+    Every complete gluing counts its own classes: the roots of its
+    union-find, the corners that are their own parents."""
     nn = 2 * n
+    corners = range(nn)
+
+    def walk(ds, pairs, k):
+        for j in range(k, n):
+            a, b = pairs[j]
+            if not orientable_only:
+                twisted = DisjointSets(0)
+                twisted.parent = ds.parent[:]
+                glue_sides(twisted, a, (a + 1) % nn, b, (b + 1) % nn, True)
+                walk(twisted, pairs, j + 1)
+            glue_sides(ds, a, (a + 1) % nn, b, (b + 1) % nn, False)
+        table[(n, sum(map(eq, ds.parent, corners)))] += 1
+
     table = Counter()
-    masks = (0,) if orientable_only else range(1 << n)
     for pairs in _matchings(list(range(nn))):
-        for mask in masks:
-            ds = DisjointSets(nn)
-            for k, (a, b) in enumerate(pairs):
-                glue_sides(ds, a, (a + 1) % nn, b, (b + 1) % nn,
-                           mask >> k & 1)
-            table[(n, len({ds.find(c) for c in range(nn)}))] += 1
+        walk(DisjointSets(nn), pairs, 0)
     return table
 
 

@@ -93,7 +93,8 @@ class TestDisjointSets:
     def test_glue_polygon_is_the_closure_of_glue_sides(self, monkeypatch):
         """On every gluing with at most 4 edges, on all surfaces, the
         vertex classes are the closure of the corner pairs that
-        ``glue_sides`` identifies."""
+        ``glue_sides`` identifies.  The kept gluing is dropped before each
+        call, since a kept gluing calls ``glue_sides`` no more."""
         real = maps_core.glue_sides
         pairs = []
 
@@ -109,12 +110,34 @@ class TestDisjointSets:
         for n in range(1, 5):
             for g in gen_unicellular(n):
                 pairs.clear()
+                maps_core._glue_polygon.cache_clear()
                 classes = glue_polygon(g)
                 assert len(pairs) == 2 * n
                 assert classes == tuple(map(tuple, naive_closure(2 * n,
                                                                  pairs)))
                 count += 1
         assert count == 2 + 12 + 120 + 1680
+
+    @pytest.mark.parametrize("pairs_a,twists_a,pairs_b,twists_b", [
+        # the same pairs, other twists
+        (((0, 1), (2, 3)), (False, False), ((0, 1), (2, 3)), (True, False)),
+        # the same twists, other pairs
+        (((0, 1), (2, 3)), (False, True), ((0, 2), (1, 3)), (False, True)),
+    ])
+    def test_kept_gluing_is_keyed_by_pairs_and_twists(
+            self, pairs_a, twists_a, pairs_b, twists_b):
+        """Two gluings that differ only in their twists, or only in their
+        pairs, alternate through the one kept entry in either order, and
+        each call gives the classes of its own gluing."""
+        a = PolygonGluing(2, pairs_a, twists_a)
+        b = PolygonGluing(2, pairs_b, twists_b)
+        fresh = maps_core._glue_polygon.__wrapped__
+        expect = {g: fresh(g.n, g.pairs, g.twists) for g in (a, b)}
+        assert expect[a] != expect[b]
+        for order in ((a, b), (b, a)):
+            maps_core._glue_polygon.cache_clear()
+            for g in order * 3:
+                assert glue_polygon(g) == expect[g]
 
 
 def naive_closure(n, pairs) -> list:
@@ -309,8 +332,8 @@ class TestColoredUnicellularMap:
             ColoredUnicellularMap(g, (1,), 1, edge_labels=(1, 1))
 
 
-def _orbits_traced(m: RootedMap) -> RootedMap:
-    m.vertices(), m.edges(), m.faces()
+def _derived_data_traced(m: RootedMap) -> RootedMap:
+    m.vertices(), m.edges(), m.faces(), canonical_relabelling(m)
     return m
 
 
@@ -326,8 +349,9 @@ def _loop_graph() -> EdgeLabelledGraph:
 # the names of the data it keeps beyond its fields, and a field value its
 # constructor rejects with ValueError
 RECORDS = [
-    (lambda: _orbits_traced(loop_map()),
-     {"_vertex_data", "_edge_data", "_face_data"}, ("alpha", (0, 1))),
+    (lambda: _derived_data_traced(loop_map()),
+     {"_vertex_data", "_edge_data", "_face_data", "_relabelling"},
+     ("alpha", (0, 1))),
     (_loop_gluing, set(), ("pairs", ((0, 0),))),
     (lambda: ColoredUnicellularMap(_loop_gluing(), (1, 2), 2),
      {"vertex_classes", "corner_colors"}, ("q", 3)),

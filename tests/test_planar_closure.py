@@ -631,7 +631,7 @@ class TestCanonicalKey:
         assert len(images) == len(keys) == 1290
         assert keys == {p.canonical_key() for p in gen_plane_maps(4)}
         first_visit = [p for p in images if maps_core.canonical_relabelling(
-            p.m) == list(range(p.m.half_edge_count))]
+            p.m) == tuple(range(p.m.half_edge_count))]
         assert len(first_visit) == 188
 
 
