@@ -68,19 +68,28 @@ class _LabelledMap:
     def _canonical_form(self, marked_edges) -> tuple:
         """``(perm, key)``: the canonical relabelling of ``m``, and the
         relabelled rotation system followed by the vertex labels, edge
-        labels and marked edge ids carried across ``perm``."""
+        labels and marked edge ids carried across ``perm``.  The
+        relabelled map lists its vertices and edges by least new label,
+        so the labels are sorted by that label off ``m``'s own orbits; no
+        relabelled map is built or traced."""
         m = self.m
         perm = canonical_relabelling(m)
-        m2 = m.relabelled(perm)
-        vid2, eid2 = m2.vertex_index(), m2.edge_index()
-        verts2 = [0] * len(self.vertex_labels)
-        edges2 = [0] * len(self.edge_labels)
-        for h, (i, k) in enumerate(zip(m.vertex_index(), m.edge_index())):
-            verts2[vid2[perm[h]]] = self.vertex_labels[i]
-            edges2[eid2[perm[h]]] = self.edge_labels[k]
-        marked2 = frozenset(m2.edge_of(perm[eid]) for eid in marked_edges)
-        return perm, (m2.sigma, m2.alpha, m2.root, tuple(verts2),
-                      tuple(edges2), marked2)
+        sigma, alpha = m.sigma, m.alpha
+        # order[i] is the half-edge that gets the new label i
+        order = [0] * len(perm)
+        for h, i in enumerate(perm):
+            order[i] = h
+        verts2 = [lab for _, lab in sorted(
+            (min([perm[h] for h in cyc]), lab)
+            for cyc, lab in zip(m.vertices(), self.vertex_labels))]
+        edges2 = [lab for _, lab in sorted(
+            (min(perm[h], perm[h2]), lab)
+            for (h, h2), lab in zip(m.edges(), self.edge_labels))]
+        marked2 = frozenset(min(perm[eid], perm[alpha[eid]])
+                            for eid in marked_edges)
+        return perm, (tuple([perm[sigma[h]] for h in order]),
+                      tuple([perm[alpha[h]] for h in order]), perm[m.root],
+                      tuple(verts2), tuple(edges2), marked2)
 
     def _rejoined(self, pairs) -> tuple:
         """Re-pair half-edges of ``m``: each ``(out, in)`` pair becomes an
@@ -621,9 +630,10 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     outer_rep = next(min(f) for f in faces if label_of_rep[min(f)] == r)
     vid = m.vertex_index()
     root_sub = min(h for h in sigma_sub if vid[h] == vid[m.root])
+    face_of = {x: k for k, f in enumerate(faces) for x in f}
     tree_mate, tails, cuts = open_slots(
-        mate_sub, faces, vid, root_sub,
-        dual_layers(faces, mate_sub, outer_rep))
+        sigma_sub, mate_sub, faces, face_of, root_sub,
+        dual_layers(faces, face_of, mate_sub, outer_rep))
     # cut bookkeeping: inner face -> (out slot, in slot)
     buds_of_rep = {f: (o, i) for f, o, i in cuts}
     inner = _canonical_inner_faces(m, faces, outer_rep)

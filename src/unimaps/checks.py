@@ -271,10 +271,16 @@ def _check_gamma_roundtrip(bound, census):
         fault = _invalid(p.m, p)
         if fault is not None:
             return {"tree": tree_payload(t), **fault}
-        if planar_closure.opening_delta(p) != t or \
-                planar_closure.dual_distance_orientation(p) != \
+        try:
+            opened = planar_closure.opening_delta(p)
+        except ValueError as exc:
+            return {"tree": tree_payload(t), "property": "opening",
+                    "detail": str(exc)}
+        if opened != t:
+            return {"tree": tree_payload(t), "property": "opening"}
+        if planar_closure.dual_distance_orientation(p) != \
                 t.tails | t.out_buds:
-            return {"tree": tree_payload(t)}
+            return {"tree": tree_payload(t), "property": "orientation"}
         # the trees come by ascending slot count, two slots per edge
         if len(t.sigma) != 2 * edges:
             edges, keys = len(t.sigma) // 2, set()

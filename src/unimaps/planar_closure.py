@@ -13,6 +13,15 @@ the faces' dual distance from the outer face in the closed map, until
 only the outer face remains.  Round k cuts the faces at distance k, which
 the cuts of the rounds before have brought to distance 1.
 
+The breakable edges of a ring are found without a search.  Let R be the
+outer region after the rounds before k, and S_f the slots of a ring-k
+face f whose mates lie on R.  Deleting the edges of S_f leaves |S_f|
+components, each holding one stretch of f's walk and one stretch of R's
+walk, so one walk of R from a corner in the root vertex's component
+meets, for every ring-k face f, first the edge that enters that
+component along f (:func:`open_slots` has the anchor and the one face
+that needs a walk of its own).
+
 Everything is combinatorial: plane maps are rotation systems of genus 0
 with a distinguished face, and one chirality holds throughout.  In
 face-walk order outgoing buds open and ingoing buds close the
@@ -183,11 +192,12 @@ class PlaneMap:
             raise ValueError("outer is not a face identifier")
 
     def layers(self) -> tuple:
-        """The :func:`dual_layers` triple ``(face_of, dist, tails)`` of
-        the map's faces, computed once; callers must not mutate it."""
+        """The :func:`dual_layers` triple ``(dist, parent, tails)`` of the
+        map's faces, computed once; callers must not mutate it."""
         if self._layers is None:
+            m = self.m
             object.__setattr__(self, "_layers", dual_layers(
-                self.m.faces(), dict(enumerate(self.m.alpha)), self.outer))
+                m.faces(), m.face_index(), m.alpha, self.outer))
         return self._layers
 
     def canonical_key(self) -> tuple:
@@ -196,9 +206,15 @@ class PlaneMap:
         new label on the outer face."""
         m = self.m
         perm = canonical_relabelling(m)
-        c = m.relabelled(perm)
+        # order[i] is the half-edge that gets the new label i
+        order = [0] * len(perm)
+        for h, i in enumerate(perm):
+            order[i] = h
+        sigma, alpha = m.sigma, m.alpha
         outer_face = m.faces()[m.face_index()[self.outer]]
-        return c.sigma + c.alpha + (min(perm[x] for x in outer_face),)
+        return (*[perm[sigma[h]] for h in order],
+                *[perm[alpha[h]] for h in order],
+                min([perm[x] for x in outer_face]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +223,24 @@ class PlaneMap:
 # ---------------------------------------------------------------------------
 
 
-def slot_face(sigma: dict, mate: dict, start) -> tuple:
-    """Face orbit of a slot system through ``start``: the next slot is
-    ``sigma[mate[x]]`` along an edge and ``sigma[x]`` at a bud."""
-    orbit = [start]
+def face_walk(sigma, mate, start):
+    """The slots of the face of a slot system through ``start``, from
+    ``start`` on: the next slot is ``sigma[mate[x]]`` along an edge and
+    ``sigma[x]`` at a bud.  ``sigma`` and ``mate`` map each slot to a
+    slot (tuples or lists on slots ``0..s-1``, or dicts)."""
+    yield start
     m = mate[start]
     x = sigma[m] if m >= 0 else sigma[start]
     while x != start:
-        orbit.append(x)
+        yield x
         m = mate[x]
         x = sigma[m] if m >= 0 else sigma[x]
-    return tuple(orbit)
+
+
+def slot_face(sigma, mate, start) -> tuple:
+    """Face orbit of a slot system through ``start`` (see
+    :func:`face_walk`)."""
+    return tuple(face_walk(sigma, mate, start))
 
 
 def slot_faces(sigma: dict, mate: dict) -> list:
@@ -231,6 +254,12 @@ def slot_faces(sigma: dict, mate: dict) -> list:
             seen.update(orbit)
             out.append(orbit)
     return out
+
+
+def _mutable(pairing):
+    """A copy of a slot pairing that can be cut or joined: a dict stays a
+    dict, a tuple or list becomes a new list."""
+    return pairing.copy() if isinstance(pairing, dict) else list(pairing)
 
 
 def _arches(buds: list):
@@ -266,9 +295,10 @@ def _arches(buds: list):
     return pairs, outermost
 
 
-def close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
-    """Join the buds of a one-face slot system; returns the completed mate
-    map, the closure pairs and the outer face representative.
+def close_slots(sigma, mate, out_buds, root: int):
+    """Join the buds of a one-face slot system; returns the completed
+    pairing (a list for a tuple or list ``mate``, a dict for a dict), the
+    closure pairs and the outer face representative.
 
     Each closure edge covers the stretch of the tree contour from its
     outgoing to its ingoing bud; only the outermost arches border the
@@ -279,7 +309,7 @@ def close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
         raise ValueError("closure needs a single face")
     pairs, outermost = _arches([(x, x in out_buds) for x in walk
                                 if mate[x] < 0])
-    full = dict(mate)
+    full = _mutable(mate)
     for o, i in pairs:
         full[o] = i
         full[i] = o
@@ -292,110 +322,134 @@ def close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
     return full, pairs, min(outer_face)
 
 
-def dual_layers(faces: list, mate: dict, outer: int):
-    """One breadth-first search of the dual graph from the outer face,
-    over the face orbits ``faces`` of the slot system.
+def dual_layers(faces: list, face_of, mate, outer: int) -> tuple:
+    """One breadth-first search of the dual graph from the face of slot
+    ``outer``, over the slots of each face in turn.  ``faces`` are the
+    face orbits of a slot system, ``face_of[x]`` is the index in
+    ``faces`` of slot ``x``'s face and ``mate[x]`` its paired slot (-1
+    for a bud); for a whole map these are ``m.faces()``,
+    ``m.face_index()`` and ``m.alpha``.
 
-    Returns ``(face_of, dist, tails)``: the index in ``faces`` of every
-    slot's face, the dual distance of every face and the tail slots of
-    the dual-distance orientation (an edge is oriented when its sides lie
-    at different distances, with the larger-distance face on the fixed
-    reference side).
+    Returns ``(dist, parent, tails)``: the dual distance of every face;
+    per face but the outer one, the slot on it whose mate lies on the face it
+    was reached from (its parent edge); and the tail slots of the
+    dual-distance orientation.  An edge is oriented when its sides lie at
+    different distances, which then differ by one, and its tail is the
+    slot on the nearer face; the search meets each such edge from that
+    face.
     """
-    face_of = {}
-    for k, f in enumerate(faces):
-        for x in f:
-            face_of[x] = k
-    adj = [set() for _ in faces]
-    for x, mx in mate.items():
-        if mx >= 0:
-            adj[face_of[x]].add(face_of[mx])
     dist = [-1] * len(faces)
-    dist[face_of[outer]] = 0
-    order = [face_of[outer]]
-    i = 0
-    while i < len(order):
-        f = order[i]
-        for g in adj[f]:
+    parent = [-1] * len(faces)
+    start = face_of[outer]
+    dist[start] = 0
+    order = [start]
+    tails = set()
+    # the search order grows while it is walked
+    for f in order:
+        d = dist[f] + 1
+        for x in faces[f]:
+            mx = mate[x]
+            if mx < 0:
+                continue
+            g = face_of[mx]
             if dist[g] < 0:
-                dist[g] = dist[f] + 1
+                dist[g] = d
+                parent[g] = mx
                 order.append(g)
-        i += 1
+                tails.add(x)
+            elif dist[g] == d:
+                tails.add(x)
     if len(order) != len(faces):
         raise ValueError("dual graph is disconnected")
-    tails = set()
-    for x, mx in mate.items():
-        if mx < 0 or mx < x:
-            continue
-        da, db = dist[face_of[x]], dist[face_of[mx]]
-        if da == db:
-            continue
-        tails.add(mx if da > db else x)
-    return face_of, dist, tails
+    return dist, parent, tails
 
 
-def open_slots(mate: dict, faces: list, vertex, root: int, layers: tuple):
+def open_slots(sigma, mate, faces: list, face_of, root: int,
+               layers: tuple):
     """Cut the breakable edges ring by ring until only the outer face is
-    left.  ``faces`` are the face orbits of the slot system,
-    ``vertex[x]`` identifies the vertex of slot ``x`` and ``layers`` is
-    the :func:`dual_layers` triple of ``faces`` from the outer face,
-    which the caller may already hold for other uses.  Returns
-    ``(tree_mate, tails, cuts)`` where ``cuts`` is a list of
-    ``(face_rep, out_slot, in_slot)`` with ``face_rep`` identifying the
-    inner face (its minimum slot) whose breakable edge was cut.
+    left.  ``sigma`` and ``mate`` are the rotation and pairing of the slot
+    system, ``faces`` and ``face_of`` its face orbits and the index of
+    every slot's face (as for :func:`dual_layers`), ``root`` a slot at the
+    root vertex and ``layers`` the :func:`dual_layers` tuple from the
+    outer face, which the caller may already hold for other uses.
+    Returns ``(tree_mate, tails, cuts)``: the cut pairing (a list for a
+    tuple or list ``mate``, a dict for a dict), the tails of the tree's
+    oriented edges and a list of ``(face_rep, out_slot, in_slot)`` with
+    ``face_rep`` identifying the inner face (its minimum slot) whose
+    breakable edge was cut.
 
-    Round k cuts the faces at dual distance k in the map as given: once
-    the rings below k are cut, the outer face has absorbed them, so those
-    faces are the ones at distance 1, and no face's orbit changes before
-    its own cut.  The distances are computed once; a face's
-    outer-incident edges in round k are its still-paired slots whose
-    mate lies on a face at distance below k.
+    Round k cuts the faces at dual distance k.  The cuts of the rounds
+    before have merged the faces below k into one face R of the cut map,
+    and no face at distance k or more has changed.  A ring-k face f
+    meets R along its slots S_f whose mates lie on R.  Deleting those
+    edges leaves |S_f| components, and each holds one stretch of f's walk
+    and one stretch of R's walk; the breakable slot is the one of S_f
+    whose crossing, along f's walk, enters the root vertex's component.
+    So walk R once per ring from a corner in that component, the anchor:
+    the first slot y met whose mate lies on f ends the component's
+    stretch of R, and ``mate[y]`` is f's breakable slot (crossing it
+    along f's walk arrives at y's vertex).  When the root
+    vertex lies on R, the anchor is one of its corners there.  Otherwise
+    follow the parent edges of the dual search from a nearest face at
+    the root vertex down to ring k, reaching a face h: h's boundary
+    stays in the root's component unless f is h, so the anchor is the R
+    end of h's parent edge.  For f = h itself, walk f from the f end of
+    the last parent edge of the chain (or from the root vertex, when h is
+    at it): the last slot of S_f met enters that start's component.
     """
-    face_of, dist, full_tails = layers
-    # per vertex, its paired slots with the vertex across the edge
-    adj: dict = {}
-    for x, mx in mate.items():
-        if mx >= 0:
-            adj.setdefault(vertex[x], []).append((x, vertex[mx]))
-    root_v = vertex[root]
+    dist, parent, full_tails = layers
+    mm = _mutable(mate)
+    # the nearest face at the root vertex, by the root vertex's slot on it
+    near = x = root
+    while True:
+        x = sigma[x]
+        if x == root:
+            break
+        if dist[face_of[x]] < dist[face_of[near]]:
+            near = x
+    # chain[k]: the face at distance k on the parent chain from near's face
+    chain = [face_of[near]]
+    for _ in range(dist[chain[0]]):
+        chain.append(face_of[mate[parent[chain[-1]]]])
+    chain.reverse()
     rings = [[] for _ in range(max(dist) + 1)]
     for f, d in enumerate(dist):
         rings[d].append(f)
-    mm = dict(mate)
+    brk = [-1] * len(faces)
     cuts = []
     for k in range(1, len(rings)):
+        ring = rings[k]
+        todo = len(ring)
+        if k < len(chain):
+            h = chain[k]
+            entry = mate[parent[chain[k + 1]]] if k + 1 < len(chain) \
+                else near
+            for x in face_walk(sigma, mm, entry):
+                if dist[face_of[mm[x]]] < k:
+                    brk[h] = x
+            todo -= 1
+            anchor = mm[parent[h]]
+        else:
+            anchor = near
+        if todo:
+            for y in face_walk(sigma, mm, anchor):
+                b = mm[y]
+                if b >= 0 and dist[face_of[b]] == k and brk[face_of[b]] < 0:
+                    brk[face_of[b]] = b
+                    todo -= 1
+                    if not todo:
+                        break
+        # the breakable edge separates f from R, so it is oriented, with
+        # its tail on R; cut it into an out and an in bud
         ring_cuts = []
-        for f in rings[k]:
-            orbit = faces[f]
-            eslots = [x for x in orbit
-                      if mm[x] >= 0 and dist[face_of[mm[x]]] < k]
-            if not eslots:
-                raise ValueError("distance-1 face without outer edges")
-            # the root vertex's component after deleting the
-            # outer-incident edges of f
-            cut_set = set(eslots)
-            cut_set.update(mm[x] for x in eslots)
-            reached = {root_v}
-            stack = [root_v]
-            while stack:
-                for x, w in adj.get(stack.pop(), ()):
-                    if w not in reached and mm[x] >= 0 and x not in cut_set:
-                        reached.add(w)
-                        stack.append(w)
-            # the slot after x along f is sigma[mm[x]], at mm[x]'s vertex
-            chosen = [x for x in eslots if vertex[mm[x]] in reached]
-            if len(chosen) != 1:
-                raise ValueError("breakable edge is not unique")
-            b = chosen[0]
-            # the breakable edge separates f from the outer face, so it
-            # is oriented; cut it into an out and an in bud
-            tail = b if b in full_tails else mm[b]
-            if tail not in full_tails:
-                raise ValueError("breakable edge is not oriented")
-            ring_cuts.append((min(orbit), tail, mm[tail]))
-        for _, t, h in ring_cuts:
+        for f in ring:
+            b = brk[f]
+            if b < 0:
+                raise ValueError("a face has no breakable edge")
+            ring_cuts.append((min(faces[f]), mm[b], b))
+        for _, t, b in ring_cuts:
             mm[t] = -1
-            mm[h] = -1
+            mm[b] = -1
         cuts.extend(ring_cuts)
     tails = {t for t in full_tails if mm[t] >= 0}
     return mm, tails, cuts
@@ -414,25 +468,21 @@ def dual_distance_orientation(p: PlaneMap) -> frozenset:
 
 def closure_gamma(t: NearEulerianTree) -> PlaneMap:
     """Close a near-Eulerian tree into a plane map on the same slots."""
-    sigma, mate = dict(enumerate(t.sigma)), dict(enumerate(t.mate))
-    full, pairs, outer = close_slots(sigma, mate, set(t.out_buds), t.root)
-    # full is a copy of the slot-ordered mate dict, in slot order
-    m = RootedMap._trusted(t.sigma, tuple(full.values()), t.root)
+    full, pairs, outer = close_slots(t.sigma, t.mate, t.out_buds, t.root)
+    m = RootedMap._trusted(t.sigma, tuple(full), t.root)
     return PlaneMap._trusted(m, outer)
 
 
 def opening_delta(p: PlaneMap) -> NearEulerianTree:
     """Open a plane map into a near-Eulerian tree on the same slots, from
-    the face orbits and vertex index that ``p.m`` keeps and the dual
-    layers that ``p`` keeps."""
+    the face orbits and face index that ``p.m`` keeps and the dual layers
+    that ``p`` keeps."""
     m = p.m
-    tree_mate, tails, cuts = open_slots(
-        dict(enumerate(m.alpha)), m.faces(), m.vertex_index(), m.root,
-        p.layers())
+    tree_mate, tails, cuts = open_slots(m.sigma, m.alpha, m.faces(),
+                                        m.face_index(), m.root, p.layers())
     out_buds = frozenset(t for _, t, _ in cuts)
-    # tree_mate is a copy of the slot-ordered mate dict, in slot order
-    return NearEulerianTree._trusted(m.sigma, tuple(tree_mate.values()),
-                                     out_buds, frozenset(tails), m.root)
+    return NearEulerianTree._trusted(m.sigma, tuple(tree_mate), out_buds,
+                                     frozenset(tails), m.root)
 
 
 def gen_near_eulerian_trees(max_slots: int):

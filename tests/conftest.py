@@ -1,0 +1,20 @@
+"""Session fixtures shared by the test modules that only read them."""
+
+import pytest
+from revalidate import revalidated
+
+from unimaps.planar_closure import gen_near_eulerian_trees, gen_plane_maps
+
+
+# The generators build their trees and maps unchecked; the fixtures
+# revalidate every one of them, at the bound of criterion 9.
+@pytest.fixture(scope="session")
+def trees10():
+    """Every near-Eulerian tree with at most 10 slots, revalidated."""
+    return list(map(revalidated, gen_near_eulerian_trees(10)))
+
+
+@pytest.fixture(scope="session")
+def plane_maps5():
+    """Every plane map with at most 5 edges, revalidated."""
+    return list(map(revalidated, gen_plane_maps(5)))

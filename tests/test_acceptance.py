@@ -28,7 +28,7 @@ from unimaps.formulas import (
     u_formula,
     u_hat_formula,
 )
-from unimaps.planar_closure import closure_gamma, gen_plane_maps, opening_delta
+from unimaps.planar_closure import closure_gamma, opening_delta
 from unimaps.series import check_algebraic_P, check_qfd, p_series
 
 
@@ -114,11 +114,12 @@ def test_criterion_08_phi_bijection_and_star():
            "color-pair property for n <= 4", ok)
 
 
-def test_criterion_09_closure_opening():
+def test_criterion_09_closure_opening(plane_maps5):
     # the registry check walks the trees only and counts the plane maps
-    # against the census; the plane maps are walked here as well
+    # against the census; the plane maps are walked here as well (the
+    # session's revalidated plane maps with at most 5 edges)
     ok = passes(5, "gamma-roundtrip")
-    for p in gen_plane_maps(5):
+    for p in plane_maps5:
         t = opening_delta(p)
         ok &= _invalid(t) is None and closure_gamma(t) == p
     report(9, "closure/opening inverse on trees to 10 slots, with the "

@@ -329,14 +329,47 @@ def _held_data(m: RootedMap) -> set:
     return held
 
 
+def relabelled_form(x, marked_edges) -> tuple:
+    """Oracle for the key part of ``_canonical_form``: the canonically
+    relabelled map built and traced, its rotation system, the vertex
+    and edge labels by its own orbits and the marked edge ids."""
+    m = x.m
+    perm = canonical_relabelling(m)
+    m2 = m.relabelled(perm)
+    vid2, eid2 = m2.vertex_index(), m2.edge_index()
+    verts2 = [0] * len(x.vertex_labels)
+    edges2 = [0] * len(x.edge_labels)
+    for h, (i, k) in enumerate(zip(m.vertex_index(), m.edge_index())):
+        verts2[vid2[perm[h]]] = x.vertex_labels[i]
+        edges2[eid2[perm[h]]] = x.edge_labels[k]
+    marked2 = frozenset(m2.edge_of(perm[eid]) for eid in marked_edges)
+    return (m2.sigma, m2.alpha, m2.root, tuple(verts2), tuple(edges2),
+            marked2)
+
+
+@pytest.fixture
+def orbit_traces(monkeypatch):
+    """Count the calls of ``maps_core._orbits``."""
+    calls = [0]
+    orbits = maps_core._orbits
+
+    def counting(perm):
+        calls[0] += 1
+        return orbits(perm)
+
+    monkeypatch.setattr(maps_core, "_orbits", counting)
+    return calls
+
+
 class TestDerivedDataExact:
     """The orbits a map is handed and the relabelling it keeps are
     exactly what a fresh trace on the rebuilt map gives."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_phi_images(self, n):
+    def test_phi_images(self, n, orbit_traces):
         """Each phi image holds the shared edge orbits and traces its own
-        vertex orbits only when it is validated."""
+        vertex orbits only when it is validated.  Its canonical key then
+        traces no orbit, and equals the key read off the relabelled map."""
         count = 0
         for u in gen_colored_unicellular(n, True):
             t = phi(u)
@@ -344,19 +377,25 @@ class TestDerivedDataExact:
             t.m.validate()
             t.validate()
             assert phi_inverse(t) == u
+            orbit_traces[0] = 0
             t.canonical_key()
+            assert orbit_traces[0] == 0
+            assert t._canonical_form(t.tree)[1] == \
+                relabelled_form(t, t.tree)
             assert _held_data(t.m) == {"_vertex_data", "_edge_data",
                                        "_relabelling"}
             count += 1
         assert count == sum(t_formula(n, q) for q in range(1, n + 2))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_fiber_elements(self, n):
+    def test_fiber_elements(self, n, orbit_traces):
         """Over every colored map, on all surfaces: each theta fiber
         element holds the shared edge orbits; each psi fiber element
         whose submap has inner faces holds the vertex orbits carried over
         from its tree-rooted map and the relabelling that named those
-        faces, and keeps it through psi and its canonical key."""
+        faces, and keeps it through psi and its canonical key.  The key
+        traces at most the vertex orbits the element does not hold yet,
+        and equals the key read off the relabelled map."""
         elements = 0
         for u in gen_colored_unicellular(n):
             for t in upsilon_fiber(u):
@@ -367,7 +406,12 @@ class TestDerivedDataExact:
                 if p.r > 1:
                     assert held >= {"_vertex_data", "_relabelling"}
                 assert psi(p) == u
+                traced = p.m._vertex_data is None
+                orbit_traces[0] = 0
                 p.canonical_key()
+                assert orbit_traces[0] == traced
+                assert p._canonical_form(p.submap)[1] == \
+                    relabelled_form(p, p.submap)
                 assert _held_data(p.m) >= {"_edge_data", "_relabelling"}
                 elements += 1
         assert elements == {1: 5, 2: 71, 3: 1623}[n]

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from revalidate import revalidated
 
 import unimaps
-from unimaps import bijections, enumeration, formulas, maps_core
+from unimaps import (
+    bijections,
+    enumeration,
+    formulas,
+    maps_core,
+    planar_closure,
+)
 from unimaps.bijections import OrientedTreeRootedMap
 from unimaps.checks import CHECKS
 from unimaps.cli import main, parse_gluing
@@ -216,6 +222,44 @@ class TestVerify:
         assert payload["verdict"] == "fail"
         assert payload["counterexample"] == {
             "edges": 2, "trees": 18, "images": 18, "plane_maps": 20}
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,wrong,prop", [
+        ("opening_delta", lambda p: planar_closure.NearEulerianTree._trusted(
+            p.m.sigma, p.m.alpha, frozenset(), frozenset(), p.m.root),
+         "opening"),
+        ("dual_distance_orientation", lambda p: frozenset(), "orientation"),
+    ])
+    def test_gamma_roundtrip_names_the_failed_property(
+            self, capsys, monkeypatch, name, wrong, prop):
+        """A wrong opening, or a wrong dual-distance orientation, fails on
+        the first tree: the two buds of one vertex, slot 1 outgoing."""
+        monkeypatch.setattr(planar_closure, name, wrong)
+        code, out, err = run(capsys, "verify", "gamma-roundtrip",
+                             "--bound", "3")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "fail"
+        assert payload["counterexample"] == {
+            "tree": {"sigma": [1, 0], "mate": [-1, -1], "out": [1],
+                     "tails": [], "root": 0},
+            "property": prop}
+        assert "Traceback" not in err
+
+    def test_gamma_roundtrip_reports_an_opening_that_raises(
+            self, capsys, monkeypatch):
+        """An opening that fails with ValueError is a counterexample with
+        the error's message, not a traceback."""
+        def stuck(p):
+            raise ValueError("a face has no breakable edge")
+        monkeypatch.setattr(planar_closure, "opening_delta", stuck)
+        code, out, err = run(capsys, "verify", "gamma-roundtrip",
+                             "--bound", "1")
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {
+            "tree": {"sigma": [1, 0], "mate": [-1, -1], "out": [1],
+                     "tails": [], "root": 0},
+            "property": "opening", "detail": "a face has no breakable edge"}
         assert "Traceback" not in err
 
     def test_algebraic_p(self, capsys):

@@ -12,6 +12,7 @@ from unimaps.planar_closure import (
     NearEulerianTree,
     PlaneMap,
     _arches,
+    _layout,
     _tree_shapes,
     close_slots,
     closure_gamma,
@@ -55,6 +56,67 @@ def slot_vertices(sigma) -> dict:
         for y in orbit:
             vertex[y] = rep
     return vertex
+
+
+def face_indexes(faces: list) -> dict:
+    """slot -> index in ``faces`` of the face orbit holding it."""
+    return {x: k for k, f in enumerate(faces) for x in f}
+
+
+def random_near_eulerian_tree(rng, slots: int) -> NearEulerianTree:
+    """A near-Eulerian tree with ``slots`` rotation items (an even number:
+    a tree with an odd number of slots has an odd number of buds, which
+    cannot balance), drawn with
+    ``rng`` (not uniformly): a random plane tree with buds, then bud
+    directions chosen in preorder at random, backtracking where a subtree
+    or the whole tree cannot balance (the rule of ``_decorate``).  A shape
+    that no direction balances, or that the bounded backtracking does not
+    balance, is redrawn."""
+
+    def shape(size):
+        items = []
+        while size:
+            if size >= 2 and rng.random() < 0.5:
+                sub = rng.randint(0, size - 2)
+                items.append(shape(sub))
+                size -= 2 + sub
+            else:
+                items.append("bud")
+                size -= 1
+        return tuple(items)
+
+    def extend(j):
+        # at most `budget` steps per shape, then the shape is redrawn
+        budget[0] -= 1
+        if j == k:
+            return True
+        for is_out in rng.sample((False, True), 2):
+            p = prefix[j] + (1 if is_out else -1)
+            if budget[0] > 0 and abs(p) <= k - j - 1 and all(
+                    p - prefix[lo] in (0, -1) for lo in closing[j]):
+                prefix[j + 1] = p
+                out[j] = is_out
+                if extend(j + 1):
+                    return True
+        return False
+
+    while True:
+        sigma, mate, buds, edges = _layout(shape(slots))
+        k = len(buds)
+        # per bud, the subtrees whose buds end there
+        closing = [[] for _ in range(k)]
+        for _, lo, hi in edges:
+            if lo < hi:
+                closing[hi - 1].append(lo)
+        prefix = [0] * (k + 1)
+        out = [False] * k
+        budget = [200]
+        if k % 2 == 0 and extend(0):
+            break
+    tails = {child for child, lo, hi in edges
+             if prefix[hi] - prefix[lo] == -1}
+    return NearEulerianTree(sigma, mate,
+                            {b for b, o in zip(buds, out) if o}, tails)
 
 
 def oracle_validate_tree(sigma, mate, out_buds, tails, root):
@@ -552,58 +614,47 @@ class TestGenerator:
 LEVEL_COUNTS = {1: 3, 2: 18, 3: 135, 4: 1134, 5: 10206}
 
 
-# The generators build their trees and maps unchecked; the fixtures
-# revalidate every one of them, at the bound of criterion 9.
-@pytest.fixture(scope="module")
-def nets():
-    return list(map(revalidated, gen_near_eulerian_trees(10)))
-
-
-@pytest.fixture(scope="module")
-def maps():
-    return list(map(revalidated, gen_plane_maps(5)))
-
-
 class TestRoundTrips:
-    def test_counts_agree(self, nets, maps):
+    def test_counts_agree(self, trees10, plane_maps5):
         """Trees by slot pairs, brute-force plane maps by edges, and the
         census sum over q + r - 2 = e of r P_{q,r} that ``verify
         gamma-roundtrip`` counts the plane maps with."""
-        by_slots = Counter(len(t.sigma) // 2 for t in nets)
-        by_edges = Counter(len(p.m.edges()) for p in maps)
+        by_slots = Counter(len(t.sigma) // 2 for t in trees10)
+        by_edges = Counter(len(p.m.edges()) for p in plane_maps5)
         by_census = Counter()
         for (q, r), c in planar_census(5).items():
             if q + r > 2:
                 by_census[q + r - 2] += r * c
         assert by_slots == by_edges == by_census == Counter(LEVEL_COUNTS)
 
-    def test_gamma_then_delta_is_identity(self, nets):
-        for t in nets:
+    def test_gamma_then_delta_is_identity(self, trees10):
+        for t in trees10:
             t2 = revalidated(opening_delta(revalidated(closure_gamma(t))))
             assert (t2.sigma, t2.mate, t2.out_buds, t2.tails, t2.root) == (
                 t.sigma, t.mate, t.out_buds, t.tails, t.root)
 
-    def test_delta_then_gamma_is_identity(self, maps):
-        for p in maps:
+    def test_delta_then_gamma_is_identity(self, plane_maps5):
+        for p in plane_maps5:
             p2 = revalidated(closure_gamma(revalidated(opening_delta(p))))
             assert p2.m == p.m and p2.outer == p.outer
 
-    def test_gamma_is_injective(self, nets):
-        images = {(closure_gamma(t).m, closure_gamma(t).outer) for t in nets}
-        assert len(images) == len(nets)
+    def test_gamma_is_injective(self, trees10):
+        images = {(closure_gamma(t).m, closure_gamma(t).outer)
+                  for t in trees10}
+        assert len(images) == len(trees10)
 
-    def test_induced_orientation_is_dual_distance(self, nets):
+    def test_induced_orientation_is_dual_distance(self, trees10):
         """The oriented edges of a near-Eulerian tree, plus its closure
         edges taken out-to-in, recover the dual-distance orientation of
         the closure."""
-        for t in nets:
+        for t in trees10:
             p = closure_gamma(t)
             assert dual_distance_orientation(p) == t.tails | t.out_buds
 
-    def test_weight_counts_faces(self, nets):
+    def test_weight_counts_faces(self, trees10):
         """w buds closed means w inner faces: the closure of a weight-w
         tree has w+1 faces."""
-        for t in nets:
+        for t in trees10:
             p = closure_gamma(t)
             assert len(p.m.faces()) == t.external_weight + 1
 
@@ -635,52 +686,81 @@ class TestCanonicalKey:
         assert len(first_visit) == 188
 
 
-def _open_both(sigma, mate, root, outer, faces, vertex):
-    """Open with the ring pass, given the face orbits and the vertex of
-    every slot, and with the round oracle; every output must agree, the
-    cuts as a multiset."""
-    layers = dual_layers(faces, mate, outer)
-    mm, tails, cuts = open_slots(mate, faces, vertex, root, layers)
+def _open_both(sigma, mate, root, outer, faces, face_of):
+    """Open with the ring pass, given the face orbits and the face index
+    of every slot, and with the round oracle; every output must agree,
+    the cuts as a multiset.  ``sigma``, ``mate`` and ``face_of`` are
+    tuples on slots ``0..s-1`` or dicts."""
+    layers = dual_layers(faces, face_of, mate, outer)
+    mm, tails, cuts = open_slots(sigma, mate, faces, face_of, root, layers)
+    if not isinstance(mate, dict):
+        sigma, mate = slot_system(sigma, mate)
+        mm = dict(enumerate(mm))
     omm, otails, ocuts = round_open_slots(sigma, mate, root, outer)
     assert mm == omm and tails == otails
     assert Counter(cuts) == Counter(ocuts)
-    face_of, dist, full_tails = layers
+    dist, parent, full_tails = layers
     assert {min(f): d for f, d in zip(faces, dist)} == \
         slot_dual_distances(sigma, mate, outer)
     assert all(x in faces[face_of[x]] for x in mate)
+    # every face but the outer one is reached along a parent edge from a
+    # face one nearer
+    for f, (d, x) in enumerate(zip(dist, parent)):
+        assert (x < 0) == (d == 0)
+        assert d == 0 or (face_of[x] == f
+                          and dist[face_of[mate[x]]] == d - 1)
     assert full_tails == round_orientation_tails(sigma, mate, outer)
 
 
 class TestAgainstOracles:
-    def test_opening_of_every_plane_map(self, maps):
-        for p in maps:
-            sigma, mate = slot_system(p.m.sigma, p.m.alpha)
-            assert p.m.faces() == slot_faces(sigma, mate)
-            _open_both(sigma, mate, p.m.root, p.outer, p.m.faces(),
-                       p.m.vertex_index())
+    def test_opening_of_every_plane_map(self, plane_maps5):
+        for p in plane_maps5:
+            m = p.m
+            assert m.faces() == slot_faces(*slot_system(m.sigma, m.alpha))
+            _open_both(m.sigma, m.alpha, m.root, p.outer, m.faces(),
+                       m.face_index())
 
-    def test_opening_of_every_closed_tree(self, nets):
-        for t in nets:
+    def test_opening_of_every_closed_tree(self, trees10):
+        for t in trees10:
             p = closure_gamma(t)
-            sigma, mate = slot_system(p.m.sigma, p.m.alpha)
-            _open_both(sigma, mate, p.m.root, p.outer, p.m.faces(),
-                       p.m.vertex_index())
+            m = p.m
+            _open_both(m.sigma, m.alpha, m.root, p.outer, m.faces(),
+                       m.face_index())
 
     def test_opening_on_sparse_slot_keys(self):
         """Slot systems of submaps have non-contiguous keys in any order:
         relabel x -> 3x + 7 and list the slots backwards.  The faces and
-        vertices come from the slot-level traces, in that order."""
+        the face index come from the slot-level traces, in that order."""
         for p in gen_plane_maps(4):
             n = p.m.half_edge_count
             sigma = {3 * h + 7: 3 * p.m.sigma[h] + 7
                      for h in reversed(range(n))}
             mate = {3 * h + 7: 3 * p.m.alpha[h] + 7
                     for h in reversed(range(n))}
+            faces = slot_faces(sigma, mate)
             _open_both(sigma, mate, 3 * p.m.root + 7, 3 * p.outer + 7,
-                       slot_faces(sigma, mate), slot_vertices(sigma))
+                       faces, face_indexes(faces))
 
-    def test_closure_of_every_tree(self, nets):
-        for t in nets:
+    def test_random_trees_beyond_exhaustive_reach(self):
+        """Seeded random near-Eulerian trees with 14 to 30 slots: closure
+        then opening is the identity, and the ring pass agrees with the
+        round oracle on the closed map."""
+        rng = random.Random(20)
+        weights = Counter()
+        for slots in range(14, 31, 2):
+            for _ in range(20):
+                t = random_near_eulerian_tree(rng, slots)
+                p = revalidated(closure_gamma(t))
+                assert revalidated(opening_delta(p)) == t
+                m = p.m
+                _open_both(m.sigma, m.alpha, m.root, p.outer, m.faces(),
+                           m.face_index())
+                weights[t.external_weight] += 1
+        # the draws reach deep faces, not only trees without buds
+        assert max(weights) >= 8 and weights[0] < sum(weights.values()) // 4
+
+    def test_closure_of_every_tree(self, trees10):
+        for t in trees10:
             sigma, mate = slot_system(t.sigma, t.mate)
             out = set(t.out_buds)
             full, pairs, outer = close_slots(sigma, mate, out, t.root)
@@ -688,18 +768,19 @@ class TestAgainstOracles:
             assert full == ofull and outer == oouter
             assert sorted(pairs) == sorted(opairs)
 
-    def test_each_arch_bounds_the_face_through_its_in_slot(self, nets):
+    def test_each_arch_bounds_the_face_through_its_in_slot(self, trees10):
         """The opening cuts, from every inner face of a closed tree, the
         closure arch whose ingoing slot lies on that face: the rule by
         which ``bijections.psi_fiber`` reads off each arch's face."""
-        for t in nets:
+        for t in trees10:
             sigma, mate = slot_system(t.sigma, t.mate)
             full, pairs, outer = close_slots(sigma, mate, set(t.out_buds),
                                              t.root)
             faces = slot_faces(sigma, full)
             rep = {x: min(f) for f in faces for x in f}
-            _, _, cuts = open_slots(full, faces, slot_vertices(sigma),
-                                    t.root, dual_layers(faces, full, outer))
+            face_of = face_indexes(faces)
+            _, _, cuts = open_slots(sigma, full, faces, face_of, t.root,
+                                    dual_layers(faces, face_of, full, outer))
             assert Counter(cuts) == Counter(
                 (rep[i], o, i) for o, i in pairs)
 
@@ -748,19 +829,42 @@ class TestFaceTraces:
         monkeypatch.setattr(planar_closure, "slot_face", face)
         return count
 
-    def test_no_trace_per_opening_at_most_two_per_closure(self, traces):
+    def test_no_trace_per_opening_at_most_two_per_closure(self, traces,
+                                                          monkeypatch):
+        """A closure traces at most two faces.  An opening traces none;
+        per ring k it walks the outer region once, and once more the face
+        at distance k on the root's chain while the root vertex is not on
+        the outer region (its nearest face is at distance k or more)."""
+        walks = [0]
+        real_walk = planar_closure.face_walk
+
+        def walk(sigma, mate, start):
+            walks[0] += 1
+            return real_walk(sigma, mate, start)
+
+        monkeypatch.setattr(planar_closure, "face_walk", walk)
+        chained = 0
         for t in gen_near_eulerian_trees(8):
             traces[0] = 0
             p = closure_gamma(t)
             assert traces[0] <= 2
-            traces[0] = 0
+            traces[0] = walks[0] = 0
             assert opening_delta(p) == t
             assert traces[0] == 0
+            opening_walks = walks[0]
+            dist = dual_distances(p)
+            rings = max(dist.values())
+            rep = {x: min(f) for f in p.m.faces() for x in f}
+            near = min(dist[rep[x]] for x in p.m.vertices()[
+                p.m.vertex_index()[p.m.root]])
+            assert opening_walks <= rings + min(near, rings)
+            chained += near > 0
+        assert chained > 0
 
     def test_opening_reads_the_orbits_the_plane_map_keeps(self, monkeypatch):
         """``opening_delta`` of a validated plane map calls neither
         ``slot_faces`` nor ``slot_vertices`` and traces no orbit: it reads
-        the faces and the vertex index that ``p.m`` keeps.  The generated
+        the faces and the face index that ``p.m`` keeps.  The generated
         maps keep the orbits that ``gen_plane_maps`` traced; the closures,
         built unchecked, keep those of their validation."""
         maps = list(gen_plane_maps(4))
