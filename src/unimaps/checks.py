@@ -2,10 +2,21 @@
 ``unimaps verify`` and by the acceptance gate.
 
 A check ``run(bound, census)`` examines every instance up to ``bound``
-and returns None when all of them hold, else its first counterexample as
-a JSON-ready dict.  ``census(max_edges)`` supplies the planar census, so
-the command line can serve it from its cache and tests from
-``enumeration.planar_census`` directly.
+and returns ``(counterexample, instances, reach)``: its first
+counterexample as a JSON-ready dict or None, how many instances (each a
+``Check.unit``) it examined, and the largest size it reached.
+``census(max_edges)`` supplies the planar census, so the command line
+can serve it from its cache and tests from ``enumeration.planar_census``.
+
+``phi-roundtrip`` and ``psi-fibers`` examine one colored map per orbit
+of the color permutations and count it ``q!`` times.  The action is
+free, since a coloring uses every color in ``1..q``, so an orbit holds
+``q!`` colored maps.  phi and psi commute with the color permutations up
+to relabelling: permuted vertex labels give the canonical keys of the
+images of the permuted map, which phi_inverse and psi take back to it.
+The code does not make this hold by construction (``xi`` orients edges
+by color order): a Tier-1 test checks it on every coloring, for phi to
+n = 4 and psi to n = 3, and above that the checks rely on it.
 """
 
 from __future__ import annotations
@@ -32,6 +43,17 @@ def tree_payload(t) -> dict:
             "root": t.root}
 
 
+def _first(faults):
+    """The verdict of ``faults``, a pair ``(size, counterexample or None)``
+    per instance examined, which stops at the first counterexample."""
+    examined, size, fault = 0, 0, None
+    for size, fault in faults:
+        examined += 1
+        if fault is not None:
+            break
+    return fault, examined, size
+
+
 def _check_gluing_totals(bound, census):
     from . import enumeration, formulas
     eps = enumeration.vertex_profile(bound, True)
@@ -40,10 +62,10 @@ def _check_gluing_totals(bound, census):
         orientable = sum(eps[(n, v)] for v in range(1, n + 2))
         total = sum(eta[(n, v)] for v in range(1, n + 2))
         if orientable != formulas.double_factorial(2 * n - 1):
-            return {"n": n, "orientable": orientable}
+            return {"n": n, "orientable": orientable}, 2 * n - 1, n
         if total != 2 ** n * formulas.double_factorial(2 * n - 1):
-            return {"n": n, "total": total}
-    return None
+            return {"n": n, "total": total}, 2 * n, n
+    return None, 2 * bound, bound
 
 
 def _surjection_sums(bound, orientable_only, formula):
@@ -51,14 +73,14 @@ def _surjection_sums(bound, orientable_only, formula):
     ``formula(n, q)``: a map with v vertices has surj(v, q) colorings."""
     from . import enumeration
     table = enumeration.vertex_profile(bound, orientable_only)
-    for n in range(1, bound + 1):
-        for q in range(1, n + 2):
-            direct = sum(table[(n, v)] * enumeration.surjection_count(v, q)
-                         for v in range(1, n + 2))
-            if direct != formula(n, q):
-                return {"n": n, "q": q, "direct": direct,
-                        "formula": formula(n, q)}
-    return None
+
+    def fault(n, q):
+        direct = sum(table[(n, v)] * enumeration.surjection_count(v, q)
+                     for v in range(1, n + 2))
+        return None if direct == formula(n, q) else {
+            "n": n, "q": q, "direct": direct, "formula": formula(n, q)}
+    return _first((n, fault(n, q)) for n in range(1, bound + 1)
+                  for q in range(1, n + 2))
 
 
 def _check_t_formula(bound, census):
@@ -69,9 +91,11 @@ def _check_t_formula(bound, census):
 def _check_jackson(bound, census):
     from . import enumeration, formulas, maps_core
     surj = enumeration.surjection_count
+    gluings = 0
     for n in range(1, bound + 1):
         by_pq = Counter()
         for g in enumeration.gen_unicellular(n, orientable_only=True):
+            gluings += 1
             classes = maps_core.glue_polygon(g)
             # one-face bipartite maps have corners alternating by side
             if any(len({c % 2 for c in cls}) != 1 for cls in classes):
@@ -83,10 +107,11 @@ def _check_jackson(bound, census):
                     by_pq[(p, q)] += surj(even, p) * surj(odd, q)
         for p in range(1, n + 2):
             for q in range(1, n + 2):
-                if by_pq[(p, q)] != formulas.jackson_formula(n, p, q):
+                formula = formulas.jackson_formula(n, p, q)
+                if by_pq[(p, q)] != formula:
                     return {"n": n, "p": p, "q": q, "brute": by_pq[(p, q)],
-                            "formula": formulas.jackson_formula(n, p, q)}
-    return None
+                            "formula": formula}, gluings, n
+    return None, gluings, bound
 
 
 def _check_u_formula(bound, census):
@@ -99,29 +124,25 @@ def _check_u_formula(bound, census):
 def _check_u_hat(bound, census):
     from . import formulas
     planar = census(bound)
-    for n in range(1, bound + 1):
+
+    def faults(n):
         # U_n(q) for q = 1..n+2, shared by every N
         u = [formulas.u_formula(n, q, planar) for q in range(1, n + 3)]
         for N in range(1, n + 3):
             direct = sum(comb(N, q) * u[q - 1] for q in range(1, N + 1))
             formula = formulas.u_hat_formula(n, N)
-            if direct != formula:
-                return {"n": n, "N": N, "direct": direct,
-                        "formula": formula}
-    return None
+            yield n, None if direct == formula else {
+                "n": n, "N": N, "direct": direct, "formula": formula}
+    return _first(f for n in range(1, bound + 1) for f in faults(n))
 
 
 def _recurrence(bound, orientable_only, check, first_n):
-    """The counterexample of the first failing ``check(table, n, v)`` on
-    the eps or eta table, for ``first_n`` <= n <= ``bound`` and every v."""
+    """The verdict of ``check(table, n, v)`` on the eps or eta table, for
+    ``first_n`` <= n <= ``bound`` and every v."""
     from . import enumeration
     table = enumeration.vertex_profile(bound, orientable_only)
-    for n in range(first_n, bound + 1):
-        for v in range(1, n + 2):
-            fault = check(table, n, v)
-            if fault is not None:
-                return fault
-    return None
+    return _first((n, check(table, n, v)) for n in range(first_n, bound + 1)
+                  for v in range(1, n + 2))
 
 
 def _check_hz(bound, census):
@@ -171,30 +192,42 @@ def _invalid(*objects):
     return None
 
 
+def _phi_fault(u):
+    """The payload fields of the first property phi breaks on ``u``, or
+    None: phi(u) is a valid tree-rooted map that phi_inverse takes back to
+    ``u``, whose edges join the color pairs of ``u`` (property (*)); so
+    its labels are the colors of ``u``."""
+    from . import bijections
+    t = bijections.phi(u)
+    fault = _invalid(t.m, t)
+    if fault is not None:
+        return fault
+    if bijections.phi_inverse(t) != u:
+        return {"property": "round trip"}
+    if _color_pairs(u) != _endpoint_labels(t):
+        return {"property": "color pairs"}
+    return None
+
+
 def _check_phi_roundtrip(bound, census):
-    """phi maps onto valid tree-rooted maps, is inverted by phi_inverse,
-    keeps the multiset of edge endpoint colors (property (*)), and has as
-    many images on q vertices as the closed formula T_n(q) counts."""
-    from . import bijections, enumeration, formulas
+    """:func:`_phi_fault` on one colored map per color orbit; the images
+    on q vertices, q! per orbit, against T_n(q)."""
+    from . import enumeration, formulas
+    orbits = 0
     for n in range(1, bound + 1):
         images = Counter()
-        for u in enumeration.gen_colored_unicellular(n, True):
-            t = bijections.phi(u)
-            fault = _invalid(t.m, t)
+        for u in enumeration.gen_colored_unicellular(n, True, True):
+            orbits += 1
+            fault = _phi_fault(u)
             if fault is not None:
-                return {"n": n, "gluing": list(u.gluing.pairs), **fault}
-            if bijections.phi_inverse(t) != u:
                 return {"n": n, "gluing": list(u.gluing.pairs),
-                        "property": "round trip"}
-            if _color_pairs(u) != _endpoint_labels(t):
-                return {"n": n, "gluing": list(u.gluing.pairs),
-                        "property": "color pairs"}
-            images[t.q] += 1
+                        **fault}, orbits, n
+            images[u.q] += factorial(u.q)
         for q in range(1, n + 2):
             if images[q] != formulas.t_formula(n, q):
                 return {"n": n, "q": q, "images": images[q],
-                        "formula": formulas.t_formula(n, q)}
-    return None
+                        "formula": formulas.t_formula(n, q)}, orbits, n
+    return None, orbits, bound
 
 
 def degree_certificate_ok(u, p) -> bool:
@@ -233,12 +266,17 @@ def _fiber_fault(u, fiber):
 
 
 def _check_psi_fibers(bound, census):
-    """Every element of psi's fiber over every colored map is a valid
-    externally-labelled planar-rooted map, and the fiber has the
-    properties of :func:`_fiber_fault`."""
-    from . import bijections, enumeration
+    """On one colored map per color orbit, psi's fiber holds valid maps
+    and has the properties of :func:`_fiber_fault`; the maps with q
+    colors and fiber weight w, q! per orbit, against the r = w + 1 term
+    of U_n(q)."""
+    from . import bijections, enumeration, formulas
+    planar = census(bound)
+    orbits = 0
     for n in range(1, bound + 1):
-        for u in enumeration.gen_colored_unicellular(n, False):
+        fibers = Counter()
+        for u in enumeration.gen_colored_unicellular(n, False, True):
+            orbits += 1
             fiber = bijections.psi_fiber(u)
             fault = _invalid(*[x for p in fiber for x in (p.m, p)])
             if fault is None:
@@ -247,18 +285,43 @@ def _check_psi_fibers(bound, census):
                 return {"n": n, "gluing": list(u.gluing.pairs),
                         "fiber_size": len(fiber),
                         "w": fiber[0].external_weight if fiber else None,
-                        **fault}
+                        **fault}, orbits, n
+            fibers[(u.q, fiber[0].external_weight)] += factorial(u.q)
+        terms = {(q, r - 1): term for q in range(1, n + 2)
+                 for r, term in formulas.u_terms(n, q, planar).items()}
+        for q, w in sorted(terms.keys() | fibers.keys()):
+            if fibers[(q, w)] != terms.get((q, w), 0):
+                return {"n": n, "q": q, "w": w, "fibers": fibers[(q, w)],
+                        "term": terms.get((q, w), 0)}, orbits, n
+    return None, orbits, bound
+
+
+def _closure_fault(t, p):
+    """The payload fields of the first property the closure ``p`` of the
+    tree ``t`` breaks, or None: ``p`` is a valid plane map that opening
+    takes back to ``t``, oriented by dual distance as ``t`` is."""
+    from . import planar_closure
+    fault = _invalid(p.m, p)
+    if fault is not None:
+        return fault
+    try:
+        opened = planar_closure.opening_delta(p)
+    except ValueError as exc:
+        return {"property": "opening", "detail": str(exc)}
+    if opened != t:
+        return {"property": "opening"}
+    if planar_closure.dual_distance_orientation(p) != t.tails | t.out_buds:
+        return {"property": "orientation"}
     return None
 
 
 def _check_gamma_roundtrip(bound, census):
-    """Closure maps every tree with at most ``2 bound`` slots to a valid
-    plane map, which opening inverts and whose dual-distance orientation
-    is the tree's tails and outgoing buds; so closure is injective.  Per
-    edge count e, the trees, their closure images up to relabelling and
-    the plane maps of the census (rooted planar maps with a marked face,
-    the sum of r P_{q,r} over q + r - 2 = e) are equally many; so closure
-    is onto, and opening inverts it on every plane map too."""
+    """:func:`_closure_fault` on every tree with at most ``2 bound``
+    slots, so closure is injective.  Per edge count e, the trees, their
+    closure images up to relabelling and the plane maps of the census
+    (rooted planar maps with a marked face, the sum of r P_{q,r} over
+    q + r - 2 = e) are equally many; so closure is onto, and opening
+    inverts it on every plane map too."""
     from . import planar_closure
     plane_maps = Counter()
     for (q, r), count in census(bound).items():
@@ -267,93 +330,94 @@ def _check_gamma_roundtrip(bound, census):
     images = Counter()
     edges, keys = 0, set()
     for t in planar_closure.gen_near_eulerian_trees(2 * bound):
-        p = planar_closure.closure_gamma(t)
-        fault = _invalid(p.m, p)
-        if fault is not None:
-            return {"tree": tree_payload(t), **fault}
-        try:
-            opened = planar_closure.opening_delta(p)
-        except ValueError as exc:
-            return {"tree": tree_payload(t), "property": "opening",
-                    "detail": str(exc)}
-        if opened != t:
-            return {"tree": tree_payload(t), "property": "opening"}
-        if planar_closure.dual_distance_orientation(p) != \
-                t.tails | t.out_buds:
-            return {"tree": tree_payload(t), "property": "orientation"}
         # the trees come by ascending slot count, two slots per edge
         if len(t.sigma) != 2 * edges:
             edges, keys = len(t.sigma) // 2, set()
-        keys.add(p.canonical_key())
         trees[edges] += 1
+        p = planar_closure.closure_gamma(t)
+        fault = _closure_fault(t, p)
+        if fault is not None:
+            return {"tree": tree_payload(t), **fault}, trees.total(), edges
+        keys.add(p.canonical_key())
         images[edges] = len(keys)
     for e in range(1, bound + 1):
         if not trees[e] == images[e] == plane_maps[e]:
             return {"edges": e, "trees": trees[e], "images": images[e],
-                    "plane_maps": plane_maps[e]}
-    return None
+                    "plane_maps": plane_maps[e]}, trees.total(), edges
+    return None, trees.total(), edges
 
 
 def _check_planar_totals(bound, census):
     planar = census(bound)
-    for e in range(1, bound + 1):
+
+    def fault(e):
         total = sum(c for (q, r), c in planar.items() if q + r - 2 == e)
         expect = 2 * 3 ** e * factorial(2 * e) // (
             factorial(e) * factorial(e + 2))
-        if total != expect:
-            return {"edges": e, "total": total, "expected": expect}
-    return None
+        return None if total == expect else {
+            "edges": e, "total": total, "expected": expect}
+    return _first((e, fault(e)) for e in range(1, bound + 1))
 
 
 def _check_algebraic_p(bound, census):
     from . import series
-    return series.check_algebraic_P(
-        series.p_series(census(max(bound - 2, 1)), bound))
+    p = series.p_series(census(max(bound - 2, 1)), bound)
+    return series.check_algebraic_P(p), len(p.coeffs), bound
 
 
 def _check_q_pde(bound, census):
     from . import series
-    return series.check_q_pde(
-        series.q_from_p(census(bound), bound - 2))
+    q = series.q_from_p(census(bound), bound - 2)
+    return series.check_q_pde(q), len(q.coeffs), bound
 
 
 def _check_rec_hp(bound, census):
     from . import series
-    return series.check_rec_hp(census(bound + 3), bound)
+    # the pairs q + r <= bound with q >= -1 and r >= -2
+    return series.check_rec_hp(census(bound + 3), bound), \
+        (bound + 4) * (bound + 5) // 2, bound
 
 
 def _check_a_combination(bound, census):
     from . import series
-    return series.check_a_combination(
-        series.p_series(census(bound), bound + 2))
+    p = series.p_series(census(bound), bound + 2)
+    return series.check_a_combination(p), len(p.coeffs), bound
 
 
 def _check_qfd(bound, census):
     from . import enumeration, series
-    return series.check_qfd(enumeration.vertex_profile(bound), bound)
+    # one identity between polynomials in x for each 0 <= n <= bound
+    return series.check_qfd(enumeration.vertex_profile(bound), bound), \
+        bound + 1, bound
 
 
 # a registered check: what its bound measures, its default bound, the
-# smallest bound at which it examines anything, and the check itself
-Check = namedtuple("Check", "bound_name default minimum run")
+# smallest bound at which it examines anything, what one of its instances
+# is, and the check itself
+Check = namedtuple("Check", "bound_name default minimum unit run")
 
 # ledoux starts at n = 2, the quartic needs the x y term of P, and the PDE
 # residual of Q at t-degree bound - 2 is trusted through bound - 6
 CHECKS = {
-    "gluing-totals": Check("max_n", 12, 1, _check_gluing_totals),
-    "t-formula": Check("max_n", 13, 1, _check_t_formula),
-    "jackson": Check("max_n", 6, 1, _check_jackson),
-    "u-formula": Check("max_n", 12, 1, _check_u_formula),
-    "u-hat": Check("max_n", 20, 1, _check_u_hat),
-    "hz": Check("max_n", 13, 1, _check_hz),
-    "ledoux": Check("max_n", 12, 2, _check_ledoux),
-    "phi-roundtrip": Check("max_n", 4, 1, _check_phi_roundtrip),
-    "psi-fibers": Check("max_n", 3, 1, _check_psi_fibers),
-    "gamma-roundtrip": Check("max_edges", 5, 1, _check_gamma_roundtrip),
-    "planar-totals": Check("max_edges", 20, 1, _check_planar_totals),
-    "algebraic-P": Check("max_degree", 24, 2, _check_algebraic_p),
-    "q-pde": Check("max_edges", 20, 4, _check_q_pde),
-    "rec-hP": Check("max_total", 18, 1, _check_rec_hp),
-    "a-combination": Check("max_edges", 20, 1, _check_a_combination),
-    "qfd": Check("max_n", 12, 1, _check_qfd),
+    "gluing-totals": Check("max_n", 12, 1, "totals", _check_gluing_totals),
+    "t-formula": Check("max_n", 13, 1, "(n, q) values", _check_t_formula),
+    "jackson": Check("max_n", 6, 1, "gluings", _check_jackson),
+    "u-formula": Check("max_n", 12, 1, "(n, q) values", _check_u_formula),
+    "u-hat": Check("max_n", 20, 1, "(n, N) values", _check_u_hat),
+    "hz": Check("max_n", 13, 1, "(n, v) points", _check_hz),
+    "ledoux": Check("max_n", 12, 2, "(n, v) points", _check_ledoux),
+    "phi-roundtrip": Check("max_n", 4, 1, "color orbits",
+                           _check_phi_roundtrip),
+    "psi-fibers": Check("max_n", 3, 1, "color orbits", _check_psi_fibers),
+    "gamma-roundtrip": Check("max_edges", 5, 1, "trees",
+                             _check_gamma_roundtrip),
+    "planar-totals": Check("max_edges", 20, 1, "totals",
+                           _check_planar_totals),
+    "algebraic-P": Check("max_degree", 24, 2, "coefficients of P",
+                         _check_algebraic_p),
+    "q-pde": Check("max_edges", 20, 4, "coefficients of Q", _check_q_pde),
+    "rec-hP": Check("max_total", 18, 1, "index pairs", _check_rec_hp),
+    "a-combination": Check("max_edges", 20, 1, "coefficients of P",
+                           _check_a_combination),
+    "qfd": Check("max_n", 12, 1, "values of n", _check_qfd),
 }

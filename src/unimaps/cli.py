@@ -285,9 +285,12 @@ def cmd_verify(args) -> int:
         raise SystemExit2(f"--bound of {args.check} must be at least "
                           f"{check.minimum}, got {bound}")
     start = time.monotonic()
-    counterexample = check.run(
+    counterexample, instances, reach = check.run(
         bound, lambda max_edges: _planar_census(args.cache, max_edges))
     elapsed = time.monotonic() - start
+    if instances < 1:
+        raise SystemExit2(f"{args.check} examined nothing at --bound "
+                          f"{bound}")
     report = {
         "schema": SCHEMA,
         "check": args.check,
@@ -297,9 +300,10 @@ def cmd_verify(args) -> int:
     if counterexample is not None:
         report["counterexample"] = counterexample
     _emit(report)
-    # timing is informational only and goes to stderr so that standard
-    # output stays byte-deterministic
-    print(f"{args.check}: {report['verdict']} in {elapsed:.2f}s",
+    # timing and coverage are informational only and go to stderr so that
+    # standard output stays byte-deterministic
+    print(f"{args.check}: {report['verdict']} in {elapsed:.2f}s, "
+          f"{instances} {check.unit} to {check.bound_name} = {reach}",
           file=sys.stderr)
     return 0 if counterexample is None else 1
 

@@ -50,9 +50,10 @@ def gen_unicellular(n: int, orientable_only: bool = False):
             yield PolygonGluing._trusted(n, pairs, twists)
 
 
-def _surjections(v: int, q: int):
+def _surjections(v: int, q: int, restricted: bool = False):
     """Every word of length ``v`` over ``1..q`` using each letter, in
-    lexicographic order."""
+    lexicographic order; with ``restricted``, only those whose letters
+    first appear in the order ``1..q`` (restricted-growth words)."""
     word = [0] * v
     uses = [0] * (q + 1)
 
@@ -60,7 +61,9 @@ def _surjections(v: int, q: int):
         if i == v:
             yield tuple(word)
             return
-        for c in range(1, q + 1):
+        # a restricted-growth word has used 1..q-missing: one more at most
+        top = q - missing + 1 if restricted and missing else q
+        for c in range(1, top + 1):
             left = missing - (uses[c] == 0)
             if left > v - i - 1:
                 continue
@@ -72,17 +75,20 @@ def _surjections(v: int, q: int):
     yield from extend(0, q)
 
 
-def gen_colored_unicellular(n: int, orientable_only: bool = False):
+def gen_colored_unicellular(n: int, orientable_only: bool = False,
+                            representatives: bool = False):
     """Stream every gluing with ``n`` edges colored onto ``1..q``, for
     every ``q``: gluings in :func:`gen_unicellular` order, then ``q``
     ascending, then the colorings (one color per vertex class) in
-    lexicographic order."""
+    lexicographic order.  With ``representatives``, only the colorings
+    whose colors first appear in the order ``1..q``: one per orbit of the
+    color permutations, each orbit holding ``q!`` colored maps."""
     labels = tuple(range(1, n + 1))
     for g in gen_unicellular(n, orientable_only):
         classes = glue_polygon(g)
         v = len(classes)
         for q in range(1, v + 1):
-            for colors in _surjections(v, q):
+            for colors in _surjections(v, q, representatives):
                 yield ColoredUnicellularMap._trusted(g, classes, colors, q,
                                                      labels)
 

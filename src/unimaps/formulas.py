@@ -15,10 +15,6 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-# ``fractions`` (which loads ``decimal``) is imported inside the three
-# functions that use it, so the checks that stay in the integers load
-# neither at start-up.
-
 
 def double_factorial(k: int) -> int:
     """Product ``k (k-2) (k-4) ...`` down to 1 or 2, with ``(-1)!! = 1``."""
@@ -54,42 +50,37 @@ def jackson_formula(n: int, p: int, q: int) -> int:
         factorial(p - 1) * factorial(q - 1) * factorial(rest))
 
 
+def u_terms(n: int, q: int, planar_counts) -> dict:
+    """The terms of :func:`u_formula` by the face number ``r`` of the
+    planar submap, for every ``1 <= r <= n - q + 2``:
+
+        q! r! P_{q,r} / 2^(r-1) * binom(2n, 2q+2r-4) * (2n-2q-2r+3)!!
+
+    Each term is an integer, computed in integers; ArithmeticError if the
+    division by ``2^(r-1)`` leaves a remainder."""
+    if n < 1 or q < 1:
+        raise ValueError("need n >= 1 and q >= 1")
+    terms = {}
+    for r in range(1, n - q + 3):
+        term, rest = divmod(
+            factorial(q) * factorial(r) * planar_counts[(q, r)]
+            * comb(2 * n, 2 * q + 2 * r - 4)
+            * double_factorial(2 * n - 2 * q - 2 * r + 3), 2 ** (r - 1))
+        if rest:
+            raise ArithmeticError("formula did not produce an integer")
+        terms[r] = term
+    return terms
+
+
 def u_formula(n: int, q: int, planar_counts) -> int:
     """``U_n(q)``: one-face maps on general surfaces with ``n`` edges,
-    vertices colored with every color in ``1..q``.
+    vertices colored with every color in ``1..q``: the sum of
+    :func:`u_terms`.
 
     ``planar_counts[(q, r)]`` must give the number of unlabeled rooted
     planar maps with ``q`` vertices and ``r`` faces (zero for missing
-    keys).  The formula sums, over the face number ``r`` of the planar
-    submap,
-
-        q! r! P_{q,r} / 2^(r-1) * binom(2n, 2q+2r-4) * (2n-2q-2r+3)!!
-    """
-    from fractions import Fraction
-    if n < 1 or q < 1:
-        raise ValueError("need n >= 1 and q >= 1")
-    total = Fraction(0)
-    for r in range(1, n - q + 3):
-        p = planar_counts[(q, r)]
-        if p == 0:
-            continue
-        term = Fraction(factorial(q) * factorial(r) * p, 2 ** (r - 1))
-        term *= comb(2 * n, 2 * q + 2 * r - 4)
-        term *= double_factorial(2 * n - 2 * q - 2 * r + 3)
-        total += term
-    if total.denominator != 1:
-        raise ArithmeticError("formula did not produce an integer")
-    return total.numerator
-
-
-def _binomial_row(x, k: int) -> list:
-    """``[binom(x, 0), ..., binom(x, k)]`` for an exact ``x``, by
-    ``binom(x, m+1) = binom(x, m) (x - m) / (m + 1)``."""
-    from fractions import Fraction
-    row = [Fraction(1)]
-    for m in range(k):
-        row.append(row[-1] * (x - m) / (m + 1))
-    return row
+    keys)."""
+    return sum(u_terms(n, q, planar_counts).values())
 
 
 def u_hat_formula(n: int, N: int) -> int:
@@ -102,32 +93,35 @@ def u_hat_formula(n: int, N: int) -> int:
                                 binom((N-1)/2, r)
         + (2n-1)!! sum_{q=1}^{N-1} 2^(q-1) binom(N-1, q) binom(n, q-1)
 
-    exactly, in O(n) rational operations.  With the sums swapped, the
+    exactly, in O(n) integer operations.  With the sums swapped, the
     k-sum is the integer weight ``E_r = sum_k 2^(2n-k) binom(k+r-1, k)``
     (k and r run over 0..n), and Pascal's rule on ``binom(k+r-1, k)``
-    gives ``E_0 = 4^n`` and ``E_r = 2 E_(r-1) - 2^n binom(n+r-1, n)``;
-    the generalized binomials of ``n - 1/2`` and ``(N-1)/2`` are built as
-    rows.
+    gives ``E_0 = 4^n`` and ``E_r = 2 E_(r-1) - 2^n binom(n+r-1, n)``.
+    The half-integer binomials clear to
+    ``n! binom(n-1/2, n-r) binom((N-1)/2, r) = binom(n, r) a_(n-r) b_r
+    / 2^n``, with ``a_k = (2n-1)(2n-3)...(2n-2k+1)`` and
+    ``b_r = (N-1)(N-3)...(N-2r+1)``; ArithmeticError if the division by
+    ``2^n`` leaves a remainder.
     """
-    from fractions import Fraction
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1")
-    top = _binomial_row(Fraction(2 * n - 1, 2), n)
-    side = _binomial_row(Fraction(N - 1, 2), n)
-    # after step r, weight is E_r and b is binom(n+r, n)
-    weight, b = 4 ** n, 1
-    half = top[n] * side[0] * weight
+    a, b = [1], [1]
+    for m in range(n):
+        a.append(a[-1] * (2 * n - 1 - 2 * m))
+        b.append(b[-1] * (N - 1 - 2 * m))
+    # after step r, weight is E_r and c is binom(n+r, n)
+    weight, c = 4 ** n, 1
+    half = a[n] * weight
     for r in range(1, n + 1):
-        weight = 2 * weight - 2 ** n * b
-        b = b * (n + r) // r
-        half += top[n - r] * side[r] * weight
-    half *= factorial(n)
+        weight = 2 * weight - 2 ** n * c
+        c = c * (n + r) // r
+        half += comb(n, r) * a[n - r] * b[r] * weight
+    half, rest = divmod(half, 2 ** n)
+    if rest:
+        raise ArithmeticError("formula did not produce an integer")
     tail = sum(2 ** (q - 1) * comb(N - 1, q) * comb(n, q - 1)
                for q in range(1, N))
-    total = half + double_factorial(2 * n - 1) * tail
-    if total.denominator != 1:
-        raise ArithmeticError("formula did not produce an integer")
-    return total.numerator
+    return half + double_factorial(2 * n - 1) * tail
 
 
 def _with_boundary(table):

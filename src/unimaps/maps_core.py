@@ -269,10 +269,6 @@ class RootedMap:
     def edges(self) -> list[tuple]:
         return list(self._orbit_data("_edge_data", _alpha_of)[0])
 
-    def edge_of(self, h: int) -> int:
-        """Edge identifier of half-edge ``h`` (the smaller half-edge index)."""
-        return min(h, self.alpha[h])
-
     def vertex_index(self) -> tuple:
         """``vertex_index()[h]`` is the position of half-edge ``h``'s vertex
         in :meth:`vertices`."""
@@ -292,16 +288,6 @@ class RootedMap:
         """``face_index()[h]`` is the position of half-edge ``h``'s face
         in :meth:`faces`."""
         return self._orbit_data("_face_data", face_permutation)[1]
-
-    def relabelled(self, perm) -> "RootedMap":
-        """Conjugate by the half-edge relabelling ``h -> perm[h]``."""
-        n = len(self.sigma)
-        sigma = [0] * n
-        alpha = [0] * n
-        for h in range(n):
-            sigma[perm[h]] = perm[self.sigma[h]]
-            alpha[perm[h]] = perm[self.alpha[h]]
-        return RootedMap._trusted(tuple(sigma), tuple(alpha), perm[self.root])
 
 
 def _orbits(perm) -> tuple:

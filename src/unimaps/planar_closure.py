@@ -179,11 +179,19 @@ class PlaneMap:
 
     def validate(self) -> None:
         """Raise ValueError unless ``m`` has genus 0 and ``outer`` is one
-        of its face identifiers; ``m`` keeps the orbits this traces."""
+        of its face identifiers; ``m`` keeps the face orbits this traces,
+        and the vertices are counted in place."""
         m = self.m
         faces = m.faces()
+        sigma, seen, vertices = m.sigma, bytearray(len(m.sigma)), 0
+        for start in range(len(sigma)):
+            vertices += not seen[start]
+            x = start
+            while not seen[x]:
+                seen[x] = 1
+                x = sigma[x]
         # Euler characteristic 2 - 2 genus; genus 0 means exactly 2
-        if len(m.vertices()) - m.half_edge_count // 2 + len(faces) != 2:
+        if vertices - len(sigma) // 2 + len(faces) != 2:
             raise ValueError("plane maps must have genus 0")
         # each face orbit starts at its minimum
         outer = self.outer

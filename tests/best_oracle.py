@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from map_oracle import edge_of
+
 from unimaps.bijections import OrientedTreeRootedMap
 from unimaps.maps_core import RootedMap
 from unimaps.tours import BiEulerianTour, EdgeLabelledGraph
@@ -254,7 +256,7 @@ def arc_theta(t: OrientedTreeRootedMap) -> tuple:
                 th = tail_of[lab]
                 e = lab if h == th else pi_of_head[h]
                 k = e - 1
-                if e in tail_of and m.edge_of(tail_of[e]) in t.tree:
+                if e in tail_of and edge_of(m, tail_of[e]) in t.tree:
                     a = 2 * k  # the tree holds the other copy
                 else:
                     a = 2 * k + copy_count[k]

@@ -3,6 +3,8 @@
 import pytest
 from revalidate import revalidated
 
+from unimaps.bijections import phi
+from unimaps.enumeration import gen_colored_unicellular
 from unimaps.planar_closure import gen_near_eulerian_trees, gen_plane_maps
 
 
@@ -18,3 +20,11 @@ def trees10():
 def plane_maps5():
     """Every plane map with at most 5 edges, revalidated."""
     return list(map(revalidated, gen_plane_maps(5)))
+
+
+@pytest.fixture(scope="session")
+def phi_images4():
+    """``(u, phi(u))`` for every coloring ``u`` of every orientable gluing
+    with at most 4 edges (8,940 colored maps), in stream order."""
+    return [(u, phi(u)) for n in range(1, 5)
+            for u in gen_colored_unicellular(n, True)]

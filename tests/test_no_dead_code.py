@@ -1,5 +1,6 @@
-"""Every public module-level function of the package feeds the package or
-the benchmark: code that only the tests call belongs with the tests."""
+"""Every public module-level function and every public method of the
+package feeds the package or the benchmark: code that only the tests
+call belongs with the tests."""
 
 import ast
 import pathlib
@@ -35,17 +36,26 @@ def _uses(tree, skip=None, strings=False) -> set:
     return out
 
 
-def test_every_public_function_is_used_outside_the_tests():
+def _parsed() -> tuple:
+    """The package's modules as ``{path: tree}``, and the names the
+    benchmark uses, string constants included."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in sorted(SOURCE.glob("*.py"))}
     bench = set()
     assert (BENCH / "trace_op.py").exists()
     for path in sorted(BENCH.glob("*.py")):
         bench |= _uses(ast.parse(path.read_text(), str(path)), strings=True)
+    assert len(trees) > 5
+    return trees, bench
+
+
+def _unused(trees, bench, definitions) -> list:
+    """``path:name`` of each public function that ``definitions(tree)``
+    yields and that no code but its own body names."""
     everywhere = {path: _uses(tree) for path, tree in trees.items()}
     unused = []
     for path, tree in trees.items():
-        for node in tree.body:
+        for node in definitions(tree):
             if not isinstance(node, ast.FunctionDef) \
                     or node.name.startswith("_"):
                 continue
@@ -55,5 +65,21 @@ def test_every_public_function_is_used_outside_the_tests():
                     used |= names
             if node.name not in used:
                 unused.append(f"{path.name}:{node.name}")
-    assert len(trees) > 5
-    assert set(unused) == WAITING
+    return unused
+
+
+def test_every_public_function_is_used_outside_the_tests():
+    trees, bench = _parsed()
+    assert set(_unused(trees, bench, lambda tree: tree.body)) == WAITING
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    """The methods of every class, properties included; a method counts
+    as used wherever its name is read, on any object."""
+    trees, bench = _parsed()
+
+    def methods(tree):
+        return [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                for node in cls.body]
+    assert len([m for t in trees.values() for m in methods(t)]) > 40
+    assert _unused(trees, bench, methods) == []

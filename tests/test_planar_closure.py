@@ -3,9 +3,11 @@ import random
 from collections import Counter
 
 import pytest
+from map_oracle import relabelled
 from revalidate import revalidated
 
 from unimaps import maps_core, planar_closure
+from unimaps.checks import CHECKS
 from unimaps.enumeration import planar_census
 from unimaps.maps_core import DisjointSets, RootedMap
 from unimaps.planar_closure import (
@@ -669,7 +671,7 @@ class TestCanonicalKey:
             perm = list(range(p.m.half_edge_count))
             rng.shuffle(perm)
             outer_face = p.m.faces()[p.m.face_index()[p.outer]]
-            q = PlaneMap(p.m.relabelled(perm),
+            q = PlaneMap(relabelled(p.m, perm),
                          min(perm[x] for x in outer_face))
             assert q.canonical_key() == p.canonical_key()
 
@@ -889,3 +891,19 @@ class TestFaceTraces:
         for p in maps + closed:
             opening_delta(p)
         assert calls == Counter()
+
+    def test_validation_counts_the_vertices_in_place(self, monkeypatch):
+        """``PlaneMap.validate`` traces the faces and counts the vertices
+        without tracing them, so ``gamma-roundtrip`` at bound 4 traces one
+        orbit per tree, the faces of its closure (1,290 trees; tracing the
+        vertices too took 2,580)."""
+        real = maps_core._orbits
+        calls = [0]
+
+        def counting(perm):
+            calls[0] += 1
+            return real(perm)
+        monkeypatch.setattr(maps_core, "_orbits", counting)
+        verdict = CHECKS["gamma-roundtrip"].run(4, planar_census)
+        assert verdict == (None, 1290, 4)
+        assert calls[0] == 1290
