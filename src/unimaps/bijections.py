@@ -31,8 +31,8 @@ from .maps_core import (
     ColoredUnicellularMap,
     DisjointSets,
     RootedMap,
-    _unchecked,
     canonical_relabelling,
+    canonical_rotation,
     record,
 )
 from .tours import BiEulerianTour, EdgeLabelledGraph, xi, xi_inverse
@@ -70,15 +70,10 @@ class _LabelledMap:
         relabelled rotation system followed by the vertex labels, edge
         labels and marked edge ids carried across ``perm``.  The
         relabelled map lists its vertices and edges by least new label,
-        so the labels are sorted by that label off ``m``'s own orbits; no
-        relabelled map is built or traced."""
+        so the labels are sorted by that label off ``m``'s own orbits."""
         m = self.m
-        perm = canonical_relabelling(m)
-        sigma, alpha = m.sigma, m.alpha
-        # order[i] is the half-edge that gets the new label i
-        order = [0] * len(perm)
-        for h, i in enumerate(perm):
-            order[i] = h
+        perm, sigma2, alpha2 = canonical_rotation(m)
+        alpha = m.alpha
         verts2 = [lab for _, lab in sorted(
             (min([perm[h] for h in cyc]), lab)
             for cyc, lab in zip(m.vertices(), self.vertex_labels))]
@@ -87,9 +82,8 @@ class _LabelledMap:
             for (h, h2), lab in zip(m.edges(), self.edge_labels))]
         marked2 = frozenset(min(perm[eid], perm[alpha[eid]])
                             for eid in marked_edges)
-        return perm, (tuple([perm[sigma[h]] for h in order]),
-                      tuple([perm[alpha[h]] for h in order]), perm[m.root],
-                      tuple(verts2), tuple(edges2), marked2)
+        return perm, (sigma2, alpha2, tuple(verts2), tuple(edges2),
+                      marked2)
 
     def _rejoined(self, pairs) -> tuple:
         """Re-pair half-edges of ``m``: each ``(out, in)`` pair becomes an
@@ -103,7 +97,7 @@ class _LabelledMap:
             alpha[o] = i
             alpha[i] = o
         m2 = RootedMap._trusted(m.sigma, tuple(alpha), m.root,
-                                m._vertex_data)
+                                _vertex_data=m._vertex_data)
         outs = {o for o, _ in pairs}
         edge_labels = tuple(labels[eid[alpha[h] if alpha[h] in outs else h]]
                             for h, _ in m2.edges())
@@ -125,7 +119,7 @@ class OrientedTreeRootedMap(_LabelledMap):
     root vertex.  A plain tree-rooted map is the ``orientation == {}``
     case.  Validation keeps ``up``: by vertex, the half-edge on its tree
     edge toward the root vertex (``None`` at the root); it takes no part
-    in equality or hashing.
+    in equality or hashing, and the trusted path must be handed it.
     """
 
     m: RootedMap
@@ -140,21 +134,6 @@ class OrientedTreeRootedMap(_LabelledMap):
         object.__setattr__(self, "tree", frozenset(self.tree))
         object.__setattr__(self, "orientation", frozenset(self.orientation))
         self.validate()
-
-    @classmethod
-    def _trusted(cls, m, vertex_labels, edge_labels, tree, orientation,
-                 up=None) -> "OrientedTreeRootedMap":
-        """A map from fields known to be valid (tuples and frozensets);
-        ``up`` is derived from the tree unless the caller holds it.
-        Nothing is checked."""
-        t = _unchecked(cls, m=m, vertex_labels=vertex_labels,
-                       edge_labels=edge_labels, tree=tree,
-                       orientation=orientation, up=up)
-        if up is None:
-            vid = m.vertex_index()
-            object.__setattr__(t, "up", t._tree_up(vid, vid[m.root],
-                                                   len(vertex_labels)))
-        return t
 
     def validate(self) -> None:
         """Raise ValueError unless the fields describe a labelled map with
@@ -175,7 +154,7 @@ class OrientedTreeRootedMap(_LabelledMap):
         if len(tree) != q - 1:
             raise ValueError("tree has the wrong number of edges")
         # q - 1 edges reaching every vertex from the root: a spanning tree
-        up = self._tree_up(vid, vid[m.root], q)
+        up = _tree_up(m, vid, tree, q)
         if up.count(None) != 1:
             raise ValueError("tree edges contain a cycle")
         if orientation:
@@ -203,26 +182,6 @@ class OrientedTreeRootedMap(_LabelledMap):
             raise ValueError("kept tree half-edges disagree with the tree")
         object.__setattr__(self, "up", up)
 
-    def _tree_up(self, vid, root_v, q) -> tuple:
-        """By vertex, the half-edge on its tree edge toward ``root_v``."""
-        alpha = self.m.alpha
-        adj = [[] for _ in range(q)]
-        for eid in self.tree:
-            a = alpha[eid]
-            adj[vid[eid]].append(eid)
-            adj[vid[a]].append(a)
-        up = [None] * q
-        # the search order grows while it is walked
-        order = [root_v]
-        for x in order:
-            for h in adj[x]:
-                a = alpha[h]
-                w = vid[a]
-                if w != root_v and up[w] is None:
-                    up[w] = a
-                    order.append(w)
-        return tuple(up)
-
     @property
     def external_weight(self) -> int:
         alpha = self.m.alpha
@@ -233,6 +192,50 @@ class OrientedTreeRootedMap(_LabelledMap):
         """Hashable form invariant under half-edge relabelling."""
         perm, key = self._canonical_form(self.tree)
         return key + (tuple(sorted(perm[h] for h in self.orientation)),)
+
+
+def _tree_up(m: RootedMap, vid: tuple, tree: frozenset, q: int) -> tuple:
+    """By each of the ``q`` vertices of ``m``, the half-edge on its edge
+    of ``tree`` (edge ids) toward the root vertex; None where the tree
+    does not lead to the root, as at the root vertex itself.  ``vid`` is
+    ``m.vertex_index()``."""
+    alpha, root_v = m.alpha, vid[m.root]
+    adj = [[] for _ in range(q)]
+    for eid in tree:
+        a = alpha[eid]
+        adj[vid[eid]].append(eid)
+        adj[vid[a]].append(a)
+    up = [None] * q
+    # the search order grows while it is walked
+    order = [root_v]
+    for x in order:
+        for h in adj[x]:
+            a = alpha[h]
+            w = vid[a]
+            if w != root_v and up[w] is None:
+                up[w] = a
+                order.append(w)
+    return tuple(up)
+
+
+def _paired_labels(arcs, count: int) -> list:
+    """The label-sorted pairing of the module docstring.  ``arcs`` holds
+    ``(label, tail, head)`` per oriented edge, with vertices in
+    ``range(count)``; at each vertex the r-th edge by label that heads
+    there is paired with the r-th that leaves it.  Returns the ``(head
+    label, tail label)`` pairs; raises ValueError at an unbalanced
+    vertex."""
+    heads = [[] for _ in range(count)]
+    tails = [[] for _ in range(count)]
+    for lab, tail, head in sorted(arcs):
+        tails[tail].append(lab)
+        heads[head].append(lab)
+    pairs = []
+    for hs, ts in zip(heads, tails):
+        if len(hs) != len(ts):
+            raise ValueError("orientation is not balanced")
+        pairs.extend(zip(hs, ts))
+    return pairs
 
 
 def theta(t: OrientedTreeRootedMap) -> BiEulerianTour:
@@ -258,19 +261,9 @@ def theta(t: OrientedTreeRootedMap) -> BiEulerianTour:
     tail_of = {edge_labels[eid[h]]: h for h in t.orientation}
     paired = {}  # ingoing half-edge -> label of the edge it leaves along
     if tail_of:
-        # label-sorted pairing of ingoing half-edges with outgoing
-        # oriented edges at each vertex
-        heads = [[] for _ in range(q)]
-        tails = [[] for _ in range(q)]
-        for lab in sorted(tail_of):
-            th = tail_of[lab]
-            tails[vid[th]].append(lab)
-            heads[vid[alpha[th]]].append(lab)
-        for hs, ts in zip(heads, tails):
-            if len(hs) != len(ts):
-                raise ValueError("orientation is not balanced")
-            for hl, tl in zip(hs, ts):
-                paired[alpha[tail_of[hl]]] = tl
+        arcs = [(lab, vid[h], vid[alpha[h]]) for lab, h in tail_of.items()]
+        for hl, tl in _paired_labels(arcs, q):
+            paired[alpha[tail_of[hl]]] = tl
 
     root_v = vid[m.root]
     nxt = [m.root if h is None else sigma[h] for h in t.up]
@@ -387,14 +380,14 @@ def _fiber_element(fills, origin, involution, edge_labels, tree_ids,
             sigma[prev] = h
             prev = h
     m = RootedMap._trusted(tuple(sigma), alpha, fills[origin - 1][0],
-                           edge_data=edge_data)
+                           _edge_data=edge_data)
     # vertices in order of their minimum half-edge
     _, vertex_labels = zip(*sorted([(min(f), c)
                                     for c, f in enumerate(fills, 1)]))
     up = tuple([None if c == origin else fills[c - 1][-1]
                 for c in vertex_labels])
     return OrientedTreeRootedMap._trusted(m, vertex_labels, edge_labels,
-                                          tree_ids, orientation, up)
+                                          tree_ids, orientation, up=up)
 
 
 def _orient_fills(fills, ends, origin, oriented, first_d) -> list:
@@ -405,24 +398,17 @@ def _orient_fills(fills, ends, origin, oriented, first_d) -> list:
 
     An oriented edge leaves its tail both times: once along its tail
     half-edge, once along the ingoing half-edge that the label-sorted
-    pairing at the tail matches with it.  At each color the r-th ingoing
-    oriented edge is matched with the r-th outgoing one; the head
+    pairing (:func:`_paired_labels`) at the tail matches with it; the head
     half-edge of the edge labelled k+1 is 2k+1.
     """
-    q = len(fills)
-    heads = [[] for _ in range(q + 1)]
-    tails = [[] for _ in range(q + 1)]
-    for lab in sorted(oriented):
+    arcs = []
+    for lab in oriented:
         u, v = ends[lab - 1]
         tail = v if first_d[lab] else u
-        tails[tail].append(lab)
-        heads[u + v - tail].append(lab)
-    matched_head_he = {}  # outgoing oriented edge -> ingoing half-edge
-    for hs, ts in zip(heads, tails):
-        if len(hs) != len(ts):
-            raise ValueError("tour orientation is not balanced")
-        for hl, tl in zip(hs, ts):
-            matched_head_he[tl] = 2 * hl - 1
+        arcs.append((lab, tail, u + v - tail))
+    # outgoing oriented edge -> ingoing half-edge
+    matched_head_he = {tl: 2 * hl - 1
+                       for hl, tl in _paired_labels(arcs, len(fills) + 1)}
 
     choices = []
     for i, f in enumerate(fills):
@@ -508,16 +494,6 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
         object.__setattr__(self, "submap", frozenset(self.submap))
         object.__setattr__(self, "face_labels", tuple(self.face_labels))
         self.validate()
-
-    @classmethod
-    def _trusted(cls, m, vertex_labels, edge_labels, submap, face_labels,
-                 submap_faces) -> "ExternallyLabelledPlanarRootedMap":
-        """A map from fields known to be valid (tuples and a frozenset)
-        and the caller's trace ``submap_faces`` of the submap's faces, as
-        :func:`_submap_faces_of` lists them.  Nothing is checked."""
-        return _unchecked(cls, m=m, vertex_labels=vertex_labels,
-                          edge_labels=edge_labels, submap=submap,
-                          face_labels=face_labels, submap_faces=submap_faces)
 
     def validate(self) -> None:
         """Raise ValueError unless the submap is a spanning planar submap
@@ -622,8 +598,9 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     faces = p.submap_faces
     r = len(faces)
     if r == 1:
-        t = OrientedTreeRootedMap._trusted(m, p.vertex_labels, p.edge_labels,
-                                           p.submap, frozenset())
+        t = OrientedTreeRootedMap._trusted(
+            m, p.vertex_labels, p.edge_labels, p.submap, frozenset(),
+            up=_tree_up(m, m.vertex_index(), p.submap, len(p.vertex_labels)))
         return upsilon(t)
     sigma_sub, mate_sub = _submap_system(m, p.submap)
     label_of_rep = {min(f): lab for f, lab in zip(faces, p.face_labels)}
@@ -648,8 +625,9 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     m2, edge_labels = p._rejoined(pairs)
     tree = frozenset(eid for eid in p.submap if tree_mate[eid] >= 0)
     orientation = frozenset(tails) | {o for o, _ in pairs}
-    t = OrientedTreeRootedMap._trusted(m2, p.vertex_labels, edge_labels,
-                                       tree, orientation)
+    t = OrientedTreeRootedMap._trusted(
+        m2, p.vertex_labels, edge_labels, tree, orientation,
+        up=_tree_up(m2, vid, tree, len(p.vertex_labels)))
     return upsilon(t)
 
 
@@ -668,7 +646,7 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         if not cut_tails:
             out.append(ExternallyLabelledPlanarRootedMap._trusted(
                 m, t.vertex_labels, t.edge_labels, t.tree, (1,),
-                tuple(_submap_faces_of(m, t.tree))))
+                submap_faces=tuple(_submap_faces_of(m, t.tree))))
             continue
         # near-Eulerian tree inside the map: tree half-edges plus the buds
         # of the cut oriented edges
@@ -712,5 +690,5 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
             label_of_rep.get(min(f), w + 1) for f in faces)
         out.append(ExternallyLabelledPlanarRootedMap._trusted(
             m2, t.vertex_labels, edge_labels, submap, face_labels,
-            tuple(faces)))
+            submap_faces=tuple(faces)))
     return tuple(out)

@@ -397,7 +397,7 @@ def _check_qfd(bound, census):
 Check = namedtuple("Check", "bound_name default minimum unit run")
 
 # ledoux starts at n = 2, the quartic needs the x y term of P, and the PDE
-# residual of Q at t-degree bound - 2 is trusted through bound - 6
+# residual of Q at t-degree bound - 2 is trusted through bound - 4
 CHECKS = {
     "gluing-totals": Check("max_n", 12, 1, "totals", _check_gluing_totals),
     "t-formula": Check("max_n", 13, 1, "(n, q) values", _check_t_formula),

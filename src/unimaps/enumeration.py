@@ -17,6 +17,7 @@ from .maps_core import (
     DisjointSets,
     PolygonGluing,
     RootedMap,
+    _corner_colors,
     glue_polygon,
     glue_sides,
 )
@@ -89,8 +90,9 @@ def gen_colored_unicellular(n: int, orientable_only: bool = False,
         v = len(classes)
         for q in range(1, v + 1):
             for colors in _surjections(v, q, representatives):
-                yield ColoredUnicellularMap._trusted(g, classes, colors, q,
-                                                     labels)
+                yield ColoredUnicellularMap._trusted(
+                    g, colors, q, labels, vertex_classes=classes,
+                    corner_colors=_corner_colors(classes, colors, n))
 
 
 def _canonical(cur: int, sides, orientable_only: bool) -> tuple:

@@ -86,6 +86,15 @@ def record(cls):
     derived data under such a name, which takes no part in equality,
     hashing or ``repr``.  ``cls._fields`` is the tuple of field names.
     The methods are closures, so defining a record compiles no source.
+
+    The record also gets the trusted path: the classmethod
+    ``cls._trusted(*fields, **kept)`` takes field values in ``_fields``
+    order and kept derived data by its attribute name, and stores them as
+    given, neither normalized nor validated, so they must already be in
+    the form the public constructor stores; fields and kept data left out
+    keep their class defaults.  The bijections build their images this
+    way, from data valid by construction, and the checks validate every
+    image they claim.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = frozenset(n for n in names if n in cls.__dict__)
@@ -141,9 +150,18 @@ def record(cls):
         return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
             f"{name}={getattr(self, name)!r}" for name in names))
 
+    def _trusted(klass, *fields, **kept):
+        # one loop adds the fields to the fresh keyword dict, cheaper than
+        # a second dict; the instance takes it whole, as in __init__
+        for name, value in zip(names, fields):
+            kept[name] = value
+        obj = object.__new__(klass)
+        obj.__dict__.update(kept)
+        return obj
+
     cls._fields = names
     cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
-    cls.__repr__ = __repr__
+    cls.__repr__, cls._trusted = __repr__, classmethod(_trusted)
     cls.__setattr__, cls.__delattr__ = _immutable, _immutable
     return cls
 
@@ -160,15 +178,6 @@ def replace(obj, **changes):
     fields = {name: getattr(obj, name) for name in obj._fields}
     fields.update(changes)
     return obj.__class__(**fields)
-
-
-def _unchecked(cls, **fields):
-    """An instance of the record class ``cls`` holding ``fields`` as
-    given, neither normalized nor validated; fields left out keep their
-    class defaults.  Every trusted constructor builds on this."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _check_permutation(perm, identity, name):
@@ -207,15 +216,6 @@ class RootedMap:
         object.__setattr__(self, "sigma", tuple(self.sigma))
         object.__setattr__(self, "alpha", tuple(self.alpha))
         self.validate()
-
-    @classmethod
-    def _trusted(cls, sigma: tuple, alpha: tuple, root: int,
-                 vertex_data=None, edge_data=None) -> "RootedMap":
-        """A map on tuples known to form a connected rotation system,
-        holding the ``(orbits, index)`` of ``sigma`` and of ``alpha`` when
-        the caller has them; nothing is checked."""
-        return _unchecked(cls, sigma=sigma, alpha=alpha, root=root,
-                          _vertex_data=vertex_data, _edge_data=edge_data)
 
     def validate(self) -> None:
         """Raise ValueError unless the fields form a connected map.  The
@@ -356,6 +356,20 @@ def canonical_relabelling(m: RootedMap) -> tuple:
     return new
 
 
+def canonical_rotation(m: RootedMap) -> tuple:
+    """``(perm, sigma, alpha)``: the :func:`canonical_relabelling` of
+    ``m`` and the rotation and pairing it carries ``m`` to, whose root is
+    always 0.  No relabelled map is built or traced."""
+    perm = canonical_relabelling(m)
+    sigma, alpha = m.sigma, m.alpha
+    # order[i] is the half-edge that gets the new label i
+    order = [0] * len(perm)
+    for h, i in enumerate(perm):
+        order[i] = h
+    return (perm, tuple([perm[sigma[h]] for h in order]),
+            tuple([perm[alpha[h]] for h in order]))
+
+
 # ---------------------------------------------------------------------------
 # Polygon gluings (general surfaces)
 # ---------------------------------------------------------------------------
@@ -375,13 +389,6 @@ class PolygonGluing:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "twists", tuple(bool(t) for t in self.twists))
         self.validate()
-
-    @classmethod
-    def _trusted(cls, n: int, pairs: tuple, twists: tuple) -> "PolygonGluing":
-        """A gluing from ``pairs``, each ``(a, b)`` with ``a < b`` and
-        sorted by ``a``, known to match the ``2n`` sides, and a tuple of
-        bools ``twists``; nothing is checked."""
-        return _unchecked(cls, n=n, pairs=pairs, twists=twists)
 
     def validate(self) -> None:
         """Raise ValueError unless the pairs match the sides perfectly."""
@@ -479,20 +486,6 @@ class ColoredUnicellularMap:
         object.__setattr__(self, "corner_colors", _corner_colors(
             self.vertex_classes, self.colors, n))
 
-    @classmethod
-    def _trusted(cls, gluing, vertex_classes, colors, q, edge_labels,
-                 corner_colors=None) -> "ColoredUnicellularMap":
-        """A map from fields known to be valid: ``vertex_classes`` is
-        ``glue_polygon(gluing)``, ``colors`` and ``edge_labels`` are
-        tuples; ``corner_colors`` is derived unless the caller holds it.
-        Nothing is checked."""
-        if corner_colors is None:
-            corner_colors = _corner_colors(vertex_classes, colors, gluing.n)
-        return _unchecked(cls, gluing=gluing, colors=colors, q=q,
-                          edge_labels=edge_labels,
-                          vertex_classes=vertex_classes,
-                          corner_colors=corner_colors)
-
     def validate(self) -> None:
         """Raise ValueError unless the colors and edge labels fit the
         glued polygon."""
@@ -502,8 +495,3 @@ class ColoredUnicellularMap:
             raise ValueError("coloring must use every color in 1..q")
         if sorted(self.edge_labels) != list(range(1, self.gluing.n + 1)):
             raise ValueError("edge labels must be a permutation of 1..n")
-
-    def corner_color(self, corner: int) -> int:
-        if not 0 <= corner < len(self.corner_colors):
-            raise ValueError("corner out of range")
-        return self.corner_colors[corner]

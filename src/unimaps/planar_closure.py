@@ -38,13 +38,7 @@ would be an equally valid normalization.
 
 from __future__ import annotations
 
-from .maps_core import (
-    RootedMap,
-    _unchecked,
-    canonical_relabelling,
-    euler_data,
-    record,
-)
+from .maps_core import RootedMap, canonical_rotation, euler_data, record
 
 
 @record
@@ -70,14 +64,6 @@ class NearEulerianTree:
         object.__setattr__(self, "out_buds", frozenset(self.out_buds))
         object.__setattr__(self, "tails", frozenset(self.tails))
         self.validate()
-
-    @classmethod
-    def _trusted(cls, sigma: tuple, mate: tuple, out_buds: frozenset,
-                 tails: frozenset, root: int) -> "NearEulerianTree":
-        """A tree from fields known to form a valid near-Eulerian tree;
-        nothing is checked."""
-        return _unchecked(cls, sigma=sigma, mate=mate, out_buds=out_buds,
-                          tails=tails, root=root)
 
     def validate(self) -> None:
         """Raise ValueError unless the slots form a balanced rooted plane
@@ -171,12 +157,6 @@ class PlaneMap:
     def __post_init__(self):
         self.validate()
 
-    @classmethod
-    def _trusted(cls, m: RootedMap, outer: int) -> "PlaneMap":
-        """A plane map known to have genus 0 and ``outer`` a face
-        identifier; nothing is checked."""
-        return _unchecked(cls, m=m, outer=outer)
-
     def validate(self) -> None:
         """Raise ValueError unless ``m`` has genus 0 and ``outer`` is one
         of its face identifiers; ``m`` keeps the face orbits this traces,
@@ -213,16 +193,9 @@ class PlaneMap:
         first-visit relabelling's rotation and pairing, then the least
         new label on the outer face."""
         m = self.m
-        perm = canonical_relabelling(m)
-        # order[i] is the half-edge that gets the new label i
-        order = [0] * len(perm)
-        for h, i in enumerate(perm):
-            order[i] = h
-        sigma, alpha = m.sigma, m.alpha
+        perm, sigma, alpha = canonical_rotation(m)
         outer_face = m.faces()[m.face_index()[self.outer]]
-        return (*[perm[sigma[h]] for h in order],
-                *[perm[alpha[h]] for h in order],
-                min([perm[x] for x in outer_face]))
+        return sigma, alpha, min([perm[x] for x in outer_face])
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +474,9 @@ def gen_near_eulerian_trees(max_slots: int):
 
 def _tree_shapes(budget: int):
     """Nested shapes: a vertex is a tuple of items, each item either 'bud'
-    or a child vertex tuple.  The root tuple must be nonempty."""
+    or a child vertex tuple.  The root tuple must be nonempty.  A shape
+    with e edges and b buds has 2e + b slots, and an odd b cannot
+    balance, so only even slot totals are laid out."""
     def _vertex_tuples(size):
         # all vertex tuples using exactly `size` slots at this vertex's
         # items (an edge to a child uses 2 slots: one here, one there)
@@ -521,7 +496,7 @@ def _tree_shapes(budget: int):
                         for rest in _vertex_tuples(size - 2 - sub):
                             yield (child,) + rest
 
-    for total in range(1, budget + 1):
+    for total in range(2, budget + 1, 2):
         yield from _vertex_tuples(total)
 
 
@@ -539,8 +514,6 @@ def _decorate(shape):
     """
     sigma, mate, buds, edges = _layout(shape)
     k = len(buds)
-    if k % 2:
-        return
     # edges whose subtree has buds, by the index of its last bud
     closing = [[] for _ in range(k)]
     for child, lo, hi in edges:

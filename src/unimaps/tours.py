@@ -18,12 +18,7 @@ has exactly two bi-Eulerian tours.
 from __future__ import annotations
 
 from . import maps_core
-from .maps_core import (
-    ColoredUnicellularMap,
-    PolygonGluing,
-    _unchecked,
-    record,
-)
+from .maps_core import ColoredUnicellularMap, PolygonGluing, record
 
 
 @record
@@ -39,12 +34,6 @@ class EdgeLabelledGraph:
         object.__setattr__(self, "edges", tuple(
             (u, v) if u <= v else (v, u) for u, v in self.edges))
         self.validate()
-
-    @classmethod
-    def _trusted(cls, q: int, edges: tuple) -> "EdgeLabelledGraph":
-        """A graph from endpoint pairs already ordered ``u <= v``, known
-        to be connected on ``1..q``; nothing is checked."""
-        return _unchecked(cls, q=q, edges=edges)
 
     def validate(self) -> None:
         """Raise ValueError unless the edges connect all of ``1..q``."""
@@ -92,13 +81,6 @@ class BiEulerianTour:
         object.__setattr__(self, "steps", tuple(
             (int(l), int(d)) for l, d in self.steps))
         self.validate()
-
-    @classmethod
-    def _trusted(cls, graph: EdgeLabelledGraph, origin: int,
-                 steps: tuple) -> "BiEulerianTour":
-        """A tour from a tuple of int pairs known to walk ``graph`` as a
-        bi-Eulerian tour from ``origin``; nothing is checked."""
-        return _unchecked(cls, graph=graph, origin=origin, steps=steps)
 
     def validate(self) -> None:
         """Raise ValueError unless the steps walk every edge of the graph
@@ -205,6 +187,6 @@ def xi_inverse(tour: BiEulerianTour) -> ColoredUnicellularMap:
                 raise ValueError(
                     "tour colors are inconsistent with the gluing")
         colors.append(color)
-    return ColoredUnicellularMap._trusted(gluing, classes, tuple(colors),
-                                          graph.q, tuple(labels),
-                                          tuple(corner_color))
+    return ColoredUnicellularMap._trusted(
+        gluing, tuple(colors), graph.q, tuple(labels),
+        vertex_classes=classes, corner_colors=tuple(corner_color))

@@ -47,7 +47,7 @@ def gen_oriented_tree_rooted_maps(n: int, weight: int = None):
                 for vperm in itertools.permutations(range(1, q + 1)):
                     for eperm in itertools.permutations(range(1, n + 1)):
                         yield OrientedTreeRootedMap._trusted(
-                            m, vperm, eperm, t.tree, t.orientation, t.up)
+                            m, vperm, eperm, t.tree, t.orientation, up=t.up)
 
 
 def _balanced_orientations(m: RootedMap):
@@ -94,4 +94,4 @@ def gen_externally_labelled_maps(n: int):
                     for fperm in itertools.permutations(range(1, r + 1)):
                         yield ExternallyLabelledPlanarRootedMap._trusted(
                             m, vperm, eperm, p.submap, fperm,
-                            p.submap_faces)
+                            submap_faces=p.submap_faces)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from unimaps.maps_core import RootedMap
+from unimaps.maps_core import ColoredUnicellularMap, RootedMap
 
 
 def relabelled(m: RootedMap, perm) -> RootedMap:
@@ -19,3 +19,10 @@ def relabelled(m: RootedMap, perm) -> RootedMap:
 def edge_of(m: RootedMap, h: int) -> int:
     """Edge identifier of half-edge ``h`` (the smaller half-edge index)."""
     return min(h, m.alpha[h])
+
+
+def corner_color(u: ColoredUnicellularMap, corner: int) -> int:
+    """The color of polygon corner ``corner`` of ``u``."""
+    if not 0 <= corner < len(u.corner_colors):
+        raise ValueError("corner out of range")
+    return u.corner_colors[corner]

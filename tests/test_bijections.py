@@ -10,7 +10,7 @@ from labelled_oracle import (
     gen_externally_labelled_maps,
     gen_oriented_tree_rooted_maps,
 )
-from map_oracle import edge_of, relabelled
+from map_oracle import corner_color, edge_of, relabelled
 from revalidate import revalidated
 from unimaps import bijections, maps_core
 from unimaps.bijections import (
@@ -217,7 +217,7 @@ class TestDegreeProperty:
         that vertex in any fiber element."""
         for u in all_colored(n):
             nn = 2 * n
-            corners = Counter(u.corner_color(c) for c in range(nn))
+            corners = Counter(corner_color(u, c) for c in range(nn))
             for t in upsilon_fiber(u):
                 deg = Counter()
                 for cyc, lab in zip(t.m.vertices(), t.vertex_labels):
@@ -344,8 +344,8 @@ def relabelled_form(x, marked_edges) -> tuple:
         verts2[vid2[perm[h]]] = x.vertex_labels[i]
         edges2[eid2[perm[h]]] = x.edge_labels[k]
     marked2 = frozenset(edge_of(m2, perm[eid]) for eid in marked_edges)
-    return (m2.sigma, m2.alpha, m2.root, tuple(verts2), tuple(edges2),
-            marked2)
+    assert m2.root == 0
+    return m2.sigma, m2.alpha, tuple(verts2), tuple(edges2), marked2
 
 
 @pytest.fixture

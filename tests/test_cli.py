@@ -374,7 +374,7 @@ class TestVerify:
             return tuple(
                 OrientedTreeRootedMap._trusted(
                     t.m, t.vertex_labels, t.edge_labels,
-                    t.tree - {min(t.tree)}, t.orientation, t.up)
+                    t.tree - {min(t.tree)}, t.orientation, up=t.up)
                 if t.tree else t for t in real(tour))
         monkeypatch.setattr(bijections, "theta_fiber", drop_tree_edge)
         broken = bijections.phi(parse_gluing("n=1; pairs=(0 1)"))
@@ -420,7 +420,7 @@ class TestVerify:
                 return t
             return OrientedTreeRootedMap._trusted(
                 t.m, tuple(3 - c if c <= 2 else c for c in t.vertex_labels),
-                t.edge_labels, t.tree, t.orientation)
+                t.edge_labels, t.tree, t.orientation, up=t.up)
         monkeypatch.setattr(bijections, "phi", swapped_labels)
         monkeypatch.setattr(bijections, "phi_inverse",
                             lambda t: sources[-1])

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from map_oracle import edge_of, relabelled
+from map_oracle import corner_color, edge_of, relabelled
 
 from unimaps import maps_core
 from unimaps.bijections import (
@@ -14,7 +14,6 @@ from unimaps.maps_core import (
     DisjointSets,
     PolygonGluing,
     RootedMap,
-    _unchecked,
     canonical_relabelling,
     euler_data,
     face_permutation,
@@ -279,15 +278,15 @@ class TestColoredUnicellularMap:
         g = PolygonGluing(1, ((0, 1),), (False,))
         cm = ColoredUnicellularMap(g, (1, 2), 2)
         # corners 0 and 1 lie in different classes
-        assert {cm.corner_color(0), cm.corner_color(1)} == {1, 2}
+        assert {corner_color(cm, 0), corner_color(cm, 1)} == {1, 2}
 
     def test_corner_color_out_of_range(self):
         g = PolygonGluing(2, ((0, 2), (1, 3)), (False, False))
         cm = ColoredUnicellularMap(g, (1,), 1)
-        assert [cm.corner_color(c) for c in range(4)] == [1, 1, 1, 1]
+        assert [corner_color(cm, c) for c in range(4)] == [1, 1, 1, 1]
         for corner in (4, -1):
             with pytest.raises(ValueError):
-                cm.corner_color(corner)
+                corner_color(cm, corner)
 
     def test_polygon_glued_once(self, monkeypatch):
         from unimaps import maps_core
@@ -303,7 +302,7 @@ class TestColoredUnicellularMap:
         assert len(calls) == 1
         xi(u)
         for c in range(4):
-            u.corner_color(c)
+            corner_color(u, c)
         fiber = psi_fiber(u)
         assert len(fiber) == 2
         assert len(calls) == 1
@@ -383,16 +382,19 @@ def test_record_semantics(make, kept, bad):
     cls = type(obj)
     fields = {name: getattr(obj, name) for name in cls._fields}
     assert set(vars(obj)) - set(fields) == kept
-    # kept data takes no part in equality or hashing
-    fresh = _unchecked(cls, **fields)
-    assert not set(vars(fresh)) - set(fields)
+    # the trusted path stores fields in order and kept data by name, as
+    # given; kept data takes no part in equality or hashing
+    fresh = cls._trusted(*fields.values())
+    assert vars(fresh) == fields
     assert obj == fresh and not obj != fresh
+    data = {name: getattr(obj, name) for name in kept}
+    assert vars(cls._trusted(*fields.values(), **data)) == fields | data
     if cls is not TruncatedBivariateSeries:  # its coeffs are a dict
         assert hash(obj) == hash(fresh)
     # a record of another class with equal fields is not equal
     twin_cls = record(type("Twin", (), {"__annotations__": dict.fromkeys(
         cls._fields)}))
-    twin = _unchecked(twin_cls, **fields)
+    twin = twin_cls._trusted(*fields.values())
     assert obj != twin and twin != obj
     # immutable, fields and kept data alike
     for name in list(fields)[:1] + sorted(kept):

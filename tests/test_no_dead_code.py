@@ -16,16 +16,17 @@ BENCH = SOURCE.parent.parent / "perfbench"
 WAITING = {"series.py:u_from_q", "series.py:u_check_values"}
 
 
-def _uses(tree, skip=None, strings=False) -> set:
-    """Names that ``tree`` loads or reads as attributes, outside the node
-    ``skip``; with ``strings``, also its string constants."""
+def _uses(tree, skip=None, strings=False, names=True) -> set:
+    """Names that ``tree`` reads as attributes, outside the node
+    ``skip``; with ``names``, also the names it loads, and with
+    ``strings``, also its string constants."""
     out = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if names and isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -36,33 +37,36 @@ def _uses(tree, skip=None, strings=False) -> set:
     return out
 
 
-def _parsed() -> tuple:
+def _parsed(names=True) -> tuple:
     """The package's modules as ``{path: tree}``, and the names the
-    benchmark uses, string constants included."""
+    benchmark uses, string constants included (bare names only with
+    ``names``)."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in sorted(SOURCE.glob("*.py"))}
     bench = set()
     assert (BENCH / "trace_op.py").exists()
     for path in sorted(BENCH.glob("*.py")):
-        bench |= _uses(ast.parse(path.read_text(), str(path)), strings=True)
+        bench |= _uses(ast.parse(path.read_text(), str(path)), strings=True,
+                       names=names)
     assert len(trees) > 5
     return trees, bench
 
 
-def _unused(trees, bench, definitions) -> list:
+def _unused(trees, bench, definitions, names=True) -> list:
     """``path:name`` of each public function that ``definitions(tree)``
-    yields and that no code but its own body names."""
-    everywhere = {path: _uses(tree) for path, tree in trees.items()}
+    yields and that no code but its own body uses (see :func:`_uses`)."""
+    everywhere = {path: _uses(tree, names=names)
+                  for path, tree in trees.items()}
     unused = []
     for path, tree in trees.items():
         for node in definitions(tree):
             if not isinstance(node, ast.FunctionDef) \
                     or node.name.startswith("_"):
                 continue
-            used = bench | _uses(tree, skip=node)
-            for other, names in everywhere.items():
+            used = bench | _uses(tree, skip=node, names=names)
+            for other, there in everywhere.items():
                 if other != path:
-                    used |= names
+                    used |= there
             if node.name not in used:
                 unused.append(f"{path.name}:{node.name}")
     return unused
@@ -75,11 +79,12 @@ def test_every_public_function_is_used_outside_the_tests():
 
 def test_every_public_method_is_used_outside_the_tests():
     """The methods of every class, properties included; a method counts
-    as used wherever its name is read, on any object."""
-    trees, bench = _parsed()
+    as used wherever its name is read as an attribute, on any object, so
+    that a local variable of the same name does not hide it."""
+    trees, bench = _parsed(names=False)
 
     def methods(tree):
         return [node for cls in tree.body if isinstance(cls, ast.ClassDef)
                 for node in cls.body]
     assert len([m for t in trees.values() for m in methods(t)]) > 40
-    assert _unused(trees, bench, methods) == []
+    assert _unused(trees, bench, methods, names=False) == []

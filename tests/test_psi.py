@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 from labelled_oracle import gen_externally_labelled_maps
+from map_oracle import corner_color
 from revalidate import revalidated
 
 from unimaps import bijections, planar_closure
@@ -129,7 +130,7 @@ class TestPsiFibers:
         of the vertex labelled i in any preimage."""
         for u in all_colored(2):
             nn = 2 * u.gluing.n
-            corners = Counter(u.corner_color(c) for c in range(nn))
+            corners = Counter(corner_color(u, c) for c in range(nn))
             for p in psi_fiber(u):
                 deg = Counter()
                 for cyc, lab in zip(p.m.vertices(), p.vertex_labels):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formula_oracle import binomial
+from unimaps import series
+from unimaps.checks import CHECKS
 from unimaps.enumeration import planar_census, surjection_count, vertex_profile
 from unimaps.formulas import ledoux_check, u_formula
 from unimaps.series import (
@@ -240,6 +242,22 @@ class TestQPde:
 
     def test_perturbation_detected(self, census):
         assert check_q_pde(q_from_p(perturbed(census), 4)) is not None
+
+    @pytest.mark.parametrize("below,degree", [(0, 0), (1, -1)])
+    def test_minimum_bound_is_the_first_trusted(self, census, monkeypatch,
+                                                below, degree):
+        """The registered check trusts its residual through t-degree
+        bound - 4: degree 0 at its minimum bound, nothing below it."""
+        degrees = []
+        real = series._zero_verdict
+
+        def spy(residual, label):
+            degrees.append(residual.degree)
+            return real(residual, label)
+        monkeypatch.setattr(series, "_zero_verdict", spy)
+        check = CHECKS["q-pde"]
+        check.run(check.minimum - below, lambda bound: census)
+        assert degrees == [degree]
 
 
 class TestRecHP:

@@ -6,6 +6,7 @@ from revalidate import revalidated
 
 from best_oracle import Digraph, best_compose, best_decompose, endpoints, \
     gen_eulerian_tours, is_loop, oriented_edges
+from map_oracle import corner_color
 from unimaps.enumeration import gen_unicellular
 from unimaps.maps_core import ColoredUnicellularMap, glue_polygon
 from unimaps.tours import BiEulerianTour, EdgeLabelledGraph, xi, xi_inverse
@@ -144,7 +145,8 @@ class TestXi:
             graph = xi(u).graph
             nn = 2 * u.gluing.n
             expect = sorted(
-                tuple(sorted((u.corner_color(a), u.corner_color((a + 1) % nn))))
+                tuple(sorted((corner_color(u, a),
+                              corner_color(u, (a + 1) % nn))))
                 for a, b in u.gluing.pairs)
             assert sorted(graph.edges) == expect
 
