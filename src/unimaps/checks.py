@@ -58,14 +58,17 @@ def _check_gluing_totals(bound, census):
     from . import enumeration, formulas
     eps = enumeration.vertex_profile(bound, True)
     eta = enumeration.vertex_profile(bound)
-    for n in range(1, bound + 1):
+
+    def faults(n):
+        # two totals per n: the orientable gluings, then all of them
+        gluings = formulas.double_factorial(2 * n - 1)
         orientable = sum(eps[(n, v)] for v in range(1, n + 2))
+        yield n, None if orientable == gluings else {
+            "n": n, "orientable": orientable}
         total = sum(eta[(n, v)] for v in range(1, n + 2))
-        if orientable != formulas.double_factorial(2 * n - 1):
-            return {"n": n, "orientable": orientable}, 2 * n - 1, n
-        if total != 2 ** n * formulas.double_factorial(2 * n - 1):
-            return {"n": n, "total": total}, 2 * n, n
-    return None, 2 * bound, bound
+        yield n, None if total == 2 ** n * gluings else {
+            "n": n, "total": total}
+    return _first(f for n in range(1, bound + 1) for f in faults(n))
 
 
 def _surjection_sums(bound, orientable_only, formula):
@@ -361,63 +364,73 @@ def _check_planar_totals(bound, census):
 
 def _check_algebraic_p(bound, census):
     from . import series
-    p = series.p_series(census(max(bound - 2, 1)), bound)
-    return series.check_algebraic_P(p), len(p.coeffs), bound
+    p = series.p_series(census(bound - 2), bound)
+    return (*series.check_algebraic_P(p), bound)
 
 
 def _check_q_pde(bound, census):
     from . import series
     q = series.q_from_p(census(bound), bound - 2)
-    return series.check_q_pde(q), len(q.coeffs), bound
+    return (*series.check_q_pde(q), bound)
 
 
 def _check_rec_hp(bound, census):
     from . import series
-    # the pairs q + r <= bound with q >= -1 and r >= -2
-    return series.check_rec_hp(census(bound + 3), bound), \
-        (bound + 4) * (bound + 5) // 2, bound
+    return (*series.check_rec_hp(census(bound + 3), bound), bound)
 
 
 def _check_a_combination(bound, census):
     from . import series
     p = series.p_series(census(bound), bound + 2)
-    return series.check_a_combination(p), len(p.coeffs), bound
+    return (*series.check_a_combination(p), bound)
 
 
 def _check_qfd(bound, census):
     from . import enumeration, series
-    # one identity between polynomials in x for each 0 <= n <= bound
-    return series.check_qfd(enumeration.vertex_profile(bound), bound), \
-        bound + 1, bound
+    return (*series.check_qfd(enumeration.vertex_profile(bound), bound),
+            bound)
 
 
-# a registered check: what its bound measures, its default bound, the
-# smallest bound at which it examines anything, what one of its instances
-# is, and the check itself
-Check = namedtuple("Check", "bound_name default minimum unit run")
+def _check_u_series(bound, census):
+    """U = exp(t/2) Q(t/2, 2w) / 2 from the planar census: (2n)! times its
+    t^n w^q coefficient against U_n(q)."""
+    from . import formulas, series
+    planar = census(bound)
+    u = series.u_from_q(series.q_from_p(planar, bound))
 
-# ledoux starts at n = 2, the quartic needs the x y term of P, and the PDE
-# residual of Q at t-degree bound - 2 is trusted through bound - 4
+    def fault(n, q):
+        direct = u.coefficient(n, q) * factorial(2 * n)
+        formula = formulas.u_formula(n, q, planar)
+        return None if direct == formula else {
+            "n": n, "q": q, "series": str(direct), "formula": formula}
+    return _first((n, fault(n, q)) for n in range(1, bound + 1)
+                  for q in range(1, n + 2))
+
+
+# a registered check: what its bound measures, its default bound, what one
+# of its instances is, and the check itself.  A bound at which the check
+# examines no instance is refused.
+Check = namedtuple("Check", "bound_name default unit run")
+
 CHECKS = {
-    "gluing-totals": Check("max_n", 12, 1, "totals", _check_gluing_totals),
-    "t-formula": Check("max_n", 13, 1, "(n, q) values", _check_t_formula),
-    "jackson": Check("max_n", 6, 1, "gluings", _check_jackson),
-    "u-formula": Check("max_n", 12, 1, "(n, q) values", _check_u_formula),
-    "u-hat": Check("max_n", 20, 1, "(n, N) values", _check_u_hat),
-    "hz": Check("max_n", 13, 1, "(n, v) points", _check_hz),
-    "ledoux": Check("max_n", 12, 2, "(n, v) points", _check_ledoux),
-    "phi-roundtrip": Check("max_n", 4, 1, "color orbits",
-                           _check_phi_roundtrip),
-    "psi-fibers": Check("max_n", 3, 1, "color orbits", _check_psi_fibers),
-    "gamma-roundtrip": Check("max_edges", 5, 1, "trees",
+    "gluing-totals": Check("max_n", 12, "totals", _check_gluing_totals),
+    "t-formula": Check("max_n", 13, "(n, q) values", _check_t_formula),
+    "jackson": Check("max_n", 6, "gluings", _check_jackson),
+    "u-formula": Check("max_n", 12, "(n, q) values", _check_u_formula),
+    "u-hat": Check("max_n", 20, "(n, N) values", _check_u_hat),
+    "hz": Check("max_n", 13, "(n, v) points", _check_hz),
+    "ledoux": Check("max_n", 12, "(n, v) points", _check_ledoux),
+    "phi-roundtrip": Check("max_n", 4, "color orbits", _check_phi_roundtrip),
+    "psi-fibers": Check("max_n", 3, "color orbits", _check_psi_fibers),
+    "gamma-roundtrip": Check("max_edges", 5, "trees",
                              _check_gamma_roundtrip),
-    "planar-totals": Check("max_edges", 20, 1, "totals",
-                           _check_planar_totals),
-    "algebraic-P": Check("max_degree", 24, 2, "coefficients of P",
+    "planar-totals": Check("max_edges", 20, "totals", _check_planar_totals),
+    "algebraic-P": Check("max_degree", 24, "coefficients of P",
                          _check_algebraic_p),
-    "q-pde": Check("max_edges", 20, 4, "coefficients of Q", _check_q_pde),
-    "rec-hP": Check("max_total", 18, 1, "index pairs", _check_rec_hp),
-    "a-combination": Check("max_edges", 20, 1, "coefficients of P",
+    "q-pde": Check("max_edges", 20, "coefficients of Q", _check_q_pde),
+    "rec-hP": Check("max_total", 18, "index pairs", _check_rec_hp),
+    "a-combination": Check("max_edges", 20, "coefficients of P",
                            _check_a_combination),
-    "qfd": Check("max_n", 12, 1, "values of n", _check_qfd),
+    "qfd": Check("max_n", 12, "values of n", _check_qfd),
+    "u-series": Check("max_n", 20, "(n, q) values", _check_u_series),
 }

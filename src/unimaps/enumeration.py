@@ -180,7 +180,7 @@ def _add_shifted(level: dict, state: tuple, counts: dict, shift: int,
 
 def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
     """Count gluings with at most ``n`` edges by edges and vertices: key
-    ``(k, v)`` for every ``1 <= k <= n``.
+    ``(k, v)`` for every ``1 <= k <= n``, so none when ``n < 1``.
 
     With ``orientable_only`` this is the table of one-face maps on orientable
     surfaces; without, the table over all (locally orientable) surfaces.
@@ -211,8 +211,6 @@ def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
     onto corner 0.  The tests check the table against brute force over
     every gluing and against a labelled transfer.
     """
-    if n < 1:
-        raise ValueError("need at least one edge")
     nn = 2 * n
     twist_choices = (False,) if orientable_only else (False, True)
     table = Counter()
@@ -305,7 +303,7 @@ def planar_census(max_edges: int) -> Counter:
     """Counts of rooted planar maps by (vertices, faces): key ``(q, r)``.
 
     Covers all ``q + r - 2 <= max_edges``, including the single vertex map
-    at ``(1, 1)``.
+    at ``(1, 1)``, which is all it holds when ``max_edges < 1``.
 
     Exact transfer over the edge count by deletion of the root edge (Tutte,
     "A census of planar maps"), with the degree of the root face as the
@@ -314,8 +312,6 @@ def planar_census(max_edges: int) -> Counter:
     follows from Euler's formula.  The tests check it against brute force
     over every rooted map.
     """
-    if max_edges < 1:
-        raise ValueError("max_edges must be at least 1")
     table = Counter()
     table[(1, 1)] = 1
     levels = [{(0, 1): 1}]

@@ -199,7 +199,8 @@ class RootedMap:
     Derived data is computed at most once, on first use, kept on the map
     and takes no part in equality or hashing: the orbits of ``sigma``,
     ``alpha`` and ``sigma∘alpha`` (vertices, edges and faces) with their
-    indexes, and the :func:`canonical_relabelling`.  A trusted map may be
+    indexes, and the :func:`canonical_relabelling`, which validation
+    computes to test connectivity.  A trusted map may be
     handed the vertex or edge orbits of another map on the same ``sigma``
     or ``alpha`` tuple, which are exactly its own.
     """
@@ -233,20 +234,9 @@ class RootedMap:
                 raise ValueError("alpha is not a fixed-point-free involution")
         if not 0 <= self.root < n:
             raise ValueError("root out of range")
-        # connectivity: the search order grows while it is walked
-        seen = [False] * n
-        seen[self.root] = True
-        order = [self.root]
-        for h in order:
-            nb = alpha[h]
-            if not seen[nb]:
-                seen[nb] = True
-                order.append(nb)
-            nb = sigma[h]
-            if not seen[nb]:
-                seen[nb] = True
-                order.append(nb)
-        if len(order) != n:
+        # the first-visit search from the root labels every half-edge it
+        # reaches, and is kept for the canonical forms
+        if -1 in canonical_relabelling(self):
             raise ValueError("map is not connected")
 
     @property

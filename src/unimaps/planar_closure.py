@@ -38,7 +38,8 @@ would be an equally valid normalization.
 
 from __future__ import annotations
 
-from .maps_core import RootedMap, canonical_rotation, euler_data, record
+from .maps_core import RootedMap, _orbits, canonical_rotation, euler_data, \
+    record
 
 
 @record
@@ -87,15 +88,8 @@ class NearEulerianTree:
         if not out_buds.issubset(buds):
             raise ValueError("out_buds must be bud slots")
         # vertices are the sigma-orbits, numbered in order of first slot
-        vertex = [-1] * s
-        nv = 0
-        for start in range(s):
-            if vertex[start] < 0:
-                x = start
-                while vertex[x] < 0:
-                    vertex[x] = nv
-                    x = sigma[x]
-                nv += 1
+        orbits, vertex = _orbits(sigma)
+        nv = len(orbits)
         # nv - 1 edges reaching every vertex from the root: a spanning
         # tree.  The search walks each vertex's rotation from the slot it
         # was entered by, and gives every vertex's depth.

@@ -13,8 +13,9 @@ Truncation is tracked by a *trust degree*: a series knows through which
 operation propagates that bound conservatively.  A check can therefore
 only ever claim an identity "through degree D"; residuals are required
 to vanish identically on all trusted coefficients.  Each check returns
-None when its identity holds, else its counterexample
-``{"detail": ...}``, as the registry in :mod:`unimaps.checks` reports it.
+``(counterexample, instances)``: None when its identity holds, else its
+counterexample ``{"detail": ...}``, and how many instances it examined,
+as the registry in :mod:`unimaps.checks` reports them.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ class TruncatedBivariateSeries:
 
     @property
     def mindeg(self):
-        """Smallest weighted degree of a stored term (inf if none)."""
+        """Smallest weighted degree of a stored term; with none stored,
+        the lowest degree an unknown term can have."""
         if not self.coeffs:
-            return INF
+            return self.degree + 1
         return min(self.gdeg(i, j) for i, j in self.coeffs)
 
     def coefficient(self, i: int, j: int) -> Fraction:
@@ -165,16 +167,22 @@ def poly(terms, weights=(1, 1)) -> TruncatedBivariateSeries:
     return TruncatedBivariateSeries(dict(terms), INF, weights)
 
 
-def _zero_verdict(residual: TruncatedBivariateSeries, label: str):
-    """None when the residual vanishes through its trust degree, else the
-    counterexample naming its first nonzero term."""
+def _zero_verdict(residual: TruncatedBivariateSeries,
+                  data: TruncatedBivariateSeries, label: str):
+    """The verdict of an identity whose ``residual``, computed from the
+    series ``data``, must vanish through its trust degree: None or the
+    counterexample naming its first nonzero term, and how many
+    coefficients of ``data`` it examined: all of them, or none if the
+    residual trusts no degree."""
+    examined = len(data.coeffs) if residual.degree >= 0 else 0
     bad = residual.nonzero_terms()
     if not bad:
-        return None
+        return None, examined
     (i, j), _ = bad[0]
     x, y = ("t", "w") if residual.weights == (1, 0) else ("x", "y")
     return {"detail": f"{label}: first nonzero coefficient at "
-            f"{x}^{i} {y}^{j}, trusted through degree {residual.degree}"}
+            f"{x}^{i} {y}^{j}, trusted through degree {residual.degree}"}, \
+        examined
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +223,7 @@ def check_algebraic_P(p: TruncatedBivariateSeries):
     residual = (p2 * p2 * 27 - c3 * (p2 * p) + c2 * p2
                 + poly({(1, 1): 1}) * bracket1 * p
                 - poly({(2, 2): 1}) * bracket0)
-    return _zero_verdict(residual, "quartic for P")
+    return _zero_verdict(residual, p, "quartic for P")
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +295,7 @@ def check_q_pde(q: TruncatedBivariateSeries):
         + tw({(2, 0): 8, (1, 0): 11}) * qttt
         - tw({(1, 2): 4, (1, 1): 8}) * qwtt
         + tw({(2, 0): 2}) * qtttt)
-    return _zero_verdict(residual, "PDE for Q")
+    return _zero_verdict(residual, q, "PDE for Q")
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +350,8 @@ def check_rec_hp(planar_counts, max_total: int):
     with ``q >= -1``, ``r >= -2`` and ``q + r <= max_total`` (outside
     that quadrant every referenced entry vanishes); needs a census
     covering ``q + r + 3`` edges.  None when it holds everywhere, else
-    the counterexample counting the failing pairs."""
+    the counterexample counting the failing pairs; and the pairs
+    checked."""
     failures = checked = 0
     for q in range(-1, max_total + 3):
         for r in range(-2, max_total - q + 1):
@@ -351,8 +360,8 @@ def check_rec_hp(planar_counts, max_total: int):
                 failures += 1
     if failures:
         return {"detail": f"recurrence fails at {failures} of "
-                f"{checked} index pairs"}
-    return None
+                f"{checked} index pairs"}, checked
+    return None, checked
 
 
 def a_combination(p: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
@@ -396,7 +405,7 @@ def a_combination(p: TruncatedBivariateSeries) -> TruncatedBivariateSeries:
 
 
 def check_a_combination(p: TruncatedBivariateSeries):
-    return _zero_verdict(a_combination(p), "A(x, y)")
+    return _zero_verdict(a_combination(p), p, "A(x, y)")
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +421,10 @@ def check_qfd(eta, n_max: int):
           + (10n^2 - 9n + 8x - 8x^2) v^_(n-2)(x)
           + 5 (1-2x) v^_(n-3)(x) - 2 v^_(n-4)(x)
 
-    as an identity between polynomials in x.  ``eta`` is a table keyed
-    by ``(n, v)`` covering ``1 <= n <= n_max``; the edgeless map
-    contributes ``eta_1(0) = 1``.
+    as an identity between polynomials in x, up to the first n where it
+    fails; the second value returned counts the n checked.  ``eta`` is a
+    table keyed by ``(n, v)`` covering ``1 <= n <= n_max``; the edgeless
+    map contributes ``eta_1(0) = 1``.
     """
 
     def v_hat(n):
@@ -436,7 +446,9 @@ def check_qfd(eta, n_max: int):
                 if s:
                     acc[v + shift] = acc.get(v + shift, Fraction(0)) + s * c
 
+    checked = 0
     for n in range(n_max + 1):
+        checked += 1
         acc = {}
         add(acc, v_hat(n),
             [-(2 * n) * (2 * n - 1) * (2 * n - 2) * (n + 1)])
@@ -446,11 +458,6 @@ def check_qfd(eta, n_max: int):
         add(acc, v_hat(n - 3), [5, -10])
         add(acc, v_hat(n - 4), [-2])
         if any(acc.values()):
-            return {"detail": f"five-term recurrence fails at n={n}"}
-    return None
-
-
-def u_check_values(u: TruncatedBivariateSeries, n: int, q: int) -> Fraction:
-    """Convenience accessor: ``(2n)!`` times the ``t^n w^q`` coefficient
-    of ``U``, which should equal the every-color count ``U_n(q)``."""
-    return u.coefficient(n, q) * factorial(2 * n)
+            return {"detail": f"five-term recurrence fails at n={n}"}, \
+                checked
+    return None, checked

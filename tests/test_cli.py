@@ -26,6 +26,21 @@ from unimaps.cli import main, parse_gluing
 from unimaps.planar_closure import gen_near_eulerian_trees, gen_plane_maps
 
 
+# the smallest bound at which each check examines an instance: below it,
+# verify exits 2
+MINIMUMS = {
+    "gluing-totals": 1, "t-formula": 1, "jackson": 1, "u-formula": 1,
+    "u-hat": 1, "hz": 1, "phi-roundtrip": 1, "psi-fibers": 1,
+    "gamma-roundtrip": 1, "planar-totals": 1, "u-series": 1,
+    "ledoux": 2, "algebraic-P": 2,
+    "q-pde": 4,
+    # the one index pair (-1, -2)
+    "rec-hP": -3,
+    # P_{1,1}, and the identity at n = 0
+    "a-combination": 0, "qfd": 0,
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -321,12 +336,14 @@ class TestVerify:
         ("a-combination", 6, {"detail": "A(x, y): first nonzero "
                               "coefficient at x^2 y^0, trusted through "
                               "degree 6"}),
+        ("gluing-totals", 4, {"n": 3, "orientable": 16}),
     ])
     def test_perturbed_table_gives_exact_counterexample(
             self, capsys, monkeypatch, check, bound, counterexample):
         """One count off by one in the one-face profile (eps_2(3), or
-        eta_2(3)) and in the planar census (P_{2,2}) breaks every
-        recurrence and series identity, each with its own payload."""
+        eta_2(3)) and in the planar census (P_{2,2}) breaks the gluing
+        totals and every recurrence and series identity, each with its
+        own payload."""
         real_profile = enumeration.vertex_profile
         real_census = enumeration.planar_census
 
@@ -444,6 +461,19 @@ class TestVerify:
                                   "formula": real(2, 2) + 1}
         assert "Traceback" not in err
 
+    def test_u_series_names_the_first_wrong_value(self, capsys,
+                                                  monkeypatch):
+        """The series coefficient, an exact rational, goes out as a
+        string; the count stops at the failing (n, q)."""
+        real = formulas.u_formula
+        monkeypatch.setattr(formulas, "u_formula", lambda n, q, planar: real(
+            n, q, planar) + ((n, q) == (2, 2)))
+        code, out, err = run(capsys, "verify", "u-series", "--bound", "4")
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {
+            "n": 2, "q": 2, "series": "22", "formula": 23}
+        assert err.endswith(", 4 (n, q) values to max_n = 2\n")
+
     def test_phi_inverse_runs_on_every_orbit(self, capsys, monkeypatch):
         """The check inverts the image of every color orbit, not only a
         sample: the 108 restricted-growth colorings of the orientable
@@ -488,22 +518,46 @@ class TestVerify:
 
     # every check's minimum minus 1, plus bounds further below
     @pytest.mark.parametrize("check,bound,minimum", sorted(
-        {(name, c.minimum - 1, c.minimum) for name, c in CHECKS.items()}
-        | {("rec-hP", -5, 1), ("q-pde", 0, 4), ("algebraic-P", 0, 2)}))
+        {(name, m - 1, m) for name, m in MINIMUMS.items()}
+        | {("rec-hP", -8, -3), ("q-pde", 0, 4), ("algebraic-P", 0, 2)}))
     def test_bound_below_minimum_is_usage_error(self, capsys, check, bound,
                                                 minimum):
         code, out, err = run(capsys, "verify", check, "--bound", str(bound))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and f"at least {minimum}" in err
-        assert CHECKS[check].default >= minimum
+        assert err == f"error: {check} examined nothing at --bound {bound}\n"
 
     @pytest.mark.parametrize("check", sorted(CHECKS))
     def test_minimum_bound_passes(self, capsys, check):
         code, out, _ = run(capsys, "verify", check, "--bound",
-                           str(CHECKS[check].minimum))
+                           str(MINIMUMS[check]))
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_every_bound_up_to_the_minimum(self, capsys, monkeypatch,
+                                           check):
+        """From bound -8 up to the smallest passing bound, ``verify``
+        exits 0 or 2 and never raises; it exits 2 with nothing on stdout
+        exactly when the check examined no instance, which is below the
+        bound in ``MINIMUMS``, and no count is negative."""
+        monkeypatch.delenv("UNIMAPS_CACHE", raising=False)
+        counts = []
+        real = CHECKS[check].run
+
+        def spy(bound, census):
+            verdict = real(bound, census)
+            counts.append(verdict[1])
+            return verdict
+        monkeypatch.setitem(CHECKS, check, CHECKS[check]._replace(run=spy))
+        for bound in range(-8, MINIMUMS[check] + 1):
+            code, out, err = run(capsys, "verify", check, "--bound",
+                                 str(bound))
+            instances = counts[-1]
+            assert instances >= 0, bound
+            assert code == (0 if instances else 2), (bound, err)
+            assert (out == "") == (instances == 0), bound
+            assert (instances > 0) == (bound == MINIMUMS[check]), bound
 
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -511,8 +565,9 @@ class TestVerify:
         assert info.value.code == 2
 
     def test_every_registered_check_has_defaults(self):
-        for check in CHECKS.values():
-            assert check.default >= check.minimum and callable(check.run)
+        assert set(MINIMUMS) == set(CHECKS)
+        for name, check in CHECKS.items():
+            assert check.default >= MINIMUMS[name] and callable(check.run)
             assert check.bound_name.startswith("max_")
 
 

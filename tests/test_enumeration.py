@@ -224,7 +224,7 @@ class TestTransferAgainstOracle:
                 if n >= 2:
                     fault = ledoux_check(eta, n, v)
                     assert fault is None, fault
-        fault = check_qfd(eta, 10)
+        fault, _ = check_qfd(eta, 10)
         assert fault is None, fault
 
 

@@ -10,10 +10,9 @@ import unimaps
 SOURCE = pathlib.Path(unimaps.__file__).parent
 BENCH = SOURCE.parent.parent / "perfbench"
 
-# series.u_from_q and u_check_values encode U = exp(t/2) Q(t/2, 2w) / 2,
-# which the tests check and no registered check runs yet; the set must
-# name exactly the unused functions
-WAITING = {"series.py:u_from_q", "series.py:u_check_values"}
+# functions that no registered check runs yet; the set must name exactly
+# the unused functions
+WAITING = set()
 
 
 def _uses(tree, skip=None, strings=False, names=True) -> set:

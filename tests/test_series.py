@@ -23,7 +23,6 @@ from unimaps.series import (
     poly,
     q_from_p,
     rec_hp_residual,
-    u_check_values,
     u_from_q,
 )
 
@@ -122,6 +121,13 @@ class TestSeriesOps:
         f = TruncatedBivariateSeries({(1, 0): 1}, 3)
         assert (f * poly({(2, 0): 1})).degree == 5
 
+    def test_empty_factors_are_not_trusted_beyond_their_degrees(self):
+        # an unknown term of a trust-3 series with no stored term has
+        # degree at least 4, so the product is trusted through 3 + 4
+        empty = TruncatedBivariateSeries({}, 3)
+        assert (empty * empty).degree == 7
+        assert (empty * poly({(2, 0): 1})).degree == 5
+
     def test_coefficient_beyond_trust_raises(self):
         f = TruncatedBivariateSeries({(1, 0): 1}, 3)
         with pytest.raises(ValueError):
@@ -146,13 +152,14 @@ class TestPSeries:
 
 class TestQuartic:
     def test_residual_zero_census_three(self):
-        assert check_algebraic_P(p_series(planar_census(3), 5)) is None
+        # the coefficients P_(q,r) with q + r <= 5
+        assert check_algebraic_P(p_series(planar_census(3), 5)) == (None, 10)
 
     def test_residual_zero_census_five(self, census):
-        assert check_algebraic_P(p_series(census, 7)) is None
+        assert check_algebraic_P(p_series(census, 7))[0] is None
 
     def test_perturbation_detected(self, census):
-        fault = check_algebraic_P(p_series(perturbed(census), 7))
+        fault, _ = check_algebraic_P(p_series(perturbed(census), 7))
         assert "nonzero" in fault["detail"]
 
 
@@ -181,7 +188,7 @@ class TestQAndU:
                 brute = sum(eta[(n, v)] * surjection_count(v, q)
                             for v in range(1, n + 2))
                 assert brute == u_formula(n, q, census)
-                assert brute == u_check_values(u, n, q)
+                assert brute == u.coefficient(n, q) * factorial(2 * n)
 
 
 class TestDeltaOperators:
@@ -232,32 +239,33 @@ class TestDeltaOperators:
 
 class TestQPde:
     def test_residual_zero_census_five(self):
-        assert check_q_pde(q_from_p(planar_census(5), 3)) is None
+        assert check_q_pde(q_from_p(planar_census(5), 3))[0] is None
 
     def test_residual_zero_census_six(self, census):
-        assert check_q_pde(q_from_p(census, 4)) is None
+        assert check_q_pde(q_from_p(census, 4))[0] is None
 
     def test_residual_zero_low_order(self, census):
-        assert check_q_pde(q_from_p(census, 2)) is None
+        assert check_q_pde(q_from_p(census, 2))[0] is None
 
     def test_perturbation_detected(self, census):
-        assert check_q_pde(q_from_p(perturbed(census), 4)) is not None
+        assert check_q_pde(q_from_p(perturbed(census), 4))[0] is not None
 
     @pytest.mark.parametrize("below,degree", [(0, 0), (1, -1)])
     def test_minimum_bound_is_the_first_trusted(self, census, monkeypatch,
                                                 below, degree):
         """The registered check trusts its residual through t-degree
-        bound - 4: degree 0 at its minimum bound, nothing below it."""
+        bound - 4: degree 0 at its minimum bound 4, where it first
+        examines coefficients of Q, and nothing below it."""
         degrees = []
         real = series._zero_verdict
 
-        def spy(residual, label):
+        def spy(residual, data, label):
             degrees.append(residual.degree)
-            return real(residual, label)
+            return real(residual, data, label)
         monkeypatch.setattr(series, "_zero_verdict", spy)
-        check = CHECKS["q-pde"]
-        check.run(check.minimum - below, lambda bound: census)
+        _, instances, _ = CHECKS["q-pde"].run(4 - below, lambda bound: census)
         assert degrees == [degree]
+        assert (instances > 0) == (degree >= 0)
 
 
 class TestRecHP:
@@ -272,9 +280,10 @@ class TestRecHP:
     def test_holds_through_total_four(self, census7):
         """It holds at every one of the 36 index pairs with
         q + r <= 4, the count that a perturbed census reports."""
-        assert check_rec_hp(census7, 4) is None
-        fault = check_rec_hp(perturbed(census7), 4)
+        assert check_rec_hp(census7, 4) == (None, 36)
+        fault, checked = check_rec_hp(perturbed(census7), 4)
         assert fault["detail"].endswith(" of 36 index pairs")
+        assert checked == 36
 
     def test_census_carries_the_seven_edge_counts(self):
         seven = {(q, r): c for (q, r), c in planar_census(7).items()
@@ -286,10 +295,10 @@ class TestRecHP:
         # must tie it to the live 6-edge census
         for (i, j), c in SEVEN_EDGE_COUNTS.items():
             assert census7[(j, i)] == c
-        assert check_rec_hp(census7, 4) is None
+        assert check_rec_hp(census7, 4)[0] is None
 
     def test_perturbation_detected(self, census7):
-        fault = check_rec_hp(perturbed(census7), 3)
+        fault, _ = check_rec_hp(perturbed(census7), 3)
         assert "fails" in fault["detail"]
 
     def test_missing_census_entry_rejected(self):
@@ -299,10 +308,10 @@ class TestRecHP:
 
 class TestACombination:
     def test_residual_zero_census_five(self):
-        assert check_a_combination(p_series(planar_census(5), 7)) is None
+        assert check_a_combination(p_series(planar_census(5), 7))[0] is None
 
     def test_perturbation_detected(self, census):
-        assert check_a_combination(p_series(perturbed(census), 7)) \
+        assert check_a_combination(p_series(perturbed(census), 7))[0] \
             is not None
 
     def test_agreement_with_recurrence(self, census7):
@@ -310,11 +319,11 @@ class TestACombination:
         are two forms of one identity: they accept the true census and
         reject the same perturbed census."""
         good_p = p_series(census7, 7)
-        assert check_a_combination(good_p) is None
-        assert check_rec_hp(census7, 4) is None
+        assert check_a_combination(good_p)[0] is None
+        assert check_rec_hp(census7, 4)[0] is None
         bad = perturbed(census7)
-        assert check_a_combination(p_series(bad, 7)) is not None
-        assert check_rec_hp(bad, 4) is not None
+        assert check_a_combination(p_series(bad, 7))[0] is not None
+        assert check_rec_hp(bad, 4)[0] is not None
 
     def test_low_coefficients_vanish(self, census):
         a = a_combination(p_series(census, 8))
@@ -325,15 +334,18 @@ class TestACombination:
 
 class TestQfd:
     def test_boundary_cases(self):
-        assert check_qfd(vertex_profile(1), 1) is None
+        assert check_qfd(vertex_profile(1), 1) == (None, 2)
+        assert check_qfd(vertex_profile(0), 0) == (None, 1)
+        assert check_qfd(vertex_profile(-1), -1) == (None, 0)
 
     def test_holds_through_six_edges(self, eta):
-        assert check_qfd(eta, 6) is None
+        assert check_qfd(eta, 6) == (None, 7)
 
     def test_reports_offending_edge_count(self, eta):
         bad = perturbed(eta, (4, 2))
-        fault = check_qfd(bad, 6)
+        fault, checked = check_qfd(bad, 6)
         assert "n=4" in fault["detail"]
+        assert checked == 5
 
     @pytest.mark.parametrize("key", [(3, 1), (4, 2), (5, 5), (6, 3)])
     def test_agrees_with_four_term_recurrence(self, eta, key):
@@ -345,4 +357,4 @@ class TestQfd:
             by_recurrence = all(
                 ledoux_check(table, n, v) is None
                 for n in range(2, 7) for v in range(1, n + 2))
-            assert (check_qfd(table, 6) is None) == by_recurrence
+            assert (check_qfd(table, 6)[0] is None) == by_recurrence
