@@ -546,26 +546,26 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
             for f, lab in zip(self.submap_faces, self.face_labels))),)
 
 
-def _project(m: RootedMap, slots: set):
-    """Rotation and pairing induced by ``m`` on a subset of half-edges."""
-    sigma = {}
-    # in slot order, so that every face traced on the system starts at
-    # its minimum
-    for h in sorted(slots):
-        x = m.sigma[h]
-        while x not in slots:
-            x = m.sigma[x]
-        sigma[h] = x
-    mate = {h: m.alpha[h] for h in slots}
-    return sigma, mate
-
-
-def _submap_system(m: RootedMap, submap: frozenset):
-    """Rotation and pairing induced by ``m`` on the half-edges of a
-    submap given by its edge ids."""
-    alpha = m.alpha
-    return _project(m, {h for h in range(len(alpha))
-                        if min(h, alpha[h]) in submap})
+def _project(m: RootedMap, edges) -> tuple:
+    """``(hs, pos, sigma, mate)``: the rotation and pairing lists that
+    ``m`` induces on the half-edges of ``edges`` (distinct edges, each
+    named by one of its half-edges), on slots ``0..s-1`` numbered in
+    increasing half-edge order, with ``hs[k]`` the half-edge of slot
+    ``k`` and ``pos`` its inverse (-1 off the edges).  The numbering
+    keeps order, so every face keeps its least half-edge and its place
+    in the order by minimum."""
+    sigma, alpha = m.sigma, m.alpha
+    hs = sorted(h for e in edges for h in (e, alpha[e]))
+    pos = [-1] * len(sigma)
+    for k, h in enumerate(hs):
+        pos[h] = k
+    rotation = []
+    for h in hs:
+        x = sigma[h]
+        while pos[x] < 0:
+            x = sigma[x]
+        rotation.append(pos[x])
+    return hs, pos, rotation, [pos[alpha[h]] for h in hs]
 
 
 def _submap_faces_of(m: RootedMap, submap: frozenset):
@@ -575,15 +575,17 @@ def _submap_faces_of(m: RootedMap, submap: frozenset):
 
     if not submap:
         return [()]
-    return sorted(slot_faces(*_submap_system(m, submap)), key=min)
+    hs, _, sigma, mate = _project(m, submap)
+    return [tuple(hs[x] for x in f) for f in slot_faces(sigma, mate)[0]]
 
 
-def _canonical_inner_faces(m: RootedMap, faces, outer_rep: int):
-    """Inner submap faces in the order induced by the canonical
-    relabelling of the whole map (invariant under half-edge renaming)."""
+def _canonical_inner_faces(m: RootedMap, faces, outer: int) -> list:
+    """The indices in ``faces`` of the inner submap faces, all but
+    ``outer``, in the order induced by the canonical relabelling of the
+    whole map (invariant under half-edge renaming)."""
     perm = canonical_relabelling(m)
-    inner = [f for f in faces if f and min(f) != outer_rep]
-    return sorted(inner, key=lambda f: min(perm[x] for x in f))
+    return sorted((k for k in range(len(faces)) if k != outer),
+                  key=lambda k: min(perm[x] for x in faces[k]))
 
 
 def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
@@ -602,29 +604,29 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
             m, p.vertex_labels, p.edge_labels, p.submap, frozenset(),
             up=_tree_up(m, m.vertex_index(), p.submap, len(p.vertex_labels)))
         return upsilon(t)
-    sigma_sub, mate_sub = _submap_system(m, p.submap)
-    label_of_rep = {min(f): lab for f, lab in zip(faces, p.face_labels)}
-    outer_rep = next(min(f) for f in faces if label_of_rep[min(f)] == r)
+    hs, pos, sigma_sub, mate_sub = _project(m, p.submap)
+    # the kept faces on the slots, and the face of every slot
+    sub_faces = [tuple(pos[x] for x in f) for f in faces]
+    face_of = [0] * len(hs)
+    for k, f in enumerate(sub_faces):
+        for x in f:
+            face_of[x] = k
+    outer = p.face_labels.index(r)
     vid = m.vertex_index()
-    root_sub = min(h for h in sigma_sub if vid[h] == vid[m.root])
-    face_of = {x: k for k, f in enumerate(faces) for x in f}
+    root_sub = next(k for k, h in enumerate(hs) if vid[h] == vid[m.root])
     tree_mate, tails, cuts = open_slots(
-        sigma_sub, mate_sub, faces, face_of, root_sub,
-        dual_layers(faces, face_of, mate_sub, outer_rep))
+        sigma_sub, mate_sub, sub_faces, face_of, root_sub,
+        dual_layers(sub_faces, face_of, mate_sub, sub_faces[outer][0]))
     # cut bookkeeping: inner face -> (out slot, in slot)
-    buds_of_rep = {f: (o, i) for f, o, i in cuts}
-    inner = _canonical_inner_faces(m, faces, outer_rep)
-    by_index = {k + 1: f for k, f in enumerate(inner)}
+    buds = {face_of[f]: (o, i) for f, o, i in cuts}
+    inner = _canonical_inner_faces(m, faces, outer)
     # re-join the buds: the face labelled j sends its outgoing bud to the
     # ingoing bud of the j-th inner face in canonical order
-    pairs = []
-    for f in inner:
-        o, _ = buds_of_rep[min(f)]
-        _, i = buds_of_rep[min(by_index[label_of_rep[min(f)]])]
-        pairs.append((o, i))
+    pairs = [(hs[buds[f][0]], hs[buds[inner[p.face_labels[f] - 1]][1]])
+             for f in inner]
     m2, edge_labels = p._rejoined(pairs)
-    tree = frozenset(eid for eid in p.submap if tree_mate[eid] >= 0)
-    orientation = frozenset(tails) | {o for o, _ in pairs}
+    tree = frozenset(eid for eid in p.submap if tree_mate[pos[eid]] >= 0)
+    orientation = frozenset(hs[t] for t in tails) | {o for o, _ in pairs}
     t = OrientedTreeRootedMap._trusted(
         m2, p.vertex_labels, edge_labels, tree, orientation,
         up=_tree_up(m2, vid, tree, len(p.vertex_labels)))
@@ -650,45 +652,29 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
             continue
         # near-Eulerian tree inside the map: tree half-edges plus the buds
         # of the cut oriented edges
-        slots = set()
-        for eid in t.tree:
-            slots.add(eid)
-            slots.add(alpha[eid])
-        buds = {}
+        hs, pos, sigma_sub, mate_sub = _project(m, (*t.tree, *cut_tails))
         for o in cut_tails:
-            buds[o] = True
-            buds[alpha[o]] = False
-            slots.add(o)
-            slots.add(alpha[o])
-        sigma_sub, mate_sub = _project(m, slots)
-        for h in buds:
-            mate_sub[h] = -1
+            mate_sub[pos[o]] = mate_sub[pos[alpha[o]]] = -1
         vid = m.vertex_index()
-        root_sub = min(h for h in slots if vid[h] == vid[m.root])
-        out_buds = {h for h, is_out in buds.items() if is_out}
-        full, pairs, outer_rep = close_slots(sigma_sub, mate_sub,
-                                             out_buds, root_sub)
+        root = next(k for k, h in enumerate(hs) if vid[h] == vid[m.root])
+        full, pairs, outer_rep = close_slots(
+            sigma_sub, mate_sub, {pos[o] for o in cut_tails}, root)
         # the closed submap inside the big map
-        m2, edge_labels = t._rejoined(pairs)
-        submap = frozenset(min(h, full[h]) for h in slots)
-        # the faces of the closed submap, each named by its minimum slot;
-        # the arch of a closure pair (o, i) bounds the inner face through
-        # its ingoing slot i, the face whose arch the opening would cut
-        faces = sorted(slot_faces(sigma_sub, full), key=min)
-        rep = {h: min(f) for f in faces for h in f}
-        out_slot_of_rep = {rep[i]: o for o, i in pairs}
-        inner = _canonical_inner_faces(m2, faces, outer_rep)
-        index_of_rep = {min(f): k + 1 for k, f in enumerate(inner)}
+        m2, edge_labels = t._rejoined([(hs[o], hs[i]) for o, i in pairs])
+        submap = frozenset(hs[min(k, j)] for k, j in enumerate(full))
+        # the faces of the closed submap, in order of minimum; the arch of
+        # a closure pair (o, i) bounds the inner face through its ingoing
+        # slot i, the face whose arch the opening would cut
+        orbits, face_of = slot_faces(sigma_sub, full)
+        faces = tuple(tuple(hs[x] for x in f) for f in orbits)
+        inner = _canonical_inner_faces(m2, faces, face_of[outer_rep])
+        index = {f: k + 1 for k, f in enumerate(inner)}
         # labels: the face whose outgoing bud originally matched the
         # ingoing bud of inner face G gets G's canonical index
-        label_of_rep = {}
-        for f in inner:
-            o = out_slot_of_rep[min(f)]
-            label_of_rep[min(f)] = index_of_rep[rep[alpha[o]]]
-        w = len(inner)
-        face_labels = tuple(
-            label_of_rep.get(min(f), w + 1) for f in faces)
+        face_labels = [len(inner) + 1] * len(faces)
+        for o, i in pairs:
+            face_labels[face_of[i]] = index[face_of[pos[alpha[hs[o]]]]]
         out.append(ExternallyLabelledPlanarRootedMap._trusted(
-            m2, t.vertex_labels, edge_labels, submap, face_labels,
-            submap_faces=tuple(faces)))
+            m2, t.vertex_labels, edge_labels, submap, tuple(face_labels),
+            submap_faces=faces))
     return tuple(out)

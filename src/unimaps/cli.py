@@ -148,20 +148,30 @@ def parse_rotation(text: str):
         raise ParseError(str(exc), fields["sigma"][1])
 
 
+def _slot_set(fields: dict, key: str) -> frozenset:
+    """The slots of the field ``key``, none when it is absent; a slot
+    listed twice is an error."""
+    value, pos = fields.get(key, ("", 0))
+    slots = _int_tuple(value, pos)
+    if len(set(slots)) != len(slots):
+        raise ParseError(f"{key} lists a slot twice", pos)
+    return frozenset(slots)
+
+
 def parse_tree(text: str) -> NearEulerianTree:
     """Parse ``sigma=(...); mate=(...); out=(...); tails=(...)`` where
-    ``mate`` is -1 on bud slots."""
+    ``mate`` is -1 on bud slots and ``out`` and ``tails`` list each slot
+    at most once."""
     from .planar_closure import NearEulerianTree
     fields = _split_fields(text, ("sigma", "mate", "out", "tails", "root"),
                            ("sigma", "mate"))
     sigma = _int_tuple(*fields["sigma"])
     mate = _int_tuple(*fields["mate"])
-    out = _int_tuple(*fields["out"]) if "out" in fields else ()
-    tails = _int_tuple(*fields["tails"]) if "tails" in fields else ()
+    out = _slot_set(fields, "out")
+    tails = _slot_set(fields, "tails")
     root = _int_field(fields, "root") if "root" in fields else 0
     try:
-        return NearEulerianTree(sigma, mate, frozenset(out),
-                                frozenset(tails), root)
+        return NearEulerianTree(sigma, mate, out, tails, root)
     except ValueError as exc:
         raise ParseError(str(exc), fields["sigma"][1])
 

@@ -22,6 +22,11 @@ meets, for every ring-k face f, first the edge that enters that
 component along f (:func:`open_slots` has the anchor and the one face
 that needs a walk of its own).
 
+psi (:mod:`unimaps.bijections`) closes and opens the planar submap of a
+larger map with these same routines, on the submap renumbered onto slots
+``0..s-1``.  Every face trace, of a map or of a slot system
+(:func:`slot_faces`), goes through :func:`unimaps.maps_core._orbits`.
+
 Everything is combinatorial: plane maps are rotation systems of genus 0
 with a distinguished face, and one chirality holds throughout.  In
 face-walk order outgoing buds open and ingoing buds close the
@@ -193,16 +198,16 @@ class PlaneMap:
 
 
 # ---------------------------------------------------------------------------
-# Generic slot-level machinery (shared with the psi construction, which
-# operates on submaps of larger maps)
+# Slot-level machinery on slots ``0..s-1`` (shared with the psi
+# construction, which renumbers the submaps of larger maps onto slots)
 # ---------------------------------------------------------------------------
 
 
 def face_walk(sigma, mate, start):
     """The slots of the face of a slot system through ``start``, from
     ``start`` on: the next slot is ``sigma[mate[x]]`` along an edge and
-    ``sigma[x]`` at a bud.  ``sigma`` and ``mate`` map each slot to a
-    slot (tuples or lists on slots ``0..s-1``, or dicts)."""
+    ``sigma[x]`` at a bud.  ``sigma`` and ``mate`` are tuples or lists on
+    slots ``0..s-1``, ``mate`` -1 at a bud."""
     yield start
     m = mate[start]
     x = sigma[m] if m >= 0 else sigma[start]
@@ -218,23 +223,13 @@ def slot_face(sigma, mate, start) -> tuple:
     return tuple(face_walk(sigma, mate, start))
 
 
-def slot_faces(sigma: dict, mate: dict) -> list:
-    """Every face orbit of a slot system (see :func:`slot_face`), each
-    from its first slot in ``sigma`` order."""
-    seen = set()
-    out = []
-    for start in sigma:
-        if start not in seen:
-            orbit = slot_face(sigma, mate, start)
-            seen.update(orbit)
-            out.append(orbit)
-    return out
-
-
-def _mutable(pairing):
-    """A copy of a slot pairing that can be cut or joined: a dict stays a
-    dict, a tuple or list becomes a new list."""
-    return pairing.copy() if isinstance(pairing, dict) else list(pairing)
+def slot_faces(sigma, mate) -> tuple:
+    """``(faces, face_of)``: the face orbits of a slot system, each from
+    its minimum slot, in order of minimum, and the index in ``faces`` of
+    every slot's face; the :func:`~unimaps.maps_core._orbits` of its face
+    permutation (see :func:`face_walk`)."""
+    return _orbits([sigma[m] if m >= 0 else sigma[x]
+                    for x, m in enumerate(mate)])
 
 
 def _arches(buds: list):
@@ -272,8 +267,8 @@ def _arches(buds: list):
 
 def close_slots(sigma, mate, out_buds, root: int):
     """Join the buds of a one-face slot system; returns the completed
-    pairing (a list for a tuple or list ``mate``, a dict for a dict), the
-    closure pairs and the outer face representative.
+    pairing as a list, the closure pairs and the outer face
+    representative.
 
     Each closure edge covers the stretch of the tree contour from its
     outgoing to its ingoing bud; only the outermost arches border the
@@ -284,7 +279,7 @@ def close_slots(sigma, mate, out_buds, root: int):
         raise ValueError("closure needs a single face")
     pairs, outermost = _arches([(x, x in out_buds) for x in walk
                                 if mate[x] < 0])
-    full = _mutable(mate)
+    full = list(mate)
     for o, i in pairs:
         full[o] = i
         full[i] = o
@@ -347,11 +342,10 @@ def open_slots(sigma, mate, faces: list, face_of, root: int,
     every slot's face (as for :func:`dual_layers`), ``root`` a slot at the
     root vertex and ``layers`` the :func:`dual_layers` tuple from the
     outer face, which the caller may already hold for other uses.
-    Returns ``(tree_mate, tails, cuts)``: the cut pairing (a list for a
-    tuple or list ``mate``, a dict for a dict), the tails of the tree's
-    oriented edges and a list of ``(face_rep, out_slot, in_slot)`` with
-    ``face_rep`` identifying the inner face (its minimum slot) whose
-    breakable edge was cut.
+    Returns ``(tree_mate, tails, cuts)``: the cut pairing as a list, the
+    tails of the tree's oriented edges and a list of ``(face_rep,
+    out_slot, in_slot)`` with ``face_rep`` identifying the inner face
+    (its minimum slot) whose breakable edge was cut.
 
     Round k cuts the faces at dual distance k.  The cuts of the rounds
     before have merged the faces below k into one face R of the cut map,
@@ -373,7 +367,7 @@ def open_slots(sigma, mate, faces: list, face_of, root: int,
     at it): the last slot of S_f met enters that start's component.
     """
     dist, parent, full_tails = layers
-    mm = _mutable(mate)
+    mm = list(mate)
     # the nearest face at the root vertex, by the root vertex's slot on it
     near = x = root
     while True:

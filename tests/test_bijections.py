@@ -24,6 +24,7 @@ from unimaps.bijections import (
     upsilon,
     upsilon_fiber,
 )
+from unimaps.checks import _fiber_fault, _invalid
 from unimaps.enumeration import gen_colored_unicellular, gen_unicellular
 from unimaps.formulas import t_formula
 from unimaps.maps_core import (
@@ -278,6 +279,24 @@ class TestAgainstArcOracle:
         for t in gen_oriented_tree_rooted_maps(n):
             tour = theta(t)
             assert (tour.graph, tour) == arc_theta(t)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_psi_fibers_of_sampled_twisted_gluings(n):
+    """Past n = 3, where the psi tests stop enumerating, a fixed-seed
+    sample of colored gluings with at least one twisted pair each: every
+    psi fiber element is valid, and every fiber has the properties that
+    ``verify psi-fibers`` checks.  The sample reaches fibers of every
+    weight from 1 to n."""
+    rng = random.Random(f"psi fibers:{n}")
+    weights = set()
+    for _ in range(100):
+        u = twisted_colored_gluing(rng, n)
+        fiber = psi_fiber(u)
+        assert _invalid(*[x for p in fiber for x in (p.m, p)]) is None
+        assert _fiber_fault(u, fiber) is None
+        weights.add(fiber[0].external_weight)
+    assert weights == set(range(1, n + 1))
 
 
 @pytest.mark.parametrize("n", [1, 2])

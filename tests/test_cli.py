@@ -538,9 +538,10 @@ class TestVerify:
     def test_every_bound_up_to_the_minimum(self, capsys, monkeypatch,
                                            check):
         """From bound -8 up to the smallest passing bound, ``verify``
-        exits 0 or 2 and never raises; it exits 2 with nothing on stdout
-        exactly when the check examined no instance, which is below the
-        bound in ``MINIMUMS``, and no count is negative."""
+        exits 0 or 2 and never raises; it exits 2, with nothing on stdout
+        and the one ``examined nothing`` line on stderr, exactly when the
+        check examined no instance, which is below the bound in
+        ``MINIMUMS``, and no count is negative."""
         monkeypatch.delenv("UNIMAPS_CACHE", raising=False)
         counts = []
         real = CHECKS[check].run
@@ -558,6 +559,9 @@ class TestVerify:
             assert code == (0 if instances else 2), (bound, err)
             assert (out == "") == (instances == 0), bound
             assert (instances > 0) == (bound == MINIMUMS[check]), bound
+            if not instances:
+                assert err == (f"error: {check} examined nothing at "
+                               f"--bound {bound}\n"), bound
 
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -764,6 +768,24 @@ class TestBijection:
         code, out, err = run(capsys, "bijection", name, literal)
         assert code == 2 and out == ""
         assert f"parse error: {message}" in err
+
+    @pytest.mark.parametrize("out,tails,message", [
+        ("(0,0)", "(2)", "out lists a slot twice (at character 34)"),
+        ("(0)", "(2,2)", "tails lists a slot twice (at character 43)"),
+    ])
+    def test_slot_listed_twice_is_parse_error(self, capsys, out, tails,
+                                              message):
+        """``out`` and ``tails`` are sets of slots: a slot listed twice is
+        refused at its field, not merged with itself; listed once, the
+        same tree closes."""
+        tree = "sigma=(1,0,3,2); mate=(-1,2,1,-1); out={}; tails={}"
+        code, stdout, err = run(capsys, "bijection", "gamma",
+                                tree.format(out, tails))
+        assert code == 2 and stdout == ""
+        assert err == f"parse error: {message}\n"
+        code, _, _ = run(capsys, "bijection", "gamma",
+                         tree.format("(0)", "(2)"))
+        assert code == 0
 
     @pytest.mark.parametrize("name,literal,field", [
         ("phi", "pairs=(0 1)", "n"),

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from map_oracle import relabelled
+from map_oracle import relabelled, walk_slot_faces
 from revalidate import revalidated
 
 from unimaps import maps_core, planar_closure
@@ -33,7 +33,8 @@ from unimaps.planar_closure import (
 # dual-distance search once per cut round; the list-scan closure, which
 # restarts its matching scan after every pair and compares every arch with
 # every other to find the outermost ones; and the dict/union-find
-# near-Eulerian tree validator.
+# near-Eulerian tree validator.  The opening and closure oracles run on
+# slot dicts and trace faces with ``walk_slot_faces``, a walk of their own.
 # ---------------------------------------------------------------------------
 
 
@@ -58,11 +59,6 @@ def slot_vertices(sigma) -> dict:
         for y in orbit:
             vertex[y] = rep
     return vertex
-
-
-def face_indexes(faces: list) -> dict:
-    """slot -> index in ``faces`` of the face orbit holding it."""
-    return {x: k for k, f in enumerate(faces) for x in f}
 
 
 def random_near_eulerian_tree(rng, slots: int) -> NearEulerianTree:
@@ -221,7 +217,7 @@ def outermost_arches(buds: list, pairs: list) -> list:
 def scan_close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
     """List-scan closure: ``(full_mate, pairs, outer)`` like
     :func:`close_slots`."""
-    faces = slot_faces(sigma, mate)
+    faces = walk_slot_faces(sigma, mate)
     if len(faces) != 1:
         raise ValueError("closure needs a single face")
     walk = faces[0]
@@ -233,7 +229,7 @@ def scan_close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
     for o, i in pairs:
         full[o] = i
         full[i] = o
-    closed_faces = slot_faces(sigma, full)
+    closed_faces = walk_slot_faces(sigma, full)
     if not pairs:
         assert len(closed_faces) == 1
         return full, pairs, min(closed_faces[0])
@@ -246,7 +242,7 @@ def scan_close_slots(sigma: dict, mate: dict, out_buds: set, root: int):
 
 def slot_dual_distances(sigma: dict, mate: dict, outer: int) -> dict:
     """Dual distance from the outer face, per face representative."""
-    faces = slot_faces(sigma, mate)
+    faces = walk_slot_faces(sigma, mate)
     face_of = {x: min(f) for f in faces for x in f}
     adj = {min(f): set() for f in faces}
     for x, mx in mate.items():
@@ -268,7 +264,7 @@ def slot_dual_distances(sigma: dict, mate: dict, outer: int) -> dict:
 
 
 def round_orientation_tails(sigma: dict, mate: dict, outer: int) -> set:
-    faces = slot_faces(sigma, mate)
+    faces = walk_slot_faces(sigma, mate)
     face_of = {x: min(f) for f in faces for x in f}
     dist = slot_dual_distances(sigma, mate, outer)
     tails = set()
@@ -287,7 +283,7 @@ def breakable_round(sigma: dict, mm: dict, vertex: dict, root: int,
     """Breakable edge of every current distance-1 face, as a list of
     ``(face_rep, tail_slot, head_slot)``; empty when no inner face is
     left."""
-    faces = slot_faces(sigma, mm)
+    faces = walk_slot_faces(sigma, mm)
     face_of = {x: min(f) for f in faces for x in f}
     orbit_of = {min(f): f for f in faces}
     dist = slot_dual_distances(sigma, mm, outer)
@@ -690,15 +686,13 @@ class TestCanonicalKey:
 
 def _open_both(sigma, mate, root, outer, faces, face_of):
     """Open with the ring pass, given the face orbits and the face index
-    of every slot, and with the round oracle; every output must agree,
-    the cuts as a multiset.  ``sigma``, ``mate`` and ``face_of`` are
-    tuples on slots ``0..s-1`` or dicts."""
+    of every slot, and with the round oracle on the slot dicts; every
+    output must agree, the cuts as a multiset."""
     layers = dual_layers(faces, face_of, mate, outer)
     mm, tails, cuts = open_slots(sigma, mate, faces, face_of, root, layers)
-    if not isinstance(mate, dict):
-        sigma, mate = slot_system(sigma, mate)
-        mm = dict(enumerate(mm))
+    sigma, mate = slot_system(sigma, mate)
     omm, otails, ocuts = round_open_slots(sigma, mate, root, outer)
+    mm = dict(enumerate(mm))
     assert mm == omm and tails == otails
     assert Counter(cuts) == Counter(ocuts)
     dist, parent, full_tails = layers
@@ -718,7 +712,10 @@ class TestAgainstOracles:
     def test_opening_of_every_plane_map(self, plane_maps5):
         for p in plane_maps5:
             m = p.m
-            assert m.faces() == slot_faces(*slot_system(m.sigma, m.alpha))
+            assert m.faces() == walk_slot_faces(
+                *slot_system(m.sigma, m.alpha))
+            assert slot_faces(m.sigma, m.alpha) == (tuple(m.faces()),
+                                                    m.face_index())
             _open_both(m.sigma, m.alpha, m.root, p.outer, m.faces(),
                        m.face_index())
 
@@ -728,20 +725,6 @@ class TestAgainstOracles:
             m = p.m
             _open_both(m.sigma, m.alpha, m.root, p.outer, m.faces(),
                        m.face_index())
-
-    def test_opening_on_sparse_slot_keys(self):
-        """Slot systems of submaps have non-contiguous keys in any order:
-        relabel x -> 3x + 7 and list the slots backwards.  The faces and
-        the face index come from the slot-level traces, in that order."""
-        for p in gen_plane_maps(4):
-            n = p.m.half_edge_count
-            sigma = {3 * h + 7: 3 * p.m.sigma[h] + 7
-                     for h in reversed(range(n))}
-            mate = {3 * h + 7: 3 * p.m.alpha[h] + 7
-                    for h in reversed(range(n))}
-            faces = slot_faces(sigma, mate)
-            _open_both(sigma, mate, 3 * p.m.root + 7, 3 * p.outer + 7,
-                       faces, face_indexes(faces))
 
     def test_random_trees_beyond_exhaustive_reach(self):
         """Seeded random near-Eulerian trees with 14 to 30 slots: closure
@@ -763,11 +746,11 @@ class TestAgainstOracles:
 
     def test_closure_of_every_tree(self, trees10):
         for t in trees10:
-            sigma, mate = slot_system(t.sigma, t.mate)
             out = set(t.out_buds)
-            full, pairs, outer = close_slots(sigma, mate, out, t.root)
-            ofull, opairs, oouter = scan_close_slots(sigma, mate, out, t.root)
-            assert full == ofull and outer == oouter
+            full, pairs, outer = close_slots(t.sigma, t.mate, out, t.root)
+            ofull, opairs, oouter = scan_close_slots(
+                *slot_system(t.sigma, t.mate), out, t.root)
+            assert dict(enumerate(full)) == ofull and outer == oouter
             assert sorted(pairs) == sorted(opairs)
 
     def test_each_arch_bounds_the_face_through_its_in_slot(self, trees10):
@@ -775,13 +758,11 @@ class TestAgainstOracles:
         closure arch whose ingoing slot lies on that face: the rule by
         which ``bijections.psi_fiber`` reads off each arch's face."""
         for t in trees10:
-            sigma, mate = slot_system(t.sigma, t.mate)
-            full, pairs, outer = close_slots(sigma, mate, set(t.out_buds),
-                                             t.root)
-            faces = slot_faces(sigma, full)
-            rep = {x: min(f) for f in faces for x in f}
-            face_of = face_indexes(faces)
-            _, _, cuts = open_slots(sigma, full, faces, face_of, t.root,
+            full, pairs, outer = close_slots(t.sigma, t.mate,
+                                             set(t.out_buds), t.root)
+            faces, face_of = slot_faces(t.sigma, full)
+            rep = {x: f[0] for f in faces for x in f}
+            _, _, cuts = open_slots(t.sigma, full, faces, face_of, t.root,
                                     dual_layers(faces, face_of, full, outer))
             assert Counter(cuts) == Counter(
                 (rep[i], o, i) for o, i in pairs)
@@ -808,23 +789,18 @@ class TestAgainstOracles:
 class TestFaceTraces:
     @pytest.fixture
     def traces(self, monkeypatch):
-        """Count face traces: each ``slot_faces`` call, and each
-        ``slot_face`` call made outside one."""
+        """Count face traces: each ``slot_faces`` and each ``slot_face``
+        call."""
         count = [0]
-        depth = [0]
         real_faces = planar_closure.slot_faces
         real_face = planar_closure.slot_face
 
         def faces(sigma, mate):
             count[0] += 1
-            depth[0] += 1
-            try:
-                return real_faces(sigma, mate)
-            finally:
-                depth[0] -= 1
+            return real_faces(sigma, mate)
 
         def face(sigma, mate, start):
-            count[0] += not depth[0]
+            count[0] += 1
             return real_face(sigma, mate, start)
 
         monkeypatch.setattr(planar_closure, "slot_faces", faces)

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 from labelled_oracle import gen_externally_labelled_maps
-from map_oracle import corner_color
+from map_oracle import corner_color, submap_slot_system, walk_slot_faces
 from revalidate import revalidated
 
 from unimaps import bijections, planar_closure
@@ -191,8 +191,21 @@ class TestSubmapFaces:
         assert calls == Counter()
 
     def test_kept_faces_are_the_submap_faces(self):
-        for u in all_colored(2):
-            for p in psi_fiber(u):
-                assert p.submap_faces == tuple(
-                    bijections._submap_faces_of(p.m, p.submap))
-                assert len(p.submap_faces) == p.r
+        """On every psi fiber element over one colored map per color
+        orbit with n <= 3, the faces that ``psi_fiber`` keeps and those
+        of ``_submap_faces_of`` are the submap faces a slot-by-slot walk
+        of the induced slot dicts finds, ordered by minimum."""
+        elements = 0
+        for n in range(1, 4):
+            for u in gen_colored_unicellular(n, False, True):
+                for p in psi_fiber(u):
+                    faces = ((),)
+                    if p.submap:
+                        faces = tuple(sorted(walk_slot_faces(
+                            *submap_slot_system(p.m, p.submap)), key=min))
+                    assert p.submap_faces == faces
+                    assert tuple(bijections._submap_faces_of(
+                        p.m, p.submap)) == faces
+                    assert len(faces) == p.r
+                    elements += 1
+        assert elements == 860
