@@ -19,6 +19,15 @@ pairing is fixed: at each vertex the ingoing half-edges of oriented edges,
 sorted by edge label, are paired with the oriented edges leaving the
 vertex, also sorted by label.  It depends only on labels, so the whole
 construction is invariant under relabelling of half-edges.
+
+``psi`` opens the planar submap of an externally-labelled planar-rooted
+map on its slot system: the rotation and pairing that the map induces on
+the submap's half-edges, renumbered ``0..s-1`` in increasing order.
+Every element of ``psi_fiber`` keeps the slot system it was closed on,
+with its face orbits and root slot, beside the submap faces; ``psi``
+reads that copy.  Validation derives both from the fields and refuses a
+kept copy that disagrees, so a validated element keeps only what its
+fields give.
 """
 
 from __future__ import annotations
@@ -74,14 +83,14 @@ class _LabelledMap:
         m = self.m
         perm, sigma2, alpha2 = canonical_rotation(m)
         alpha = m.alpha
-        verts2 = [lab for _, lab in sorted(
+        verts2 = [lab for _, lab in sorted([
             (min([perm[h] for h in cyc]), lab)
-            for cyc, lab in zip(m.vertices(), self.vertex_labels))]
-        edges2 = [lab for _, lab in sorted(
+            for cyc, lab in zip(m.vertices(), self.vertex_labels)])]
+        edges2 = [lab for _, lab in sorted([
             (min(perm[h], perm[h2]), lab)
-            for (h, h2), lab in zip(m.edges(), self.edge_labels))]
-        marked2 = frozenset(min(perm[eid], perm[alpha[eid]])
-                            for eid in marked_edges)
+            for (h, h2), lab in zip(m.edges(), self.edge_labels)])]
+        marked2 = frozenset([min(perm[eid], perm[alpha[eid]])
+                             for eid in marked_edges])
         return perm, (sigma2, alpha2, tuple(verts2), tuple(edges2),
                       marked2)
 
@@ -89,18 +98,28 @@ class _LabelledMap:
         """Re-pair half-edges of ``m``: each ``(out, in)`` pair becomes an
         edge that keeps the label of ``out``'s old edge.  Returns the new
         map, which keeps the vertex orbits ``m`` holds (the rotation is
-        the same tuple), and its edge labels."""
+        the same tuple), and its edge labels.  A new pairing equal to
+        the :func:`_standard_involution`, as psi's is on an element of
+        ``psi_fiber``, is that tuple with its edge orbits."""
         m = self.m
         labels, eid = self.edge_labels, m.edge_index()
         alpha = list(m.alpha)
         for o, i in pairs:
             alpha[o] = i
             alpha[i] = o
-        m2 = RootedMap._trusted(m.sigma, tuple(alpha), m.root,
-                                _vertex_data=m._vertex_data)
+        alpha = tuple(alpha)
+        standard, edge_data = _standard_involution(len(alpha) // 2)
+        if alpha == standard:
+            m2 = RootedMap._trusted(m.sigma, standard, m.root,
+                                    _vertex_data=m._vertex_data,
+                                    _edge_data=edge_data)
+        else:
+            m2 = RootedMap._trusted(m.sigma, alpha, m.root,
+                                    _vertex_data=m._vertex_data)
         outs = {o for o, _ in pairs}
-        edge_labels = tuple(labels[eid[alpha[h] if alpha[h] in outs else h]]
-                            for h, _ in m2.edges())
+        edge_labels = tuple([labels[eid[alpha[h] if alpha[h] in outs
+                                        else h]]
+                             for h, _ in m2.edges()])
         return m2, edge_labels
 
 
@@ -478,8 +497,10 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     inherited rotation system has genus 0.  ``face_labels`` assigns the
     labels ``1..r`` to the ``r`` faces of the submap, listed by minimum
     half-edge; the face labelled ``r`` plays the role of the outer face.
-    Validation keeps those faces as ``submap_faces``; they take no part
-    in equality or hashing.
+    Validation keeps those faces as ``submap_faces`` and the submap's
+    :func:`_slot_system` as ``slot_system``; they take no part in
+    equality or hashing, and kept copies that disagree with the fields
+    are an error.
     """
 
     m: RootedMap
@@ -488,6 +509,7 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     submap: frozenset
     face_labels: tuple
     submap_faces = None
+    slot_system = None
 
     def __post_init__(self):
         self._tuple_labels()
@@ -497,38 +519,40 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
 
     def validate(self) -> None:
         """Raise ValueError unless the submap is a spanning planar submap
-        with labelled faces, and keep its faces (kept faces that disagree
-        with the submap are an error)."""
+        with labelled faces, and keep its faces and slot system, derived
+        afresh from the fields (kept copies that disagree are an
+        error)."""
         m = self.m
         alpha = m.alpha
         nh = len(alpha)
+        vid = m.vertex_index()
         q, n = len(m.vertices()), nh // 2
         self._check_labels(q, n)
-        # an edge id is the smaller half-edge of its edge
-        if not all(0 <= e < nh and e < alpha[e] for e in self.submap):
-            raise ValueError("submap contains unknown edges")
-        # spanning and connected
-        vid = m.vertex_index()
         ds = DisjointSets(q)
-        touched = set()
-        for eid in self.submap:
-            ds.union(vid[eid], vid[alpha[eid]])
-            touched.add(vid[eid])
-            touched.add(vid[alpha[eid]])
-        if self.submap:
-            if touched != set(range(q)) or len(ds.classes()) != 1:
+        for e in self.submap:
+            # an edge id is the smaller half-edge of its edge
+            if not (0 <= e < nh and e < alpha[e]):
+                raise ValueError("submap contains unknown edges")
+            ds.union(vid[e], vid[alpha[e]])
+        # spanning and connected: every root is its class minimum, so
+        # every vertex finds vertex 0
+        find = ds.find
+        for v in range(1, q):
+            if find(v):
                 raise ValueError("submap is not spanning and connected")
-        elif q != 1:
-            raise ValueError("submap is not spanning and connected")
         # planarity of the inherited rotation system
-        faces = tuple(_submap_faces_of(m, self.submap))
+        slots = _slot_system(m, self.submap)
+        faces = _submap_faces_of(slots)
         if q - len(self.submap) + len(faces) != 2:
             raise ValueError("submap is not planar")
         if sorted(self.face_labels) != list(range(1, len(faces) + 1)):
             raise ValueError("face labels must be a permutation of 1..r")
         if self.submap_faces is not None and self.submap_faces != faces:
             raise ValueError("kept submap faces disagree with the submap")
+        if self.slot_system is not None and self.slot_system != slots:
+            raise ValueError("kept slot system disagrees with the submap")
         object.__setattr__(self, "submap_faces", faces)
+        object.__setattr__(self, "slot_system", slots)
 
     @property
     def r(self) -> int:
@@ -541,9 +565,9 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     def canonical_key(self) -> tuple:
         """Hashable form invariant under half-edge relabelling."""
         perm, key = self._canonical_form(self.submap)
-        return key + (tuple(sorted(
-            (min((perm[x] for x in f), default=-1), lab)
-            for f, lab in zip(self.submap_faces, self.face_labels))),)
+        return key + (tuple(sorted([
+            (min([perm[x] for x in f], default=-1), lab)
+            for f, lab in zip(self.submap_faces, self.face_labels)])),)
 
 
 def _project(m: RootedMap, edges) -> tuple:
@@ -555,7 +579,9 @@ def _project(m: RootedMap, edges) -> tuple:
     keeps order, so every face keeps its least half-edge and its place
     in the order by minimum."""
     sigma, alpha = m.sigma, m.alpha
-    hs = sorted(h for e in edges for h in (e, alpha[e]))
+    hs = list(edges)
+    hs += [alpha[e] for e in hs]
+    hs.sort()
     pos = [-1] * len(sigma)
     for k, h in enumerate(hs):
         pos[h] = k
@@ -568,15 +594,38 @@ def _project(m: RootedMap, edges) -> tuple:
     return hs, pos, rotation, [pos[alpha[h]] for h in hs]
 
 
-def _submap_faces_of(m: RootedMap, submap: frozenset):
-    """Faces of a spanning submap, ordered by minimum half-edge; for the
-    empty submap (single vertex) a single synthetic empty face."""
+def _root_slot(m: RootedMap, hs: list) -> int:
+    """The first of the slots ``hs`` (half-edges of ``m``) at the root
+    vertex, or -1 if there is none."""
+    vid = m.vertex_index()
+    root_v = vid[m.root]
+    for k, h in enumerate(hs):
+        if vid[h] == root_v:
+            return k
+    return -1
+
+
+def _slot_system(m: RootedMap, submap) -> tuple:
+    """``(hs, pos, sigma, mate, faces, face_of, root)``: the
+    :func:`_project` of the submap with edge ids ``submap``, the face
+    orbits of its slots and the face index of every slot
+    (:func:`~unimaps.planar_closure.slot_faces`), and its
+    :func:`_root_slot`."""
     from .planar_closure import slot_faces
 
-    if not submap:
-        return [()]
-    hs, _, sigma, mate = _project(m, submap)
-    return [tuple(hs[x] for x in f) for f in slot_faces(sigma, mate)[0]]
+    hs, pos, sigma, mate = _project(m, submap)
+    faces, face_of = slot_faces(sigma, mate)
+    return hs, pos, sigma, mate, faces, face_of, _root_slot(m, hs)
+
+
+def _submap_faces_of(slots: tuple) -> tuple:
+    """The faces of a submap as half-edge tuples, ordered by minimum,
+    from its :func:`_slot_system`; for the empty submap (a single
+    vertex) a single synthetic empty face."""
+    hs, faces = slots[0], slots[4]
+    if not hs:
+        return ((),)
+    return tuple([tuple([hs[x] for x in f]) for f in faces])
 
 
 def _canonical_inner_faces(m: RootedMap, faces, outer: int) -> list:
@@ -584,8 +633,10 @@ def _canonical_inner_faces(m: RootedMap, faces, outer: int) -> list:
     ``outer``, in the order induced by the canonical relabelling of the
     whole map (invariant under half-edge renaming)."""
     perm = canonical_relabelling(m)
-    return sorted((k for k in range(len(faces)) if k != outer),
-                  key=lambda k: min(perm[x] for x in faces[k]))
+    least = [min([perm[x] for x in f]) for f in faces]
+    inner = [k for k in range(len(faces)) if k != outer]
+    inner.sort(key=least.__getitem__)
+    return inner
 
 
 def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
@@ -593,27 +644,22 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     map.  The face labelled ``r`` is taken as the outer face; opening the
     submap recovers a near-Eulerian tree whose cut edges are re-joined
     according to the remaining labels, giving a compatibly-oriented
-    tree-rooted map, whose tour is then read off."""
+    tree-rooted map, whose tour is then read off.  The opening runs on
+    the slot system ``p`` keeps."""
     from .planar_closure import dual_layers, open_slots
 
     m = p.m
     faces = p.submap_faces
     r = len(faces)
+    vid = m.vertex_index()
     if r == 1:
         t = OrientedTreeRootedMap._trusted(
             m, p.vertex_labels, p.edge_labels, p.submap, frozenset(),
-            up=_tree_up(m, m.vertex_index(), p.submap, len(p.vertex_labels)))
+            up=_tree_up(m, vid, p.submap, len(p.vertex_labels)))
         return upsilon(t)
-    hs, pos, sigma_sub, mate_sub = _project(m, p.submap)
-    # the kept faces on the slots, and the face of every slot
-    sub_faces = [tuple(pos[x] for x in f) for f in faces]
-    face_of = [0] * len(hs)
-    for k, f in enumerate(sub_faces):
-        for x in f:
-            face_of[x] = k
+    hs, pos, sigma_sub, mate_sub, sub_faces, face_of, root_sub = \
+        p.slot_system
     outer = p.face_labels.index(r)
-    vid = m.vertex_index()
-    root_sub = next(k for k, h in enumerate(hs) if vid[h] == vid[m.root])
     tree_mate, tails, cuts = open_slots(
         sigma_sub, mate_sub, sub_faces, face_of, root_sub,
         dual_layers(sub_faces, face_of, mate_sub, sub_faces[outer][0]))
@@ -625,8 +671,8 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     pairs = [(hs[buds[f][0]], hs[buds[inner[p.face_labels[f] - 1]][1]])
              for f in inner]
     m2, edge_labels = p._rejoined(pairs)
-    tree = frozenset(eid for eid in p.submap if tree_mate[pos[eid]] >= 0)
-    orientation = frozenset(hs[t] for t in tails) | {o for o, _ in pairs}
+    tree = frozenset([eid for eid in p.submap if tree_mate[pos[eid]] >= 0])
+    orientation = frozenset([hs[t] for t in tails] + [o for o, _ in pairs])
     t = OrientedTreeRootedMap._trusted(
         m2, p.vertex_labels, edge_labels, tree, orientation,
         up=_tree_up(m2, vid, tree, len(p.vertex_labels)))
@@ -635,7 +681,8 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
 
 def psi_fiber(u: ColoredUnicellularMap) -> tuple:
     """All preimages of ``u`` under psi: exactly ``2^w`` externally
-    labelled planar-rooted maps whose submaps have ``w + 1`` faces."""
+    labelled planar-rooted maps whose submaps have ``w + 1`` faces.
+    Each keeps its submap faces and the slot system it was closed on."""
     from .planar_closure import close_slots, slot_faces
 
     out = []
@@ -646,27 +693,29 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         cut_tails = [h for h in t.orientation
                      if min(h, alpha[h]) not in t.tree]
         if not cut_tails:
+            slots = _slot_system(m, t.tree)
             out.append(ExternallyLabelledPlanarRootedMap._trusted(
                 m, t.vertex_labels, t.edge_labels, t.tree, (1,),
-                submap_faces=tuple(_submap_faces_of(m, t.tree))))
+                submap_faces=_submap_faces_of(slots), slot_system=slots))
             continue
         # near-Eulerian tree inside the map: tree half-edges plus the buds
         # of the cut oriented edges
-        hs, pos, sigma_sub, mate_sub = _project(m, (*t.tree, *cut_tails))
+        hs, pos, sigma_sub, mate_sub = _project(m, [*t.tree, *cut_tails])
         for o in cut_tails:
             mate_sub[pos[o]] = mate_sub[pos[alpha[o]]] = -1
-        vid = m.vertex_index()
-        root = next(k for k, h in enumerate(hs) if vid[h] == vid[m.root])
+        root = _root_slot(m, hs)
         full, pairs, outer_rep = close_slots(
             sigma_sub, mate_sub, {pos[o] for o in cut_tails}, root)
-        # the closed submap inside the big map
+        # the closed submap inside the big map, on the same slots
         m2, edge_labels = t._rejoined([(hs[o], hs[i]) for o, i in pairs])
-        submap = frozenset(hs[min(k, j)] for k, j in enumerate(full))
+        submap = frozenset([hs[k if k < j else j]
+                            for k, j in enumerate(full)])
         # the faces of the closed submap, in order of minimum; the arch of
         # a closure pair (o, i) bounds the inner face through its ingoing
         # slot i, the face whose arch the opening would cut
         orbits, face_of = slot_faces(sigma_sub, full)
-        faces = tuple(tuple(hs[x] for x in f) for f in orbits)
+        slots = (hs, pos, sigma_sub, full, orbits, face_of, root)
+        faces = _submap_faces_of(slots)
         inner = _canonical_inner_faces(m2, faces, face_of[outer_rep])
         index = {f: k + 1 for k, f in enumerate(inner)}
         # labels: the face whose outgoing bud originally matched the
@@ -676,5 +725,5 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
             face_labels[face_of[i]] = index[face_of[pos[alpha[hs[o]]]]]
         out.append(ExternallyLabelledPlanarRootedMap._trusted(
             m2, t.vertex_labels, edge_labels, submap, tuple(face_labels),
-            submap_faces=faces))
+            submap_faces=faces, slot_system=slots))
     return tuple(out)

@@ -233,21 +233,26 @@ def _check_phi_roundtrip(bound, census):
     return None, orbits, bound
 
 
-def degree_certificate_ok(u, p) -> bool:
-    """Property (**) of a psi fiber element ``p`` over ``u``: the vertex
-    labelled i has as many half-edges as ``u`` has corners colored i."""
+def _label_degrees(p) -> Counter:
+    """The number of half-edges at the vertices labelled i, by i."""
     degrees = Counter()
     for cyc, label in zip(p.m.vertices(), p.vertex_labels):
         degrees[label] += len(cyc)
-    return degrees == Counter(u.corner_colors)
+    return degrees
+
+
+def degree_certificate_ok(u, p) -> bool:
+    """Property (**) of a psi fiber element ``p`` over ``u``: the vertex
+    labelled i has as many half-edges as ``u`` has corners colored i."""
+    return _label_degrees(p) == Counter(u.corner_colors)
 
 
 def _fiber_fault(u, fiber):
     """The first property that psi's fiber over ``u`` breaks, or None: it
     has 2^w elements with distinct canonical keys and one weight w, which
     is 0 exactly on orientable gluings; psi maps each back to ``u``; and
-    each has the vertex degrees of the corner colors (property (**)).
-    The elements are taken to be valid."""
+    each has the vertex degrees of the corner colors (property (**)),
+    tallied once for the fiber.  The elements are taken to be valid."""
     from . import bijections
     if not fiber:
         return "empty fiber"
@@ -257,13 +262,14 @@ def _fiber_fault(u, fiber):
     if (w == 0) != u.gluing.orientable:
         return "weight"
     keys = set()
+    corners = Counter(u.corner_colors)
     for p in fiber:
         if p.external_weight != w:
             return "weight"
         if bijections.psi(p) != u:
             return "round trip"
         keys.add(p.canonical_key())
-        if not degree_certificate_ok(u, p):
+        if _label_degrees(p) != corners:
             return "degrees"
     return None if len(keys) == len(fiber) else "distinct keys"
 

@@ -180,6 +180,13 @@ def replace(obj, **changes):
     return obj.__class__(**fields)
 
 
+# The last ``alpha`` tuple that passed RootedMap.validate, held so that
+# ``is`` can tell it again: the maps of one bijection share one pairing
+# tuple, and a tuple of ints cannot change.  Equal but distinct tuples
+# are checked in full.
+_checked_alpha = None
+
+
 def _check_permutation(perm, identity, name):
     """Raise ValueError unless ``perm`` sorts to the list ``identity``,
     which is ``list(range(n))``."""
@@ -221,17 +228,24 @@ class RootedMap:
     def validate(self) -> None:
         """Raise ValueError unless the fields form a connected map.  The
         constructor runs this; so does every check on the maps a
-        bijection claims to produce."""
+        bijection claims to produce.  The ``alpha`` checks are not
+        repeated on the very tuple that last passed them (see
+        ``_checked_alpha``); every other field is checked every time."""
         sigma, alpha = self.sigma, self.alpha
         n = len(sigma)
         if n == 0 or n % 2:
             raise ValueError("half-edge count must be even and positive")
         identity = list(range(n))
         _check_permutation(sigma, identity, "sigma")
-        _check_permutation(alpha, identity, "alpha")
-        for h, a in enumerate(alpha):
-            if a == h or alpha[a] != h:
-                raise ValueError("alpha is not a fixed-point-free involution")
+        global _checked_alpha
+        if alpha is not _checked_alpha or len(alpha) != n:
+            _check_permutation(alpha, identity, "alpha")
+            for h, a in enumerate(alpha):
+                if a == h or alpha[a] != h:
+                    raise ValueError(
+                        "alpha is not a fixed-point-free involution")
+            if type(alpha) is tuple:
+                _checked_alpha = alpha
         if not 0 <= self.root < n:
             raise ValueError("root out of range")
         # the first-visit search from the root labels every half-edge it
@@ -286,13 +300,12 @@ def _orbits(perm) -> tuple:
     element's cycle."""
     index = [-1] * len(perm)
     out = []
-    for start in range(len(perm)):
+    for start, x in enumerate(perm):
         if index[start] >= 0:
             continue
         k = len(out)
         index[start] = k
         cyc = [start]
-        x = perm[start]
         while x != start:
             index[x] = k
             cyc.append(x)

@@ -7,8 +7,9 @@ from unimaps import maps_core
 from unimaps.bijections import (
     ExternallyLabelledPlanarRootedMap,
     OrientedTreeRootedMap,
+    phi,
 )
-from unimaps.enumeration import gen_unicellular
+from unimaps.enumeration import gen_colored_unicellular, gen_unicellular
 from unimaps.maps_core import (
     ColoredUnicellularMap,
     DisjointSets,
@@ -201,6 +202,44 @@ class TestRootedMap:
         assert calls == [face_permutation(m), m.sigma]
         assert m == RootedMap(m.sigma, m.alpha, m.root)
 
+    def test_alpha_is_checked_again_unless_it_is_the_same_tuple(
+            self, monkeypatch):
+        """Validation does not repeat the ``alpha`` checks on the tuple
+        that last passed them, which it holds by reference: the phi
+        images with 3 edges share one pairing tuple, checked once.  An
+        equal but distinct tuple is checked in full, a bad one is
+        refused, and the held tuple under a rotation of another size is
+        checked again and refused; ``sigma`` is checked every time."""
+        calls = []
+        check = maps_core._check_permutation
+
+        def counting(perm, identity, name):
+            calls.append(name)
+            return check(perm, identity, name)
+
+        monkeypatch.setattr(maps_core, "_check_permutation", counting)
+        monkeypatch.setattr(maps_core, "_checked_alpha", None)
+        images = [phi(u).m for u in gen_colored_unicellular(3, True, True)]
+        assert all(m.alpha is images[0].alpha for m in images)
+        for m in images:
+            m.validate()
+        assert calls.count("sigma") == len(images) == 95
+        assert calls.count("alpha") == 1
+
+        shared = images[0].alpha
+        twin = tuple(list(shared))
+        assert twin == shared and twin is not shared
+        calls.clear()
+        RootedMap._trusted(images[0].sigma, twin, 0).validate()
+        assert calls == ["sigma", "alpha"]
+        calls.clear()
+        with pytest.raises(ValueError, match="fixed-point-free"):
+            RootedMap._trusted((0, 1), (0, 1), 0).validate()
+        assert calls == ["sigma", "alpha"]
+        images[0].validate()
+        with pytest.raises(ValueError, match="alpha is not a permutation"):
+            RootedMap._trusted((1, 0), shared, 0).validate()
+
     def test_torus_map(self):
         # one vertex, two loops crossing: sigma is a 4-cycle, alpha pairs
         # opposite half-edges
@@ -363,7 +402,7 @@ RECORDS = [
      {"up"}, ("vertex_labels", (2,))),
     (lambda: ExternallyLabelledPlanarRootedMap(loop_map(), (1,), (1,),
                                                frozenset(), (1,)),
-     {"submap_faces"}, ("face_labels", (2,))),
+     {"submap_faces", "slot_system"}, ("face_labels", (2,))),
     (lambda: NearEulerianTree((1, 0), (-1, -1), frozenset({0}),
                               frozenset()), set(), ("root", 5)),
     (lambda: PlaneMap(loop_map(), 0), set(), ("outer", 5)),

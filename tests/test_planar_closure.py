@@ -840,9 +840,9 @@ class TestFaceTraces:
         assert chained > 0
 
     def test_opening_reads_the_orbits_the_plane_map_keeps(self, monkeypatch):
-        """``opening_delta`` of a validated plane map calls neither
-        ``slot_faces`` nor ``slot_vertices`` and traces no orbit: it reads
-        the faces and the face index that ``p.m`` keeps.  The generated
+        """``opening_delta`` of a validated plane map calls no
+        ``slot_faces`` and traces no orbit: it reads the faces and the
+        face index that ``p.m`` keeps.  The generated
         maps keep the orbits that ``gen_plane_maps`` traced; the closures,
         built unchecked, keep those of their validation."""
         maps = list(gen_plane_maps(4))
@@ -859,9 +859,6 @@ class TestFaceTraces:
 
         monkeypatch.setattr(planar_closure, "slot_faces",
                             counted("slot_faces", slot_faces))
-        monkeypatch.setattr(planar_closure, "slot_vertices",
-                            counted("slot_vertices", slot_vertices),
-                            raising=False)
         monkeypatch.setattr(maps_core, "_orbits",
                             counted("_orbits", maps_core._orbits))
         for p in maps + closed:

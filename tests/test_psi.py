@@ -7,9 +7,11 @@ from labelled_oracle import gen_externally_labelled_maps
 from map_oracle import corner_color, submap_slot_system, walk_slot_faces
 from revalidate import revalidated
 
-from unimaps import bijections, planar_closure
+from unimaps import bijections, maps_core, planar_closure
 from unimaps.bijections import (
     ExternallyLabelledPlanarRootedMap,
+    _slot_system,
+    _standard_involution,
     phi,
     psi,
     psi_fiber,
@@ -59,6 +61,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExternallyLabelledPlanarRootedMap(
                 self.link(), (1, 2), (1, 2), frozenset({0, 2}), (1, 1))
+
+    def test_rejects_submap_touching_every_vertex_in_two_parts(self):
+        """A submap that meets every vertex is still refused when it
+        falls apart: on a path of four vertices, its first and last
+        edges."""
+        path = RootedMap((0, 2, 1, 4, 3, 5), (1, 0, 3, 2, 5, 4), 0)
+        assert len(path.vertices()) == 4
+        with pytest.raises(ValueError, match="spanning and connected"):
+            ExternallyLabelledPlanarRootedMap(
+                path, (1, 2, 3, 4), (1, 2, 3), frozenset({0, 4}), (1, 2))
 
     def test_rejects_nonplanar_submap(self):
         torus = RootedMap((1, 2, 3, 0), (2, 3, 0, 1), 0)
@@ -164,10 +176,28 @@ class TestPsiFibers:
             assert p.m == t.m
 
 
+def _fiber_elements(max_n):
+    """Every psi fiber element over one colored map per color orbit with
+    at most ``max_n`` edges, all surfaces."""
+    return [p for n in range(1, max_n + 1)
+            for u in gen_colored_unicellular(n, False, True)
+            for p in psi_fiber(u)]
+
+
+def _altered(value):
+    """``value`` changed: an int plus one, a sequence reversed, or, when
+    reversing leaves it equal, lengthened by one entry."""
+    if isinstance(value, int):
+        return value + 1
+    changed = value[::-1]
+    return changed if changed != value else value + type(value)([-2])
+
+
 class TestSubmapFaces:
     def test_psi_traces_no_submap_face(self, monkeypatch):
-        """``psi`` reads the submap faces its input's validation kept and
-        hands them to the opening: no submap face is traced inside it."""
+        """``psi`` reads the submap faces and the slot system its input
+        keeps and hands them to the opening: no submap is projected and
+        no submap face is traced inside it."""
         fibers = [psi_fiber(u) for u in all_colored(2)]
         calls = Counter()
 
@@ -182,6 +212,8 @@ class TestSubmapFaces:
                                     bijections._submap_faces_of))
         monkeypatch.setattr(planar_closure, "slot_faces",
                             counted("slot_faces", planar_closure.slot_faces))
+        monkeypatch.setattr(bijections, "_project",
+                            counted("_project", bijections._project))
         weights = Counter()
         for fiber in fibers:
             for p in fiber:
@@ -195,17 +227,77 @@ class TestSubmapFaces:
         orbit with n <= 3, the faces that ``psi_fiber`` keeps and those
         of ``_submap_faces_of`` are the submap faces a slot-by-slot walk
         of the induced slot dicts finds, ordered by minimum."""
-        elements = 0
-        for n in range(1, 4):
-            for u in gen_colored_unicellular(n, False, True):
-                for p in psi_fiber(u):
-                    faces = ((),)
-                    if p.submap:
-                        faces = tuple(sorted(walk_slot_faces(
-                            *submap_slot_system(p.m, p.submap)), key=min))
-                    assert p.submap_faces == faces
-                    assert tuple(bijections._submap_faces_of(
-                        p.m, p.submap)) == faces
-                    assert len(faces) == p.r
-                    elements += 1
-        assert elements == 860
+        elements = _fiber_elements(3)
+        assert len(elements) == 860
+        for p in elements:
+            faces = ((),)
+            if p.submap:
+                faces = tuple(sorted(walk_slot_faces(
+                    *submap_slot_system(p.m, p.submap)), key=min))
+            assert p.submap_faces == faces
+            assert bijections._submap_faces_of(
+                _slot_system(p.m, p.submap)) == faces
+            assert len(faces) == p.r
+
+    def test_kept_slot_system_is_the_induced_one(self):
+        """On every psi fiber element over one colored map per color
+        orbit with n <= 3, the slot system ``psi_fiber`` keeps is the one
+        ``m`` induces on the submap: its slots, rotation and pairing are
+        those of the oracle's slot dicts, its faces those of a
+        slot-by-slot walk, and its root slot the first at the root
+        vertex.  A copy with one kept field altered fails validation."""
+        elements = _fiber_elements(3)
+        assert len(elements) == 860
+        for p in elements:
+            hs, pos, sigma, mate, faces, face_of, root = p.slot_system
+            rotation, pairing = submap_slot_system(p.m, p.submap)
+            assert hs == list(rotation)
+            assert [k for k in pos if k >= 0] == list(range(len(hs)))
+            assert all(pos[h] == k for k, h in enumerate(hs))
+            assert {hs[k]: hs[x] for k, x in enumerate(sigma)} == rotation
+            assert {hs[k]: hs[x] for k, x in enumerate(mate)} == pairing
+            walked = sorted(walk_slot_faces(rotation, pairing), key=min)
+            assert [tuple(hs[x] for x in f) for f in faces] == walked
+            assert all(face_of[x] == k for k, f in enumerate(faces)
+                       for x in f)
+            vid = p.m.vertex_index()
+            at_root = [k for k, h in enumerate(hs)
+                       if vid[h] == vid[p.m.root]]
+            assert root == (at_root[0] if at_root else -1)
+            assert bool(hs) == bool(p.submap)
+            for i in range(7):
+                kept = list(p.slot_system)
+                kept[i] = _altered(kept[i])
+                bad = ExternallyLabelledPlanarRootedMap._trusted(
+                    p.m, p.vertex_labels, p.edge_labels, p.submap,
+                    p.face_labels, submap_faces=p.submap_faces,
+                    slot_system=tuple(kept))
+                with pytest.raises(ValueError, match="slot system"):
+                    bad.validate()
+
+
+def test_psi_round_trip_traces_the_involution_once_per_edge_count(
+        monkeypatch):
+    """A psi round trip re-pairs every cut edge the fiber closed, so the
+    map psi builds is on the standard involution, and shares that tuple
+    and its edge orbits: over every fiber element with 2 and 3 edges, the
+    involution's edge orbits are traced once per edge count."""
+    calls = []
+    orbits = maps_core._orbits
+
+    def counting(perm):
+        calls.append(perm)
+        return orbits(perm)
+
+    monkeypatch.setattr(maps_core, "_orbits", counting)
+    _standard_involution.cache_clear()
+    elements = 0
+    for n in (2, 3):
+        for u in gen_colored_unicellular(n, False, True):
+            for p in psi_fiber(u):
+                assert psi(p) == u
+                elements += 1
+    assert elements == 856
+    for n in (2, 3):
+        # the pairing of half-edges 2k and 2k + 1
+        assert calls.count(tuple([h ^ 1 for h in range(2 * n)])) == 1
