@@ -24,10 +24,13 @@ construction is invariant under relabelling of half-edges.
 map on its slot system: the rotation and pairing that the map induces on
 the submap's half-edges, renumbered ``0..s-1`` in increasing order.
 Every element of ``psi_fiber`` keeps the slot system it was closed on,
-with its face orbits and root slot, beside the submap faces; ``psi``
-reads that copy.  Validation derives both from the fields and refuses a
-kept copy that disagrees, so a validated element keeps only what its
-fields give.
+with its face orbits and root slot, and nothing else derived: the submap
+faces are those slot orbits, read as half-edges through the slots.
+``psi`` and the canonical key read that copy.  Validation derives it
+from the fields and refuses a kept copy that disagrees, so a validated
+element keeps only what its fields give.  Spanning trees and planar
+submaps are checked spanning and connected by one search,
+:func:`_tree_up`.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ from functools import lru_cache
 from . import maps_core
 from .maps_core import (
     ColoredUnicellularMap,
-    DisjointSets,
     RootedMap,
     canonical_relabelling,
     canonical_rotation,
     record,
 )
-from .tours import BiEulerianTour, EdgeLabelledGraph, xi, xi_inverse
+from .tours import BiEulerianTour, xi, xi_inverse
 
 
 class _LabelledMap:
@@ -217,7 +219,9 @@ def _tree_up(m: RootedMap, vid: tuple, tree: frozenset, q: int) -> tuple:
     """By each of the ``q`` vertices of ``m``, the half-edge on its edge
     of ``tree`` (edge ids) toward the root vertex; None where the tree
     does not lead to the root, as at the root vertex itself.  ``vid`` is
-    ``m.vertex_index()``."""
+    ``m.vertex_index()``.  On edges with cycles it gives the branches of
+    a search tree, so exactly one None means the edges are spanning and
+    connected."""
     alpha, root_v = m.alpha, vid[m.root]
     adj = [[] for _ in range(q)]
     for eid in tree:
@@ -275,7 +279,6 @@ def theta(t: OrientedTreeRootedMap) -> BiEulerianTour:
     for lab, (h, h2) in zip(edge_labels, m.edges()):
         a, b = vertex_labels[vid[h]], vertex_labels[vid[h2]]
         ends[lab - 1] = (a, b) if a <= b else (b, a)
-    graph = EdgeLabelledGraph._trusted(q, tuple(ends))
 
     tail_of = {edge_labels[eid[h]]: h for h in t.orientation}
     paired = {}  # ingoing half-edge -> label of the edge it leaves along
@@ -313,7 +316,7 @@ def theta(t: OrientedTreeRootedMap) -> BiEulerianTour:
         steps.append((lab, d))
     if current != root_v:
         raise ValueError("data does not produce an Eulerian tour")
-    return BiEulerianTour._trusted(graph, vertex_labels[root_v],
+    return BiEulerianTour._trusted(q, tuple(ends), vertex_labels[root_v],
                                    tuple(steps))
 
 
@@ -326,8 +329,8 @@ def theta_fiber(tour: BiEulerianTour) -> tuple:
     lies at the smaller endpoint, at the tail of an oriented edge and at
     the first departure along a loop.
     """
-    ends = tour.graph.edges
-    n, q = len(ends), tour.graph.q
+    ends = tour.edges
+    n, q = len(ends), tour.q
     origin = tour.origin
 
     # one pass: the departures of each color in tour order, as half-edges
@@ -497,10 +500,11 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     inherited rotation system has genus 0.  ``face_labels`` assigns the
     labels ``1..r`` to the ``r`` faces of the submap, listed by minimum
     half-edge; the face labelled ``r`` plays the role of the outer face.
-    Validation keeps those faces as ``submap_faces`` and the submap's
-    :func:`_slot_system` as ``slot_system``; they take no part in
-    equality or hashing, and kept copies that disagree with the fields
-    are an error.
+    Validation keeps one derived record, the submap's
+    :func:`_slot_system` as ``slot_system``: its faces are slot orbits,
+    read as half-edges through its slots ``hs``.  It takes no part in
+    equality or hashing, and a kept copy that disagrees with the fields
+    is an error.
     """
 
     m: RootedMap
@@ -508,7 +512,6 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     edge_labels: tuple
     submap: frozenset
     face_labels: tuple
-    submap_faces = None
     slot_system = None
 
     def __post_init__(self):
@@ -519,39 +522,32 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
 
     def validate(self) -> None:
         """Raise ValueError unless the submap is a spanning planar submap
-        with labelled faces, and keep its faces and slot system, derived
-        afresh from the fields (kept copies that disagree are an
-        error)."""
+        with labelled faces, and keep its slot system, derived afresh from
+        the fields (a kept copy that disagrees is an error)."""
         m = self.m
         alpha = m.alpha
         nh = len(alpha)
         vid = m.vertex_index()
         q, n = len(m.vertices()), nh // 2
         self._check_labels(q, n)
-        ds = DisjointSets(q)
-        for e in self.submap:
+        submap = self.submap
+        for e in submap:
             # an edge id is the smaller half-edge of its edge
             if not (0 <= e < nh and e < alpha[e]):
                 raise ValueError("submap contains unknown edges")
-            ds.union(vid[e], vid[alpha[e]])
-        # spanning and connected: every root is its class minimum, so
-        # every vertex finds vertex 0
-        find = ds.find
-        for v in range(1, q):
-            if find(v):
-                raise ValueError("submap is not spanning and connected")
+        # spanning and connected: the search from the root reaches every
+        # vertex, as for a spanning tree
+        if _tree_up(m, vid, submap, q).count(None) != 1:
+            raise ValueError("submap is not spanning and connected")
         # planarity of the inherited rotation system
-        slots = _slot_system(m, self.submap)
-        faces = _submap_faces_of(slots)
-        if q - len(self.submap) + len(faces) != 2:
+        slots = _slot_system(m, submap)
+        faces = slots[4]
+        if q - len(submap) + len(faces) != 2:
             raise ValueError("submap is not planar")
         if sorted(self.face_labels) != list(range(1, len(faces) + 1)):
             raise ValueError("face labels must be a permutation of 1..r")
-        if self.submap_faces is not None and self.submap_faces != faces:
-            raise ValueError("kept submap faces disagree with the submap")
         if self.slot_system is not None and self.slot_system != slots:
             raise ValueError("kept slot system disagrees with the submap")
-        object.__setattr__(self, "submap_faces", faces)
         object.__setattr__(self, "slot_system", slots)
 
     @property
@@ -565,9 +561,10 @@ class ExternallyLabelledPlanarRootedMap(_LabelledMap):
     def canonical_key(self) -> tuple:
         """Hashable form invariant under half-edge relabelling."""
         perm, key = self._canonical_form(self.submap)
+        hs, faces = self.slot_system[0], self.slot_system[4]
         return key + (tuple(sorted([
-            (min([perm[x] for x in f], default=-1), lab)
-            for f, lab in zip(self.submap_faces, self.face_labels)])),)
+            (min([perm[hs[x]] for x in f], default=-1), lab)
+            for f, lab in zip(faces, self.face_labels)])),)
 
 
 def _project(m: RootedMap, edges) -> tuple:
@@ -610,30 +607,23 @@ def _slot_system(m: RootedMap, submap) -> tuple:
     :func:`_project` of the submap with edge ids ``submap``, the face
     orbits of its slots and the face index of every slot
     (:func:`~unimaps.planar_closure.slot_faces`), and its
-    :func:`_root_slot`."""
+    :func:`_root_slot`.  The empty submap (a single vertex) has one
+    synthetic empty face."""
     from .planar_closure import slot_faces
 
     hs, pos, sigma, mate = _project(m, submap)
-    faces, face_of = slot_faces(sigma, mate)
+    faces, face_of = slot_faces(sigma, mate) if hs else (((),), ())
     return hs, pos, sigma, mate, faces, face_of, _root_slot(m, hs)
 
 
-def _submap_faces_of(slots: tuple) -> tuple:
-    """The faces of a submap as half-edge tuples, ordered by minimum,
-    from its :func:`_slot_system`; for the empty submap (a single
-    vertex) a single synthetic empty face."""
-    hs, faces = slots[0], slots[4]
-    if not hs:
-        return ((),)
-    return tuple([tuple([hs[x] for x in f]) for f in faces])
-
-
-def _canonical_inner_faces(m: RootedMap, faces, outer: int) -> list:
-    """The indices in ``faces`` of the inner submap faces, all but
-    ``outer``, in the order induced by the canonical relabelling of the
-    whole map (invariant under half-edge renaming)."""
+def _canonical_inner_faces(m: RootedMap, hs: list, faces,
+                           outer: int) -> list:
+    """The indices in ``faces`` (slot orbits on the slots ``hs``) of the
+    inner submap faces, all but ``outer``, in the order induced by the
+    canonical relabelling of the whole map (invariant under half-edge
+    renaming)."""
     perm = canonical_relabelling(m)
-    least = [min([perm[x] for x in f]) for f in faces]
+    least = [min([perm[hs[x]] for x in f]) for f in faces]
     inner = [k for k in range(len(faces)) if k != outer]
     inner.sort(key=least.__getitem__)
     return inner
@@ -649,23 +639,21 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
     from .planar_closure import dual_layers, open_slots
 
     m = p.m
-    faces = p.submap_faces
-    r = len(faces)
     vid = m.vertex_index()
-    if r == 1:
+    if p.r == 1:
         t = OrientedTreeRootedMap._trusted(
             m, p.vertex_labels, p.edge_labels, p.submap, frozenset(),
             up=_tree_up(m, vid, p.submap, len(p.vertex_labels)))
         return upsilon(t)
     hs, pos, sigma_sub, mate_sub, sub_faces, face_of, root_sub = \
         p.slot_system
-    outer = p.face_labels.index(r)
+    outer = p.face_labels.index(p.r)
     tree_mate, tails, cuts = open_slots(
         sigma_sub, mate_sub, sub_faces, face_of, root_sub,
         dual_layers(sub_faces, face_of, mate_sub, sub_faces[outer][0]))
     # cut bookkeeping: inner face -> (out slot, in slot)
     buds = {face_of[f]: (o, i) for f, o, i in cuts}
-    inner = _canonical_inner_faces(m, faces, outer)
+    inner = _canonical_inner_faces(m, hs, sub_faces, outer)
     # re-join the buds: the face labelled j sends its outgoing bud to the
     # ingoing bud of the j-th inner face in canonical order
     pairs = [(hs[buds[f][0]], hs[buds[inner[p.face_labels[f] - 1]][1]])
@@ -682,7 +670,7 @@ def psi(p: ExternallyLabelledPlanarRootedMap) -> ColoredUnicellularMap:
 def psi_fiber(u: ColoredUnicellularMap) -> tuple:
     """All preimages of ``u`` under psi: exactly ``2^w`` externally
     labelled planar-rooted maps whose submaps have ``w + 1`` faces.
-    Each keeps its submap faces and the slot system it was closed on."""
+    Each keeps the slot system it was closed on."""
     from .planar_closure import close_slots, slot_faces
 
     out = []
@@ -696,7 +684,7 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
             slots = _slot_system(m, t.tree)
             out.append(ExternallyLabelledPlanarRootedMap._trusted(
                 m, t.vertex_labels, t.edge_labels, t.tree, (1,),
-                submap_faces=_submap_faces_of(slots), slot_system=slots))
+                slot_system=slots))
             continue
         # near-Eulerian tree inside the map: tree half-edges plus the buds
         # of the cut oriented edges
@@ -713,10 +701,8 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
         # the faces of the closed submap, in order of minimum; the arch of
         # a closure pair (o, i) bounds the inner face through its ingoing
         # slot i, the face whose arch the opening would cut
-        orbits, face_of = slot_faces(sigma_sub, full)
-        slots = (hs, pos, sigma_sub, full, orbits, face_of, root)
-        faces = _submap_faces_of(slots)
-        inner = _canonical_inner_faces(m2, faces, face_of[outer_rep])
+        faces, face_of = slot_faces(sigma_sub, full)
+        inner = _canonical_inner_faces(m2, hs, faces, face_of[outer_rep])
         index = {f: k + 1 for k, f in enumerate(inner)}
         # labels: the face whose outgoing bud originally matched the
         # ingoing bud of inner face G gets G's canonical index
@@ -725,5 +711,5 @@ def psi_fiber(u: ColoredUnicellularMap) -> tuple:
             face_labels[face_of[i]] = index[face_of[pos[alpha[hs[o]]]]]
         out.append(ExternallyLabelledPlanarRootedMap._trusted(
             m2, t.vertex_labels, edge_labels, submap, tuple(face_labels),
-            submap_faces=faces, slot_system=slots))
+            slot_system=(hs, pos, sigma_sub, full, faces, face_of, root)))
     return tuple(out)

@@ -233,7 +233,7 @@ def _check_phi_roundtrip(bound, census):
     return None, orbits, bound
 
 
-def _label_degrees(p) -> Counter:
+def label_degrees(p) -> Counter:
     """The number of half-edges at the vertices labelled i, by i."""
     degrees = Counter()
     for cyc, label in zip(p.m.vertices(), p.vertex_labels):
@@ -244,7 +244,7 @@ def _label_degrees(p) -> Counter:
 def degree_certificate_ok(u, p) -> bool:
     """Property (**) of a psi fiber element ``p`` over ``u``: the vertex
     labelled i has as many half-edges as ``u`` has corners colored i."""
-    return _label_degrees(p) == Counter(u.corner_colors)
+    return label_degrees(p) == Counter(u.corner_colors)
 
 
 def _fiber_fault(u, fiber):
@@ -269,7 +269,7 @@ def _fiber_fault(u, fiber):
         if bijections.psi(p) != u:
             return "round trip"
         keys.add(p.canonical_key())
-        if _label_degrees(p) != corners:
+        if label_degrees(p) != corners:
             return "degrees"
     return None if len(keys) == len(fiber) else "distinct keys"
 

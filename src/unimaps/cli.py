@@ -18,7 +18,13 @@ from collections import Counter
 
 # Only the check registry is imported here: each command and parser imports
 # the layers it runs, so a command pays the start-up of those alone.
-from .checks import CHECKS, degree_certificate_ok, map_payload, tree_payload
+from .checks import (
+    CHECKS,
+    degree_certificate_ok,
+    label_degrees,
+    map_payload,
+    tree_payload,
+)
 
 SCHEMA = 1
 
@@ -320,9 +326,6 @@ def cmd_verify(args) -> int:
 
 
 def _psi_element_payload(p) -> dict:
-    deg = {}
-    for cyc, lab in zip(p.m.vertices(), p.vertex_labels):
-        deg[str(lab)] = len(cyc)
     return {
         "map": map_payload(p.m),
         "vertex_labels": list(p.vertex_labels),
@@ -330,7 +333,8 @@ def _psi_element_payload(p) -> dict:
         "submap": sorted(p.submap),
         "face_labels": list(p.face_labels),
         "w": p.external_weight,
-        "degrees_by_label": deg,
+        "degrees_by_label": {str(label): degree
+                             for label, degree in label_degrees(p).items()},
     }
 
 

@@ -7,6 +7,12 @@ such a tour on the graph whose vertices are the colors; this file implements
 that correspondence (``xi`` / ``xi_inverse``).  The BEST-style split of a
 tour into a tree and rotations lives in :mod:`unimaps.bijections`.
 
+A tour keeps its graph as plain fields, the vertex count ``q`` and the
+endpoint pair of every edge label, beside its origin and steps; there is
+no separate graph record.  Validation re-derives what the graph needs
+from the walk: a closed walk from the origin over every edge, on a graph
+whose every vertex is an endpoint, proves the graph connected.
+
 Tour steps are encoded as ``(label, direction)`` pairs.  For an edge with
 distinct endpoints ``u < v``, direction 0 means the step goes from ``u`` to
 ``v``.  For a loop the first traversal always has direction 0, and the
@@ -22,71 +28,41 @@ from .maps_core import ColoredUnicellularMap, PolygonGluing, record
 
 
 @record
-class EdgeLabelledGraph:
-    """Connected undirected graph, vertex set ``1..q``, edges labelled
-    ``1..n``.  ``edges[k]`` is the endpoint pair ``(u, v)`` with ``u <= v``
-    of the edge labelled ``k+1``; loops have ``u == v``."""
+class BiEulerianTour:
+    """Closed walk from ``origin`` using every edge of its graph twice.
+
+    The graph has vertex set ``1..q`` and edges labelled ``1..n``:
+    ``edges[k]`` is the endpoint pair ``(u, v)`` with ``u <= v`` of the
+    edge labelled ``k+1``; loops have ``u == v``.  ``steps`` is a tuple of
+    ``(label, direction)`` pairs; see the module docstring for the
+    direction encoding and for why the walk proves the graph connected.
+    """
 
     q: int
     edges: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(
-            (u, v) if u <= v else (v, u) for u, v in self.edges))
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise ValueError unless the edges connect all of ``1..q``."""
-        q, edges = self.q, self.edges
-        if q < 1 or not edges:
-            raise ValueError("need at least one vertex and one edge")
-        adj = [[] for _ in range(q + 1)]
-        for u, v in edges:
-            if not (1 <= u and v <= q):
-                raise ValueError("edge endpoint out of range")
-            adj[u].append(v)
-            adj[v].append(u)
-        # connectivity (isolated vertices are not allowed either)
-        seen = [False] * (q + 1)
-        seen[1] = True
-        count = 1
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        if count != q:
-            raise ValueError("graph is not connected")
-
-    @property
-    def n(self) -> int:
-        return len(self.edges)
-
-
-@record
-class BiEulerianTour:
-    """Closed walk on an :class:`EdgeLabelledGraph` using every edge twice.
-
-    ``steps`` is a tuple of ``(label, direction)`` pairs; see the module
-    docstring for the direction encoding.
-    """
-
-    graph: EdgeLabelledGraph
     origin: int
     steps: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(
+            (u, v) if u <= v else (v, u) for u, v in self.edges))
         object.__setattr__(self, "steps", tuple(
             (int(l), int(d)) for l, d in self.steps))
         self.validate()
 
     def validate(self) -> None:
-        """Raise ValueError unless the steps walk every edge of the graph
+        """Raise ValueError unless every endpoint lies in ``1..q``, every
+        vertex of ``1..q`` is an endpoint, and the steps walk every edge
         twice, from the origin back to it."""
-        ends = self.graph.edges
+        ends = self.edges
         n = len(ends)
+        if not ends:
+            raise ValueError("need at least one edge")
+        touched = {x for e in ends for x in e}
+        if not touched <= set(range(1, self.q + 1)):
+            raise ValueError("edge endpoint out of range")
+        if len(touched) != self.q:
+            raise ValueError("a vertex of 1..q lies on no edge")
         steps = self.steps
         if len(steps) != 2 * n:
             raise ValueError("tour must have exactly 2n steps")
@@ -147,15 +123,14 @@ def xi(u: ColoredUnicellularMap) -> BiEulerianTour:
         # rule
         steps[a] = (label, d)
         steps[b] = (label, d if twist else 1 - d)
-    graph = EdgeLabelledGraph._trusted(u.q, tuple(edge_list))
-    return BiEulerianTour._trusted(graph, corner_color[0], tuple(steps))
+    return BiEulerianTour._trusted(u.q, tuple(edge_list), corner_color[0],
+                                   tuple(steps))
 
 
 def xi_inverse(tour: BiEulerianTour) -> ColoredUnicellularMap:
     """Rebuild the colored gluing whose face tour is ``tour``."""
-    graph = tour.graph
-    n = graph.n
-    ends = graph.edges
+    ends = tour.edges
+    n = len(ends)
     # one pass: corner k gets the from-color of step k, and every label
     # its pair of positions, in order of first use, so that each pair is
     # (i, j) with i < j and the pairs are sorted; a pair is twisted
@@ -188,5 +163,5 @@ def xi_inverse(tour: BiEulerianTour) -> ColoredUnicellularMap:
                     "tour colors are inconsistent with the gluing")
         colors.append(color)
     return ColoredUnicellularMap._trusted(
-        gluing, tuple(colors), graph.q, tuple(labels),
+        gluing, tuple(colors), tour.q, tuple(labels),
         vertex_classes=classes, corner_colors=tuple(corner_color))

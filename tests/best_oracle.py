@@ -16,7 +16,7 @@ from map_oracle import edge_of
 
 from unimaps.bijections import OrientedTreeRootedMap
 from unimaps.maps_core import RootedMap
-from unimaps.tours import BiEulerianTour, EdgeLabelledGraph
+from unimaps.tours import BiEulerianTour
 
 
 @dataclass(frozen=True)
@@ -35,22 +35,22 @@ class Digraph:
                 raise ValueError("arc endpoint out of range")
 
 
-def endpoints(graph: EdgeLabelledGraph, label: int) -> tuple:
+def endpoints(tour: BiEulerianTour, label: int) -> tuple:
     """The endpoints ``(u, v)``, ``u <= v``, of the edge labelled
-    ``label``."""
-    return graph.edges[label - 1]
+    ``label`` in the graph of ``tour``."""
+    return tour.edges[label - 1]
 
 
-def is_loop(graph: EdgeLabelledGraph, label: int) -> bool:
+def is_loop(tour: BiEulerianTour, label: int) -> bool:
     """Whether the edge labelled ``label`` joins a vertex to itself."""
-    u, v = endpoints(graph, label)
+    u, v = endpoints(tour, label)
     return u == v
 
 
 def oriented_edges(tour: BiEulerianTour) -> frozenset:
     """Labels of the edges that ``tour`` takes twice in the same
     direction (a loop's first step has direction 0)."""
-    ends = tour.graph.edges
+    ends = tour.edges
     first: dict[int, int] = {}
     out = set()
     for label, d in tour.steps:
@@ -155,9 +155,9 @@ def _parents(t: OrientedTreeRootedMap, vid, root_v):
     return parent
 
 
-def arc_theta(t: OrientedTreeRootedMap) -> tuple:
-    """Oracle for ``bijections.theta``: the graph and bi-Eulerian tour of
-    ``t``, composed on arcs with :func:`best_compose`."""
+def arc_theta(t: OrientedTreeRootedMap) -> BiEulerianTour:
+    """Oracle for ``bijections.theta``: the bi-Eulerian tour of ``t``,
+    composed on arcs with :func:`best_compose`."""
     m = t.m
     verts, edges = m.vertices(), m.edges()
     vid = m.vertex_index()
@@ -171,7 +171,6 @@ def arc_theta(t: OrientedTreeRootedMap) -> tuple:
         h = min(c)
         ends[elabel[h] - 1] = tuple(sorted((vlabel[h], vlabel[m.alpha[h]])))
         edge_with_label[elabel[h] - 1] = c
-    graph = EdgeLabelledGraph(q, tuple(ends))
 
     root_v = vid[m.root]
     parent = _parents(t, vid, root_v)
@@ -262,7 +261,7 @@ def arc_theta(t: OrientedTreeRootedMap) -> tuple:
                     a = 2 * k + copy_count[k]
                     copy_count[k] += 1
                 out.append(a)
-            elif is_loop(graph, lab):
+            elif ends[lab - 1][0] == ends[lab - 1][1]:
                 k = lab - 1
                 out.append(2 * k + copy_count[k])
                 copy_count[k] += 1
@@ -288,26 +287,26 @@ def arc_theta(t: OrientedTreeRootedMap) -> tuple:
             d = 0 if a == 2 * k else 1
         uses[k] += 1
         steps.append((lab, d))
-    return graph, BiEulerianTour(graph, origin, tuple(steps))
+    return BiEulerianTour(q, ends, origin, tuple(steps))
 
 
-def arc_theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
+def arc_theta_fiber(tour: BiEulerianTour) -> tuple:
     """Oracle for ``bijections.theta_fiber``: the ``2^w`` preimages of a
     tour, read off its arcs with :func:`best_decompose`."""
-    n, q = graph.n, graph.q
+    n, q = len(tour.edges), tour.q
     oriented = oriented_edges(tour)
 
     # direction of each oriented edge, from the tour
     tail_color = {}
     for k, (lab, d) in enumerate(tour.steps):
         if lab in oriented and lab not in tail_color:
-            u, v = endpoints(graph, lab)
+            u, v = endpoints(tour, lab)
             tail_color[lab] = u if (u == v or d == 0) else v
 
     arcs = [None] * (2 * n)
     for k in range(n):
         lab = k + 1
-        u, v = endpoints(graph, lab)
+        u, v = endpoints(tour, lab)
         if lab in oriented:
             t = tail_color[lab]
             h = u + v - t
@@ -324,7 +323,7 @@ def arc_theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
     seq = []
     for lab, d in tour.steps:
         k = lab - 1
-        if lab in oriented or is_loop(graph, lab):
+        if lab in oriented or is_loop(tour, lab):
             seq.append(2 * k + uses[k])
         else:
             seq.append(2 * k if d == 0 else 2 * k + 1)
@@ -339,7 +338,7 @@ def arc_theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
     tail_he = {}
     for k in range(n):
         lab = k + 1
-        u, v = endpoints(graph, lab)
+        u, v = endpoints(tour, lab)
         if lab in oriented:
             t = tail_color[lab]
             tail_he[lab] = 2 * k
@@ -377,7 +376,7 @@ def arc_theta_fiber(graph: EdgeLabelledGraph, tour: BiEulerianTour) -> tuple:
         for pos, a in enumerate(arcs_here):
             k = a // 2
             lab = k + 1
-            u, v = endpoints(graph, lab)
+            u, v = endpoints(tour, lab)
             tree_slot = c != origin and pos == len(arcs_here) - 1
             if lab in oriented:
                 if tree_slot:

@@ -15,7 +15,6 @@ from unimaps.bijections import (
     ExternallyLabelledPlanarRootedMap,
     OrientedTreeRootedMap,
     _slot_system,
-    _submap_faces_of,
 )
 from unimaps.enumeration import (
     gen_rooted_orientable_maps,
@@ -77,13 +76,13 @@ def _subsets(items):
 def gen_externally_labelled_maps(n: int):
     """Stream every externally-labelled planar-rooted map with n edges.
     The public constructor filters the submaps; relabellings of an
-    accepted map are built trusted, with its submap faces and slot
-    system, which no relabelling changes."""
+    accepted map are built trusted, with its slot system, which no
+    relabelling changes."""
     for m in gen_rooted_orientable_maps(n):
         q = len(m.vertices())
         eids = [min(c) for c in m.edges()]
         for sub in _subsets(eids):
-            r = len(_submap_faces_of(_slot_system(m, sub)))
+            r = len(_slot_system(m, sub)[4])
             try:
                 p = ExternallyLabelledPlanarRootedMap(
                     m, tuple(range(1, q + 1)), tuple(range(1, n + 1)),
@@ -95,5 +94,4 @@ def gen_externally_labelled_maps(n: int):
                     for fperm in itertools.permutations(range(1, r + 1)):
                         yield ExternallyLabelledPlanarRootedMap._trusted(
                             m, vperm, eperm, p.submap, fperm,
-                            submap_faces=p.submap_faces,
                             slot_system=p.slot_system)

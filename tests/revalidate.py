@@ -19,10 +19,10 @@ def revalidated(obj):
     ``replace(obj)`` re-runs the constructor's normalization and
     validation; the rebuilt object must equal ``obj``, hash alike, and
     hold fields of the same types.  Kept data that takes no part in
-    equality (a tree's ``up``, a submap's faces, vertex classes: whatever the
-    instance holds beyond its fields) must agree wherever both objects
-    hold it.  Record fields, such as the rooted map inside a tree-rooted
-    map or the graph of a tour, are revalidated the same way first.
+    equality (a tree's ``up``, a submap's slot system, vertex classes:
+    whatever the instance holds beyond its fields) must agree wherever
+    both objects hold it.  Record fields, such as the rooted map inside a
+    tree-rooted map, are revalidated the same way first.
     Raises ValueError when validation fails.
     """
     fields = obj._fields

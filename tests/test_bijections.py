@@ -199,7 +199,7 @@ class TestPhi:
     def test_edge_color_property(self):
         """(star): edges by endpoint colors agree between U and phi(U)."""
         for u in all_colored(2, orientable_only=True):
-            graph = xi(u).graph
+            tour = xi(u)
             t = phi(u)
             vlab = {}
             for cyc, lab in zip(t.m.vertices(), t.vertex_labels):
@@ -208,7 +208,7 @@ class TestPhi:
             pairs = Counter(
                 tuple(sorted((vlab[min(c)], vlab[t.m.alpha[min(c)]])))
                 for c in t.m.edges())
-            assert pairs == Counter(graph.edges)
+            assert pairs == Counter(tour.edges)
 
 
 class TestDegreeProperty:
@@ -230,7 +230,7 @@ class TestAgainstArcOracle:
     """The half-edge ``theta`` and ``theta_fiber`` equal the arc-level BEST
     oracle: the same fiber elements in the same order, and the same tour
     back from each of them.  Every object built on the way, unchecked, is
-    valid: the colored maps, graphs, tours and fiber elements, and the
+    valid: the colored maps, tours and fiber elements, and the
     colored map back from each element, through n = 4 on orientable
     surfaces (the bound of criterion 8)."""
 
@@ -248,10 +248,10 @@ class TestAgainstArcOracle:
         for u in map(revalidated, self.CASES[case]()):
             tour = revalidated(xi(u))
             fiber = theta_fiber(tour)
-            assert fiber == arc_theta_fiber(tour.graph, tour)
+            assert fiber == arc_theta_fiber(tour)
             for t in map(revalidated, fiber):
                 assert revalidated(theta(t)) == tour
-                assert arc_theta(t) == (tour.graph, tour)
+                assert arc_theta(t) == tour
                 assert revalidated(upsilon(t)) == u
             count += 1
         assert count
@@ -267,10 +267,10 @@ class TestAgainstArcOracle:
             tour = revalidated(xi(u))
             assert revalidated(xi_inverse(tour)) == u
             fiber = theta_fiber(tour)
-            assert fiber == arc_theta_fiber(tour.graph, tour)
+            assert fiber == arc_theta_fiber(tour)
             for t in map(revalidated, fiber):
                 assert revalidated(theta(t)) == tour
-                assert arc_theta(t) == (tour.graph, tour)
+                assert arc_theta(t) == tour
                 assert revalidated(upsilon(t)) == u
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -278,7 +278,7 @@ class TestAgainstArcOracle:
         """Maps with any half-edge numbering, not only fiber elements."""
         for t in gen_oriented_tree_rooted_maps(n):
             tour = theta(t)
-            assert (tour.graph, tour) == arc_theta(t)
+            assert tour == arc_theta(t)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -24,7 +24,7 @@ from unimaps.maps_core import (
 )
 from unimaps.planar_closure import NearEulerianTree, PlaneMap
 from unimaps.series import TruncatedBivariateSeries
-from unimaps.tours import BiEulerianTour, EdgeLabelledGraph
+from unimaps.tours import BiEulerianTour
 
 
 def canonicalize(m: RootedMap) -> RootedMap:
@@ -380,10 +380,6 @@ def _loop_gluing() -> PolygonGluing:
     return PolygonGluing(1, ((0, 1),), (False,))
 
 
-def _loop_graph() -> EdgeLabelledGraph:
-    return EdgeLabelledGraph(1, ((1, 1),))
-
-
 # an instance of each record class built through its public constructor,
 # the names of the data it keeps beyond its fields, and a field value its
 # constructor rejects with ValueError
@@ -394,15 +390,14 @@ RECORDS = [
     (_loop_gluing, set(), ("pairs", ((0, 0),))),
     (lambda: ColoredUnicellularMap(_loop_gluing(), (1, 2), 2),
      {"vertex_classes", "corner_colors"}, ("q", 3)),
-    (_loop_graph, set(), ("q", 2)),
-    (lambda: BiEulerianTour(_loop_graph(), 1, ((1, 0), (1, 0))), set(),
-     ("origin", 2)),
+    (lambda: BiEulerianTour(1, ((1, 1),), 1, ((1, 0), (1, 0))), set(),
+     ("q", 2)),
     (lambda: OrientedTreeRootedMap(loop_map(), (1,), (1,), frozenset(),
                                    frozenset({0})),
      {"up"}, ("vertex_labels", (2,))),
     (lambda: ExternallyLabelledPlanarRootedMap(loop_map(), (1,), (1,),
                                                frozenset(), (1,)),
-     {"submap_faces", "slot_system"}, ("face_labels", (2,))),
+     {"slot_system"}, ("face_labels", (2,))),
     (lambda: NearEulerianTree((1, 0), (-1, -1), frozenset({0}),
                               frozenset()), set(), ("root", 5)),
     (lambda: PlaneMap(loop_map(), 0), set(), ("outer", 5)),

@@ -1,6 +1,6 @@
-"""Every public module-level function and every public method of the
-package feeds the package or the benchmark: code that only the tests
-call belongs with the tests."""
+"""Every public module-level function, every public method and every
+public class of the package feeds the package or the benchmark: code
+that only the tests call or build belongs with the tests."""
 
 import ast
 import pathlib
@@ -36,11 +36,25 @@ def _uses(tree, skip=None, strings=False, names=True) -> set:
     return out
 
 
+def _without_annotations(tree):
+    """``tree`` with every annotation dropped, in place: a name that only
+    annotates a field, argument or result is not a use."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            node.annotation = ast.Constant(None)
+        elif isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.returns = None
+    return tree
+
+
 def _parsed(names=True) -> tuple:
-    """The package's modules as ``{path: tree}``, and the names the
-    benchmark uses, string constants included (bare names only with
-    ``names``)."""
-    trees = {path: ast.parse(path.read_text(), str(path))
+    """The package's modules as ``{path: tree}``, annotations dropped,
+    and the names the benchmark uses, string constants included (bare
+    names only with ``names``)."""
+    trees = {path: _without_annotations(ast.parse(path.read_text(),
+                                                  str(path)))
              for path in sorted(SOURCE.glob("*.py"))}
     bench = set()
     assert (BENCH / "trace_op.py").exists()
@@ -51,16 +65,17 @@ def _parsed(names=True) -> tuple:
     return trees, bench
 
 
-def _unused(trees, bench, definitions, names=True) -> list:
-    """``path:name`` of each public function that ``definitions(tree)``
-    yields and that no code but its own body uses (see :func:`_uses`)."""
+def _unused(trees, bench, definitions, names=True,
+            kind=ast.FunctionDef) -> list:
+    """``path:name`` of each public definition of ``kind`` (a function
+    by default) that ``definitions(tree)`` yields and that no code but
+    its own body uses (see :func:`_uses`)."""
     everywhere = {path: _uses(tree, names=names)
                   for path, tree in trees.items()}
     unused = []
     for path, tree in trees.items():
         for node in definitions(tree):
-            if not isinstance(node, ast.FunctionDef) \
-                    or node.name.startswith("_"):
+            if not isinstance(node, kind) or node.name.startswith("_"):
                 continue
             used = bench | _uses(tree, skip=node, names=names)
             for other, there in everywhere.items():
@@ -87,3 +102,15 @@ def test_every_public_method_is_used_outside_the_tests():
                 for node in cls.body]
     assert len([m for t in trees.values() for m in methods(t)]) > 40
     assert _unused(trees, bench, methods, names=False) == []
+
+
+def test_every_public_class_is_used_outside_the_tests():
+    """A public class counts as used where its name is read outside its
+    own body, but not in an annotation: a record that the package no
+    longer builds or reads outside the tests fails here."""
+    trees, bench = _parsed()
+    classes = [node for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    assert len(classes) > 8
+    assert _unused(trees, bench, lambda tree: tree.body,
+                   kind=ast.ClassDef) == []

@@ -195,9 +195,9 @@ def _altered(value):
 
 class TestSubmapFaces:
     def test_psi_traces_no_submap_face(self, monkeypatch):
-        """``psi`` reads the submap faces and the slot system its input
-        keeps and hands them to the opening: no submap is projected and
-        no submap face is traced inside it."""
+        """``psi`` reads the slot system its input keeps and hands it to
+        the opening: no submap is projected and no submap face is traced
+        inside it."""
         fibers = [psi_fiber(u) for u in all_colored(2)]
         calls = Counter()
 
@@ -207,9 +207,6 @@ class TestSubmapFaces:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(bijections, "_submap_faces_of",
-                            counted("_submap_faces_of",
-                                    bijections._submap_faces_of))
         monkeypatch.setattr(planar_closure, "slot_faces",
                             counted("slot_faces", planar_closure.slot_faces))
         monkeypatch.setattr(bijections, "_project",
@@ -224,9 +221,11 @@ class TestSubmapFaces:
 
     def test_kept_faces_are_the_submap_faces(self):
         """On every psi fiber element over one colored map per color
-        orbit with n <= 3, the faces that ``psi_fiber`` keeps and those
-        of ``_submap_faces_of`` are the submap faces a slot-by-slot walk
-        of the induced slot dicts finds, ordered by minimum."""
+        orbit with n <= 3, the faces of the slot system that
+        ``psi_fiber`` keeps, and of the one ``_slot_system`` derives,
+        read as half-edges through the slots, are the submap faces a
+        slot-by-slot walk of the induced slot dicts finds, ordered by
+        minimum.  The empty submap has one synthetic empty face."""
         elements = _fiber_elements(3)
         assert len(elements) == 860
         for p in elements:
@@ -234,9 +233,10 @@ class TestSubmapFaces:
             if p.submap:
                 faces = tuple(sorted(walk_slot_faces(
                     *submap_slot_system(p.m, p.submap)), key=min))
-            assert p.submap_faces == faces
-            assert bijections._submap_faces_of(
-                _slot_system(p.m, p.submap)) == faces
+            for slots in (p.slot_system, _slot_system(p.m, p.submap)):
+                hs = slots[0]
+                assert tuple(tuple(hs[x] for x in f)
+                             for f in slots[4]) == faces
             assert len(faces) == p.r
 
     def test_kept_slot_system_is_the_induced_one(self):
@@ -257,7 +257,8 @@ class TestSubmapFaces:
             assert {hs[k]: hs[x] for k, x in enumerate(sigma)} == rotation
             assert {hs[k]: hs[x] for k, x in enumerate(mate)} == pairing
             walked = sorted(walk_slot_faces(rotation, pairing), key=min)
-            assert [tuple(hs[x] for x in f) for f in faces] == walked
+            assert [tuple(hs[x] for x in f) for f in faces] == \
+                (walked if hs else [()])
             assert all(face_of[x] == k for k, f in enumerate(faces)
                        for x in f)
             vid = p.m.vertex_index()
@@ -270,8 +271,7 @@ class TestSubmapFaces:
                 kept[i] = _altered(kept[i])
                 bad = ExternallyLabelledPlanarRootedMap._trusted(
                     p.m, p.vertex_labels, p.edge_labels, p.submap,
-                    p.face_labels, submap_faces=p.submap_faces,
-                    slot_system=tuple(kept))
+                    p.face_labels, slot_system=tuple(kept))
                 with pytest.raises(ValueError, match="slot system"):
                     bad.validate()
 

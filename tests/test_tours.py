@@ -9,24 +9,25 @@ from best_oracle import Digraph, best_compose, best_decompose, endpoints, \
 from map_oracle import corner_color
 from unimaps.enumeration import gen_unicellular
 from unimaps.maps_core import ColoredUnicellularMap, glue_polygon
-from unimaps.tours import BiEulerianTour, EdgeLabelledGraph, xi, xi_inverse
+from unimaps.tours import BiEulerianTour, xi, xi_inverse
 
 
-def gen_bi_eulerian_tours(g: EdgeLabelledGraph, origin: int):
-    """Backtracking enumeration of all bi-Eulerian tours with ``origin``."""
-    uses = [0] * (g.n + 1)
+def gen_bi_eulerian_tours(q: int, ends: tuple, origin: int):
+    """Backtracking enumeration of all bi-Eulerian tours with ``origin``
+    on the graph with vertices ``1..q`` and edge ends ``ends``."""
+    n = len(ends)
+    uses = [0] * (n + 1)
     steps: list = []
-    total = 2 * g.n
 
     def rec(current: int):
-        if len(steps) == total:
+        if len(steps) == 2 * n:
             if current == origin:
-                yield BiEulerianTour(g, origin, tuple(steps))
+                yield BiEulerianTour(q, ends, origin, tuple(steps))
             return
-        for label in range(1, g.n + 1):
+        for label in range(1, n + 1):
             if uses[label] == 2:
                 continue
-            u, v = endpoints(g, label)
+            u, v = ends[label - 1]
             if u == v:
                 if current != u:
                     continue
@@ -73,58 +74,72 @@ def all_colored(n, orientable_only=False, with_labels=True):
                     yield ColoredUnicellularMap(g, colors, q)
 
 
-def connected_graphs(q, n):
-    """All edge-labelled connected graphs with vertex set 1..q, n edges."""
+def covering_ends(q, n):
+    """Every tuple of n edge ends on the vertices 1..q that touches each
+    of them, the disconnected ones included."""
     possible = [(u, v) for u in range(1, q + 1) for v in range(u, q + 1)]
     for ends in itertools.product(possible, repeat=n):
-        try:
-            yield EdgeLabelledGraph(q, ends)
-        except ValueError:
-            continue
-
-
-class TestEdgeLabelledGraph:
-    def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
-            EdgeLabelledGraph(2, ((1, 1), (2, 2)))
-        with pytest.raises(ValueError):
-            EdgeLabelledGraph(3, ((1, 2), (1, 2)))
-
-    def test_loops(self):
-        g = EdgeLabelledGraph(2, ((1, 2), (2, 2)))
-        assert not is_loop(g, 1)
-        assert is_loop(g, 2)
-        assert endpoints(g, 2) == (2, 2)
+        if {x for e in ends for x in e} == set(range(1, q + 1)):
+            yield ends
 
 
 class TestBiEulerianTours:
+    def test_rejects_disconnected_ends(self):
+        """A walk that would need the missing connection is refused, and
+        the enumeration finds no tour; a vertex of a disconnected graph
+        that no edge touches is refused even under a closed walk."""
+        ends = ((1, 1), (2, 2))
+        with pytest.raises(ValueError, match="wrong vertex"):
+            BiEulerianTour(2, ends, 1, ((1, 0), (1, 1), (2, 0), (2, 1)))
+        for origin in (1, 2):
+            assert not list(gen_bi_eulerian_tours(2, ends, origin))
+        with pytest.raises(ValueError, match="on no edge"):
+            BiEulerianTour(3, ((1, 2), (1, 2)), 1,
+                           ((1, 0), (1, 1), (2, 0), (2, 1)))
+
+    def test_rejects_vertex_on_no_edge(self):
+        with pytest.raises(ValueError, match="on no edge"):
+            BiEulerianTour(2, ((1, 1),), 1, ((1, 0), (1, 0)))
+
+    def test_rejects_endpoint_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            BiEulerianTour(1, ((1, 2),), 1, ((1, 0), (1, 1)))
+        with pytest.raises(ValueError, match="out of range"):
+            BiEulerianTour(2, ((0, 1), (1, 2)), 1,
+                           ((2, 0), (2, 1), (1, 1), (1, 0)))
+
+    def test_loops_and_normalized_ends(self):
+        t = BiEulerianTour(2, ((2, 1), (2, 2)), 1,
+                           ((1, 0), (2, 0), (2, 1), (1, 1)))
+        assert t.edges == ((1, 2), (2, 2))
+        assert not is_loop(t, 1)
+        assert is_loop(t, 2)
+        assert endpoints(t, 2) == (2, 2)
+
     def test_single_loop_has_two_tours(self):
-        g = EdgeLabelledGraph(1, ((1, 1),))
-        assert len(list(gen_bi_eulerian_tours(g, 1))) == 2
+        assert len(list(gen_bi_eulerian_tours(1, ((1, 1),), 1))) == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_n_loops_have_2n_factorial_tours(self, n):
-        g = EdgeLabelledGraph(1, tuple((1, 1) for _ in range(n)))
-        assert len(list(gen_bi_eulerian_tours(g, 1))) == factorial(2 * n)
+        ends = ((1, 1),) * n
+        assert len(list(gen_bi_eulerian_tours(1, ends, 1))) == factorial(2 * n)
 
     def test_tours_are_valid_and_distinct(self):
-        g = EdgeLabelledGraph(2, ((1, 2), (1, 2)))
-        tours = list(gen_bi_eulerian_tours(g, 1))
+        tours = list(gen_bi_eulerian_tours(2, ((1, 2), (1, 2)), 1))
         assert len(tours) == len(set(tours))
         for t in tours:
-            BiEulerianTour(g, 1, t.steps)  # revalidates
+            revalidated(t)
 
     def test_validation_rejects_broken_walks(self):
-        g = EdgeLabelledGraph(2, ((1, 2), (1, 2)))
+        ends = ((1, 2), (1, 2))
         with pytest.raises(ValueError):
-            BiEulerianTour(g, 1, ((1, 0), (1, 0), (2, 0), (2, 1)))
+            BiEulerianTour(2, ends, 1, ((1, 0), (1, 0), (2, 0), (2, 1)))
         with pytest.raises(ValueError):
-            BiEulerianTour(g, 1, ((1, 0), (2, 1), (1, 0), (1, 1)))
+            BiEulerianTour(2, ends, 1, ((1, 0), (2, 1), (1, 0), (1, 1)))
 
     def test_oriented_edges_on_loop(self):
-        g = EdgeLabelledGraph(1, ((1, 1),))
-        same = BiEulerianTour(g, 1, ((1, 0), (1, 0)))
-        opp = BiEulerianTour(g, 1, ((1, 0), (1, 1)))
+        same = BiEulerianTour(1, ((1, 1),), 1, ((1, 0), (1, 0)))
+        opp = BiEulerianTour(1, ((1, 1),), 1, ((1, 0), (1, 1)))
         assert oriented_edges(same) == frozenset({1})
         assert direction_free(opp)
 
@@ -142,28 +157,28 @@ class TestXi:
 
     def test_edge_color_multiset_preserved(self):
         for u in all_colored(2):
-            graph = xi(u).graph
+            tour = xi(u)
             nn = 2 * u.gluing.n
             expect = sorted(
                 tuple(sorted((corner_color(u, a),
                               corner_color(u, (a + 1) % nn))))
                 for a, b in u.gluing.pairs)
-            assert sorted(graph.edges) == expect
+            assert sorted(tour.edges) == expect
 
     @pytest.mark.parametrize("n,q", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_bijection_counts(self, n, q):
         lhs = sum(1 for u in all_colored(n) if u.q == q)
         rhs = 0
-        for g in connected_graphs(q, n):
+        for ends in covering_ends(q, n):
             for origin in range(1, q + 1):
-                rhs += sum(1 for _ in gen_bi_eulerian_tours(g, origin))
+                rhs += sum(1 for _ in gen_bi_eulerian_tours(q, ends, origin))
         assert lhs == rhs
 
     def test_inverse_hits_every_pair(self):
         n, q = 2, 2
-        for g in connected_graphs(q, n):
+        for ends in covering_ends(q, n):
             for origin in range(1, q + 1):
-                for tour in gen_bi_eulerian_tours(g, origin):
+                for tour in gen_bi_eulerian_tours(q, ends, origin):
                     u = revalidated(xi_inverse(tour))
                     assert revalidated(xi(u)) == tour
 
