@@ -241,12 +241,6 @@ def label_degrees(p) -> Counter:
     return degrees
 
 
-def degree_certificate_ok(u, p) -> bool:
-    """Property (**) of a psi fiber element ``p`` over ``u``: the vertex
-    labelled i has as many half-edges as ``u`` has corners colored i."""
-    return label_degrees(p) == Counter(u.corner_colors)
-
-
 def _fiber_fault(u, fiber):
     """The first property that psi's fiber over ``u`` breaks, or None: it
     has 2^w elements with distinct canonical keys and one weight w, which

@@ -15,12 +15,12 @@ import os
 import sys
 import time
 from collections import Counter
+from math import factorial
 
 # Only the check registry is imported here: each command and parser imports
 # the layers it runs, so a command pays the start-up of those alone.
 from .checks import (
     CHECKS,
-    degree_certificate_ok,
     label_degrees,
     map_payload,
     tree_payload,
@@ -247,7 +247,11 @@ def _require_positive(value, option: str) -> None:
 
 
 def cmd_census(args) -> int:
-    from .enumeration import gen_tree_rooted_maps, vertex_profile
+    from .enumeration import (
+        gen_rooted_orientable_maps,
+        spanning_tree_count,
+        vertex_profile,
+    )
     family = args.family
     cache_dir = args.cache
     if args.threads < 1:
@@ -271,11 +275,13 @@ def cmd_census(args) -> int:
         _require_positive(args.n, "--n")
 
         def build():
-            table = Counter()
-            for q in range(1, args.n + 2):
-                table[(args.n, q)] = sum(
-                    1 for _ in gen_tree_rooted_maps(args.n, q))
-            return table
+            # q! vertex labellings of each rooted map with q vertices, times
+            # its spanning trees
+            trees = Counter()
+            for m in gen_rooted_orientable_maps(args.n):
+                trees[len(m.vertices())] += spanning_tree_count(m)
+            return Counter({(args.n, q): factorial(q) * count
+                            for q, count in trees.items()})
         table = _cached(cache_dir, family, {"n": args.n}, build)
         bounds = {"n": args.n}
     else:  # pragma: no cover - argparse restricts choices
@@ -325,7 +331,11 @@ def cmd_verify(args) -> int:
 # fiber and bijection
 
 
-def _psi_element_payload(p) -> dict:
+def _psi_element_payload(p, corners: Counter) -> dict:
+    """A psi fiber element, with property (**): the vertex labelled i
+    has as many half-edges as the fiber's map has corners colored i, as
+    tallied in ``corners``."""
+    degrees = label_degrees(p)
     return {
         "map": map_payload(p.m),
         "vertex_labels": list(p.vertex_labels),
@@ -334,7 +344,8 @@ def _psi_element_payload(p) -> dict:
         "face_labels": list(p.face_labels),
         "w": p.external_weight,
         "degrees_by_label": {str(label): degree
-                             for label, degree in label_degrees(p).items()},
+                             for label, degree in degrees.items()},
+        "degree_certificate_ok": degrees == corners,
     }
 
 
@@ -353,11 +364,8 @@ def cmd_fiber(args) -> int:
     from .bijections import psi_fiber, upsilon_fiber
     u = parse_gluing(args.map)
     if args.kind == "psi":
-        elements = []
-        for p in psi_fiber(u):
-            payload = _psi_element_payload(p)
-            payload["degree_certificate_ok"] = degree_certificate_ok(u, p)
-            elements.append(payload)
+        corners = Counter(u.corner_colors)
+        elements = [_psi_element_payload(p, corners) for p in psi_fiber(u)]
     else:
         elements = [_upsilon_element_payload(t) for t in upsilon_fiber(u)]
     _emit({

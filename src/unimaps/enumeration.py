@@ -1,10 +1,11 @@
 """Exhaustive, duplicate-free generators for the object families we count,
-and exact transfers for the two count tables they would take too long to
-list: one-face maps by vertices and planar maps by (vertices, faces).
+and three exact counts of what they would take too long to list: one-face
+maps by vertices and planar maps by (vertices, faces), each by a transfer,
+and the spanning trees of a map, by the matrix-tree theorem.
 
 Everything here uses exact integers; the generators are desk-scale brute
 force, the ground truth against which every closed formula, every
-bijection and both transfers are checked.
+bijection and every count is checked.
 """
 
 from __future__ import annotations
@@ -206,31 +207,16 @@ def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
     once per call, because states recur from one side to the next.
 
     One pass gives every size: the last side of a polygon with ``2k``
-    sides is side ``2k - 1``, so the row for ``k`` edges is read off
-    before it, from the states with one open side, by closing that side
-    onto corner 0.  The tests check the table against brute force over
+    sides is side ``2k - 1``, so the row for ``k`` edges is read off the
+    closings of the states with one open side there, whose fresh corner
+    is corner 0 again.  The tests check the table against brute force over
     every gluing and against a labelled transfer.
     """
     nn = 2 * n
-    twist_choices = (False,) if orientable_only else (False, True)
     table = Counter()
     successors = {}
     level = {(0,): {0: 1}}
     for side in range(nn):
-        if side % 2:
-            k = (side + 1) // 2
-            for state, counts in level.items():
-                if len(state) != 3:
-                    continue
-                cur, a, b = state
-                for twisted in twist_choices:
-                    ds = DisjointSets(max(state) + 1)
-                    glue_sides(ds, a, b, cur, 0, twisted)
-                    left = len(ds.classes())
-                    for closed, count in counts.items():
-                        table[(k, closed + left)] += count
-        if side == nn - 1:
-            break
         following = {}
         # open this side only if the sides after it can close it too
         room = nn - side - 1
@@ -238,6 +224,16 @@ def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
             if state not in successors:
                 successors[state] = _successors(state, orientable_only)
             opened, closing = successors[state]
+            if side % 2 and len(state) == 3:
+                # the last side of a polygon with side + 1 sides closes the
+                # open side onto corner 0, the fresh corner of a closing,
+                # which joins the two live classes into one vertex
+                for _, closed, ways in closing:
+                    for before, count in counts.items():
+                        table[((side + 1) // 2, before + closed + 1)] += \
+                            ways * count
+            if not room:
+                continue
             if len(state) // 2 + 1 <= room:
                 _add_shifted(following, opened, counts, 0)
             for key, closed, ways in closing:
@@ -335,46 +331,37 @@ def planar_census(max_edges: int) -> Counter:
     return table
 
 
-def spanning_edge_subsets(m: RootedMap):
-    """Edge subsets of ``m`` forming spanning trees, as frozensets of edge
-    ids (minimum half-edge per edge)."""
-    edges = [min(c) for c in m.edges()]
-    vid = m.vertex_index()
-    q = max(vid) + 1
-    out = []
-    for subset in itertools.combinations(edges, q - 1):
-        ds = DisjointSets(q)
-        ok = True
-        for eid in subset:
-            a, b = vid[eid], vid[m.alpha[eid]]
-            if ds.find(a) == ds.find(b):
-                ok = False
-                break
-            ds.union(a, b)
-        if ok:
-            out.append(frozenset(subset))
-    return out
+def spanning_tree_count(m: RootedMap) -> int:
+    """The number of spanning trees of the graph of ``m`` (Kirchhoff's
+    matrix-tree theorem): the determinant of its Laplacian without the row
+    and column of the last vertex.  A loop adds nothing, and parallel
+    edges add to the entries.
 
-
-def gen_tree_rooted_maps(n: int, q: int):
-    """Stream all (rooted orientable map with ``n`` edges and vertex set
-    ``[q]``, marked spanning tree) triples.
-
-    Yields tuples ``(map, vertex_labels, tree)`` where ``vertex_labels`` maps
-    each vertex id (minimum half-edge of its sigma-orbit) to a label in
-    ``1..q`` bijectively, and ``tree`` is a frozenset of edge ids.
+    Bareiss's fraction-free elimination keeps every entry an exact
+    integer.  The graph is connected, so the reduced Laplacian is positive
+    definite: each pivot is a leading principal minor, positive, and no
+    row needs swapping.
     """
-    if not 1 <= q <= n + 1:
-        raise ValueError("need 1 <= q <= n+1")
-    for m in gen_rooted_orientable_maps(n):
-        verts = [min(c) for c in m.vertices()]
-        if len(verts) != q:
-            continue
-        trees = spanning_edge_subsets(m)
-        for perm in itertools.permutations(range(1, q + 1)):
-            labels = dict(zip(verts, perm))
-            for tree in trees:
-                yield m, labels, tree
+    vid = m.vertex_index()
+    size = max(vid)
+    lap = [[0] * size for _ in range(size)]
+    for h, g in enumerate(m.alpha):
+        # each end of a non-loop edge adds its own row's two entries
+        a, b = vid[h], vid[g]
+        if a != b and a < size:
+            lap[a][a] += 1
+            if b < size:
+                lap[a][b] -= 1
+    previous = 1
+    for k in range(size - 1):
+        pivot_row = lap[k]
+        pivot = pivot_row[k]
+        for row in lap[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // previous
+        previous = pivot
+    return lap[-1][-1] if size else 1
 
 
 def surjection_count(v: int, q: int) -> int:

@@ -189,16 +189,25 @@ def _zero_verdict(residual: TruncatedBivariateSeries,
 # The planar series P(x, y) and its quartic equation
 
 
+def _planar_count(planar_counts, q: int, r: int) -> int:
+    """The census entry ``P_(q,r)`` for ``q, r >= 1``.
+
+    Every such count is positive, so a zero entry means the census does
+    not reach ``(q, r)``.
+    """
+    count = planar_counts[(q, r)]
+    if count <= 0:
+        raise ValueError(f"census missing entry ({q},{r})")
+    return count
+
+
 def p_series(planar_counts, degree: int) -> TruncatedBivariateSeries:
     """``P(x, y) = sum_(q,r>=1) P_(q,r) x^q y^r`` through total degree
     ``degree``; raises if the census does not cover that range."""
     coeffs = {}
     for q in range(1, degree):
         for r in range(1, degree + 1 - q):
-            c = planar_counts[(q, r)]
-            if c <= 0:
-                raise ValueError(f"census missing entry ({q},{r})")
-            coeffs[(q, r)] = Fraction(c)
+            coeffs[(q, r)] = Fraction(_planar_count(planar_counts, q, r))
     return TruncatedBivariateSeries(coeffs, degree)
 
 
@@ -237,12 +246,7 @@ def q_from_p(planar_counts, degree: int) -> TruncatedBivariateSeries:
     coeffs = {}
     for q in range(1, degree + 2):
         for r in range(1, degree + 3 - q):
-            c = planar_counts[(q, r)]
-            if c <= 0:
-                raise ValueError(f"census missing entry ({q},{r})")
-            coeffs[(q + r - 2, q)] = Fraction(
-                factorial(q) * factorial(r) * c,
-                factorial(2 * q + 2 * r - 4))
+            coeffs[(q + r - 2, q)] = _p_hat(planar_counts, q, r)
     return TruncatedBivariateSeries(coeffs, degree, (1, 0))
 
 
@@ -303,18 +307,12 @@ def check_q_pde(q: TruncatedBivariateSeries):
 
 
 def _p_hat(planar_counts, i: int, j: int) -> Fraction:
-    """``i! j! P_(i,j) / (2i+2j-4)!`` for ``i, j >= 1``, else zero.
-
-    Every count with ``i, j >= 1`` is positive, so a zero entry means the
-    census does not reach ``(i, j)``.
-    """
+    """``i! j! P_(i,j) / (2i+2j-4)!`` for ``i, j >= 1``, else zero."""
     if i < 1 or j < 1:
         return Fraction(0)
-    count = planar_counts[(i, j)]
-    if count == 0:
-        raise ValueError(f"census missing entry ({i},{j})")
-    return Fraction(factorial(i) * factorial(j) * count,
-                    factorial(2 * i + 2 * j - 4))
+    return Fraction(
+        factorial(i) * factorial(j) * _planar_count(planar_counts, i, j),
+        factorial(2 * i + 2 * j - 4))
 
 
 def rec_hp_residual(planar_counts, q: int, r: int) -> Fraction:

@@ -1,10 +1,12 @@
 """Brute-force streams of the labelled maps on the two sides of the
-bijections, kept as test oracles for :mod:`unimaps.bijections`.
+bijections, kept as test oracles for :mod:`unimaps.bijections` and for
+the spanning-tree count of :mod:`unimaps.enumeration`.
 
 Each stream walks every rooted orientable map with ``n`` edges, every
 marked submap or orientation that the public constructor accepts, and
 every relabelling of vertices, edges (and submap faces).  The relabelling
-loops cost n!·q!·r!, which caps them at n <= 3.
+loops cost n!·q!·r!, which caps them at n <= 3; the tree-rooted listing
+relabels vertices alone and reaches n = 5.
 """
 
 from __future__ import annotations
@@ -16,11 +18,52 @@ from unimaps.bijections import (
     OrientedTreeRootedMap,
     _slot_system,
 )
-from unimaps.enumeration import (
-    gen_rooted_orientable_maps,
-    spanning_edge_subsets,
-)
-from unimaps.maps_core import RootedMap
+from unimaps.enumeration import gen_rooted_orientable_maps
+from unimaps.maps_core import DisjointSets, RootedMap
+
+
+def spanning_edge_subsets(m: RootedMap):
+    """Edge subsets of ``m`` forming spanning trees, as frozensets of edge
+    ids (minimum half-edge per edge), found among all ``C(edges, q - 1)``
+    subsets with a union-find."""
+    edges = [min(c) for c in m.edges()]
+    vid = m.vertex_index()
+    q = max(vid) + 1
+    out = []
+    for subset in itertools.combinations(edges, q - 1):
+        ds = DisjointSets(q)
+        ok = True
+        for eid in subset:
+            a, b = vid[eid], vid[m.alpha[eid]]
+            if ds.find(a) == ds.find(b):
+                ok = False
+                break
+            ds.union(a, b)
+        if ok:
+            out.append(frozenset(subset))
+    return out
+
+
+def gen_tree_rooted_maps(n: int, q: int):
+    """Stream all (rooted orientable map with ``n`` edges and vertex set
+    ``[q]``, marked spanning tree) triples: the listing that
+    :func:`unimaps.enumeration.spanning_tree_count` counts.
+
+    Yields tuples ``(map, vertex_labels, tree)`` where ``vertex_labels`` maps
+    each vertex id (minimum half-edge of its sigma-orbit) to a label in
+    ``1..q`` bijectively, and ``tree`` is a frozenset of edge ids.
+    """
+    if not 1 <= q <= n + 1:
+        raise ValueError("need 1 <= q <= n+1")
+    for m in gen_rooted_orientable_maps(n):
+        verts = [min(c) for c in m.vertices()]
+        if len(verts) != q:
+            continue
+        trees = spanning_edge_subsets(m)
+        for perm in itertools.permutations(range(1, q + 1)):
+            labels = dict(zip(verts, perm))
+            for tree in trees:
+                yield m, labels, tree
 
 
 def gen_oriented_tree_rooted_maps(n: int, weight: int = None):

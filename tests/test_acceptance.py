@@ -9,14 +9,17 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or
 
 import sys
 from collections import Counter
+from math import factorial
 
 import pytest
+from labelled_oracle import gen_tree_rooted_maps
 
 from unimaps.checks import CHECKS, _invalid
 from unimaps.enumeration import (
-    gen_tree_rooted_maps,
+    gen_rooted_orientable_maps,
     gen_unicellular,
     planar_census,
+    spanning_tree_count,
     vertex_profile,
 )
 from unimaps.formulas import (
@@ -71,8 +74,15 @@ def test_criterion_02_t_formula():
     ok = passes(5, "t-formula")
     ok &= all(sum(1 for _ in gen_tree_rooted_maps(n, q)) == t_formula(n, q)
               for n in range(1, 6) for q in range(1, n + 2))
-    report(2, "orientable colored counts match surjection sums and "
-           "tree-rooted enumeration for n <= 5", ok)
+    for n in range(1, 6):
+        trees = Counter()
+        for m in gen_rooted_orientable_maps(n):
+            trees[len(m.vertices())] += spanning_tree_count(m)
+        ok &= all(factorial(q) * trees[q] == t_formula(n, q)
+                  for q in range(1, n + 2))
+    report(2, "orientable colored counts match surjection sums, "
+           "tree-rooted enumeration and the matrix-tree count for n <= 5",
+           ok)
 
 
 def test_criterion_03_hz_identity_and_recurrence():

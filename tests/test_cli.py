@@ -81,6 +81,15 @@ class TestCensus:
         assert payload["entries"] == [[[2, 1], "3"], [[2, 2], "12"],
                                       [[2, 3], "12"]]
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_tree_rooted_matches_t_formula(self, capsys, n):
+        """The matrix-tree count of tree-rooted maps with vertex set [q]
+        equals T_n(q) for every q."""
+        code, out, _ = run(capsys, "census", "tree-rooted", "--n", str(n))
+        assert code == 0
+        assert json.loads(out)["entries"] == [
+            [[n, q], str(formulas.t_formula(n, q))] for q in range(1, n + 2)]
+
     def test_threads_do_not_change_output(self, capsys):
         _, sequential, _ = run(capsys, "census", "unicellular-general",
                                "--n", "3")
@@ -593,6 +602,19 @@ class TestStartup:
         assert not hz & {"unimaps.bijections", "unimaps.tours",
                          "unimaps.planar_closure", "unimaps.series",
                          "unimaps.cache"}
+
+    def test_tree_rooted_census_loads_integers_only(self):
+        """``census tree-rooted`` counts with the enumerators and an
+        integer determinant: it loads ``enumeration`` and no layer of the
+        bijections or the series, nor ``fractions``, unless the site
+        setup did."""
+        loaded = loaded_modules(
+            "import unimaps.cli; code = unimaps.cli.main(['census', "
+            "'tree-rooted', '--n', '2']); assert code == 0, code")
+        assert "unimaps.enumeration" in loaded
+        assert not loaded & {"unimaps.bijections", "unimaps.tours",
+                             "unimaps.planar_closure", "unimaps.series",
+                             "fractions"}
 
     def test_gamma_roundtrip_loads_the_census_alone(self, tmp_path):
         """``verify gamma-roundtrip`` counts the plane maps with the

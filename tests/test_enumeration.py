@@ -4,6 +4,7 @@ from math import comb, factorial
 from operator import eq
 
 import pytest
+from labelled_oracle import gen_tree_rooted_maps, spanning_edge_subsets
 from map_oracle import relabelled
 from revalidate import revalidated
 from transfer_oracle import labelled_vertex_profile
@@ -13,10 +14,9 @@ from unimaps.enumeration import (
     _matchings,
     gen_colored_unicellular,
     gen_rooted_orientable_maps,
-    gen_tree_rooted_maps,
     gen_unicellular,
     planar_census,
-    spanning_edge_subsets,
+    spanning_tree_count,
     surjection_count,
     vertex_profile,
 )
@@ -297,12 +297,52 @@ class TestPlanarCensus:
             assert tot == planar_maps_with_edges(e)
 
 
+@pytest.fixture(scope="module")
+def rooted_maps():
+    """Every rooted orientable map with 1..5 edges, by edge count, shared
+    by the tests of the spanning-tree count with the orbits each map
+    caches."""
+    return {e: tuple(gen_rooted_orientable_maps(e)) for e in range(1, 6)}
+
+
 class TestTreeRootedMaps:
     def test_spanning_trees_of_theta_graph(self):
         # two vertices, three parallel edges: 3 spanning trees
         m = RootedMap((2, 3, 4, 5, 0, 1), (1, 0, 3, 2, 5, 4), 0)
         assert euler_data(m)[0] == 2
         assert len(spanning_edge_subsets(m)) == 3
+        assert spanning_tree_count(m) == 3
+
+    @pytest.mark.parametrize("sigma,alpha,trees", [
+        # one vertex with two loops: the empty tree alone
+        ((1, 2, 3, 0), (1, 0, 3, 2), 1),
+        # a bouquet of four parallel edges between two vertices
+        ((2, 3, 4, 5, 6, 7, 0, 1), (1, 0, 3, 2, 5, 4, 7, 6), 4),
+        # a triangle with one edge doubled and a loop at its third vertex
+        ((2, 3, 7, 4, 1, 6, 8, 0, 9, 5), (1, 0, 3, 2, 5, 4, 7, 6, 9, 8), 5),
+    ])
+    def test_count_of_small_graphs(self, sigma, alpha, trees):
+        m = RootedMap(sigma, alpha, 0)
+        assert spanning_tree_count(m) == len(spanning_edge_subsets(m)) \
+            == trees
+
+    @pytest.mark.parametrize("e", range(1, 6))
+    def test_count_equals_listing(self, rooted_maps, e):
+        """The matrix-tree count agrees with the listing on every rooted
+        map with ``e`` edges."""
+        for m in rooted_maps[e]:
+            assert spanning_tree_count(m) == len(spanning_edge_subsets(m))
+
+    @pytest.mark.parametrize("n,total", [
+        (1, 2), (2, 10), (3, 70), (4, 588), (5, 5544)])
+    def test_planar_maps_have_mullin_trees(self, rooted_maps, n, total):
+        """Summed over the rooted planar maps with ``n`` edges, the
+        spanning trees number C_n C_(n+1) (Mullin, "On the enumeration of
+        tree-rooted maps", 1967)."""
+        assert comb(2 * n, n) * comb(2 * n + 2, n + 1) \
+            // ((n + 1) * (n + 2)) == total
+        assert sum(spanning_tree_count(m) for m in rooted_maps[n]
+                   if len(m.vertices()) + len(m.faces()) == n + 2) == total
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_totals_by_vertex_count(self, n):

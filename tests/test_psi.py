@@ -16,7 +16,8 @@ from unimaps.bijections import (
     psi,
     psi_fiber,
 )
-from unimaps.checks import _fiber_fault, degree_certificate_ok
+from unimaps.checks import _fiber_fault
+from unimaps.cli import _psi_element_payload
 from unimaps.enumeration import (
     gen_colored_unicellular,
     gen_unicellular,
@@ -159,8 +160,10 @@ class TestPsiFibers:
                  if sorted(Counter(u.corner_colors).values()) == [1, 3])
         (p,) = psi_fiber(u)
         wrong = replace(p, vertex_labels=p.vertex_labels[::-1])
-        assert degree_certificate_ok(u, p)
-        assert not degree_certificate_ok(u, wrong)
+        corners = Counter(u.corner_colors)
+        assert _psi_element_payload(p, corners)["degree_certificate_ok"]
+        assert not _psi_element_payload(wrong,
+                                        corners)["degree_certificate_ok"]
         monkeypatch.setattr(bijections, "psi", lambda p: u)
         assert _fiber_fault(u, (p,)) is None
         assert _fiber_fault(u, (wrong,)) == "degrees"
