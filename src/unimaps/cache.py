@@ -37,9 +37,7 @@ def store_census(cache_dir: str, name: str, params: dict, table) -> str:
     """Write a count table (a mapping from key tuples to integers) to the
     cache; returns the file path."""
     os.makedirs(cache_dir, exist_ok=True)
-    entries = sorted(
-        [list(k) if isinstance(k, tuple) else [k], str(v)]
-        for k, v in table.items() if v)
+    entries = sorted([list(k), str(v)] for k, v in table.items() if v)
     payload = {
         "schema": SCHEMA,
         "name": name,

@@ -99,10 +99,12 @@ def _check_jackson(bound, census):
         by_pq = Counter()
         for g in enumeration.gen_unicellular(n, orientable_only=True):
             gluings += 1
-            classes = maps_core.glue_polygon(g)
-            # one-face bipartite maps have corners alternating by side
-            if any(len({c % 2 for c in cls}) != 1 for cls in classes):
+            # bipartite: every vertex class has corners of one parity; an
+            # untwisted pair (a, b) glues a to b + 1 and a + 1 to b, and 2n
+            # is even, so that holds exactly when a and b differ in parity
+            if any((a + b) % 2 == 0 for a, b in g.pairs):
                 continue
+            classes = maps_core.glue_polygon(g)
             even = sum(1 for cls in classes if cls[0] % 2 == 0)
             odd = len(classes) - even
             for p in range(1, even + 1):

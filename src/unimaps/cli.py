@@ -412,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unimaps",
         description="Exact counting and bijections for one-face maps")
-    parser.add_argument("--cache", default=os.environ.get("UNIMAPS_CACHE"),
+    # an empty $UNIMAPS_CACHE means no cache, as an unset one does
+    parser.add_argument("--cache",
+                        default=os.environ.get("UNIMAPS_CACHE") or None,
                         help="directory for persisted census tables "
                         "(default: $UNIMAPS_CACHE)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -100,44 +100,33 @@ def _canonical(cur: int, sides, orientable_only: bool) -> tuple:
     """The key of a transfer state: the current corner's label ``cur``
     and the open sides ``sides``, relabelled so that label 0 stays 0.
 
-    Two rounds of colour refinement give each label a colour from its
-    role (corner 0, current, other) and the colours at the far ends of
-    its sides; the sides are sorted by the colours of their ends (an
-    unordered side put in colour order first) and the labels renamed by
-    first appearance after 0 and ``cur``.  The key is the renamed current
-    label followed by the renamed sides, sorted and flattened.  Every
-    relabelling that fixes 0 keeps the count of completions, so states
-    that the colours fail to tell apart are merely kept apart, never
-    wrongly merged.
+    A descent repeats three steps until the key stops changing: sort the
+    sides (on all surfaces each with its smaller end first), take ``cur``
+    and the flattened sides as the key, and rename the labels by first
+    appearance (0 stays 0, ``cur`` becomes 1 unless it is 0, then the
+    rest in side order).  It ends: after the first pass, a pass that
+    changes the key makes it lexicographically smaller, because the first
+    label that the renaming changes gets the smallest unused name, and
+    sorting the sides or turning them round only lowers the key.  It is
+    sound: each key is a relabelling of the state that fixes 0, which
+    keeps the count of completions, so only isomorphic states share a
+    key.  A key is its own key.
     """
-    colour = dict.fromkeys([x for side in sides for x in side], 2)
-    colour[cur] = 1
-    colour[0] = 0
-    for _ in range(2):
-        around = {x: [] for x in colour}
-        for a, b in sides:
-            around[a].append(colour[b])
-            # on orientable surfaces an end also knows its direction
-            around[b].append(~colour[a] if orientable_only else colour[a])
-        signature = {x: (c, tuple(sorted(around[x])))
-                     for x, c in colour.items()}
-        rank = {s: i for i, s in enumerate(sorted(set(signature.values())))}
-        colour = {x: rank[s] for x, s in signature.items()}
-    if not orientable_only:
-        sides = [(a, b) if colour[a] <= colour[b] else (b, a)
-                 for a, b in sides]
-    sides = sorted(sides, key=lambda side: (colour[side[0]],
-                                            colour[side[1]]))
-    names = {0: 0}
-    names.setdefault(cur, 1)
-    for a, b in sides:
-        names.setdefault(a, len(names))
-        names.setdefault(b, len(names))
-    renamed = [(names[a], names[b]) for a, b in sides]
-    if not orientable_only:
-        renamed = [(a, b) if a <= b else (b, a) for a, b in renamed]
-    renamed.sort()
-    return (names[cur],) + tuple(x for side in renamed for x in side)
+    key = None
+    while True:
+        if not orientable_only:
+            sides = [(a, b) if a <= b else (b, a) for a, b in sides]
+        sides = sorted(sides)
+        flat = (cur,) + tuple(x for side in sides for x in side)
+        if flat == key:
+            return key
+        key = flat
+        names = {0: 0}
+        names.setdefault(cur, 1)
+        for x in key[1:]:
+            names.setdefault(x, len(names))
+        cur = names[cur]
+        sides = [(names[a], names[b]) for a, b in sides]
 
 
 def _successors(state: tuple, orientable_only: bool):
@@ -203,8 +192,10 @@ def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
     since closing (a, b) untwisted glues the same corners as closing
     (b, a) twisted: the two gluings are a ~ end with b ~ current, and
     a ~ current with b ~ end, both counted even when a = b.  States are
-    keyed by :func:`_canonical`, and the successors of each are computed
-    once per call, because states recur from one side to the next.
+    keyed by the sort-and-rename descent of :func:`_canonical`, which
+    merges only isomorphic states, and the successors of each are
+    computed once per call, because states recur from one side to the
+    next.
 
     One pass gives every size: the last side of a polygon with ``2k``
     sides is side ``2k - 1``, so the row for ``k`` edges is read off the

@@ -202,6 +202,18 @@ class TestUnusableCache:
         self.assert_usage_error(*run(capsys, "verify", "planar-totals",
                                      "--bound", "3"))
 
+    def test_empty_path(self, capsys):
+        self.assert_usage_error(*run(capsys, "--cache", "", "verify",
+                                     "planar-totals", "--bound", "3"))
+
+    def test_empty_environment_means_no_cache(self, capsys, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setenv("UNIMAPS_CACHE", "")
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "verify", "planar-totals", "--bound", "3")
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_directory(self, capsys, tmp_path, monkeypatch):
         def deny(*args, **kwargs):
             raise PermissionError(13, "Permission denied", str(tmp_path))

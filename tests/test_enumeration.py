@@ -9,6 +9,7 @@ from map_oracle import relabelled
 from revalidate import revalidated
 from transfer_oracle import labelled_vertex_profile
 
+from unimaps import enumeration
 from unimaps.enumeration import (
     _canonical,
     _matchings,
@@ -124,9 +125,9 @@ class TestCanonicalForm:
     """States that differ only in the order of their open sides, or on all
     surfaces in the ends of one side, get one key; label 0 stays 0.
 
-    The colours tell every label of these states apart.  Where they do
-    not, the key may follow the order of the sides, which keeps equal
-    states apart but never merges different ones."""
+    The descent renames labels by first appearance until the sorted key
+    stops changing, so a key is its own key.  It may keep isomorphic
+    states apart, but it never merges states that are not."""
 
     @pytest.mark.parametrize("orientable_only", [True, False])
     def test_order_of_open_sides(self, orientable_only):
@@ -156,6 +157,33 @@ class TestCanonicalForm:
             assert sum(side.count(0) for side in renamed) == \
                 sum(side.count(0) for side in sides)
             assert key[0] != 0
+
+    @staticmethod
+    def reached_states(monkeypatch, n, orientable_only):
+        """Every state whose successors ``vertex_profile(n)`` computes."""
+        states = []
+        successors = enumeration._successors
+
+        def record(state, orientable_only):
+            states.append(state)
+            return successors(state, orientable_only)
+
+        monkeypatch.setattr(enumeration, "_successors", record)
+        vertex_profile(n, orientable_only)
+        return states
+
+    @pytest.mark.parametrize("orientable_only", [True, False])
+    def test_every_key_is_its_own_key(self, monkeypatch, orientable_only):
+        for state in self.reached_states(monkeypatch, 8, orientable_only):
+            sides = list(zip(state[1::2], state[2::2]))
+            assert _canonical(state[0], sides, orientable_only) == state
+
+    @pytest.mark.parametrize("orientable_only", [True, False])
+    def test_state_count(self, monkeypatch, orientable_only):
+        # the descent keeps 232 states on each class; a key that is not
+        # its own key would keep isomorphic states apart and add more
+        states = self.reached_states(monkeypatch, 10, orientable_only)
+        assert len(states) <= 232
 
 
 def brute_vertex_profile(n, orientable_only):

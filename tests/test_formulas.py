@@ -122,6 +122,16 @@ class TestJacksonFormula:
         assert jackson_formula(3, 2, 2) == 12
         assert jackson_formula(2, 2, 2) == 0
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bipartite_by_pairs(self, n):
+        """Every vertex class has corners of one parity exactly when every
+        pair joins an even side and an odd side: the filter of ``verify
+        jackson``."""
+        for g in gen_unicellular(n, True):
+            by_classes = all(len({c % 2 for c in cls}) == 1
+                             for cls in glue_polygon(g))
+            assert by_classes == all((a + b) % 2 for a, b in g.pairs)
+
 
 class TestUFormula:
     @pytest.mark.parametrize("n", [1, 2, 3])
