@@ -1,7 +1,8 @@
 """Exhaustive, duplicate-free generators for the object families we count,
 and three exact counts of what they would take too long to list: one-face
-maps by vertices and planar maps by (vertices, faces), each by a transfer,
-and the spanning trees of a map, by the matrix-tree theorem.
+maps by vertices and planar maps by (vertices, faces), each by a transfer
+(over the shapes of the open sides, and over the edges), and the spanning
+trees of a map, by the matrix-tree theorem.
 
 Everything here uses exact integers; the generators are desk-scale brute
 force, the ground truth against which every closed formula, every
@@ -97,36 +98,37 @@ def gen_colored_unicellular(n: int, orientable_only: bool = False,
 
 
 def _canonical(cur: int, sides, orientable_only: bool) -> tuple:
-    """The key of a transfer state: the current corner's label ``cur``
-    and the open sides ``sides``, relabelled so that label 0 stays 0.
+    """The key of a transfer state: the standard state of its shape.
 
-    A descent repeats three steps until the key stops changing: sort the
-    sides (on all surfaces each with its smaller end first), take ``cur``
-    and the flattened sides as the key, and rename the labels by first
-    appearance (0 stays 0, ``cur`` becomes 1 unless it is 0, then the
-    rest in side order).  It ends: after the first pass, a pass that
-    changes the key makes it lexicographically smaller, because the first
-    label that the renaming changes gets the smallest unused name, and
-    sorting the sides or turning them round only lowers the key.  It is
-    sound: each key is a relabelling of the state that fixes 0, which
-    keeps the count of completions, so only isomorphic states share a
-    key.  A key is its own key.
+    Count an end at each label of each open side, and one more each at
+    label 0 and at the current label ``cur``.  Every label has two ends:
+    the start state, ``cur = 0`` with no side, has them, and each side
+    keeps them.  Opening extends the path to the fresh corner.  Closing
+    onto an open side (a, b) glues b to ``cur`` and a to the fresh corner
+    (twisted, the other way round): on a path side this cuts the far part
+    of the path off as a cycle, and on a cycle side it splices the cycle
+    into the path.  So a state is a path of open sides from 0 to ``cur``
+    plus disjoint cycles; on orientable surfaces the path points away
+    from 0 and each cycle runs one way.  Its shape, the path's length j
+    (the sides in label 0's class) with the other classes' side counts,
+    fixes it up to relabellings that fix 0, which keep its completions.
+    The key is the shape's standard state: ``cur = j``, the sides
+    (0, 1) .. (j - 1, j), then each cycle on fresh labels in ascending
+    length, sorted, on all surfaces each with its smaller end first.  So
+    ``cur`` is not read, and a key is its own key.
     """
-    key = None
-    while True:
-        if not orientable_only:
-            sides = [(a, b) if a <= b else (b, a) for a, b in sides]
-        sides = sorted(sides)
-        flat = (cur,) + tuple(x for side in sides for x in side)
-        if flat == key:
-            return key
-        key = flat
-        names = {0: 0}
-        names.setdefault(cur, 1)
-        for x in key[1:]:
-            names.setdefault(x, len(names))
-        cur = names[cur]
-        sides = [(names[a], names[b]) for a, b in sides]
+    ds = DisjointSets(1 + max((max(side) for side in sides), default=0))
+    for a, b in sides:
+        ds.union(a, b)
+    lengths = Counter(ds.find(a) for a, _ in sides)
+    j = lengths.pop(0, 0)  # a class's root is its least label
+    key = [(i, i + 1) for i in range(j)]
+    for length in sorted(lengths.values()):
+        start = len(key) + 1  # the first fresh label
+        key += [(start + i, start + (i + 1) % length) for i in range(length)]
+    if not orientable_only:
+        key = [(a, b) if a <= b else (b, a) for a, b in key]
+    return (j,) + tuple(x for side in sorted(key) for x in side)
 
 
 def _successors(state: tuple, orientable_only: bool):
@@ -192,10 +194,8 @@ def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
     since closing (a, b) untwisted glues the same corners as closing
     (b, a) twisted: the two gluings are a ~ end with b ~ current, and
     a ~ current with b ~ end, both counted even when a = b.  States are
-    keyed by the sort-and-rename descent of :func:`_canonical`, which
-    merges only isomorphic states, and the successors of each are
-    computed once per call, because states recur from one side to the
-    next.
+    keyed by their shapes (:func:`_canonical`), which recur from one side
+    to the next, so the successors of each are computed once per call.
 
     One pass gives every size: the last side of a polygon with ``2k``
     sides is side ``2k - 1``, so the row for ``k`` edges is read off the

@@ -87,7 +87,7 @@ def test_criterion_02_t_formula():
 
 def test_criterion_03_hz_identity_and_recurrence():
     report(3, "some-colors identity and three-term recurrence on "
-           "orientable tables for n <= 10", passes(10, "t-formula", "hz"))
+           "orientable tables for n <= 14", passes(14, "t-formula", "hz"))
 
 
 def test_criterion_04_jackson():
@@ -111,7 +111,7 @@ def test_criterion_06_u_hat():
 
 def test_criterion_07_ledoux():
     report(7, "four-term recurrence on general-surface tables for "
-           "2 <= n <= 10", passes(10, "ledoux"))
+           "2 <= n <= 14", passes(14, "ledoux"))
 
 
 def test_criterion_08_phi_bijection_and_star(phi_images4):

@@ -6,6 +6,7 @@ import pytest
 
 from unimaps import cache
 from unimaps.cache import load_census, store_census
+from unimaps.enumeration import planar_census, vertex_profile
 
 
 def table(offset):
@@ -59,20 +60,33 @@ def test_older_schema_is_a_miss(tmp_path, monkeypatch):
     assert load_census(str(tmp_path), "demo", {"n": 2}) is None
 
 
-def test_stored_planar_census_bytes_are_pinned(tmp_path):
-    """The file of ``census planar-pqr --max-edges 4`` under schema 2, the
-    same whatever order the table was filled in."""
-    from unimaps.enumeration import planar_census
+def one_face_row(n, orientable):
+    """The table that ``census unicellular-* --n n`` stores."""
+    return Counter({key: count for key, count in
+                    vertex_profile(n, orientable).items() if key[0] == n})
 
+
+@pytest.mark.parametrize("name, params, build, digest", [
+    ("planar-pqr", {"max_edges": 4}, lambda: planar_census(4),
+     "a34907dbf1e378bdb1c1e691b54479fed68c5875e428c9476b0ca01e717f6726"),
+    ("unicellular-orientable", {"n": 10}, lambda: one_face_row(10, True),
+     "6fd14cdb34611ed842cb3612056b3d14ae53d3fb8aaf974b34e8918b72f994fe"),
+    ("unicellular-general", {"n": 10}, lambda: one_face_row(10, False),
+     "acdff16ab2f74a2a26b19fccad817f64d460dc25177eedab14c44835f36835c5"),
+], ids=["planar-pqr", "unicellular-orientable", "unicellular-general"])
+def test_stored_census_bytes_are_pinned(tmp_path, name, params, build,
+                                        digest):
+    """The file of ``census planar-pqr --max-edges 4``, ``census
+    unicellular-orientable --n 10`` and ``census unicellular-general --n
+    10`` under schema 2, the same whatever order the table was filled in.
+    A producer that changes one of these files without a new schema
+    would leave the files that older code stored being read as current."""
     assert cache.SCHEMA == 2
-    census = planar_census(4)
+    census = build()
     backward = Counter()
     for key in sorted(census, reverse=True):
         backward[key] = census[key]
     for k, filled in enumerate((census, backward)):
-        path = store_census(str(tmp_path / str(k)), "planar-pqr",
-                            {"max_edges": 4}, filled)
+        path = store_census(str(tmp_path / str(k)), name, params, filled)
         with open(path, "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == (
-                "a34907dbf1e378bdb1c1e691b54479fed68c5875e428c9476b0ca01e"
-                "717f6726")
+            assert hashlib.sha256(fh.read()).hexdigest() == digest

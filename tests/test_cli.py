@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -225,6 +226,23 @@ class TestUnusableCache:
 
 
 class TestVerify:
+    def test_claim_ledger_names_every_check(self):
+        # the README's table of the paper's claims: one row per claim of
+        # the abstract, and each check named once with its default bound
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "README.md")
+        with open(path, encoding="utf-8") as fh:
+            readme = fh.read()
+        ledger = readme.split("\n## Claims of the paper\n")[1]
+        rows = [line.strip("|").split("|")
+                for line in ledger.split("\n## ")[0].splitlines()
+                if line.startswith("|")][2:]
+        assert len(rows) == 6
+        named = [(name, int(bound)) for row in rows
+                 for name, bound in re.findall(r"`([^`]+)` (-?\d+)", row[1])]
+        assert sorted(named) == sorted(
+            (name, check.default) for name, check in CHECKS.items())
+
     def test_pass_exits_zero(self, capsys):
         code, out, err = run(capsys, "verify", "ledoux", "--bound", "4")
         assert code == 0

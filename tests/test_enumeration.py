@@ -125,9 +125,10 @@ class TestCanonicalForm:
     """States that differ only in the order of their open sides, or on all
     surfaces in the ends of one side, get one key; label 0 stays 0.
 
-    The descent renames labels by first appearance until the sorted key
-    stops changing, so a key is its own key.  It may keep isomorphic
-    states apart, but it never merges states that are not."""
+    The key is the shape of a state: the length of its path of open sides
+    from label 0 to the current label, and the lengths of its cycles.
+    Every state the transfer reaches is such a path and such cycles, and
+    a key is its own key."""
 
     @pytest.mark.parametrize("orientable_only", [True, False])
     def test_order_of_open_sides(self, orientable_only):
@@ -144,19 +145,15 @@ class TestCanonicalForm:
                        for (a, b), f in zip(sides, flips)]
             for perm in itertools.permutations(flipped):
                 assert _canonical(1, list(perm), False) == key
-        # on orientable surfaces the direction of a side is kept
-        assert _canonical(1, [(0, 1)], True) != _canonical(1, [(1, 0)], True)
 
     @pytest.mark.parametrize("orientable_only", [True, False])
     def test_label_zero_stays_zero(self, orientable_only):
-        # corner 0's class is label 0, here current, at a start and an end
+        # corner 0's class is label 0, here current, then at a start
         assert _canonical(0, [(2, 1)], orientable_only)[0] == 0
-        for cur, sides in ((3, [(0, 3), (3, 2)]), (2, [(3, 0), (1, 0)])):
-            key = _canonical(cur, sides, orientable_only)
-            renamed = list(zip(key[1::2], key[2::2]))
-            assert sum(side.count(0) for side in renamed) == \
-                sum(side.count(0) for side in sides)
-            assert key[0] != 0
+        key = _canonical(3, [(0, 3), (3, 2)], orientable_only)
+        renamed = list(zip(key[1::2], key[2::2]))
+        assert sum(side.count(0) for side in renamed) == 1
+        assert key[0] != 0
 
     @staticmethod
     def reached_states(monkeypatch, n, orientable_only):
@@ -168,8 +165,9 @@ class TestCanonicalForm:
             states.append(state)
             return successors(state, orientable_only)
 
-        monkeypatch.setattr(enumeration, "_successors", record)
-        vertex_profile(n, orientable_only)
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "_successors", record)
+            vertex_profile(n, orientable_only)
         return states
 
     @pytest.mark.parametrize("orientable_only", [True, False])
@@ -179,11 +177,43 @@ class TestCanonicalForm:
             assert _canonical(state[0], sides, orientable_only) == state
 
     @pytest.mark.parametrize("orientable_only", [True, False])
+    def test_states_are_a_path_and_cycles(self, monkeypatch,
+                                          orientable_only):
+        # every state handed to the key, before it is keyed
+        seen = []
+        canonical = enumeration._canonical
+
+        def record(cur, sides, orientable_only):
+            seen.append((cur, list(sides)))
+            return canonical(cur, sides, orientable_only)
+
+        monkeypatch.setattr(enumeration, "_canonical", record)
+        vertex_profile(10, orientable_only)
+        # some hold cycles: open sides with the path empty
+        assert any(sides for cur, sides in seen if cur == 0)
+        for cur, sides in seen:
+            # corner 0 and the current corner add an end each
+            ends = Counter([0, cur])
+            for side in sides:
+                ends.update(side)
+            assert set(ends.values()) == {2}
+            if orientable_only:
+                # one side leaves each label; from 0 they lead to cur
+                after = dict(sides)
+                assert len(after) == len(sides)
+                label = 0
+                while label != cur:
+                    label = after.pop(label)
+                # and the rest enter the labels they leave: one-way cycles
+                assert sorted(after) == sorted(after.values())
+
+    @pytest.mark.parametrize("orientable_only", [True, False])
     def test_state_count(self, monkeypatch, orientable_only):
-        # the descent keeps 232 states on each class; a key that is not
-        # its own key would keep isomorphic states apart and add more
-        states = self.reached_states(monkeypatch, 10, orientable_only)
-        assert len(states) <= 232
+        # one state per shape; a key that kept the states of one shape
+        # apart would reach more
+        for n, count in ((8, 67), (10, 139), (12, 272)):
+            states = self.reached_states(monkeypatch, n, orientable_only)
+            assert len(states) == count
 
 
 def brute_vertex_profile(n, orientable_only):
