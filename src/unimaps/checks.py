@@ -22,7 +22,9 @@ n = 4 and psi to n = 3, and above that the checks rely on it.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from math import comb, factorial
+from functools import cache
+from itertools import product
+from math import comb, factorial, prod
 
 # Each check imports the layer modules it calls inside its body, so that a
 # command loads only the layers it runs, and always as ``from . import x``
@@ -71,19 +73,27 @@ def _check_gluing_totals(bound, census):
     return _first(f for n in range(1, bound + 1) for f in faults(n))
 
 
-def _surjection_sums(bound, orientable_only, formula):
+def _surjection_sums(bound, orientable_only, formula, bipartite=False):
     """Colored counts as sums over the vertex profile, against
-    ``formula(n, q)``: a map with v vertices has surj(v, q) colorings."""
+    ``formula(n, q)``: a map with v vertices has surj(v, q) colorings;
+    bipartite, against ``formula(n, p, q)``: with e even and o odd vertex
+    classes, surj(e, p) surj(o, q), its root vertex's part onto 1..p."""
     from . import enumeration
-    table = enumeration.vertex_profile(bound, orientable_only)
+    surj = cache(enumeration.surjection_count)
+    rows = [[] for _ in range(bound + 1)]
+    for (n, *parts), count in enumeration.vertex_profile(
+            bound, orientable_only, bipartite=bipartite).items():
+        rows[n].append((count, parts))
 
-    def fault(n, q):
-        direct = sum(table[(n, v)] * enumeration.surjection_count(v, q)
-                     for v in range(1, n + 2))
-        return None if direct == formula(n, q) else {
-            "n": n, "q": q, "direct": direct, "formula": formula(n, q)}
-    return _first((n, fault(n, q)) for n in range(1, bound + 1)
-                  for q in range(1, n + 2))
+    def fault(n, colors):
+        direct = sum(count * prod(map(surj, parts, colors))
+                     for count, parts in rows[n])
+        expected = formula(n, *colors)
+        return None if direct == expected else {
+            "n": n, **dict(zip("pq"[-len(colors):], colors)),
+            "direct": direct, "formula": expected}
+    return _first((n, fault(n, colors)) for n in range(1, bound + 1)
+                  for colors in product(range(1, n + 2), repeat=1 + bipartite))
 
 
 def _check_t_formula(bound, census):
@@ -92,31 +102,8 @@ def _check_t_formula(bound, census):
 
 
 def _check_jackson(bound, census):
-    from . import enumeration, formulas, maps_core
-    surj = enumeration.surjection_count
-    gluings = 0
-    for n in range(1, bound + 1):
-        by_pq = Counter()
-        for g in enumeration.gen_unicellular(n, orientable_only=True):
-            gluings += 1
-            # bipartite: every vertex class has corners of one parity; an
-            # untwisted pair (a, b) glues a to b + 1 and a + 1 to b, and 2n
-            # is even, so that holds exactly when a and b differ in parity
-            if any((a + b) % 2 == 0 for a, b in g.pairs):
-                continue
-            classes = maps_core.glue_polygon(g)
-            even = sum(1 for cls in classes if cls[0] % 2 == 0)
-            odd = len(classes) - even
-            for p in range(1, even + 1):
-                for q in range(1, odd + 1):
-                    by_pq[(p, q)] += surj(even, p) * surj(odd, q)
-        for p in range(1, n + 2):
-            for q in range(1, n + 2):
-                formula = formulas.jackson_formula(n, p, q)
-                if by_pq[(p, q)] != formula:
-                    return {"n": n, "p": p, "q": q, "brute": by_pq[(p, q)],
-                            "formula": formula}, gluings, n
-    return None, gluings, bound
+    from . import formulas
+    return _surjection_sums(bound, True, formulas.jackson_formula, True)
 
 
 def _check_u_formula(bound, census):
@@ -417,7 +404,7 @@ Check = namedtuple("Check", "bound_name default unit run")
 CHECKS = {
     "gluing-totals": Check("max_n", 12, "totals", _check_gluing_totals),
     "t-formula": Check("max_n", 13, "(n, q) values", _check_t_formula),
-    "jackson": Check("max_n", 6, "gluings", _check_jackson),
+    "jackson": Check("max_n", 20, "(n, p, q) values", _check_jackson),
     "u-formula": Check("max_n", 12, "(n, q) values", _check_u_formula),
     "u-hat": Check("max_n", 20, "(n, N) values", _check_u_hat),
     "hz": Check("max_n", 13, "(n, v) points", _check_hz),

@@ -271,7 +271,7 @@ def cmd_census(args) -> int:
         _require_positive(args.max_edges, "--max-edges")
         table = _planar_census(cache_dir, args.max_edges)
         bounds = {"max_edges": args.max_edges}
-    elif family == "tree-rooted":
+    else:  # tree-rooted; argparse restricts the choices
         _require_positive(args.n, "--n")
 
         def build():
@@ -284,8 +284,6 @@ def cmd_census(args) -> int:
                             for q, count in trees.items()})
         table = _cached(cache_dir, family, {"n": args.n}, build)
         bounds = {"n": args.n}
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit2(f"unknown family {family!r}")
     _emit_table(_table_payload(family, bounds, table), args.format)
     return 0
 

@@ -115,7 +115,10 @@ def _canonical(cur: int, sides, orientable_only: bool) -> tuple:
     The key is the shape's standard state: ``cur = j``, the sides
     (0, 1) .. (j - 1, j), then each cycle on fresh labels in ascending
     length, sorted, on all surfaces each with its smaller end first.  So
-    ``cur`` is not read, and a key is its own key.
+    ``cur`` is not read, and a key is its own key.  A bipartite state's
+    sides join two parities, so its path alternates from label 0 and its
+    cycles are even: each label of its key has its value's parity, since
+    turning a cycle one step, a relabelling fixing 0, flips its phase.
     """
     ds = DisjointSets(1 + max((max(side) for side in sides), default=0))
     for a, b in sides:
@@ -131,12 +134,12 @@ def _canonical(cur: int, sides, orientable_only: bool) -> tuple:
     return (j,) + tuple(x for side in sorted(key) for x in side)
 
 
-def _successors(state: tuple, orientable_only: bool):
+def _successors(state: tuple, orientable_only: bool, base: int = 0):
     """The states one side after ``state`` when that side runs to a fresh
     corner: the state that opens it, and a list of ``(state, closed,
     ways)`` for closing it onto each distinct open side, where ``closed``
-    counts the vertex classes the gluing leaves without a live corner and
-    ``ways`` the gluings that give it."""
+    counts the vertex classes the gluing leaves without a live corner, an
+    odd one ``base`` more, and ``ways`` the gluings that give it."""
     cur = state[0]
     sides = list(zip(state[1::2], state[2::2]))
     fresh = max(state) + 1
@@ -144,9 +147,10 @@ def _successors(state: tuple, orientable_only: bool):
     twist_choices = (False,) if orientable_only else (False, True)
     closing = {}
     for i, side in enumerate(sides):
-        if i and side == sides[i - 1]:
+        # a side occurring m times closes in m ways to the same state; a
+        # bipartite closing dies if it glues two parities at ``cur``
+        if i and side == sides[i - 1] or base and (side[1] - cur) % 2:
             continue
-        # a side occurring m times closes in m ways to the same state
         ways = sides.count(side)
         rest = sides[:i] + sides[i + 1:]
         for twisted in twist_choices:
@@ -155,7 +159,8 @@ def _successors(state: tuple, orientable_only: bool):
             find = ds.find
             rest_roots = [(find(a), find(b)) for a, b in rest]
             live = {0, find(fresh)}.union(*rest_roots)
-            closed = len({find(x) for x in range(fresh + 1)}) - len(live)
+            dead = {find(x) for x in range(fresh + 1)}.difference(live)
+            closed = len(dead) + base * sum(x % 2 for x in dead)
             key = (_canonical(find(fresh), rest_roots, orientable_only),
                    closed)
             closing[key] = closing.get(key, 0) + ways
@@ -170,12 +175,16 @@ def _add_shifted(level: dict, state: tuple, counts: dict, shift: int,
         bucket[closed + shift] = bucket.get(closed + shift, 0) + ways * count
 
 
-def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
+def vertex_profile(n: int, orientable_only: bool = False, *,
+                   bipartite: bool = False) -> Counter:
     """Count gluings with at most ``n`` edges by edges and vertices: key
     ``(k, v)`` for every ``1 <= k <= n``, so none when ``n < 1``.
 
     With ``orientable_only`` this is the table of one-face maps on orientable
     surfaces; without, the table over all (locally orientable) surfaces.
+    With ``bipartite`` (orientable only), the maps whose classes each keep
+    one corner parity by ``(k, even, odd)``: a closing gluing two parities
+    dies, a class has the parity of its root label (:func:`_canonical`).
 
     Exact transfer over the polygon sides instead of a loop over the
     ``2^n (2n-1)!!`` gluings.  Side ``s`` runs from the current corner
@@ -203,6 +212,9 @@ def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
     is corner 0 again.  The tests check the table against brute force over
     every gluing and against a labelled transfer.
     """
+    if bipartite and not orientable_only:
+        raise ValueError("the bipartite mode counts orientable maps only")
+    base = n + 2 if bipartite else 0  # above any count of classes
     nn = 2 * n
     table = Counter()
     successors = {}
@@ -213,12 +225,12 @@ def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
         room = nn - side - 1
         for state, counts in level.items():
             if state not in successors:
-                successors[state] = _successors(state, orientable_only)
+                successors[state] = _successors(state, orientable_only, base)
             opened, closing = successors[state]
             if side % 2 and len(state) == 3:
                 # the last side of a polygon with side + 1 sides closes the
                 # open side onto corner 0, the fresh corner of a closing,
-                # which joins the two live classes into one vertex
+                # which joins the two live classes into one even vertex
                 for _, closed, ways in closing:
                     for before, count in counts.items():
                         table[((side + 1) // 2, before + closed + 1)] += \
@@ -230,6 +242,9 @@ def vertex_profile(n: int, orientable_only: bool = False) -> Counter:
             for key, closed, ways in closing:
                 _add_shifted(following, key, counts, closed, ways)
         level = following
+    if bipartite:
+        return Counter({(k, w % base - w // base, w // base): count
+                        for (k, w), count in table.items()})
     return table
 
 

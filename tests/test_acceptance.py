@@ -91,8 +91,9 @@ def test_criterion_03_hz_identity_and_recurrence():
 
 
 def test_criterion_04_jackson():
-    report(4, "bipartite colored counts match the multinomial formula "
-           "for n <= 4, all (p, q)", passes(4, "jackson"))
+    report(4, "bipartite colored counts over the transfer's bipartite "
+           "table match the multinomial formula for n <= 12, all (p, q)",
+           passes(12, "jackson"))
 
 
 def test_criterion_05_u_formula(census5):

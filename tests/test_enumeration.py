@@ -7,7 +7,11 @@ import pytest
 from labelled_oracle import gen_tree_rooted_maps, spanning_edge_subsets
 from map_oracle import relabelled
 from revalidate import revalidated
-from transfer_oracle import labelled_vertex_profile
+from transfer_oracle import (
+    bipartite_profile_by_gluings,
+    factorization_profile,
+    labelled_vertex_profile,
+)
 
 from unimaps import enumeration
 from unimaps.enumeration import (
@@ -121,6 +125,11 @@ def edge_rows(table, k):
     return {key: c for key, c in table.items() if key[0] == k}
 
 
+# the transfer's modes: orientable, all surfaces, bipartite (orientable)
+MODES = [(True, False), (False, False), (True, True)]
+IDS = ["True", "False", "bipartite"]
+
+
 class TestCanonicalForm:
     """States that differ only in the order of their open sides, or on all
     surfaces in the ends of one side, get one key; label 0 stays 0.
@@ -156,18 +165,18 @@ class TestCanonicalForm:
         assert key[0] != 0
 
     @staticmethod
-    def reached_states(monkeypatch, n, orientable_only):
+    def reached_states(monkeypatch, n, orientable_only, bipartite=False):
         """Every state whose successors ``vertex_profile(n)`` computes."""
         states = []
         successors = enumeration._successors
 
-        def record(state, orientable_only):
+        def record(state, *mode):
             states.append(state)
-            return successors(state, orientable_only)
+            return successors(state, *mode)
 
         with monkeypatch.context() as patch:
             patch.setattr(enumeration, "_successors", record)
-            vertex_profile(n, orientable_only)
+            vertex_profile(n, orientable_only, bipartite=bipartite)
         return states
 
     @pytest.mark.parametrize("orientable_only", [True, False])
@@ -176,22 +185,23 @@ class TestCanonicalForm:
             sides = list(zip(state[1::2], state[2::2]))
             assert _canonical(state[0], sides, orientable_only) == state
 
-    @pytest.mark.parametrize("orientable_only", [True, False])
+    @pytest.mark.parametrize("orientable_only,bipartite", MODES, ids=IDS)
     def test_states_are_a_path_and_cycles(self, monkeypatch,
-                                          orientable_only):
-        # every state handed to the key, before it is keyed
+                                          orientable_only, bipartite):
+        # every state handed to the key, before it is keyed, and its key
         seen = []
         canonical = enumeration._canonical
 
         def record(cur, sides, orientable_only):
-            seen.append((cur, list(sides)))
-            return canonical(cur, sides, orientable_only)
+            key = canonical(cur, sides, orientable_only)
+            seen.append((cur, list(sides), key))
+            return key
 
         monkeypatch.setattr(enumeration, "_canonical", record)
-        vertex_profile(10, orientable_only)
+        vertex_profile(10, orientable_only, bipartite=bipartite)
         # some hold cycles: open sides with the path empty
-        assert any(sides for cur, sides in seen if cur == 0)
-        for cur, sides in seen:
+        assert any(sides for cur, sides, _ in seen if cur == 0)
+        for cur, sides, key in seen:
             # corner 0 and the current corner add an end each
             ends = Counter([0, cur])
             for side in sides:
@@ -206,13 +216,28 @@ class TestCanonicalForm:
                     label = after.pop(label)
                 # and the rest enter the labels they leave: one-way cycles
                 assert sorted(after) == sorted(after.values())
+            if bipartite:
+                # every cycle is even, so in the key every side joins two
+                # labels of different parity, each label's parity its
+                # value's, with the current label's that of the side count
+                while after:
+                    label, length = next(iter(after)), 0
+                    while label in after:
+                        label, length = after.pop(label), length + 1
+                    assert length % 2 == 0
+                key_sides = list(zip(key[1::2], key[2::2]))
+                assert all((a + b) % 2 for a, b in key_sides)
+                assert (key[0] - len(key_sides)) % 2 == 0
 
-    @pytest.mark.parametrize("orientable_only", [True, False])
-    def test_state_count(self, monkeypatch, orientable_only):
+    @pytest.mark.parametrize("orientable_only,bipartite", MODES, ids=IDS)
+    def test_state_count(self, monkeypatch, orientable_only, bipartite):
         # one state per shape; a key that kept the states of one shape
-        # apart would reach more
-        for n, count in ((8, 67), (10, 139), (12, 272)):
-            states = self.reached_states(monkeypatch, n, orientable_only)
+        # apart would reach more, and so would one that kept a cycle's
+        # phase in the bipartite mode
+        counts = (25, 43, 70) if bipartite else (67, 139, 272)
+        for n, count in zip((8, 10, 12), counts):
+            states = self.reached_states(monkeypatch, n, orientable_only,
+                                         bipartite)
             assert len(states) == count
 
 
@@ -284,6 +309,28 @@ class TestTransferAgainstOracle:
                     assert fault is None, fault
         fault, _ = check_qfd(eta, 10)
         assert fault is None, fault
+
+
+class TestBipartiteProfile:
+    """The transfer's bipartite mode against the two oracles of
+    :mod:`transfer_oracle`: every orientable gluing, and the
+    factorizations of a cycle."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return vertex_profile(8, True, bipartite=True)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_gluings(self, table, n):
+        assert edge_rows(table, n) == bipartite_profile_by_gluings(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_factorizations(self, table, n):
+        assert edge_rows(table, n) == factorization_profile(n)
+
+    def test_refuses_all_surfaces(self):
+        with pytest.raises(ValueError):
+            vertex_profile(4, bipartite=True)
 
 
 class TestGenRootedOrientableMaps:

@@ -125,8 +125,8 @@ class TestJacksonFormula:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_bipartite_by_pairs(self, n):
         """Every vertex class has corners of one parity exactly when every
-        pair joins an even side and an odd side: the filter of ``verify
-        jackson``."""
+        pair joins an even side and an odd side: the filter of the
+        gluing oracle ``transfer_oracle.bipartite_profile_by_gluings``."""
         for g in gen_unicellular(n, True):
             by_classes = all(len({c % 2 for c in cls}) == 1
                              for cls in glue_polygon(g))

@@ -1,12 +1,16 @@
-"""The labelled one-face transfer, kept as the middle test oracle between
-brute force over every gluing and the multiset transfer
-:func:`unimaps.enumeration.vertex_profile`."""
+"""Test oracles of the one-face transfer
+:func:`unimaps.enumeration.vertex_profile`: the labelled transfer, the
+middle oracle between brute force over every gluing and the multiset
+transfer; and two counts of bipartite one-face maps, one over every
+orientable gluing and one over the factorizations of a cycle."""
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
-from unimaps.maps_core import DisjointSets, glue_sides
+from unimaps.enumeration import gen_unicellular
+from unimaps.maps_core import DisjointSets, glue_polygon, glue_sides
 
 
 def _first_appearance(labels) -> tuple:
@@ -66,4 +70,54 @@ def labelled_vertex_profile(n: int, orientable_only: bool = False) -> Counter:
     table = Counter()
     for closed, count in level[(0, 0)].items():
         table[(n, closed + 1)] = count
+    return table
+
+
+def bipartite_profile_by_gluings(n: int) -> Counter:
+    """Count orientable gluings with ``n`` edges whose vertex classes each
+    hold corners of one parity, by even and odd classes: key
+    ``(n, even, odd)``.
+
+    An untwisted pair (a, b) glues a to b + 1 and a + 1 to b, and 2n is
+    even, so a gluing is bipartite exactly when each of its pairs joins an
+    even side and an odd side; the others are skipped unglued."""
+    table = Counter()
+    for g in gen_unicellular(n, orientable_only=True):
+        if any((a + b) % 2 == 0 for a, b in g.pairs):
+            continue
+        classes = glue_polygon(g)
+        even = sum(1 for cls in classes if cls[0] % 2 == 0)
+        table[(n, even, len(classes) - even)] += 1
+    return table
+
+
+def _cycle_count(perm) -> int:
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = perm[x]
+    return cycles
+
+
+def factorization_profile(n: int) -> Counter:
+    """Count the factorizations s1 s2 = (0 1 .. n-1) in S_n by the cycle
+    counts of s1 and s2: key ``(n, cycles(s1), cycles(s2))``.
+
+    A rooted bipartite one-face map with n edges is such a factorization:
+    the edges labelled around the face from the root, s1 and s2 turn
+    around the vertices of either part, and their product runs along the
+    face.  Each s1 fixes s2 = s1^-1 (0 1 .. n-1); products act right to
+    left, s2 first."""
+    table = Counter()
+    for s1 in itertools.permutations(range(n)):
+        inverse = [0] * n
+        for x, y in enumerate(s1):
+            inverse[y] = x
+        s2 = [inverse[(x + 1) % n] for x in range(n)]
+        table[(n, _cycle_count(s1), _cycle_count(s2))] += 1
     return table
