@@ -16,8 +16,8 @@ import os
 import tempfile
 from collections import Counter
 
-# Version of the stored tables.  A change to the code that produces any
-# cached table bumps it, so tables written by the old producer are misses.
+# Version of the stored tables.  A change to a stored table's keys or values,
+# or to the file format, bumps it, so tables written before it are misses.
 # 2: the transfer producers of vertex_profile and planar_census.
 SCHEMA = 2
 

@@ -239,13 +239,6 @@ def _planar_census(cache_dir, max_edges):
     return _cached(cache_dir, "planar-pqr", {"max_edges": max_edges}, build)
 
 
-def _require_positive(value, option: str) -> None:
-    if value is None:
-        raise SystemExit2(f"family requires {option}")
-    if value < 1:
-        raise SystemExit2(f"{option} must be at least 1, got {value}")
-
-
 def cmd_census(args) -> int:
     from .enumeration import (
         gen_rooted_orientable_maps,
@@ -256,8 +249,18 @@ def cmd_census(args) -> int:
     cache_dir = args.cache
     if args.threads < 1:
         raise SystemExit2(f"--threads must be at least 1, got {args.threads}")
+    # planar-pqr reads --max-edges, the other families --n, and no other
+    option = "--max-edges" if family == "planar-pqr" else "--n"
+    given = {"--n": args.n, "--max-edges": args.max_edges}
+    for other, value in given.items():
+        if value is not None and other != option:
+            raise SystemExit2(f"{family} does not take {other}")
+    bound = given[option]
+    if bound is None:
+        raise SystemExit2(f"family requires {option}")
+    if bound < 1:
+        raise SystemExit2(f"{option} must be at least 1, got {bound}")
     if family in ("unicellular-orientable", "unicellular-general"):
-        _require_positive(args.n, "--n")
         orientable = family == "unicellular-orientable"
 
         def build():
@@ -268,11 +271,9 @@ def cmd_census(args) -> int:
         table = _cached(cache_dir, family, {"n": args.n}, build)
         bounds = {"n": args.n}
     elif family == "planar-pqr":
-        _require_positive(args.max_edges, "--max-edges")
         table = _planar_census(cache_dir, args.max_edges)
         bounds = {"max_edges": args.max_edges}
     else:  # tree-rooted; argparse restricts the choices
-        _require_positive(args.n, "--n")
 
         def build():
             # q! vertex labellings of each rooted map with q vertices, times

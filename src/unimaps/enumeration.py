@@ -97,75 +97,77 @@ def gen_colored_unicellular(n: int, orientable_only: bool = False,
                     corner_colors=_corner_colors(classes, colors, n))
 
 
-def _canonical(cur: int, sides, orientable_only: bool) -> tuple:
-    """The key of a transfer state: the standard state of its shape.
+def _shape(sides) -> tuple:
+    """The key of a transfer state with the open ``sides``: its shape
+    ``(j, cycles)``, the length j of its path of open sides from label 0
+    and its cycles' lengths, sorted.
 
     Count an end at each label of each open side, and one more each at
-    label 0 and at the current label ``cur``.  Every label has two ends:
-    the start state, ``cur = 0`` with no side, has them, and each side
-    keeps them.  Opening extends the path to the fresh corner.  Closing
-    onto an open side (a, b) glues b to ``cur`` and a to the fresh corner
-    (twisted, the other way round): on a path side this cuts the far part
-    of the path off as a cycle, and on a cycle side it splices the cycle
-    into the path.  So a state is a path of open sides from 0 to ``cur``
-    plus disjoint cycles; on orientable surfaces the path points away
-    from 0 and each cycle runs one way.  Its shape, the path's length j
-    (the sides in label 0's class) with the other classes' side counts,
-    fixes it up to relabellings that fix 0, which keep its completions.
-    The key is the shape's standard state: ``cur = j``, the sides
-    (0, 1) .. (j - 1, j), then each cycle on fresh labels in ascending
-    length, sorted, on all surfaces each with its smaller end first.  So
-    ``cur`` is not read, and a key is its own key.  A bipartite state's
-    sides join two parities, so its path alternates from label 0 and its
-    cycles are even: each label of its key has its value's parity, since
-    turning a cycle one step, a relabelling fixing 0, flips its phase.
+    label 0 and at the current label.  Every label has two ends: the start
+    state, label 0 current with no side, has them, and each side keeps
+    them.  Opening extends the path to the fresh corner.  Closing onto an
+    open side (a, b) glues b to the current label and a to the fresh
+    corner (twisted, the other way round): on a path side this cuts the
+    far part of the path off as a cycle, and on a cycle side it splices
+    the cycle into the path.  So a state is a path of open sides from 0 to
+    the current label, which the sides fix, plus disjoint cycles.  On
+    orientable surfaces the path points away from 0 and each cycle runs
+    one way; on all surfaces a side's ends do not matter, since closing
+    (a, b) untwisted glues what closing (b, a) twisted does.  So two
+    states of one shape are relabellings of each other that fix 0, and
+    have the same completions.
+
+    A bipartite state's sides join two parities, so its path alternates
+    from label 0 and its cycles are even: each label of its standard sides
+    (:func:`_standard`) has its value's parity, since turning a cycle one
+    step, a relabelling fixing 0, flips its phase.
     """
     ds = DisjointSets(1 + max((max(side) for side in sides), default=0))
     for a, b in sides:
         ds.union(a, b)
     lengths = Counter(ds.find(a) for a, _ in sides)
     j = lengths.pop(0, 0)  # a class's root is its least label
-    key = [(i, i + 1) for i in range(j)]
-    for length in sorted(lengths.values()):
-        start = len(key) + 1  # the first fresh label
-        key += [(start + i, start + (i + 1) % length) for i in range(length)]
-    if not orientable_only:
-        key = [(a, b) if a <= b else (b, a) for a, b in key]
-    return (j,) + tuple(x for side in sorted(key) for x in side)
+    return j, tuple(sorted(lengths.values()))
 
 
-def _successors(state: tuple, orientable_only: bool, base: int = 0):
-    """The states one side after ``state`` when that side runs to a fresh
-    corner: the state that opens it, and a list of ``(state, closed,
-    ways)`` for closing it onto each distinct open side, where ``closed``
-    counts the vertex classes the gluing leaves without a live corner, an
-    odd one ``base`` more, and ``ways`` the gluings that give it."""
-    cur = state[0]
-    sides = list(zip(state[1::2], state[2::2]))
-    fresh = max(state) + 1
-    opened = _canonical(fresh, sides + [(cur, fresh)], orientable_only)
+def _standard(shape: tuple) -> list:
+    """The open sides of the standard state of ``shape``, pairwise
+    distinct: the path (0, 1) .. (j - 1, j) to the current label j, then
+    each cycle on fresh labels in ascending length."""
+    j, cycles = shape
+    sides = [(i, i + 1) for i in range(j)]
+    for m in cycles:
+        start = len(sides) + 1  # the first fresh label
+        sides += [(start + i, start + (i + 1) % m) for i in range(m)]
+    return sides
+
+
+def _successors(shape: tuple, orientable_only: bool, base: int = 0):
+    """The shapes one side after ``shape`` when that side runs to a fresh
+    corner: the shape that opens it, which glues nothing, and a Counter
+    of the gluings that close it onto each of the standard sides, by
+    ``(shape, closed)``, where ``closed`` counts the vertex classes the
+    gluing leaves without a live corner, an odd one ``base`` more."""
+    j, cycles = shape
+    sides = _standard(shape)
+    fresh = len(sides) + 1
     twist_choices = (False,) if orientable_only else (False, True)
-    closing = {}
-    for i, side in enumerate(sides):
-        # a side occurring m times closes in m ways to the same state; a
-        # bipartite closing dies if it glues two parities at ``cur``
-        if i and side == sides[i - 1] or base and (side[1] - cur) % 2:
+    closing = Counter()
+    for i, (a, b) in enumerate(sides):
+        # a bipartite closing dies if it glues two parities at label j
+        if base and (b - j) % 2:
             continue
-        ways = sides.count(side)
         rest = sides[:i] + sides[i + 1:]
         for twisted in twist_choices:
             ds = DisjointSets(fresh + 1)
-            glue_sides(ds, side[0], side[1], cur, fresh, twisted)
+            glue_sides(ds, a, b, j, fresh, twisted)
             find = ds.find
-            rest_roots = [(find(a), find(b)) for a, b in rest]
+            rest_roots = [(find(x), find(y)) for x, y in rest]
             live = {0, find(fresh)}.union(*rest_roots)
             dead = {find(x) for x in range(fresh + 1)}.difference(live)
             closed = len(dead) + base * sum(x % 2 for x in dead)
-            key = (_canonical(find(fresh), rest_roots, orientable_only),
-                   closed)
-            closing[key] = closing.get(key, 0) + ways
-    return opened, [(key, closed, ways)
-                    for (key, closed), ways in closing.items()]
+            closing[_shape(rest_roots), closed] += 1
+    return (j + 1, cycles), closing
 
 
 def _add_shifted(level: dict, state: tuple, counts: dict, shift: int,
@@ -184,7 +186,7 @@ def vertex_profile(n: int, orientable_only: bool = False, *,
     surfaces; without, the table over all (locally orientable) surfaces.
     With ``bipartite`` (orientable only), the maps whose classes each keep
     one corner parity by ``(k, even, odd)``: a closing gluing two parities
-    dies, a class has the parity of its root label (:func:`_canonical`).
+    dies, a class has the parity of its root label (:func:`_shape`).
 
     Exact transfer over the polygon sides instead of a loop over the
     ``2^n (2n-1)!!`` gluings.  Side ``s`` runs from the current corner
@@ -192,19 +194,14 @@ def vertex_profile(n: int, orientable_only: bool = False, *,
     open sides (untwisted, or also twisted unless ``orientable_only``),
     gluing corners by :func:`maps_core.glue_sides`.  A state names the
     vertex classes of the live corners by labels, corner 0's class being
-    label 0, and is the current corner's label with the open sides as a
-    multiset of (start, end) label pairs.  Its value maps the number of
-    classes already closed (no live corner left in them) to the number of
-    partial gluings.
-
-    The order of the open sides does not matter, since any later side may
-    close any of them: a side that occurs m times closes in m ways to one
-    state.  On all surfaces the ends of an open side do not matter either,
-    since closing (a, b) untwisted glues the same corners as closing
-    (b, a) twisted: the two gluings are a ~ end with b ~ current, and
-    a ~ current with b ~ end, both counted even when a = b.  States are
-    keyed by their shapes (:func:`_canonical`), which recur from one side
-    to the next, so the successors of each are computed once per call.
+    label 0, and is its shape ``(j, cycles)`` (:func:`_shape`): a path of
+    j open sides from label 0 to the current corner's label, and cycles,
+    ``j + sum(cycles)`` open sides in no order, since any later side may
+    close any of them.  Its value maps the number of classes already
+    closed (no live corner left in them) to the number of partial
+    gluings.  Shapes recur from one side to the next, so the successors
+    of each are computed once per call, on its standard sides
+    (:func:`_standard`).
 
     One pass gives every size: the last side of a polygon with ``2k``
     sides is side ``2k - 1``, so the row for ``k`` edges is read off the
@@ -218,7 +215,7 @@ def vertex_profile(n: int, orientable_only: bool = False, *,
     nn = 2 * n
     table = Counter()
     successors = {}
-    level = {(0,): {0: 1}}
+    level = {(0, ()): {0: 1}}
     for side in range(nn):
         following = {}
         # open this side only if the sides after it can close it too
@@ -227,19 +224,20 @@ def vertex_profile(n: int, orientable_only: bool = False, *,
             if state not in successors:
                 successors[state] = _successors(state, orientable_only, base)
             opened, closing = successors[state]
-            if side % 2 and len(state) == 3:
+            open_sides = state[0] + sum(state[1])
+            if side % 2 and open_sides == 1:
                 # the last side of a polygon with side + 1 sides closes the
                 # open side onto corner 0, the fresh corner of a closing,
                 # which joins the two live classes into one even vertex
-                for _, closed, ways in closing:
+                for (_, closed), ways in closing.items():
                     for before, count in counts.items():
                         table[((side + 1) // 2, before + closed + 1)] += \
                             ways * count
             if not room:
                 continue
-            if len(state) // 2 + 1 <= room:
+            if open_sides < room:
                 _add_shifted(following, opened, counts, 0)
-            for key, closed, ways in closing:
+            for (key, closed), ways in closing.items():
                 _add_shifted(following, key, counts, closed, ways)
         level = following
     if bipartite:

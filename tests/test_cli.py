@@ -118,6 +118,21 @@ class TestCensus:
         assert out == ""
         assert err.startswith("error: ") and "at least 1" in err
 
+    @pytest.mark.parametrize("argv,option", [
+        (("unicellular-general", "--n", "2", "--max-edges", "3"),
+         "--max-edges"),
+        (("unicellular-orientable", "--n", "2", "--max-edges", "3"),
+         "--max-edges"),
+        (("tree-rooted", "--n", "2", "--max-edges", "3"), "--max-edges"),
+        (("planar-pqr", "--max-edges", "3", "--n", "5"), "--n"),
+    ])
+    def test_option_of_another_family_is_usage_error(self, capsys, argv,
+                                                     option):
+        code, out, err = run(capsys, "census", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {argv[0]} does not take {option}\n"
+
     def test_cache_round_trip(self, capsys, tmp_path):
         args = ("--cache", str(tmp_path), "census", "planar-pqr",
                 "--max-edges", "2")

@@ -15,8 +15,9 @@ from transfer_oracle import (
 
 from unimaps import enumeration
 from unimaps.enumeration import (
-    _canonical,
     _matchings,
+    _shape,
+    _standard,
     gen_colored_unicellular,
     gen_rooted_orientable_maps,
     gen_unicellular,
@@ -131,38 +132,58 @@ IDS = ["True", "False", "bipartite"]
 
 
 class TestCanonicalForm:
-    """States that differ only in the order of their open sides, or on all
-    surfaces in the ends of one side, get one key; label 0 stays 0.
+    """States that differ only in the order of their open sides, or in the
+    ends of one side, get one key; the path is read from label 0.
 
     The key is the shape of a state: the length of its path of open sides
     from label 0 to the current label, and the lengths of its cycles.
     Every state the transfer reaches is such a path and such cycles, and
-    a key is its own key."""
+    the standard sides of a shape have that shape."""
 
-    @pytest.mark.parametrize("orientable_only", [True, False])
-    def test_order_of_open_sides(self, orientable_only):
+    def test_order_of_open_sides(self):
         sides = [(0, 3), (3, 2), (1, 4), (2, 2)]
-        key = _canonical(1, sides, orientable_only)
+        shape = _shape(sides)
         for perm in itertools.permutations(sides):
-            assert _canonical(1, list(perm), orientable_only) == key
+            assert _shape(list(perm)) == shape
 
     def test_ends_of_a_side_on_all_surfaces(self):
         sides = [(0, 3), (3, 2), (1, 4), (2, 2)]
-        key = _canonical(1, sides, False)
+        shape = _shape(sides)
         for flips in itertools.product((False, True), repeat=len(sides)):
             flipped = [(b, a) if f else (a, b)
                        for (a, b), f in zip(sides, flips)]
             for perm in itertools.permutations(flipped):
-                assert _canonical(1, list(perm), False) == key
+                assert _shape(list(perm)) == shape
 
-    @pytest.mark.parametrize("orientable_only", [True, False])
-    def test_label_zero_stays_zero(self, orientable_only):
-        # corner 0's class is label 0, here current, then at a start
-        assert _canonical(0, [(2, 1)], orientable_only)[0] == 0
-        key = _canonical(3, [(0, 3), (3, 2)], orientable_only)
-        renamed = list(zip(key[1::2], key[2::2]))
-        assert sum(side.count(0) for side in renamed) == 1
-        assert key[0] != 0
+    def test_exact_shapes(self):
+        assert _shape([]) == (0, ())
+        # no side at label 0: the path is empty, whatever else is open
+        assert _shape([(2, 1)]) == (0, (1,))
+        assert _shape([(0, 3), (3, 2)]) == (2, ())
+        assert _shape([(5, 6), (1, 2), (4, 4), (6, 5), (0, 1)]) == (2, (1, 2))
+
+    @staticmethod
+    def shapes(max_sides):
+        """Every shape with at most ``max_sides`` open sides."""
+        def partitions(total, largest):
+            if not total:
+                yield ()
+            for part in range(min(total, largest), 0, -1):
+                for rest in partitions(total - part, part):
+                    yield rest + (part,)
+
+        for j in range(max_sides + 1):
+            for total in range(max_sides - j + 1):
+                for cycles in partitions(total, total):
+                    yield j, cycles
+
+    def test_every_key_is_its_own_key(self):
+        shapes = list(self.shapes(12))
+        assert len(shapes) == len(set(shapes)) == 890
+        for shape in shapes:
+            sides = _standard(shape)
+            assert len(set(sides)) == len(sides) == shape[0] + sum(shape[1])
+            assert _shape(sides) == shape
 
     @staticmethod
     def reached_states(monkeypatch, n, orientable_only, bipartite=False):
@@ -179,29 +200,34 @@ class TestCanonicalForm:
             vertex_profile(n, orientable_only, bipartite=bipartite)
         return states
 
-    @pytest.mark.parametrize("orientable_only", [True, False])
-    def test_every_key_is_its_own_key(self, monkeypatch, orientable_only):
-        for state in self.reached_states(monkeypatch, 8, orientable_only):
-            sides = list(zip(state[1::2], state[2::2]))
-            assert _canonical(state[0], sides, orientable_only) == state
+    @staticmethod
+    def glued_states(shape, orientable_only, bipartite):
+        """The current label and open sides after the next side opens, or
+        closes onto each standard side, glued by ``glue_sides`` alone."""
+        sides = _standard(shape)
+        j, fresh = shape[0], len(sides) + 1
+        yield fresh, sides + [(j, fresh)]
+        for i, (a, b) in enumerate(sides):
+            # a bipartite closing that glues two parities dies
+            if bipartite and (b - j) % 2:
+                continue
+            for twisted in (False,) if orientable_only else (False, True):
+                ds = DisjointSets(fresh + 1)
+                glue_sides(ds, a, b, j, fresh, twisted)
+                yield ds.find(fresh), [(ds.find(x), ds.find(y))
+                                       for x, y in sides[:i] + sides[i + 1:]]
 
     @pytest.mark.parametrize("orientable_only,bipartite", MODES, ids=IDS)
     def test_states_are_a_path_and_cycles(self, monkeypatch,
                                           orientable_only, bipartite):
-        # every state handed to the key, before it is keyed, and its key
-        seen = []
-        canonical = enumeration._canonical
-
-        def record(cur, sides, orientable_only):
-            key = canonical(cur, sides, orientable_only)
-            seen.append((cur, list(sides), key))
-            return key
-
-        monkeypatch.setattr(enumeration, "_canonical", record)
-        vertex_profile(10, orientable_only, bipartite=bipartite)
+        shapes = self.reached_states(monkeypatch, 10, orientable_only,
+                                     bipartite)
+        seen = [glued for shape in shapes
+                for glued in self.glued_states(shape, orientable_only,
+                                               bipartite)]
         # some hold cycles: open sides with the path empty
-        assert any(sides for cur, sides, _ in seen if cur == 0)
-        for cur, sides, key in seen:
+        assert any(sides for cur, sides in seen if cur == 0)
+        for cur, sides in seen:
             # corner 0 and the current corner add an end each
             ends = Counter([0, cur])
             for side in sides:
@@ -217,17 +243,18 @@ class TestCanonicalForm:
                 # and the rest enter the labels they leave: one-way cycles
                 assert sorted(after) == sorted(after.values())
             if bipartite:
-                # every cycle is even, so in the key every side joins two
-                # labels of different parity, each label's parity its
-                # value's, with the current label's that of the side count
+                # every cycle is even
                 while after:
                     label, length = next(iter(after)), 0
                     while label in after:
                         label, length = after.pop(label), length + 1
                     assert length % 2 == 0
-                key_sides = list(zip(key[1::2], key[2::2]))
-                assert all((a + b) % 2 for a, b in key_sides)
-                assert (key[0] - len(key_sides)) % 2 == 0
+        if bipartite:
+            # so every standard side joins two labels of different parity,
+            # each label's parity its value's
+            for shape in shapes:
+                assert all(m % 2 == 0 for m in shape[1])
+                assert all((a + b) % 2 for a, b in _standard(shape))
 
     @pytest.mark.parametrize("orientable_only,bipartite", MODES, ids=IDS)
     def test_state_count(self, monkeypatch, orientable_only, bipartite):
