@@ -140,11 +140,19 @@ class TestCanonicalForm:
     Every state the transfer reaches is such a path and such cycles, and
     the standard sides of a shape have that shape."""
 
-    def test_order_of_open_sides(self):
+    @pytest.mark.parametrize("orientable_only", [True, False])
+    def test_order_of_open_sides(self, monkeypatch, orientable_only):
         sides = [(0, 3), (3, 2), (1, 4), (2, 2)]
         shape = _shape(sides)
         for perm in itertools.permutations(sides):
             assert _shape(list(perm)) == shape
+        # and so for every glued state the transfer keys on this surface
+        for state in set(self.reached_states(monkeypatch, 6,
+                                             orientable_only)):
+            for _, sides in self.glued_states(state, orientable_only, False):
+                shape = _shape(sides)
+                assert _shape(sides[::-1]) == shape
+                assert _shape(sides[1:] + sides[:1]) == shape
 
     def test_ends_of_a_side_on_all_surfaces(self):
         sides = [(0, 3), (3, 2), (1, 4), (2, 2)]
@@ -162,6 +170,22 @@ class TestCanonicalForm:
         assert _shape([(0, 3), (3, 2)]) == (2, ())
         assert _shape([(5, 6), (1, 2), (4, 4), (6, 5), (0, 1)]) == (2, (1, 2))
 
+    @pytest.mark.parametrize("orientable_only", [True, False])
+    def test_label_zero_stays_zero(self, monkeypatch, orientable_only):
+        # gluing never renames corner 0, so the path of a glued state runs
+        # from label 0 to the current label, and its length is the key's j
+        for state in set(self.reached_states(monkeypatch, 8,
+                                             orientable_only)):
+            for cur, sides in self.glued_states(state, orientable_only,
+                                                False):
+                left, label, length = list(sides), 0, 0
+                while label != cur:
+                    side = next(side for side in left if label in side)
+                    left.remove(side)
+                    a, b = side
+                    label, length = b if a == label else a, length + 1
+                assert _shape(sides)[0] == length
+
     @staticmethod
     def shapes(max_sides):
         """Every shape with at most ``max_sides`` open sides."""
@@ -177,13 +201,17 @@ class TestCanonicalForm:
                 for cycles in partitions(total, total):
                     yield j, cycles
 
-    def test_every_key_is_its_own_key(self):
+    @pytest.mark.parametrize("orientable_only", [True, False])
+    def test_every_key_is_its_own_key(self, monkeypatch, orientable_only):
         shapes = list(self.shapes(12))
         assert len(shapes) == len(set(shapes)) == 890
         for shape in shapes:
             sides = _standard(shape)
             assert len(set(sides)) == len(sides) == shape[0] + sum(shape[1])
             assert _shape(sides) == shape
+        # the transfer on this surface keys on these shapes alone
+        reached = set(self.reached_states(monkeypatch, 8, orientable_only))
+        assert reached <= set(self.shapes(8))
 
     @staticmethod
     def reached_states(monkeypatch, n, orientable_only, bipartite=False):
