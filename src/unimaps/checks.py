@@ -17,13 +17,31 @@ images of the permuted map, which phi_inverse and psi take back to it.
 The code does not make this hold by construction (``xi`` orients edges
 by color order): a Tier-1 test checks it on every coloring, for phi to
 n = 4 and psi to n = 3, and above that the checks rely on it.
+
+The three exhaustive bijection checks, ``phi-roundtrip``, ``psi-fibers``
+and ``gamma-roundtrip``, examine each instance on its own, so
+:func:`_split` shares their instances among W processes: one per CPU
+this process may run on (``os.sched_getaffinity``, else
+``os.cpu_count``), but no more than there are units to share.  Share k
+of W takes the color orbits at positions i = k (mod W) of each level's
+stream, or the trees of the k-th, (k + W)-th, ... tree shape.  The
+parent forks W - 1 children and runs share 0 itself; with W = 1, or
+without ``os.fork``, it runs the one share in-process and forks nothing.
+Each share stops at its first fault and returns its tallies and that
+fault, keyed by its position in the sequential stream.  Every other
+share's first fault lies after the earliest one, so every instance
+before the earliest fault was examined, by some share, and found sound.
+The merge therefore gives the sequential verdict, instance count and
+reach: the earliest fault wins, and totals are compared where the
+sequential loop compares them, phi's and psi's after each level's
+instances and gamma's after every tree.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from math import comb, factorial, prod
 
 # Each check imports the layer modules it calls inside its body, so that a
@@ -54,6 +72,91 @@ def _first(faults):
         if fault is not None:
             break
     return fault, examined, size
+
+
+class WorkerError(RuntimeError):
+    """An exception raised in a forked share of a check; its message is
+    the share's traceback."""
+
+
+def _workers(units: int) -> int:
+    """How many processes share ``units`` units of work: one per CPU this
+    process may run on, at most one per unit, and at least one."""
+    import os
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    return max(1, min(usable, units))
+
+
+def _split(units: int, share) -> list:
+    """``[share(k, w) for k in range(w)]`` with w = ``_workers(units)``:
+    the parent runs share 0, and forked children the others, each sending
+    its result (marshal data) through a pipe.  With w = 1, or without
+    ``os.fork``, the one share ``share(0, 1)`` runs here.
+
+    The parent reads every pipe before it reaps any child, so a child
+    blocked on a full pipe always gets read.  A child always ends in
+    ``os._exit``; an exception there reaches the caller as a
+    :class:`WorkerError` with the child's traceback.  When the parent's
+    own share raises, it kills and reaps every child.
+
+    Fork, not spawn: a child starts with the parent's modules and data,
+    where a spawned one would first pay the interpreter start-up that
+    light commands spend most of their time in.  The package starts no
+    threads, which a fork would not carry over."""
+    import gc
+    import marshal
+    import os
+    w = _workers(units)
+    if w == 1 or not hasattr(os, "fork"):
+        return [share(0, 1)]
+    children = []  # (pid, read end of its pipe)
+    gc.freeze()  # the children's collections leave the shared heap alone
+    try:
+        for k in range(1, w):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        data = marshal.dumps((True, share(k, w)))
+                    except BaseException:
+                        import traceback
+                        data = marshal.dumps((False, traceback.format_exc()))
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [share(0, w)]
+    except BaseException:
+        import signal
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        # read every pipe, then reap every child
+        sent = []
+        for _, read_end in children:
+            with os.fdopen(read_end, "rb") as pipe:
+                sent.append(pipe.read())
+        ended = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        gc.unfreeze()
+    for data, status in zip(sent, ended):
+        if status != 0:
+            raise WorkerError(f"a share of the check ended with wait "
+                              f"status {status}")
+        ok, result = marshal.loads(data)
+        if not ok:
+            raise WorkerError(result)
+        results.append(result)
+    return results
 
 
 def _check_gluing_totals(bound, census):
@@ -201,25 +304,73 @@ def _phi_fault(u):
     return None
 
 
+def _orbit_check(bound, orientable_only, examine, totals_fault):
+    """Examine one colored map per color orbit, by levels n = 1..bound,
+    split by :func:`_split`.  ``examine(n, u)`` returns the fault payload
+    of ``u``, or None and the tally key of its orbit, which counts q!;
+    ``totals_fault(n, tally)`` compares a level's tallies with the
+    formula.  The split is capped at the top level's gluings, each of
+    which has an orbit."""
+    from . import enumeration
+
+    def share(k, w):
+        # per level: the orbits examined, their tallies, and the first
+        # fault as (position in the level's stream, payload)
+        levels = []
+        for n in range(1, bound + 1):
+            examined, tally = 0, {}
+            stream = enumeration.gen_colored_unicellular(
+                n, orientable_only, True)
+            for i, u in enumerate(islice(stream, k, None, w)):
+                examined += 1
+                fault, key = examine(n, u)
+                if fault is not None:
+                    levels.append((examined, tally, (k + i * w, fault)))
+                    return levels
+                tally[key] = tally.get(key, 0) + factorial(u.q)
+            levels.append((examined, tally, None))
+        return levels
+
+    gluings = prod(range(1, 2 * bound, 2)) * (
+        1 if orientable_only else 2 ** bound) if bound > 0 else 0
+    shares = _split(gluings, share)
+    orbits = 0
+    for n in range(1, bound + 1):
+        # every share reaches level n: one that stopped below it stopped
+        # at a fault of that lower level, which the merge returned
+        level = [levels[n - 1] for levels in shares]
+        faults = [fault for _, _, fault in level if fault is not None]
+        if faults:
+            position, fault = min(faults, key=lambda f: f[0])
+            return fault, orbits + position + 1, n
+        tally = Counter()
+        for examined, counts, _ in level:
+            orbits += examined
+            tally.update(counts)
+        fault = totals_fault(n, tally)
+        if fault is not None:
+            return fault, orbits, n
+    return None, orbits, bound
+
+
 def _check_phi_roundtrip(bound, census):
     """:func:`_phi_fault` on one colored map per color orbit; the images
     on q vertices, q! per orbit, against T_n(q)."""
-    from . import enumeration, formulas
-    orbits = 0
-    for n in range(1, bound + 1):
-        images = Counter()
-        for u in enumeration.gen_colored_unicellular(n, True, True):
-            orbits += 1
-            fault = _phi_fault(u)
-            if fault is not None:
-                return {"n": n, "gluing": list(u.gluing.pairs),
-                        **fault}, orbits, n
-            images[u.q] += factorial(u.q)
+    from . import formulas
+
+    def examine(n, u):
+        fault = _phi_fault(u)
+        if fault is not None:
+            return {"n": n, "gluing": list(u.gluing.pairs), **fault}, None
+        return None, u.q
+
+    def totals_fault(n, images):
         for q in range(1, n + 2):
             if images[q] != formulas.t_formula(n, q):
                 return {"n": n, "q": q, "images": images[q],
-                        "formula": formulas.t_formula(n, q)}, orbits, n
-    return None, orbits, bound
+                        "formula": formulas.t_formula(n, q)}
+        return None
+    return _orbit_check(bound, True, examine, totals_fault)
 
 
 def label_degrees(p) -> Counter:
@@ -262,30 +413,30 @@ def _check_psi_fibers(bound, census):
     and has the properties of :func:`_fiber_fault`; the maps with q
     colors and fiber weight w, q! per orbit, against the r = w + 1 term
     of U_n(q)."""
-    from . import bijections, enumeration, formulas
+    from . import bijections, formulas
     planar = census(bound)
-    orbits = 0
-    for n in range(1, bound + 1):
-        fibers = Counter()
-        for u in enumeration.gen_colored_unicellular(n, False, True):
-            orbits += 1
-            fiber = bijections.psi_fiber(u)
-            fault = _invalid(*[x for p in fiber for x in (p.m, p)])
-            if fault is None:
-                fault = {"property": _fiber_fault(u, fiber)}
-            if fault["property"] is not None:
-                return {"n": n, "gluing": list(u.gluing.pairs),
-                        "fiber_size": len(fiber),
-                        "w": fiber[0].external_weight if fiber else None,
-                        **fault}, orbits, n
-            fibers[(u.q, fiber[0].external_weight)] += factorial(u.q)
+
+    def examine(n, u):
+        fiber = bijections.psi_fiber(u)
+        fault = _invalid(*[x for p in fiber for x in (p.m, p)])
+        if fault is None:
+            fault = {"property": _fiber_fault(u, fiber)}
+        if fault["property"] is not None:
+            return {"n": n, "gluing": list(u.gluing.pairs),
+                    "fiber_size": len(fiber),
+                    "w": fiber[0].external_weight if fiber else None,
+                    **fault}, None
+        return None, (u.q, fiber[0].external_weight)
+
+    def totals_fault(n, fibers):
         terms = {(q, r - 1): term for q in range(1, n + 2)
                  for r, term in formulas.u_terms(n, q, planar).items()}
         for q, w in sorted(terms.keys() | fibers.keys()):
             if fibers[(q, w)] != terms.get((q, w), 0):
                 return {"n": n, "q": q, "w": w, "fibers": fibers[(q, w)],
-                        "term": terms.get((q, w), 0)}, orbits, n
-    return None, orbits, bound
+                        "term": terms.get((q, w), 0)}
+        return None
+    return _orbit_check(bound, False, examine, totals_fault)
 
 
 def _closure_fault(t, p):
@@ -313,25 +464,49 @@ def _check_gamma_roundtrip(bound, census):
     closure images up to relabelling and the plane maps of the census
     (rooted planar maps with a marked face, the sum of r P_{q,r} over
     q + r - 2 = e) are equally many; so closure is onto, and opening
-    inverts it on every plane map too."""
+    inverts it on every plane map too.  :func:`_split` shares the tree
+    shapes, which come by ascending slot count, two slots per edge."""
     from . import planar_closure
     plane_maps = Counter()
     for (q, r), count in census(bound).items():
         plane_maps[q + r - 2] += r * count
-    trees = Counter()
-    images = Counter()
-    edges, keys = 0, set()
-    for t in planar_closure.gen_near_eulerian_trees(2 * bound):
-        # the trees come by ascending slot count, two slots per edge
-        if len(t.sigma) != 2 * edges:
-            edges, keys = len(t.sigma) // 2, set()
-        trees[edges] += 1
-        p = planar_closure.closure_gamma(t)
-        fault = _closure_fault(t, p)
-        if fault is not None:
-            return {"tree": tree_payload(t), **fault}, trees.total(), edges
-        keys.add(p.canonical_key())
-        images[edges] = len(keys)
+    shapes = list(planar_closure._tree_shapes(2 * bound))
+
+    def share(k, w):
+        # by shape index: its edge count and the trees examined on it; the
+        # closure images' keys by edge count; the first fault as (shape
+        # index, payload)
+        examined, keys = {}, {}
+        for s in range(k, len(shapes), w):
+            for trees, t in enumerate(planar_closure._decorate(shapes[s]), 1):
+                edges = len(t.sigma) // 2
+                examined[s] = edges, trees
+                p = planar_closure.closure_gamma(t)
+                fault = _closure_fault(t, p)
+                if fault is not None:
+                    return examined, keys, (s, {"tree": tree_payload(t),
+                                                **fault})
+                keys.setdefault(edges, set()).add(p.canonical_key())
+        return examined, keys, None
+
+    shares = _split(len(shapes), share)
+    examined = {}
+    for counts, _, _ in shares:
+        examined.update(counts)
+    faults = [fault for _, _, fault in shares if fault is not None]
+    if faults:
+        # the shapes before the earliest fault's were all examined
+        last, fault = min(faults, key=lambda f: f[0])
+        return fault, sum(trees for s, (_, trees) in examined.items()
+                          if s <= last), examined[last][0]
+    trees, keys = Counter(), {}
+    for edges, count in examined.values():
+        trees[edges] += count
+    for _, found, _ in shares:
+        for edges, share_keys in found.items():
+            keys.setdefault(edges, set()).update(share_keys)
+    images = Counter({edges: len(found) for edges, found in keys.items()})
+    edges = max(trees, default=0)
     for e in range(1, bound + 1):
         if not trees[e] == images[e] == plane_maps[e]:
             return {"edges": e, "trees": trees[e], "images": images[e],

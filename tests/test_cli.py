@@ -528,10 +528,13 @@ class TestVerify:
             "n": 2, "q": 2, "series": "22", "formula": 23}
         assert err.endswith(", 4 (n, q) values to max_n = 2\n")
 
-    def test_phi_inverse_runs_on_every_orbit(self, capsys, monkeypatch):
+    def test_phi_inverse_runs_on_every_orbit(self, capsys, monkeypatch,
+                                             one_worker):
         """The check inverts the image of every color orbit, not only a
         sample: the 108 restricted-growth colorings of the orientable
-        gluings with at most 3 edges, which stand for 435 colored maps."""
+        gluings with at most 3 edges, which stand for 435 colored maps.
+        The calls are counted in this process, so the check runs here
+        alone."""
         real = bijections.phi_inverse
         calls = []
         monkeypatch.setattr(bijections, "phi_inverse",

@@ -865,11 +865,13 @@ class TestFaceTraces:
             opening_delta(p)
         assert calls == Counter()
 
-    def test_validation_counts_the_vertices_in_place(self, monkeypatch):
+    def test_validation_counts_the_vertices_in_place(self, monkeypatch,
+                                                     one_worker):
         """``PlaneMap.validate`` traces the faces and counts the vertices
         without tracing them, so ``gamma-roundtrip`` at bound 4 traces one
         orbit per tree, the faces of its closure (1,290 trees; tracing the
-        vertices too took 2,580)."""
+        vertices too took 2,580).  The calls are counted in this process,
+        so the check runs here alone."""
         real = maps_core._orbits
         calls = [0]
 
