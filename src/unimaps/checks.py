@@ -19,29 +19,17 @@ by color order): a Tier-1 test checks it on every coloring, for phi to
 n = 4 and psi to n = 3, and above that the checks rely on it.
 
 The three exhaustive bijection checks, ``phi-roundtrip``, ``psi-fibers``
-and ``gamma-roundtrip``, examine each instance on its own, so
-:func:`_split` shares their instances among W processes: one per CPU
-this process may run on (``os.sched_getaffinity``, else
-``os.cpu_count``), but no more than there are units to share.  Share k
-of W takes the color orbits at positions i = k (mod W) of each level's
-stream, or the trees of the k-th, (k + W)-th, ... tree shape.  The
-parent forks W - 1 children and runs share 0 itself; with W = 1, or
-without ``os.fork``, it runs the one share in-process and forks nothing.
-Each share stops at its first fault and returns its tallies and that
-fault, keyed by its position in the sequential stream.  Every other
-share's first fault lies after the earliest one, so every instance
-before the earliest fault was examined, by some share, and found sound.
-The merge therefore gives the sequential verdict, instance count and
-reach: the earliest fault wins, and totals are compared where the
-sequential loop compares them, phi's and psi's after each level's
-instances and gamma's after every tree.
+and ``gamma-roundtrip``, examine each instance on its own: each builds
+its list of instances (color orbits, or tree shapes) and reads
+:func:`_in_order`'s results, which shares the list among forked
+processes, in one sequential loop.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cache
-from itertools import islice, product
+from itertools import groupby, product
 from math import comb, factorial, prod
 
 # Each check imports the layer modules it calls inside its body, so that a
@@ -90,11 +78,20 @@ def _workers(units: int) -> int:
     return max(1, min(usable, units))
 
 
-def _split(units: int, share) -> list:
-    """``[share(k, w) for k in range(w)]`` with w = ``_workers(units)``:
-    the parent runs share 0, and forked children the others, each sending
-    its result (marshal data) through a pipe.  With w = 1, or without
-    ``os.fork``, the one share ``share(0, 1)`` runs here.
+def _in_order(items: list, examine) -> list:
+    """``[examine(x) for x in items]``, cut after the first result whose
+    last field, its fault, is not None.  ``examine`` returns marshal
+    data, which a forked share sends back through a pipe.
+
+    W = ``_workers(len(items))`` processes share the items: share k
+    examines ``items[k::W]`` and stops after its own first fault.  The
+    parent forks W - 1 children, each sending its list through a pipe,
+    runs share 0 itself, and interleaves the lists back into item order,
+    stopping at the first fault or the first missing result.  That is
+    the sequential list: a share stops only at its own first fault, so
+    every item before the earliest fault was examined by its share, and
+    the earliest fault is reached before any missing result.  With W = 1,
+    or without ``os.fork``, the one share runs here and nothing is forked.
 
     The parent reads every pipe before it reaps any child, so a child
     blocked on a full pipe always gets read.  A child always ends in
@@ -103,15 +100,24 @@ def _split(units: int, share) -> list:
     own share raises, it kills and reaps every child.
 
     Fork, not spawn: a child starts with the parent's modules and data,
-    where a spawned one would first pay the interpreter start-up that
-    light commands spend most of their time in.  The package starts no
-    threads, which a fork would not carry over."""
+    the items among them, where a spawned one would first pay the
+    interpreter start-up that light commands spend most of their time
+    in.  The package starts no threads, which a fork would not carry
+    over."""
     import gc
     import marshal
     import os
-    w = _workers(units)
-    if w == 1 or not hasattr(os, "fork"):
-        return [share(0, 1)]
+    w = _workers(len(items)) if hasattr(os, "fork") else 1
+
+    def share(k):
+        results = []
+        for x in items[k::w]:
+            results.append(examine(x))
+            if results[-1][-1] is not None:
+                break
+        return results
+    if w == 1:
+        return share(0)
     children = []  # (pid, read end of its pipe)
     gc.freeze()  # the children's collections leave the shared heap alone
     try:
@@ -123,7 +129,7 @@ def _split(units: int, share) -> list:
                 try:
                     os.close(read_end)
                     try:
-                        data = marshal.dumps((True, share(k, w)))
+                        data = marshal.dumps((True, share(k)))
                     except BaseException:
                         import traceback
                         data = marshal.dumps((False, traceback.format_exc()))
@@ -134,7 +140,7 @@ def _split(units: int, share) -> list:
                     os._exit(status)
             os.close(write_end)
             children.append((pid, read_end))
-        results = [share(0, w)]
+        shares = [share(0)]
     except BaseException:
         import signal
         for pid, _ in children:
@@ -155,7 +161,15 @@ def _split(units: int, share) -> list:
         ok, result = marshal.loads(data)
         if not ok:
             raise WorkerError(result)
-        results.append(result)
+        shares.append(result)
+    results = []
+    for i in range(len(items)):
+        share_results = shares[i % w]
+        if i // w == len(share_results):
+            break
+        results.append(share_results[i // w])
+        if results[-1][-1] is not None:
+            break
     return results
 
 
@@ -306,47 +320,23 @@ def _phi_fault(u):
 
 def _orbit_check(bound, orientable_only, examine, totals_fault):
     """Examine one colored map per color orbit, by levels n = 1..bound,
-    split by :func:`_split`.  ``examine(n, u)`` returns the fault payload
-    of ``u``, or None and the tally key of its orbit, which counts q!;
+    through :func:`_in_order`.  ``examine(n, u)`` returns the tally key of
+    the orbit of ``u``, which counts q!, and its fault payload or None;
     ``totals_fault(n, tally)`` compares a level's tallies with the
-    formula.  The split is capped at the top level's gluings, each of
-    which has an orbit."""
+    formula."""
     from . import enumeration
-
-    def share(k, w):
-        # per level: the orbits examined, their tallies, and the first
-        # fault as (position in the level's stream, payload)
-        levels = []
-        for n in range(1, bound + 1):
-            examined, tally = 0, {}
-            stream = enumeration.gen_colored_unicellular(
-                n, orientable_only, True)
-            for i, u in enumerate(islice(stream, k, None, w)):
-                examined += 1
-                fault, key = examine(n, u)
-                if fault is not None:
-                    levels.append((examined, tally, (k + i * w, fault)))
-                    return levels
-                tally[key] = tally.get(key, 0) + factorial(u.q)
-            levels.append((examined, tally, None))
-        return levels
-
-    gluings = prod(range(1, 2 * bound, 2)) * (
-        1 if orientable_only else 2 ** bound) if bound > 0 else 0
-    shares = _split(gluings, share)
+    items = [(n, u) for n in range(1, bound + 1)
+             for u in enumeration.gen_colored_unicellular(
+                 n, orientable_only, True)]
+    results = _in_order(items, lambda item: examine(*item))
     orbits = 0
-    for n in range(1, bound + 1):
-        # every share reaches level n: one that stopped below it stopped
-        # at a fault of that lower level, which the merge returned
-        level = [levels[n - 1] for levels in shares]
-        faults = [fault for _, _, fault in level if fault is not None]
-        if faults:
-            position, fault = min(faults, key=lambda f: f[0])
-            return fault, orbits + position + 1, n
+    for n, level in groupby(zip(items, results), key=lambda r: r[0][0]):
         tally = Counter()
-        for examined, counts, _ in level:
-            orbits += examined
-            tally.update(counts)
+        for (_, u), (key, fault) in level:
+            orbits += 1
+            if fault is not None:
+                return fault, orbits, n
+            tally[key] += factorial(u.q)
         fault = totals_fault(n, tally)
         if fault is not None:
             return fault, orbits, n
@@ -361,8 +351,8 @@ def _check_phi_roundtrip(bound, census):
     def examine(n, u):
         fault = _phi_fault(u)
         if fault is not None:
-            return {"n": n, "gluing": list(u.gluing.pairs), **fault}, None
-        return None, u.q
+            return None, {"n": n, "gluing": list(u.gluing.pairs), **fault}
+        return u.q, None
 
     def totals_fault(n, images):
         for q in range(1, n + 2):
@@ -422,11 +412,11 @@ def _check_psi_fibers(bound, census):
         if fault is None:
             fault = {"property": _fiber_fault(u, fiber)}
         if fault["property"] is not None:
-            return {"n": n, "gluing": list(u.gluing.pairs),
-                    "fiber_size": len(fiber),
-                    "w": fiber[0].external_weight if fiber else None,
-                    **fault}, None
-        return None, (u.q, fiber[0].external_weight)
+            return None, {"n": n, "gluing": list(u.gluing.pairs),
+                          "fiber_size": len(fiber),
+                          "w": fiber[0].external_weight if fiber else None,
+                          **fault}
+        return (u.q, fiber[0].external_weight), None
 
     def totals_fault(n, fibers):
         terms = {(q, r - 1): term for q in range(1, n + 2)
@@ -464,52 +454,40 @@ def _check_gamma_roundtrip(bound, census):
     closure images up to relabelling and the plane maps of the census
     (rooted planar maps with a marked face, the sum of r P_{q,r} over
     q + r - 2 = e) are equally many; so closure is onto, and opening
-    inverts it on every plane map too.  :func:`_split` shares the tree
-    shapes, which come by ascending slot count, two slots per edge."""
+    inverts it on every plane map too.  :func:`_in_order` examines the
+    tree shapes, which come by ascending slot count, two slots per edge;
+    each shape's trees are decorated where it is examined."""
     from . import planar_closure
     plane_maps = Counter()
     for (q, r), count in census(bound).items():
         plane_maps[q + r - 2] += r * count
-    shapes = list(planar_closure._tree_shapes(2 * bound))
 
-    def share(k, w):
-        # by shape index: its edge count and the trees examined on it; the
-        # closure images' keys by edge count; the first fault as (shape
-        # index, payload)
-        examined, keys = {}, {}
-        for s in range(k, len(shapes), w):
-            for trees, t in enumerate(planar_closure._decorate(shapes[s]), 1):
-                edges = len(t.sigma) // 2
-                examined[s] = edges, trees
-                p = planar_closure.closure_gamma(t)
-                fault = _closure_fault(t, p)
-                if fault is not None:
-                    return examined, keys, (s, {"tree": tree_payload(t),
-                                                **fault})
-                keys.setdefault(edges, set()).add(p.canonical_key())
-        return examined, keys, None
+    def examine(shape):
+        # the shape's edge count, its trees examined, the closure images'
+        # keys, and the first fault
+        edges, trees, keys = 0, 0, set()
+        for t in planar_closure._decorate(shape):
+            edges, trees = len(t.sigma) // 2, trees + 1
+            p = planar_closure.closure_gamma(t)
+            fault = _closure_fault(t, p)
+            if fault is not None:
+                return edges, trees, keys, {"tree": tree_payload(t), **fault}
+            keys.add(p.canonical_key())
+        return edges, trees, keys, None
 
-    shares = _split(len(shapes), share)
-    examined = {}
-    for counts, _, _ in shares:
-        examined.update(counts)
-    faults = [fault for _, _, fault in shares if fault is not None]
-    if faults:
-        # the shapes before the earliest fault's were all examined
-        last, fault = min(faults, key=lambda f: f[0])
-        return fault, sum(trees for s, (_, trees) in examined.items()
-                          if s <= last), examined[last][0]
-    trees, keys = Counter(), {}
-    for edges, count in examined.values():
-        trees[edges] += count
-    for _, found, _ in shares:
-        for edges, share_keys in found.items():
-            keys.setdefault(edges, set()).update(share_keys)
-    images = Counter({edges: len(found) for edges, found in keys.items()})
-    edges = max(trees, default=0)
+    trees, images, edges = Counter(), {}, 0
+    for shape_edges, shape_trees, keys, fault in _in_order(
+            list(planar_closure._tree_shapes(2 * bound)), examine):
+        if shape_trees:
+            edges = shape_edges
+            trees[edges] += shape_trees
+            images.setdefault(edges, set()).update(keys)
+        if fault is not None:
+            return fault, trees.total(), edges
     for e in range(1, bound + 1):
-        if not trees[e] == images[e] == plane_maps[e]:
-            return {"edges": e, "trees": trees[e], "images": images[e],
+        found = len(images.get(e, ()))
+        if not trees[e] == found == plane_maps[e]:
+            return {"edges": e, "trees": trees[e], "images": found,
                     "plane_maps": plane_maps[e]}, trees.total(), edges
     return None, trees.total(), edges
 

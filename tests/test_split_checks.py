@@ -1,5 +1,5 @@
 """The exhaustive bijection checks share their instances among forked
-workers (``checks._split``).  Whatever the worker count, a check must
+workers (``checks._in_order``).  Whatever the worker count, a check must
 give the sequential verdict ``(counterexample, instances, reach)``, and
 leave no child process whether it passes, fails or raises (the autouse
 fixture in ``conftest.py`` checks the last)."""
@@ -173,16 +173,18 @@ def test_passing_checks_agree(monkeypatch, check):
 
 @pytest.mark.parametrize("check", sorted(BOUNDS))
 def test_a_worker_exception_reaches_the_caller(monkeypatch, check):
-    """An instance that raises in a forked worker (share 1 of 3) raises
-    WorkerError in the caller, with the worker's traceback."""
+    """An instance that raises in a forked worker (a share of 3 other
+    than the parent's) raises WorkerError in the caller, with the
+    worker's traceback."""
     bound = BOUNDS[check]
     if check == "gamma-roundtrip":
-        # the first tree of a shape in share 1
+        # the first top-level tree of a shape in share 1
         shapes = list(planar_closure._tree_shapes(2 * bound))
         target = next(t for s in range(1, len(shapes), FORCED)
                       for t in planar_closure._decorate(shapes[s])
                       if len(t.sigma) == 2 * bound)
     else:
+        # the second top-level orbit, at position 14 or 29: share 2
         target = top_level(check, bound)[1]
     with monkeypatch.context() as patch:
         inject(patch, check, [target], RuntimeError("injected"))
@@ -200,11 +202,54 @@ def test_an_exception_in_the_parent_share_propagates(monkeypatch, check):
         # the first tree, of the first shape
         target = next(planar_closure.gen_near_eulerian_trees(2))
     else:
-        target = top_level(check, bound)[0]
+        # the first orbit of level 1, the first instance
+        target = top_level(check, 1)[0]
     with monkeypatch.context() as patch:
         inject(patch, check, [target], RuntimeError("injected"))
         with pytest.raises(RuntimeError, match="^injected$"):
             run_with(monkeypatch, FORCED, check, bound)
+
+
+@pytest.mark.parametrize("check", ["phi-roundtrip", "psi-fibers"])
+def test_each_orbit_is_built_once_in_the_caller(monkeypatch, check):
+    """The caller builds the orbit list and the workers only examine it:
+    a worker that calls the orbit generator fails the check."""
+    caller = os.getpid()
+    real = enumeration.gen_colored_unicellular
+
+    def gen(*args):
+        if os.getpid() != caller:
+            raise RuntimeError("orbits built in a worker")
+        return real(*args)
+    monkeypatch.setattr(enumeration, "gen_colored_unicellular", gen)
+    verdict = run_with(monkeypatch, FORCED, check, 3)
+    assert verdict[0] is None and verdict[2] == 3
+
+
+def fault_at(positions):
+    """An ``examine`` for plain integer items that faults at ``positions``."""
+    return lambda x: (x * x, "fault" if x in positions else None)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_in_order_is_the_sequential_list_cut_at_the_first_fault(
+        monkeypatch, workers):
+    """On plain items, with no fault, a fault at the first or the last
+    item, or two faults in different shares, ``_in_order`` gives the
+    sequential list of results, cut after its first fault."""
+    monkeypatch.setattr(checks, "_workers",
+                        lambda units: max(1, min(workers, units)))
+    for length in (0, 1, 2, 5, 7):
+        items = list(range(length))
+        for positions in ([], [0], [length - 1], [1, 2],
+                          [length // 2, length - 1]):
+            examine = fault_at(set(positions) & set(items))
+            expected = []
+            for x in items:
+                expected.append(examine(x))
+                if expected[-1][-1] is not None:
+                    break
+            assert checks._in_order(items, examine) == expected
 
 
 def test_a_parent_exception_kills_the_children(monkeypatch):
