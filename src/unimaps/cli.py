@@ -4,7 +4,9 @@ bijection application, and fiber listings.
 All output on standard output is byte-deterministic for a fixed input
 and version: JSON is emitted with sorted keys and canonical separators,
 counts as decimal strings.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error.
+failure, 2 usage or parse error.  A process started as ``unimaps`` or
+``python -m unimaps.cli`` runs :func:`run`, which flushes both standard
+streams and ends with ``os._exit``, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -462,5 +464,23 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
 
+def run() -> None:
+    """The process entry point: :func:`main`, then ``os._exit`` with its
+    status once stdout and stderr are flushed, which skips the
+    interpreter's teardown.  That loses nothing: the package registers
+    no atexit handler and starts no thread, and :func:`main` reaps its
+    forked workers and closes the cache file before it returns.  An
+    exception from :func:`main` propagates to the interpreter, and so
+    does a flush that fails: ``sys.exit`` leaves its report to the
+    interpreter's own last flush (a broken pipe exits 120)."""
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()
